@@ -9,50 +9,38 @@
 //! so frames are contiguous, and hands the work to one
 //! [`SynthesisKernel`] backend:
 //!
-//! * [`KernelKind::Scalar`] — one accumulator chain per frame, plain
-//!   multiply-then-add. The **reference oracle**: slow (bounded by the
-//!   floating-point add latency of its single chain) but the baseline
-//!   every other backend is tested against.
-//! * [`KernelKind::Lanes`] — portable 4-wide manually-unrolled path: four
-//!   independent accumulator chains advance together, hiding the add
-//!   latency. Uses the same multiply-then-add operations per output
-//!   element as the scalar path, so its output is **bitwise identical**
-//!   to [`KernelKind::Scalar`] on every host.
-//! * [`KernelKind::Avx2`] — `x86_64` AVX2 + FMA intrinsics path (two
-//!   4-lane fused-multiply-add chains in flight), selected by
-//!   `is_x86_feature_detected!` at run time. Fusing the multiply and add
-//!   rounds once instead of twice, so outputs differ from the scalar
-//!   oracle by rounding only — the cross-backend property tests bound the
-//!   divergence at `1e-10` relative.
-//! * [`KernelKind::Avx512`] — `x86_64` AVX-512F intrinsics path: 8-wide
-//!   `f64` fused-multiply-add chains, at least two in flight. Applies the
-//!   **same** fused per-element recurrence as the AVX2 backend in its
-//!   full-lane and remainder paths, so its output is bitwise identical to
-//!   [`KernelKind::Avx2`] (and therefore within the same `1e-10` relative
-//!   envelope of the scalar oracle).
+//! * [`KernelKind::Scalar`] — one accumulator chain per output element,
+//!   plain multiply-then-add. The **reference oracle**: slow (bounded by
+//!   the floating-point add latency of its single chain) but the baseline
+//!   every other backend is tested against, and itself pinned bitwise to
+//!   a naive dense `Ψα + mean` in this module's tests.
+//! * [`KernelKind::Lanes`] — portable path: a full panel's eight row
+//!   chains advance together, hiding the add latency. Uses the same
+//!   multiply-then-add operations per output element as the scalar path,
+//!   so its output is **bitwise identical** to [`KernelKind::Scalar`] on
+//!   every host.
+//! * [`KernelKind::Avx2`] — `x86_64` AVX2 + FMA intrinsics path (a panel
+//!   rides two 4-lane fused-multiply-add chains, two frames in flight),
+//!   selected by `is_x86_feature_detected!` at run time. Fusing the
+//!   multiply and add rounds once instead of twice, so outputs differ from
+//!   the scalar oracle by rounding only — the cross-backend property tests
+//!   bound the divergence at `1e-10` relative.
+//! * [`KernelKind::Avx512`] — `x86_64` AVX-512F intrinsics path: a panel
+//!   column is one 8-wide `f64` vector, four frames in flight. Applies the
+//!   **same** fused per-element recurrence as the AVX2 backend, so its
+//!   output is bitwise identical to [`KernelKind::Avx2`] (and therefore
+//!   within the same `1e-10` relative envelope of the scalar oracle).
 //!
-//! # Two entry points: streamed and packed+tiled
+//! # One entry point: packed+tiled
 //!
-//! Every backend implements the synthesis twice:
-//!
-//! * [`SynthesisKernel::synthesize_block`] — the **streamed** path over
-//!   the row-major basis matrix: frames ride the SIMD lanes and each
-//!   basis element is broadcast from its row-major position. Simple, no
-//!   layout preparation, but on big grids the whole `N×K` matrix is
-//!   pulled through cache once per frame block. Kept as the baseline the
-//!   packed path is benchmarked against (`benches/kernel.rs`).
-//! * [`SynthesisKernel::synthesize_panels`] — the **packed+tiled** hot
-//!   path over a [`PackedBasis`]: output rows ride the SIMD lanes, every
-//!   basis access is a full-width **aligned** vector load from a
-//!   cache-line-aligned panel column, and the caller loops L2-sized row
-//!   tiles outermost ([`PackedBasis::tile_spans`]) so each tile's panels
-//!   stay L2-resident across the entire batch instead of being
-//!   re-streamed per block. [`Reconstructor`] and (through it) the
-//!   serving fleet run this path.
-//!
-//! Both entry points apply the identical per-element recurrence, so for
-//! any one backend they produce **bitwise identical** outputs — asserted
-//! in this module's tests across lane, panel and tile boundaries.
+//! Every backend implements exactly one method,
+//! [`SynthesisKernel::synthesize_panels`], over a [`PackedBasis`]: output
+//! rows ride the SIMD lanes, every basis access is a full-width
+//! **aligned** vector load from a cache-line-aligned panel column, and the
+//! caller loops L2-sized row tiles outermost
+//! ([`PackedBasis::tile_spans`]) so each tile's panels stay L2-resident
+//! across the entire batch. [`Reconstructor`] and (through it) the serving
+//! fleet run this path; a one-frame call is a block of `bsz = 1`.
 //!
 //! # The position-independence contract
 //!
@@ -102,8 +90,6 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use eigenmaps_linalg::Matrix;
-
 use crate::error::{CoreError, Result};
 pub use crate::packed::{PackedBasis, PANEL_ROWS};
 
@@ -112,8 +98,8 @@ pub use crate::packed::{PackedBasis, PANEL_ROWS};
 /// frames, so the per-block coefficient tile stays cache resident.
 pub const FRAME_BLOCK: usize = 32;
 
-/// Width of the SIMD-friendly inner loops of the portable and AVX2 paths
-/// (the AVX-512 path runs 2× this width).
+/// Width of one AVX2 `f64` vector: half a [`PANEL_ROWS`]-row panel
+/// column.
 pub const LANES: usize = 4;
 
 /// Identifies one synthesis backend. See the [module docs](self) for what
@@ -121,10 +107,11 @@ pub const LANES: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum KernelKind {
-    /// Reference scalar path — one multiply-then-add chain per frame.
+    /// Reference scalar path — one multiply-then-add chain per output
+    /// element.
     Scalar,
-    /// Portable 4-wide manually-unrolled path; bitwise identical to
-    /// `Scalar`.
+    /// Portable unrolled path (eight panel-row chains); bitwise identical
+    /// to `Scalar`.
     Lanes,
     /// `x86_64` AVX2 + FMA intrinsics path; equals `Scalar` within
     /// rounding (`1e-10` relative in the property tests).
@@ -280,51 +267,29 @@ fn avx512_available() -> bool {
 
 /// One interchangeable synthesis backend.
 ///
-/// [`SynthesisKernel::synthesize_block`] computes, for a block of `bsz`
-/// frames,
+/// [`SynthesisKernel::synthesize_panels`] computes, for a block of `bsz`
+/// frames and every output row `i` covered by a panel range of a
+/// [`PackedBasis`] `Ψ`,
 ///
 /// ```text
-/// outs[f][i] = Σ_j basis[i, j] · alpha_t[j · bsz + f]  +  mean[i]
+/// outs[f][i] = Σ_j Ψ[i, j] · alpha_t[j · bsz + f]  +  mean[i]
 /// ```
 ///
 /// where `alpha_t` holds the block's coefficients transposed
-/// frame-contiguous (`j`-major with stride `bsz`).
-/// [`SynthesisKernel::synthesize_panels`] computes the same sum for the
-/// output rows of a panel range of a [`PackedBasis`], leaving all other
-/// rows of `outs` untouched.
+/// frame-contiguous (`j`-major with stride `bsz`). All other rows of
+/// `outs` are left untouched.
 ///
 /// Implementations must uphold the position-independence contract of the
 /// [module docs](self): an output element's rounding sequence may depend
 /// only on the backend — never on `bsz`, the frame's index within the
-/// block, the entry point, or the panel tiling. In particular the two
-/// entry points are mutually **bitwise identical** per backend.
+/// block, or the panel tiling.
 pub trait SynthesisKernel: fmt::Debug + Send + Sync {
     /// Which [`KernelKind`] this backend implements.
     fn kind(&self) -> KernelKind;
 
-    /// Synthesizes one block of `bsz` frames over the streamed row-major
-    /// basis; see the trait docs for the exact computation and data
-    /// layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree: `mean.len() != basis.rows()`,
-    /// `alpha_t.len() < basis.cols() * bsz`, `outs.len() < bsz`, or any
-    /// `outs[f].len() != basis.rows()`. Every backend validates these up
-    /// front (the SIMD paths read through raw pointers, so the checks are
-    /// what make this a safe API).
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    );
-
     /// Synthesizes the output rows covered by `panels` (a panel range of
     /// `packed`, see [`PackedBasis::tile_spans`]) for a block of `bsz`
-    /// frames — the packed+tiled hot path. Rows outside the panel range
+    /// frames. Rows outside the panel range
     /// are left untouched, so a caller sweeps tiles to cover the grid.
     ///
     /// # Panics
@@ -345,29 +310,12 @@ pub trait SynthesisKernel: fmt::Debug + Send + Sync {
 
 /// Shape validation shared by the backends, so a mis-sized call fails
 /// loudly at the kernel boundary. These are hard asserts, not debug
-/// asserts: the SIMD backends read `alpha_t` through raw pointers, so
-/// the bounds established here are load-bearing for memory safety. Cost
-/// is one pass per [`FRAME_BLOCK`]-frame block — noise next to the
-/// `O(N·K·bsz)` synthesis it guards.
+/// asserts: the SIMD backends read `alpha_t` and write `outs` through raw
+/// pointers, so the bounds established here are load-bearing for memory
+/// safety. The panel-column alignment and lane-padding invariants the
+/// SIMD loads rely on are upheld by [`PackedBasis`] itself.
 #[inline]
-fn check_shapes(basis: &Matrix, mean: &[f64], alpha_t: &[f64], bsz: usize, outs: &[&mut [f64]]) {
-    assert_eq!(mean.len(), basis.rows(), "kernel: mean length");
-    assert!(
-        alpha_t.len() >= basis.cols() * bsz,
-        "kernel: alpha_t too short"
-    );
-    assert!(outs.len() >= bsz, "kernel: too few output frames");
-    assert!(
-        outs.iter().take(bsz).all(|o| o.len() == basis.rows()),
-        "kernel: output frame length"
-    );
-}
-
-/// [`check_shapes`] for the packed entry point; additionally bounds the
-/// panel range. The panel-column alignment and lane-padding invariants
-/// the SIMD loads rely on are upheld by [`PackedBasis`] itself.
-#[inline]
-fn check_panel_shapes(
+fn check_shapes(
     packed: &PackedBasis,
     panels: &Range<usize>,
     mean: &[f64],
@@ -397,28 +345,6 @@ impl SynthesisKernel for ScalarKernel {
         KernelKind::Scalar
     }
 
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        for i in 0..basis.rows() {
-            let row = basis.row(i);
-            let mu = mean[i];
-            for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                let mut acc = 0.0;
-                for (j, &rij) in row.iter().enumerate() {
-                    acc += rij * alpha_t[j * bsz + f];
-                }
-                out[i] = acc + mu;
-            }
-        }
-    }
-
     fn synthesize_panels(
         &self,
         packed: &PackedBasis,
@@ -428,7 +354,7 @@ impl SynthesisKernel for ScalarKernel {
         bsz: usize,
         outs: &mut [&mut [f64]],
     ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
+        check_shapes(packed, &panels, mean, alpha_t, bsz, outs);
         let k = packed.cols();
         for p in panels {
             let panel = packed.panel(p);
@@ -447,58 +373,19 @@ impl SynthesisKernel for ScalarKernel {
     }
 }
 
-/// The portable 4-wide manually-unrolled backend ([`KernelKind::Lanes`]).
+/// The portable unrolled backend ([`KernelKind::Lanes`]).
 ///
-/// Four independent accumulator chains advance together (frames in the
-/// streamed path, panel rows in the packed path), hiding the
+/// A full panel's eight row chains advance together, hiding the
 /// floating-point add latency that bounds the scalar path, over memory
 /// the autovectorizer can turn into packed multiply/add. Each chain
 /// performs exactly the scalar recurrence, so the output is bitwise
-/// identical to [`ScalarKernel`] through either entry point.
+/// identical to [`ScalarKernel`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LanesKernel;
 
 impl SynthesisKernel for LanesKernel {
     fn kind(&self) -> KernelKind {
         KernelKind::Lanes
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        for i in 0..basis.rows() {
-            let row = basis.row(i);
-            let mu = mean[i];
-            let mut f = 0;
-            while f + LANES <= bsz {
-                let mut a = [0.0f64; LANES];
-                for (j, &rij) in row.iter().enumerate() {
-                    let col = &alpha_t[j * bsz + f..j * bsz + f + LANES];
-                    a[0] += rij * col[0];
-                    a[1] += rij * col[1];
-                    a[2] += rij * col[2];
-                    a[3] += rij * col[3];
-                }
-                for (lane, &v) in a.iter().enumerate() {
-                    outs[f + lane][i] = v + mu;
-                }
-                f += LANES;
-            }
-            while f < bsz {
-                let mut acc = 0.0;
-                for (j, &rij) in row.iter().enumerate() {
-                    acc += rij * alpha_t[j * bsz + f];
-                }
-                outs[f][i] = acc + mu;
-                f += 1;
-            }
-        }
     }
 
     fn synthesize_panels(
@@ -510,7 +397,7 @@ impl SynthesisKernel for LanesKernel {
         bsz: usize,
         outs: &mut [&mut [f64]],
     ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
+        check_shapes(packed, &panels, mean, alpha_t, bsz, outs);
         let k = packed.cols();
         for p in panels {
             let panel = packed.panel(p);
@@ -554,14 +441,12 @@ impl SynthesisKernel for LanesKernel {
 
 /// The `x86_64` AVX2 + FMA backend ([`KernelKind::Avx2`]).
 ///
-/// Streamed path: eight frames stay in flight as two 4-lane `vfmadd`
-/// accumulator chains; remainders drop to one 4-lane chain, then to
-/// scalar [`f64::mul_add`]. Packed path: one 8-row panel rides two 4-lane
-/// chains per frame, two frames in flight (four chains), with **aligned**
-/// panel-column loads. Every path applies the *same* fused recurrence per
-/// output element, preserving the position-independence contract. Only
-/// selectable when `is_x86_feature_detected!` reports both `avx2` and
-/// `fma`.
+/// One 8-row panel rides two 4-lane `vfmadd` chains per frame, two
+/// frames in flight (four chains), with **aligned** panel-column loads.
+/// Full panels, single-frame remainders and lane-padded panels apply the
+/// *same* fused recurrence per output element, preserving the
+/// position-independence contract. Only selectable when
+/// `is_x86_feature_detected!` reports both `avx2` and `fma`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Avx2Kernel;
@@ -570,21 +455,6 @@ pub struct Avx2Kernel;
 impl SynthesisKernel for Avx2Kernel {
     fn kind(&self) -> KernelKind {
         KernelKind::Avx2
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        // SAFETY: `KernelKind::backend` only hands out this backend after
-        // `avx2_available()` confirmed the `avx2` and `fma` CPU features
-        // at run time.
-        unsafe { synthesize_avx2(basis, mean, alpha_t, bsz, outs) }
     }
 
     fn synthesize_panels(
@@ -596,79 +466,12 @@ impl SynthesisKernel for Avx2Kernel {
         bsz: usize,
         outs: &mut [&mut [f64]],
     ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        // SAFETY: feature availability as above; the aligned panel loads
-        // are justified by the PackedBasis alignment invariant.
+        check_shapes(packed, &panels, mean, alpha_t, bsz, outs);
+        // SAFETY: `KernelKind::backend` only hands out this backend after
+        // `avx2_available()` confirmed the `avx2` and `fma` CPU features
+        // at run time; the aligned panel loads are justified by the
+        // PackedBasis alignment invariant.
         unsafe { synthesize_panels_avx2(packed, panels, mean, alpha_t, bsz, outs) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn synthesize_avx2(
-    basis: &Matrix,
-    mean: &[f64],
-    alpha_t: &[f64],
-    bsz: usize,
-    outs: &mut [&mut [f64]],
-) {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
-    };
-
-    let alpha = alpha_t.as_ptr();
-    for i in 0..basis.rows() {
-        let row = basis.row(i);
-        let mu = _mm256_set1_pd(mean[i]);
-        let mut f = 0;
-        // Two 4-lane chains: vfmadd latency is ~4-5 cycles at 2/cycle
-        // throughput, so one chain per group would leave the FMA units
-        // mostly idle.
-        while f + 2 * LANES <= bsz {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm256_set1_pd(rij);
-                let x0 = _mm256_loadu_pd(alpha.add(j * bsz + f));
-                let x1 = _mm256_loadu_pd(alpha.add(j * bsz + f + LANES));
-                acc0 = _mm256_fmadd_pd(r, x0, acc0);
-                acc1 = _mm256_fmadd_pd(r, x1, acc1);
-            }
-            let mut tmp = [0.0f64; 2 * LANES];
-            _mm256_storeu_pd(tmp.as_mut_ptr(), _mm256_add_pd(acc0, mu));
-            _mm256_storeu_pd(tmp.as_mut_ptr().add(LANES), _mm256_add_pd(acc1, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += 2 * LANES;
-        }
-        while f + LANES <= bsz {
-            let mut acc = _mm256_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm256_set1_pd(rij);
-                let x = _mm256_loadu_pd(alpha.add(j * bsz + f));
-                acc = _mm256_fmadd_pd(r, x, acc);
-            }
-            let mut tmp = [0.0f64; LANES];
-            _mm256_storeu_pd(tmp.as_mut_ptr(), _mm256_add_pd(acc, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += LANES;
-        }
-        let mu_scalar = mean[i];
-        while f < bsz {
-            let mut acc = 0.0f64;
-            for (j, &rij) in row.iter().enumerate() {
-                // Scalar fused multiply-add: lane-for-lane the same
-                // rounding as `_mm256_fmadd_pd` above, keeping frames in
-                // the remainder bitwise consistent with full lanes.
-                acc = rij.mul_add(alpha_t[j * bsz + f], acc);
-            }
-            outs[f][i] = acc + mu_scalar;
-            f += 1;
-        }
     }
 }
 
@@ -703,8 +506,8 @@ unsafe fn synthesize_panels_avx2(
             let mut f = 0;
             // Two frames in flight share every panel-column load: per
             // coefficient that is 2 aligned loads + 2 broadcasts feeding
-            // 4 independent FMA chains — load ports and FMA ports stay
-            // balanced instead of the streamed path's 3-loads-per-2-FMAs.
+            // 4 independent FMA chains, so load ports and FMA ports stay
+            // balanced.
             while f + 2 <= bsz {
                 let mut a00 = _mm256_setzero_pd();
                 let mut a01 = _mm256_setzero_pd();
@@ -767,14 +570,11 @@ unsafe fn synthesize_panels_avx2(
 
 /// The `x86_64` AVX-512F backend ([`KernelKind::Avx512`]).
 ///
-/// Streamed path: sixteen frames stay in flight as two 8-lane `vfmadd`
-/// accumulator chains; remainders drop to one 8-lane chain, then to
-/// scalar [`f64::mul_add`]. Packed path: one 8-row panel column is
-/// exactly one **aligned** 512-bit load, with four frames in flight
-/// sharing it (four chains). Every path applies the same fused recurrence
-/// per output element as the AVX2 backend, so the two are bitwise
-/// identical. Only selectable when `is_x86_feature_detected!` reports
-/// `avx512f`.
+/// One 8-row panel column is exactly one **aligned** 512-bit load, with
+/// four frames in flight sharing it (four chains). Every path applies the
+/// same fused recurrence per output element as the AVX2 backend, so the
+/// two are bitwise identical. Only selectable when
+/// `is_x86_feature_detected!` reports `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Avx512Kernel;
@@ -783,20 +583,6 @@ pub struct Avx512Kernel;
 impl SynthesisKernel for Avx512Kernel {
     fn kind(&self) -> KernelKind {
         KernelKind::Avx512
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        // SAFETY: `KernelKind::backend` only hands out this backend after
-        // `avx512_available()` confirmed `avx512f` at run time.
-        unsafe { synthesize_avx512(basis, mean, alpha_t, bsz, outs) }
     }
 
     fn synthesize_panels(
@@ -808,81 +594,11 @@ impl SynthesisKernel for Avx512Kernel {
         bsz: usize,
         outs: &mut [&mut [f64]],
     ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        // SAFETY: feature availability as above; the aligned panel loads
-        // are justified by the PackedBasis alignment invariant.
+        check_shapes(packed, &panels, mean, alpha_t, bsz, outs);
+        // SAFETY: `KernelKind::backend` only hands out this backend after
+        // `avx512_available()` confirmed `avx512f` at run time; the aligned
+        // panel loads are justified by the PackedBasis alignment invariant.
         unsafe { synthesize_panels_avx512(packed, panels, mean, alpha_t, bsz, outs) }
-    }
-}
-
-/// AVX-512 `f64` lane width.
-#[cfg(target_arch = "x86_64")]
-const W512: usize = 8;
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn synthesize_avx512(
-    basis: &Matrix,
-    mean: &[f64],
-    alpha_t: &[f64],
-    bsz: usize,
-    outs: &mut [&mut [f64]],
-) {
-    use std::arch::x86_64::{
-        _mm512_add_pd, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
-        _mm512_storeu_pd,
-    };
-
-    let alpha = alpha_t.as_ptr();
-    for i in 0..basis.rows() {
-        let row = basis.row(i);
-        let mu = _mm512_set1_pd(mean[i]);
-        let mut f = 0;
-        // Two 8-lane chains in flight, mirroring the AVX2 structure at
-        // twice the width.
-        while f + 2 * W512 <= bsz {
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm512_set1_pd(rij);
-                let x0 = _mm512_loadu_pd(alpha.add(j * bsz + f));
-                let x1 = _mm512_loadu_pd(alpha.add(j * bsz + f + W512));
-                acc0 = _mm512_fmadd_pd(r, x0, acc0);
-                acc1 = _mm512_fmadd_pd(r, x1, acc1);
-            }
-            let mut tmp = [0.0f64; 2 * W512];
-            _mm512_storeu_pd(tmp.as_mut_ptr(), _mm512_add_pd(acc0, mu));
-            _mm512_storeu_pd(tmp.as_mut_ptr().add(W512), _mm512_add_pd(acc1, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += 2 * W512;
-        }
-        while f + W512 <= bsz {
-            let mut acc = _mm512_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm512_set1_pd(rij);
-                let x = _mm512_loadu_pd(alpha.add(j * bsz + f));
-                acc = _mm512_fmadd_pd(r, x, acc);
-            }
-            let mut tmp = [0.0f64; W512];
-            _mm512_storeu_pd(tmp.as_mut_ptr(), _mm512_add_pd(acc, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += W512;
-        }
-        let mu_scalar = mean[i];
-        while f < bsz {
-            let mut acc = 0.0f64;
-            for (j, &rij) in row.iter().enumerate() {
-                // Scalar fused multiply-add: the same rounding per element
-                // as `_mm512_fmadd_pd` above.
-                acc = rij.mul_add(alpha_t[j * bsz + f], acc);
-            }
-            outs[f][i] = acc + mu_scalar;
-            f += 1;
-        }
     }
 }
 
@@ -964,6 +680,7 @@ unsafe fn synthesize_panels_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eigenmaps_linalg::Matrix;
 
     /// Deterministic dense test operands for an `n × k` synthesis over
     /// `bsz` frames.
@@ -978,18 +695,29 @@ mod tests {
         (basis, mean, alpha_t)
     }
 
-    fn run(kind: KernelKind, n: usize, k: usize, bsz: usize) -> Vec<Vec<f64>> {
+    /// The naive dense `Ψα + mean` straight off the row-major matrix: one
+    /// multiply-then-add chain per output element, ascending `j`.
+    fn dense_reference(n: usize, k: usize, bsz: usize) -> Vec<Vec<f64>> {
         let (basis, mean, alpha_t) = operands(n, k, bsz);
-        let mut cells: Vec<Vec<f64>> = (0..bsz).map(|_| vec![0.0; n]).collect();
-        let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        kind.backend()
-            .synthesize_block(&basis, &mean, &alpha_t, bsz, &mut outs);
-        cells
+        (0..bsz)
+            .map(|f| {
+                (0..n)
+                    .map(|i| {
+                        let mut acc = 0.0;
+                        for j in 0..k {
+                            acc += basis[(i, j)] * alpha_t[j * bsz + f];
+                        }
+                        acc + mean[i]
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
-    /// The packed+tiled entry point over the same operands, at a forced
-    /// tile size so tiny shapes still cross tile boundaries.
-    fn run_packed(
+    /// One backend over the same operands, sweeping every tile of a basis
+    /// packed at a forced tile size so tiny shapes still cross tile
+    /// boundaries.
+    fn run_tiled(
         kind: KernelKind,
         n: usize,
         k: usize,
@@ -1005,6 +733,22 @@ mod tests {
             backend.synthesize_panels(&packed, tile, &mean, &alpha_t, bsz, &mut outs);
         }
         cells
+    }
+
+    /// [`run_tiled`] at two panels (16 rows) per tile.
+    fn run(kind: KernelKind, n: usize, k: usize, bsz: usize) -> Vec<Vec<f64>> {
+        run_tiled(kind, n, k, bsz, 2)
+    }
+
+    /// The documented `1e-10` relative envelope of the FMA backends.
+    fn assert_within_envelope(want: &[Vec<f64>], got: &[Vec<f64>], what: &str) {
+        assert_eq!(want.len(), got.len(), "{what}: frame count");
+        for (w, g) in want.iter().zip(got.iter()) {
+            for (&a, &b) in w.iter().zip(g.iter()) {
+                let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+                assert!(rel <= 1e-10, "{what}: {a} vs {b}");
+            }
+        }
     }
 
     /// The FMA-fused backends (everything that is not bitwise-equal to
@@ -1043,6 +787,19 @@ mod tests {
     ];
 
     #[test]
+    fn scalar_is_bitwise_identical_to_dense_reference() {
+        // Anchors the oracle itself: packing, lane padding and tiling
+        // must leave the scalar recurrence exactly the naive dense one.
+        for (n, k, bsz) in SHAPES {
+            assert_eq!(
+                run(KernelKind::Scalar, n, k, bsz),
+                dense_reference(n, k, bsz),
+                "shape n={n} k={k} bsz={bsz}"
+            );
+        }
+    }
+
+    #[test]
     fn lanes_is_bitwise_identical_to_scalar() {
         for (n, k, bsz) in SHAPES {
             let scalar = run(KernelKind::Scalar, n, k, bsz);
@@ -1055,14 +812,11 @@ mod tests {
     fn fma_backends_match_scalar_to_tolerance() {
         for kind in fma_kinds() {
             for (n, k, bsz) in SHAPES {
-                let scalar = run(KernelKind::Scalar, n, k, bsz);
-                let fused = run(kind, n, k, bsz);
-                for (fs, fa) in scalar.iter().zip(fused.iter()) {
-                    for (&a, &b) in fs.iter().zip(fa.iter()) {
-                        let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-                        assert!(rel <= 1e-10, "{kind} n={n} k={k} bsz={bsz}: {a} vs {b}");
-                    }
-                }
+                assert_within_envelope(
+                    &run(KernelKind::Scalar, n, k, bsz),
+                    &run(kind, n, k, bsz),
+                    &format!("{kind} n={n} k={k} bsz={bsz}"),
+                );
             }
         }
     }
@@ -1071,7 +825,7 @@ mod tests {
     fn avx512_is_bitwise_identical_to_avx2() {
         // Both FMA backends apply the identical fused per-element
         // recurrence, so where a host can run both they must agree bit
-        // for bit — through both entry points.
+        // for bit.
         if !(KernelKind::Avx2.is_available() && KernelKind::Avx512.is_available()) {
             eprintln!("skipping: host lacks avx2 or avx512");
             return;
@@ -1080,29 +834,23 @@ mod tests {
             assert_eq!(
                 run(KernelKind::Avx2, n, k, bsz),
                 run(KernelKind::Avx512, n, k, bsz),
-                "streamed n={n} k={k} bsz={bsz}"
-            );
-            assert_eq!(
-                run_packed(KernelKind::Avx2, n, k, bsz, 2),
-                run_packed(KernelKind::Avx512, n, k, bsz, 2),
-                "packed n={n} k={k} bsz={bsz}"
+                "n={n} k={k} bsz={bsz}"
             );
         }
     }
 
     #[test]
-    fn packed_entry_is_bitwise_identical_to_streamed_per_backend() {
-        // The layout/tiling tentpole's core safety property: repacking
-        // and tiling change *where* data lives and *when* elements are
-        // computed, never an element's rounding chain — so packed ==
-        // streamed exactly, for every backend, at every tile size.
+    fn tiling_is_bitwise_invisible_per_backend() {
+        // Tiling changes *when* elements are computed, never an element's
+        // rounding chain — so one panel per tile, two, and every panel in
+        // a single tile agree exactly, for every backend.
         for kind in KernelKind::available() {
             for (n, k, bsz) in SHAPES {
-                let streamed = run(kind, n, k, bsz);
-                for tile_panels in [1, 2, 100] {
-                    let packed = run_packed(kind, n, k, bsz, tile_panels);
+                let single_tile = run_tiled(kind, n, k, bsz, 100);
+                for tile_panels in [1, 2] {
                     assert_eq!(
-                        streamed, packed,
+                        run_tiled(kind, n, k, bsz, tile_panels),
+                        single_tile,
                         "kind={kind} n={n} k={k} bsz={bsz} tile_panels={tile_panels}"
                     );
                 }
@@ -1114,22 +862,23 @@ mod tests {
     fn frames_are_position_independent_in_every_backend() {
         // The contract that makes batch == single == sharded bitwise per
         // backend: frame `f` of a block must equal the same coefficients
-        // synthesized alone (bsz = 1) — through both entry points.
+        // synthesized alone (bsz = 1) at the default tile size.
         let (n, k, bsz) = (11, 5, 13);
+        let (basis, mean, alpha_t) = operands(n, k, bsz);
+        let packed = PackedBasis::pack(&basis);
         for kind in KernelKind::available() {
-            let blocked = run(kind, n, k, bsz);
-            let tiled = run_packed(kind, n, k, bsz, 1);
-            let (basis, mean, alpha_t) = operands(n, k, bsz);
+            let blocked = run_tiled(kind, n, k, bsz, 1);
             for f in 0..bsz {
                 let alpha_f: Vec<f64> = (0..k).map(|j| alpha_t[j * bsz + f]).collect();
                 let mut single = vec![0.0; n];
                 {
                     let mut outs = [single.as_mut_slice()];
-                    kind.backend()
-                        .synthesize_block(&basis, &mean, &alpha_f, 1, &mut outs);
+                    for tile in packed.tile_spans() {
+                        kind.backend()
+                            .synthesize_panels(&packed, tile, &mean, &alpha_f, 1, &mut outs);
+                    }
                 }
                 assert_eq!(blocked[f], single, "kind={kind} frame={f}");
-                assert_eq!(tiled[f], single, "packed kind={kind} frame={f}");
             }
         }
     }
@@ -1142,25 +891,34 @@ mod tests {
         // scalar-recurrence backends; only the FMA-fused backends are
         // allowed their documented rounding envelope.
         for bsz in 1..LANES + 2 {
+            let reference = dense_reference(6, 3, bsz);
             for kind in KernelKind::available() {
                 let got = run(kind, 6, 3, bsz);
-                assert_eq!(got.len(), bsz);
-                let scalar = run(KernelKind::Scalar, 6, 3, bsz);
                 match kind {
                     KernelKind::Scalar | KernelKind::Lanes => {
-                        assert_eq!(got, scalar, "kind={kind} bsz={bsz}");
+                        assert_eq!(got, reference, "kind={kind} bsz={bsz}");
                     }
-                    _ => {
-                        for (g, s) in got.iter().zip(scalar.iter()) {
-                            for (&a, &b) in g.iter().zip(s.iter()) {
-                                let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-                                assert!(rel <= 1e-10, "kind={kind} bsz={bsz}: {a} vs {b}");
-                            }
-                        }
-                    }
+                    _ => assert_within_envelope(&reference, &got, &format!("{kind} bsz={bsz}")),
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel: output frame length")]
+    fn mis_sized_output_is_refused_before_any_simd_access() {
+        let (basis, mean, alpha_t) = operands(9, 3, 2);
+        let packed = PackedBasis::pack(&basis);
+        let (mut a, mut b) = (vec![0.0; 9], vec![0.0; 8]);
+        let mut outs = [a.as_mut_slice(), b.as_mut_slice()];
+        KernelKind::detect().backend().synthesize_panels(
+            &packed,
+            0..packed.panels(),
+            &mean,
+            &alpha_t,
+            2,
+            &mut outs,
+        );
     }
 
     #[test]

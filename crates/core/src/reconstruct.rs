@@ -4,7 +4,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use eigenmaps_linalg::{Matrix, Qr, Svd};
+use eigenmaps_linalg::{Qr, Svd};
 
 use crate::basis::Basis;
 use crate::error::{CoreError, Result};
@@ -99,12 +99,12 @@ impl BatchScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Reconstructor {
-    basis_matrix: Matrix,
     /// The basis repacked into cache-line-aligned row panels for the
-    /// synthesis hot path — **derived state**, rebuilt from
-    /// `basis_matrix` at construction (never serialized; the `EMDEPLOY`
-    /// wire format is unchanged). `Arc` so the per-worker `Reconstructor`
-    /// clones of a serving fleet share one multi-megabyte panel buffer.
+    /// synthesis hot path — **derived state**, rebuilt from the basis
+    /// matrix at construction (never serialized; the `EMDEPLOY` wire
+    /// format is unchanged) and the only copy of `Ψ_K` the reconstructor
+    /// keeps. `Arc` so the per-worker `Reconstructor` clones of a serving
+    /// fleet share one multi-megabyte panel buffer.
     packed: Arc<PackedBasis>,
     mean: Vec<f64>,
     mean_at_sensors: Vec<f64>,
@@ -161,7 +161,6 @@ impl Reconstructor {
         let mean = basis.mean().to_vec();
         let mean_at_sensors = sensors.locations().iter().map(|&i| mean[i]).collect();
         Ok(Reconstructor {
-            basis_matrix: basis.matrix().clone(),
             packed: Arc::new(PackedBasis::pack(basis.matrix())),
             mean,
             mean_at_sensors,
@@ -220,7 +219,7 @@ impl Reconstructor {
 
     /// Subspace dimension `K`.
     pub fn k(&self) -> usize {
-        self.basis_matrix.cols()
+        self.packed.cols()
     }
 
     /// Condition number `κ(Ψ̃_K)` of the sensing matrix — the noise

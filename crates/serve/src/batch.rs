@@ -29,8 +29,7 @@
 //! the batch still executes and the batcher never wedges.
 //!
 //! Streaming sessions go through the **same** front door: a session opened
-//! with [`Server::open_session`] (or pinned with
-//! [`Server::open_session_at`], or warm-started with
+//! with [`Server::open_session`] (or warm-started with
 //! [`Server::resume_session`]) owns a stream lane in the scheduler's
 //! fairness rotation, its `submit_step` is admission-controlled like
 //! `try_submit`, and each step executes on the sharded worker pool
@@ -808,35 +807,6 @@ impl Server {
         let mut session = TrackerSession::open_scheduled(
             &self.registry,
             deployment,
-            None,
-            gain,
-            Arc::clone(&self.metrics),
-            self.session_door(),
-        )?;
-        self.enroll(&mut session);
-        Ok(session)
-    }
-
-    /// [`Server::open_session`] pinned to an explicit registry `version`
-    /// instead of the latest — how a resumed snapshot (or an A/B
-    /// experiment) reattaches to the exact artifact a stream was trained
-    /// against even after newer versions were published.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::UnknownDeployment`] / [`ServeError::UnknownVersion`]
-    ///   for an unresolved name or a retired/never-published version.
-    /// * [`ServeError::Core`] for a gain outside `(0, 1]`.
-    pub fn open_session_at(
-        &self,
-        deployment: &str,
-        version: u32,
-        gain: f64,
-    ) -> Result<TrackerSession> {
-        let mut session = TrackerSession::open_scheduled(
-            &self.registry,
-            deployment,
-            Some(version),
             gain,
             Arc::clone(&self.metrics),
             self.session_door(),
@@ -1237,7 +1207,7 @@ fn batcher_loop(
                 execute_flush(flush, executor, metrics, drain_now, &mut truncated)
             }
             Decision::Step(step) => match step.job {
-                Work::Step(step) => execute_step_blocking(step, executor, metrics),
+                Work::Step(step) => execute_step_inline(step, metrics),
                 Work::Request(_) => unreachable!("stream lanes carry only steps"),
             },
             // Drain serves everything that is still queued rather than
@@ -1253,7 +1223,7 @@ fn batcher_loop(
     if inflight.is_empty() {
         for (_, steps) in deferred {
             for step in steps {
-                execute_step_blocking(step, executor, metrics);
+                execute_step_inline(step, metrics);
             }
         }
     }
@@ -1485,14 +1455,14 @@ fn execute_flush(
     }
 }
 
-/// Executes one session step synchronously (the shutdown-drain path,
-/// where nothing else is in flight for the stream) and completes its
-/// ticket.
-fn execute_step_blocking(step: QueuedStep, executor: &ShardedExecutor, metrics: &ServeMetrics) {
+/// Executes one session step inline on the batcher thread (the
+/// shutdown-drain path, where nothing else is in flight for the stream)
+/// and completes its ticket.
+fn execute_step_inline(step: QueuedStep, metrics: &ServeMetrics) {
     step.trace.record(Stage::ShardDispatched);
-    let outcome = executor.execute_step(&step.tracker, step.readings.clone());
+    let outcome = crate::shard::step_tracker(&step.tracker, &step.readings);
     step.trace.record(Stage::KernelDone);
-    complete_step(step, outcome, metrics);
+    complete_step(step, outcome.map_err(ServeError::Core), metrics);
 }
 
 #[cfg(test)]

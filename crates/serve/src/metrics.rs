@@ -715,11 +715,6 @@ impl ServeMetrics {
         self.session_latency.record(latency);
     }
 
-    /// The session-step latency histogram (e.g. for custom quantiles).
-    pub fn session_latency(&self) -> &LatencyHistogram {
-        &self.session_latency
-    }
-
     /// Records one request's queue-to-response latency.
     pub fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);

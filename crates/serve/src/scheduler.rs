@@ -440,22 +440,6 @@ impl<T> Decision<T> {
             _ => None,
         }
     }
-
-    /// Consumes into the step decision, if this is one.
-    pub fn into_step(self) -> Option<StepDecision<T>> {
-        match self {
-            Decision::Step(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the shed decision, if this is one.
-    pub fn into_shed(self) -> Option<ShedDecision<T>> {
-        match self {
-            Decision::Shed(d) => Some(d),
-            _ => None,
-        }
-    }
 }
 
 /// One queued job: its frame count, arrival time, trace handle and
@@ -573,11 +557,6 @@ impl<T> Scheduler<T> {
         if policy.is_none() {
             self.in_brownout = false;
         }
-    }
-
-    /// The installed brownout watermarks, if any.
-    pub fn brownout_policy(&self) -> Option<BrownoutPolicy> {
-        self.brownout
     }
 
     /// Whether the scheduler is currently in brownout (as of the last

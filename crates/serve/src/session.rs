@@ -252,12 +252,11 @@ impl TrackerSession {
     pub(crate) fn open_scheduled(
         registry: &DeploymentRegistry,
         name: &str,
-        version: Option<u32>,
         gain: f64,
         metrics: Arc<ServeMetrics>,
         door: SessionDoor,
     ) -> Result<Self> {
-        Self::build(registry, name, version, gain, Some(metrics), Some(door))
+        Self::build(registry, name, None, gain, Some(metrics), Some(door))
     }
 
     /// Internal resume for [`Server::resume_session`](crate::Server::resume_session).

@@ -6,10 +6,10 @@
 //! itself even when shards run at different speeds). Each worker owns a
 //! [`BatchScratch`] reused across every shard it ever processes, so
 //! steady-state serving does no per-batch coefficient-buffer allocation.
-//! The same pool also executes streaming-session tracker steps
-//! ([`ShardedExecutor::execute_step`]): a step is one more unit of work an
-//! idle worker pulls, so sessions and batches share the exact same
-//! compute capacity instead of stealing caller threads.
+//! The same pool also executes streaming-session tracker steps (the
+//! batcher hands each one over as an opaque job): a step is one more unit
+//! of work an idle worker pulls, so sessions and batches share the exact
+//! same compute capacity instead of stealing caller threads.
 //!
 //! Inside each shard, the worker runs the deployment's dispatched SIMD
 //! synthesis kernel ([`eigenmaps_core::kernel`]) on its own scratch, over
@@ -186,20 +186,6 @@ impl ShardedExecutor {
         Ok(maps)
     }
 
-    /// [`ShardedExecutor::execute`] for caller-owned frames (wraps them in
-    /// an `Arc` for the workers).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedExecutor::execute`].
-    pub fn execute_owned(
-        &self,
-        deployment: &Arc<Deployment>,
-        frames: Vec<Vec<f64>>,
-    ) -> Result<Vec<ThermalMap>> {
-        self.execute(deployment, &Arc::new(frames))
-    }
-
     /// Hands an opaque job to whichever worker is idle — the
     /// fire-and-forget lane the batcher uses to dispatch session steps
     /// without blocking its scheduling loop (so steps of *different*
@@ -219,46 +205,12 @@ impl ShardedExecutor {
                 context: "shard queue closed",
             })
     }
-
-    /// Executes one streaming-session tracker step on the worker pool and
-    /// blocks for the result: whichever worker is idle locks the shared
-    /// tracker and runs [`TrackingReconstructor::step`] (the deployment's
-    /// dispatched SIMD kernel, same arithmetic as the caller-thread path —
-    /// so the result is bitwise-identical to stepping the tracker
-    /// inline). The batcher's live path uses the nonblocking
-    /// crate-internal `spawn` job lane instead; this blocking form serves the
-    /// shutdown drain and direct callers.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] for wrong-length readings or solver failure.
-    /// * [`ServeError::Terminated`] if the worker pool has died.
-    pub fn execute_step(
-        &self,
-        tracker: &Arc<Mutex<TrackingReconstructor>>,
-        readings: Vec<f64>,
-    ) -> Result<ThermalMap> {
-        let (reply, result) = mpsc::channel();
-        let tracker = Arc::clone(tracker);
-        let metrics = Arc::clone(&self.metrics);
-        self.spawn(move |worker| {
-            let outcome = step_tracker(&tracker, &readings);
-            metrics.record_shard(worker, 1);
-            let _ = reply.send(outcome);
-        })?;
-        result
-            .recv()
-            .map_err(|_| ServeError::Terminated {
-                context: "shard worker died mid-step",
-            })?
-            .map_err(ServeError::Core)
-    }
 }
 
 /// Locks a session's shared tracker and runs one step — the single place
 /// the lock-and-step (and poisoned-lock fallback) policy lives, used by
-/// both the blocking [`ShardedExecutor::execute_step`] and the batcher's
-/// fire-and-forget dispatch.
+/// both the batcher's fire-and-forget dispatch and its synchronous
+/// shutdown drain.
 pub(crate) fn step_tracker(
     tracker: &Mutex<TrackingReconstructor>,
     readings: &[f64],
@@ -369,6 +321,24 @@ mod tests {
         assert_eq!(snap.shard_batches.iter().sum::<u64>(), 8 * 4);
     }
 
+    /// Runs one tracker step as a pool job (the batcher's dispatch lane)
+    /// and blocks for its outcome.
+    fn step_on_pool(
+        ex: &ShardedExecutor,
+        tracker: &Arc<Mutex<TrackingReconstructor>>,
+        readings: Vec<f64>,
+    ) -> std::result::Result<ThermalMap, CoreError> {
+        let (reply, result) = mpsc::channel();
+        let (tracker, metrics) = (Arc::clone(tracker), Arc::clone(ex.metrics()));
+        ex.spawn(move |worker| {
+            let outcome = step_tracker(&tracker, &readings);
+            metrics.record_shard(worker, 1);
+            let _ = reply.send(outcome);
+        })
+        .unwrap();
+        result.recv().unwrap()
+    }
+
     #[test]
     fn step_on_pool_is_bitwise_identical_to_inline_stepping() {
         let (d, frames) = deployment_and_frames(6);
@@ -376,7 +346,7 @@ mod tests {
         let pooled = Arc::new(Mutex::new(d.tracker(0.4).unwrap()));
         let mut inline = d.tracker(0.4).unwrap();
         for (t, readings) in frames.iter().enumerate() {
-            let a = ex.execute_step(&pooled, readings.clone()).unwrap();
+            let a = step_on_pool(&ex, &pooled, readings.clone()).unwrap();
             let b = inline.step(readings).unwrap();
             assert_eq!(a.as_slice(), b.as_slice(), "step {t}");
         }
@@ -385,10 +355,10 @@ mod tests {
         assert_eq!(snap.shard_frames.iter().sum::<u64>(), 6);
         // Malformed readings fail the step, not the pool.
         assert!(matches!(
-            ex.execute_step(&pooled, vec![0.0; 2]),
-            Err(ServeError::Core(CoreError::ShapeMismatch { .. }))
+            step_on_pool(&ex, &pooled, vec![0.0; 2]),
+            Err(CoreError::ShapeMismatch { .. })
         ));
-        assert!(ex.execute_step(&pooled, frames[0].clone()).is_ok());
+        assert!(step_on_pool(&ex, &pooled, frames[0].clone()).is_ok());
     }
 
     #[test]

@@ -295,12 +295,6 @@ impl MemIo {
     pub fn mutating_ops(&self) -> u64 {
         self.lock().ops
     }
-
-    /// The durable bytes of `name`, bypassing the crash gate — lets
-    /// tests inspect (or corrupt) stable storage directly.
-    pub fn durable_contents(&self, name: &str) -> Option<Vec<u8>> {
-        self.lock().durable.get(name).cloned()
-    }
 }
 
 fn crash_err() -> io::Error {

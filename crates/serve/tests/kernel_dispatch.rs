@@ -131,9 +131,9 @@ fn batches_smaller_than_the_block_width_survive_sharding() {
         let forced = Arc::new(deployment.clone().with_kernel(kind).unwrap());
         let executor = ShardedExecutor::new(8); // more shards than most batches have frames
         for take in [1usize, 2, 3, 5, 7] {
-            let batch: Vec<Vec<f64>> = frames[..take].to_vec();
+            let batch = Arc::new(frames[..take].to_vec());
             let sequential = forced.reconstruct_batch(&batch).unwrap();
-            let sharded = executor.execute_owned(&forced, batch).unwrap();
+            let sharded = executor.execute(&forced, &batch).unwrap();
             assert_eq!(sharded.len(), take);
             for (f, (a, b)) in sequential.iter().zip(sharded.iter()).enumerate() {
                 assert_eq!(
@@ -164,7 +164,9 @@ fn detected_backend_is_what_the_fleet_executes() {
 
     let forced = Arc::new(deployment.with_kernel(KernelKind::Scalar).unwrap());
     let executor = ShardedExecutor::new(2);
-    let via_pool = executor.execute_owned(&forced, frames.clone()).unwrap();
+    let via_pool = executor
+        .execute(&forced, &Arc::new(frames.clone()))
+        .unwrap();
     let direct = forced.reconstruct_batch(&frames).unwrap();
     for (a, b) in direct.iter().zip(via_pool.iter()) {
         assert_eq!(a.as_slice(), b.as_slice());
