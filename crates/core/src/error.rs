@@ -59,6 +59,16 @@ pub enum CoreError {
         /// Name of the requested backend (`"avx2"`, ...).
         kernel: &'static str,
     },
+    /// A sensor reading was NaN or ±∞. Reconstruction refuses it rather
+    /// than let it spread into every cell of the map (and, for a
+    /// tracker, into its filter state).
+    NonFiniteReading {
+        /// Index of the offending frame within the call (0 for a single
+        /// reading vector).
+        frame: usize,
+        /// Index of the first non-finite reading within that frame.
+        sensor: usize,
+    },
     /// An inner linear-algebra kernel failed.
     Linalg(LinalgError),
 }
@@ -95,6 +105,9 @@ impl fmt::Display for CoreError {
                     f,
                     "synthesis kernel '{kernel}' is not available on this host"
                 )
+            }
+            CoreError::NonFiniteReading { frame, sensor } => {
+                write!(f, "non-finite reading at frame {frame}, sensor {sensor}")
             }
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }

@@ -235,6 +235,8 @@ impl Reconstructor {
     /// # Errors
     ///
     /// * [`CoreError::ShapeMismatch`] if `readings.len() != M`.
+    /// * [`CoreError::NonFiniteReading`] (`frame` 0) if a reading is NaN
+    ///   or ±∞.
     /// * Propagated solver failures (excluded by the rank check in
     ///   [`Reconstructor::new`]).
     pub fn coefficients(&self, readings: &[f64]) -> Result<Vec<f64>> {
@@ -245,6 +247,7 @@ impl Reconstructor {
                 found: readings.len(),
             });
         }
+        check_finite(0, readings)?;
         let centered: Vec<f64> = readings
             .iter()
             .zip(self.mean_at_sensors.iter())
@@ -317,7 +320,8 @@ impl Reconstructor {
     /// # Errors
     ///
     /// Returns [`CoreError::ShapeMismatch`] if any frame's length differs
-    /// from `M`; propagates solver failures.
+    /// from `M`, [`CoreError::NonFiniteReading`] for the first NaN or ±∞
+    /// reading; propagates solver failures.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
         self.reconstruct_batch_with(frames, &mut BatchScratch::new())
     }
@@ -342,7 +346,7 @@ impl Reconstructor {
         let m = self.sensors.len();
         let k = self.k();
         let n = self.rows * self.cols;
-        for readings in frames {
+        for (frame, readings) in frames.iter().enumerate() {
             if readings.len() != m {
                 return Err(CoreError::ShapeMismatch {
                     context: "reconstruct_batch readings",
@@ -350,6 +354,7 @@ impl Reconstructor {
                     found: readings.len(),
                 });
             }
+            check_finite(frame, readings)?;
         }
 
         // Phase 1: per-frame least-squares coefficients, frame-major. The
@@ -420,6 +425,15 @@ impl Reconstructor {
     }
 }
 
+/// Refuses `frame`'s first NaN or ±∞ reading with
+/// [`CoreError::NonFiniteReading`].
+fn check_finite(frame: usize, readings: &[f64]) -> Result<()> {
+    match readings.iter().position(|x| !x.is_finite()) {
+        Some(sensor) => Err(CoreError::NonFiniteReading { frame, sensor }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +484,34 @@ mod tests {
             // The family is essentially 2-dimensional, so 4 sensors suffice.
             assert!(map.mse(&est) < 1e-3, "t={t} mse={}", map.mse(&est));
         }
+    }
+
+    #[test]
+    fn non_finite_readings_are_refused_with_their_position() {
+        let basis = DctBasis::new(5, 5, 3).unwrap();
+        let sensors = SensorSet::new(5, 5, vec![0, 8, 11, 17, 24]).unwrap();
+        let rec = Reconstructor::new(&basis, &sensors).unwrap();
+        let good = vec![50.0; 5];
+        for bad_value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = good.clone();
+            bad[3] = bad_value;
+            let refused = CoreError::NonFiniteReading {
+                frame: 0,
+                sensor: 3,
+            };
+            assert_eq!(rec.coefficients(&bad).unwrap_err(), refused);
+            assert_eq!(rec.reconstruct(&bad).unwrap_err(), refused);
+            // Batch calls name the offending frame.
+            let batch = vec![good.clone(), good.clone(), bad];
+            assert_eq!(
+                rec.reconstruct_batch(&batch).unwrap_err(),
+                CoreError::NonFiniteReading {
+                    frame: 2,
+                    sensor: 3
+                }
+            );
+        }
+        assert!(rec.reconstruct(&good).is_ok());
     }
 
     #[test]

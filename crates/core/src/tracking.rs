@@ -206,6 +206,36 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_step_leaves_the_filter_state_untouched() {
+        let (basis, sensors, rec) = setup();
+        let mut clean = TrackingReconstructor::new(rec.clone(), 0.3).unwrap();
+        let mut hit = TrackingReconstructor::new(rec, 0.3).unwrap();
+        for t in 0..6 {
+            let readings = sensors.sample(&truth_at(&basis, t));
+            if t == 3 {
+                // The tracker refuses each bad step as if it never saw it.
+                for bad_value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut bad = readings.clone();
+                    bad[1] = bad_value;
+                    assert_eq!(
+                        hit.step(&bad).unwrap_err(),
+                        CoreError::NonFiniteReading {
+                            frame: 0,
+                            sensor: 1
+                        }
+                    );
+                }
+            }
+            let want = clean.step(&readings).unwrap();
+            let got = hit.step(&readings).unwrap();
+            let bits =
+                |m: &ThermalMap| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "step {t}");
+        }
+        assert_eq!(hit.frames(), clean.frames());
+    }
+
+    #[test]
     fn gain_one_matches_memoryless() {
         let (basis, sensors, rec) = setup();
         let mut tracker = TrackingReconstructor::new(rec.clone(), 1.0).unwrap();

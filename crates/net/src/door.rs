@@ -33,9 +33,10 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{
-    ReapReason, ServeMetrics, ServeRequest, Server, StepTicket, Ticket, TraceExemplar,
-    TrackerSession, WireErrorKind,
+    ReapReason, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar, TrackerSession,
+    WireErrorKind,
 };
 
 use crate::protocol::{
@@ -116,7 +117,7 @@ struct Conn {
     batches: HashMap<u64, Ticket>,
     /// Step tickets keyed by request correlation id, with the session id
     /// they belong to (for error reporting only).
-    steps: HashMap<u64, StepTicket>,
+    steps: HashMap<u64, Ticket<ThermalMap>>,
     /// Open sessions keyed by the door-assigned session id.
     sessions: HashMap<u64, TrackerSession>,
     next_session: u64,

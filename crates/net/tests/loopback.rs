@@ -543,6 +543,46 @@ fn unknown_names_and_sessions_map_to_typed_statuses() {
     join.join().unwrap();
 }
 
+#[test]
+fn non_finite_readings_are_bad_requests_and_leave_sessions_untouched() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let (addr, handle, join) = spawn_door(server);
+    let mut client = Client::connect(addr).expect("connect");
+    let frames = &fleet.frames[0];
+    let mut reference = fleet.deployments[0].tracker(0.5).unwrap();
+    let info = client.open_session(fleet.names[0], 0.5).unwrap();
+
+    for (t, readings) in frames.iter().take(4).enumerate() {
+        for bad_value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = readings.clone();
+            bad[2] = bad_value;
+            let err = client
+                .submit_batch(fleet.names[0], vec![readings.clone(), bad.clone()])
+                .unwrap_err();
+            assert!(
+                matches!(&err, NetError::Server { status, .. } if *status == WireStatus::BadRequest),
+                "batch {t}: {err:?}"
+            );
+            let err = client.step(info.session, bad).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Server { status, .. } if *status == WireStatus::BadRequest),
+                "step {t}: {err:?}"
+            );
+        }
+        // The refused steps never touched the session's filter state.
+        let got = client.step(info.session, readings.clone()).unwrap();
+        assert_bitwise(
+            &got,
+            &reference.step(readings).unwrap(),
+            "step after refusals",
+        );
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 /// Satellite: seeded malformed-bytes fuzzing against the live event
 /// loop. Random garbage, random mutations of valid frames, random
 /// split points — the door must answer real traffic afterwards and

@@ -37,7 +37,7 @@
 //! serving path left. Per-tenant [`BatchPolicy`] overrides
 //! ([`Server::set_tenant_policy`]) tier both workload classes by SKU.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -252,8 +252,9 @@ impl<R> std::fmt::Debug for Responder<R> {
     }
 }
 
-/// A pending response handle returned by [`Server::submit`] /
-/// [`Server::try_submit`].
+/// A pending response handle: `Ticket` (a batch request's maps) from
+/// [`Server::submit`] / [`Server::try_submit`], `Ticket<ThermalMap>` (one
+/// filtered map) from [`TrackerSession::submit_step`].
 ///
 /// A ticket can be consumed exactly once, in any of three styles:
 ///
@@ -261,17 +262,33 @@ impl<R> std::fmt::Debug for Responder<R> {
 /// * **poll** — [`Ticket::try_wait`] from an event loop;
 /// * **callback** — [`Ticket::on_ready`] to get woken without a thread.
 ///
-/// Dropping a ticket without consuming it is safe: the request still
-/// executes in its coalesced batch (its tenant's queue slot is released
-/// exactly as if it had been awaited), and the response is discarded.
-pub struct Ticket {
+/// Dropping a ticket without consuming it is safe: the request (or step)
+/// still executes — a batch request in its coalesced batch, its tenant's
+/// queue slot released exactly as if it had been awaited; a step in
+/// submission order, advancing the session's tracker — and the response
+/// is discarded.
+pub struct Ticket<R = Vec<ThermalMap>> {
     version: u32,
-    slot: Arc<ResponseSlot<Vec<ThermalMap>>>,
-    degraded: Arc<AtomicBool>,
+    slot: Arc<ResponseSlot<R>>,
+    /// The batch request's degraded flag; `None` for session steps, which
+    /// are never served degraded.
+    degraded: Option<Arc<AtomicBool>>,
 }
 
-impl Ticket {
-    /// The deployment version this request was pinned to at submit time.
+impl<R> Ticket<R> {
+    pub(crate) fn new(
+        version: u32,
+        slot: Arc<ResponseSlot<R>>,
+        degraded: Option<Arc<AtomicBool>>,
+    ) -> Self {
+        Ticket {
+            version,
+            slot,
+            degraded,
+        }
+    }
+
+    /// The deployment version the request (or session) is pinned to.
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -280,9 +297,14 @@ impl Ticket {
     /// brownout (or the request blew a `Degrade`-tier deadline) and the
     /// maps were reconstructed against a truncated low-K deployment
     /// instead of the full basis. Meaningful once the response is ready;
-    /// `false` while pending and for full-fidelity responses.
+    /// `false` while pending and for full-fidelity responses. Always
+    /// `false` for session steps: a stream's temporal filter must stay
+    /// bitwise-continuous across brownout, so steps never substitute a
+    /// truncated deployment.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
+        self.degraded
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Acquire))
     }
 
     /// Whether a response is ready — [`Ticket::try_wait`] would return it.
@@ -293,21 +315,23 @@ impl Ticket {
     /// Nonblocking poll: the response if it is ready (returned exactly
     /// once), `None` while it is still pending or after it was already
     /// consumed.
-    pub fn try_wait(&mut self) -> Option<Result<Vec<ThermalMap>>> {
+    pub fn try_wait(&mut self) -> Option<Result<R>> {
         self.slot.try_take()
     }
 
-    /// Registers `callback` to run as soon as the response is ready
-    /// (invoked on the batcher thread, before blocked waiters wake). If
-    /// the response is already ready, runs it immediately on the calling
-    /// thread. A second registration replaces the first. The callback
-    /// must not block — it is the readiness hook an event loop uses to
-    /// schedule a [`Ticket::try_wait`].
+    /// Registers `callback` to run as soon as the response is ready —
+    /// invoked on whichever thread completes it: the batcher for batch
+    /// requests, a shard worker for scheduled steps (callbacks of
+    /// different sessions can fire concurrently), the calling thread for
+    /// standalone sessions. If the response is already ready, runs it
+    /// immediately on the calling thread. A second registration replaces
+    /// the first. The callback must not block — it is the readiness hook
+    /// an event loop uses to schedule a [`Ticket::try_wait`].
     pub fn on_ready(&self, callback: impl FnOnce() + Send + 'static) {
         self.slot.on_ready(callback);
     }
 
-    /// Blocks until the batcher serves the request.
+    /// Blocks until the request (or step) is served.
     ///
     /// # Errors
     ///
@@ -318,12 +342,12 @@ impl Ticket {
     /// * [`ServeError::Terminated`] if the server shut down before
     ///   responding, or if the response was already consumed by
     ///   [`Ticket::try_wait`].
-    pub fn wait(self) -> Result<Vec<ThermalMap>> {
+    pub fn wait(self) -> Result<R> {
         self.slot.wait()
     }
 }
 
-impl std::fmt::Debug for Ticket {
+impl<R> std::fmt::Debug for Ticket<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("version", &self.version)
@@ -371,9 +395,9 @@ pub(crate) enum BatcherMsg {
     Request(QueuedRequest),
     Step(QueuedStep),
     /// Sent back to the batcher by the worker that finished a dispatched
-    /// step: the stream's in-flight gate opens and its next deferred step
-    /// (if any) enters the scheduler — per-session ordering without
-    /// blocking the batcher on step execution.
+    /// step: [`Scheduler::step_done`] reopens the stream's lane —
+    /// per-session ordering without blocking the batcher on step
+    /// execution.
     StepDone(StreamId),
     Policy {
         name: String,
@@ -588,8 +612,8 @@ impl Server {
 
     /// Enqueues a request, returning a [`Ticket`] for the response. The
     /// deployment name is resolved (and its current version pinned) now;
-    /// frame lengths are validated now so malformed requests fail fast
-    /// instead of poisoning a coalesced batch.
+    /// frame lengths and reading values are validated now so malformed
+    /// requests fail fast instead of poisoning a coalesced batch.
     ///
     /// The request joins **its tenant's own pending queue** (keyed by the
     /// pinned `(name, version)`): it coalesces only with other requests
@@ -634,7 +658,8 @@ impl Server {
     /// # Errors
     ///
     /// * [`ServeError::UnknownDeployment`] for an unresolved name.
-    /// * [`ServeError::Core`] for frames with the wrong reading count.
+    /// * [`ServeError::Core`] for frames with the wrong reading count or
+    ///   a NaN or ±∞ reading ([`CoreError::NonFiniteReading`]).
     /// * [`ServeError::Terminated`] if the server is shutting down.
     pub fn submit(&self, request: ServeRequest) -> Result<Ticket> {
         self.enqueue(request, false)
@@ -699,12 +724,20 @@ impl Server {
     fn enqueue(&self, request: ServeRequest, admission_control: bool) -> Result<Ticket> {
         let (version, deployment) = self.registry.latest_versioned(&request.deployment)?;
         let m = deployment.m();
-        for readings in &request.frames {
+        for (frame, readings) in request.frames.iter().enumerate() {
             if readings.len() != m {
                 return Err(ServeError::Core(CoreError::ShapeMismatch {
                     context: "serve request readings",
                     expected: m,
                     found: readings.len(),
+                }));
+            }
+            // A non-finite reading would fail every request coalesced
+            // with this one; refuse it here, alone.
+            if let Some(sensor) = readings.iter().position(|x| !x.is_finite()) {
+                return Err(ServeError::Core(CoreError::NonFiniteReading {
+                    frame,
+                    sensor,
                 }));
             }
         }
@@ -719,13 +752,7 @@ impl Server {
                 self.tenant_policy(&request.deployment)
                     .max_pending_per_tenant as u64,
             ) {
-                // A request turned away at the door still leaves a ring
-                // event: a terminal-only trace with the rejection reason.
-                self.recorder.event(
-                    self.recorder.allocate(&request.deployment),
-                    Stage::Rejected(RejectReason::Saturated),
-                    self.recorder.now(),
-                );
+                self.recorder.record_saturated(&request.deployment);
                 return Err(ServeError::Saturated {
                     name: request.deployment,
                     pending,
@@ -737,11 +764,7 @@ impl Server {
         let trace = self.recorder.begin(&request.deployment);
         let slot = ResponseSlot::new();
         let degraded = Arc::new(AtomicBool::new(false));
-        let ticket = Ticket {
-            version,
-            slot: Arc::clone(&slot),
-            degraded: Arc::clone(&degraded),
-        };
+        let ticket = Ticket::new(version, Arc::clone(&slot), Some(Arc::clone(&degraded)));
         let frames = request.frames.len();
         let queued = QueuedRequest {
             key: TenantKey::new(&request.deployment, version),
@@ -988,13 +1011,12 @@ impl Drop for Server {
 /// flushes run synchronously on the pool; session steps are dispatched
 /// **fire-and-forget** ([`ShardedExecutor::spawn`]) so steps of different
 /// sessions run in parallel across the workers while the batcher keeps
-/// scheduling. Per-session ordering is preserved by an in-flight gate: a
-/// stream has at most one step granted-and-running at a time — later
-/// steps wait in `deferred` until the worker's `StepDone` message opens
-/// the gate and promotes the next one into the scheduler lane. All
-/// timing runs on a `Duration` clock anchored at the loop's start,
-/// matching what the scheduler's mock-clock tests exercise. Runs until a
-/// `Shutdown` message arrives (or every sender hangs up), then drains.
+/// scheduling. Per-session ordering is the scheduler's stream gate: a
+/// granted step holds its lane until the worker's `StepDone` message
+/// reaches [`Scheduler::step_done`]. All timing runs on a `Duration`
+/// clock anchored at the recorder's epoch, matching what the scheduler's
+/// mock-clock tests exercise. Runs until a `Shutdown` message arrives (or
+/// every sender hangs up), then drains.
 fn batcher_loop(
     rx: &Receiver<BatcherMsg>,
     executor: &Arc<ShardedExecutor>,
@@ -1005,53 +1027,6 @@ fn batcher_loop(
 ) {
     let epoch = recorder.epoch();
     let mut scheduler: Scheduler<Work> = Scheduler::new(policy);
-    scheduler.set_recorder(recorder.clone());
-    // Streams with a step currently executing on a worker.
-    let mut inflight: HashSet<StreamId> = HashSet::new();
-    // Steps admitted while their stream was gated (in flight, or already
-    // holding its one scheduler slot), FIFO per stream.
-    let mut deferred: HashMap<StreamId, VecDeque<QueuedStep>> = HashMap::new();
-    // Admits a step while keeping the invariant "at most one step per
-    // stream in the scheduler": excess steps queue in `deferred`.
-    fn admit_step(
-        scheduler: &mut Scheduler<Work>,
-        inflight: &HashSet<StreamId>,
-        deferred: &mut HashMap<StreamId, VecDeque<QueuedStep>>,
-        step: QueuedStep,
-    ) {
-        let stream = step.stream;
-        if inflight.contains(&stream)
-            || deferred.contains_key(&stream)
-            || scheduler.stream_depth(stream) > 0
-        {
-            deferred.entry(stream).or_default().push_back(step);
-        } else {
-            // Steps enter their scheduler lane here (not at submit):
-            // stream lanes are card-traced by the batcher, not the
-            // scheduler.
-            step.trace.record(Stage::Enqueued);
-            scheduler.submit_stream(stream, Work::Step(step));
-        }
-    }
-    // Opens a stream's gate after its worker finished and promotes the
-    // next deferred step, if any.
-    fn step_done(
-        scheduler: &mut Scheduler<Work>,
-        inflight: &mut HashSet<StreamId>,
-        deferred: &mut HashMap<StreamId, VecDeque<QueuedStep>>,
-        stream: StreamId,
-    ) {
-        inflight.remove(&stream);
-        if let Some(queue) = deferred.get_mut(&stream) {
-            if let Some(next) = queue.pop_front() {
-                next.trace.record(Stage::Enqueued);
-                scheduler.submit_stream(stream, Work::Step(next));
-            }
-            if queue.is_empty() {
-                deferred.remove(&stream);
-            }
-        }
-    }
     // The durability hub, once the server installs it. Its checkpoint
     // deadline is folded into the wait below, so the cadence needs no
     // extra thread and runs entirely on this loop's injected clock.
@@ -1098,48 +1073,10 @@ fn batcher_loop(
             }
         };
         let now = epoch.elapsed();
-        match arrival {
-            Some(BatcherMsg::Request(request)) => {
-                // Anchor the latency budget at the client's submit time,
-                // not at batcher receipt: time spent waiting in the
-                // channel (e.g. behind a long executor run) counts toward
-                // `max_delay`, so an already-overdue request flushes on
-                // the very next tick.
-                let enqueued_at = request.enqueued.saturating_duration_since(epoch);
-                // The scheduler emits the ring event; the card only
-                // mirrors the stamp so the exemplar stays complete.
-                request.trace.note_at(Stage::Enqueued, enqueued_at);
-                scheduler.submit_traced(
-                    enqueued_at,
-                    request.key.clone(),
-                    request.frames.len(),
-                    request.trace.trace_ref(),
-                    Work::Request(request),
-                );
+        if let Some(msg) = arrival {
+            if !admit(msg, &mut scheduler, &mut durability, metrics, epoch, now) {
+                break 'serve;
             }
-            Some(BatcherMsg::Step(step)) => {
-                admit_step(&mut scheduler, &inflight, &mut deferred, step);
-            }
-            Some(BatcherMsg::StepDone(stream)) => {
-                step_done(&mut scheduler, &mut inflight, &mut deferred, stream);
-            }
-            Some(BatcherMsg::Policy { name, policy }) => {
-                scheduler.set_tenant_policy(name, policy);
-            }
-            Some(BatcherMsg::Brownout(policy)) => {
-                scheduler.set_brownout(policy);
-                metrics.set_brownout(scheduler.in_brownout());
-            }
-            Some(BatcherMsg::Durability(hub)) => {
-                // Arm at install so the first background checkpoint
-                // waits a full cadence — hydration just read the store,
-                // so there is nothing new to persist yet, and tests
-                // driving checkpoints explicitly stay deterministic.
-                hub.arm(now);
-                durability = Some(hub);
-            }
-            Some(BatcherMsg::Shutdown) => break 'serve,
-            None => {}
         }
         if let Some(hub) = &durability {
             if hub.due(now) {
@@ -1164,42 +1101,35 @@ fn batcher_loop(
                 Decision::Batch(flush) => {
                     execute_flush(flush, executor, metrics, now, &mut truncated)
                 }
-                Decision::Step(step) => dispatch_step(step, executor, metrics, done, &mut inflight),
+                Decision::Step(step) => dispatch_step(step, executor, metrics, done),
                 Decision::Shed(shed) => execute_shed(shed, metrics, now),
             }
         }
     }
-    // Shutdown drain, in three phases. 1: wait out the steps already on
-    // workers (absorbing late traffic) so nothing below can race a
-    // worker for a session's tracker; the timeout is a backstop against
-    // a dead pool that will never report StepDone.
+    // Shutdown drain. First wait out the steps already on workers
+    // (absorbing late traffic) so nothing below can race a worker for a
+    // session's tracker; the timeout is a backstop against a dead pool
+    // that will never report StepDone.
     let drain_deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while !inflight.is_empty() {
+    while scheduler.steps_in_flight() > 0 {
         let remaining = drain_deadline.saturating_duration_since(Instant::now());
         match rx.recv_timeout(remaining) {
-            Ok(BatcherMsg::StepDone(stream)) => {
-                step_done(&mut scheduler, &mut inflight, &mut deferred, stream);
-            }
-            Ok(BatcherMsg::Request(request)) => {
-                let enqueued_at = request.enqueued.saturating_duration_since(epoch);
-                request.trace.note_at(Stage::Enqueued, enqueued_at);
-                scheduler.submit_traced(
-                    enqueued_at,
-                    request.key.clone(),
-                    request.frames.len(),
-                    request.trace.trace_ref(),
-                    Work::Request(request),
+            Ok(msg) => {
+                admit(
+                    msg,
+                    &mut scheduler,
+                    &mut durability,
+                    metrics,
+                    epoch,
+                    epoch.elapsed(),
                 );
             }
-            Ok(BatcherMsg::Step(step)) => {
-                admit_step(&mut scheduler, &inflight, &mut deferred, step);
-            }
-            Ok(_) => {}
             Err(_) => break, // timed out or disconnected: stop waiting
         }
     }
-    // 2: flush everything still scheduled; steps run synchronously now
-    // (their streams have nothing in flight).
+    // Then flush everything still scheduled; steps run synchronously now.
+    // On the timed-out path the drain skips streams still in flight:
+    // their queued steps drop and their responders fire `Terminated`.
     let drain_now = epoch.elapsed();
     for decision in scheduler.drain() {
         match decision {
@@ -1216,59 +1146,90 @@ fn batcher_loop(
             Decision::Shed(shed) => execute_shed(shed, metrics, drain_now),
         }
     }
-    // 3: deferred steps. With nothing in flight they execute in FIFO
-    // order; on the timed-out path running them could race the wedged
-    // worker, so they are dropped instead (responders fire `Terminated`
-    // and release their admission slots).
-    if inflight.is_empty() {
-        for (_, steps) in deferred {
-            for step in steps {
-                execute_step_inline(step, metrics);
-            }
+}
+
+/// Feeds one message into the scheduler or the loop's own state — the
+/// one admission path of the serving loop and the shutdown drain alike.
+/// Returns `false` on `Shutdown`.
+fn admit(
+    msg: BatcherMsg,
+    scheduler: &mut Scheduler<Work>,
+    durability: &mut Option<Arc<DurabilityHub>>,
+    metrics: &ServeMetrics,
+    epoch: Instant,
+    now: Duration,
+) -> bool {
+    match msg {
+        BatcherMsg::Request(request) => {
+            // Anchor the latency budget at the client's submit time, not
+            // at batcher receipt: time spent waiting in the channel (e.g.
+            // behind a long executor run) counts toward `max_delay`, so
+            // an already-overdue request flushes on the very next tick.
+            let enqueued_at = request.enqueued.saturating_duration_since(epoch);
+            request.trace.record_at(Stage::Enqueued, enqueued_at);
+            scheduler.submit(
+                enqueued_at,
+                request.key.clone(),
+                request.frames.len(),
+                Work::Request(request),
+            );
         }
+        BatcherMsg::Step(step) => {
+            step.trace.record(Stage::Enqueued);
+            scheduler.submit_stream(step.stream, Work::Step(step));
+        }
+        BatcherMsg::StepDone(stream) => scheduler.step_done(stream),
+        BatcherMsg::Policy { name, policy } => scheduler.set_tenant_policy(name, policy),
+        BatcherMsg::Brownout(policy) => {
+            scheduler.set_brownout(policy);
+            metrics.set_brownout(scheduler.in_brownout());
+        }
+        BatcherMsg::Durability(hub) => {
+            // Arm at install so the first background checkpoint waits a
+            // full cadence — hydration just read the store, so there is
+            // nothing new to persist yet, and tests driving checkpoints
+            // explicitly stay deterministic.
+            hub.arm(now);
+            *durability = Some(hub);
+        }
+        BatcherMsg::Shutdown => return false,
     }
+    true
 }
 
 /// Dispatches one granted session step to the worker pool without
 /// blocking the batcher: the worker locks the session's tracker, runs the
-/// step, completes the ticket and reports `StepDone` so the stream's next
-/// step can be granted. On a dead pool the step's responder (dropped with
-/// the rejected job) completes `Terminated` and no in-flight gate is set.
+/// step, completes the ticket and reports `StepDone` so the scheduler
+/// reopens the stream's lane. On a dead pool the rejected job is dropped:
+/// its responder completes `Terminated` and its guard still reports
+/// `StepDone`.
 fn dispatch_step(
     decision: StepDecision<Work>,
     executor: &Arc<ShardedExecutor>,
     metrics: &Arc<ServeMetrics>,
     done: &Sender<BatcherMsg>,
-    inflight: &mut HashSet<StreamId>,
 ) {
     let step = match decision.job {
         Work::Step(step) => step,
         Work::Request(_) => unreachable!("stream lanes carry only steps"),
     };
-    let stream = step.stream;
     let metrics = Arc::clone(metrics);
     step.trace.record(Stage::ShardDispatched);
     // The guard reports `StepDone` even if the step panics mid-worker:
     // without it, a panicking step would leave the stream gated forever
-    // (later steps deferred with hanging tickets, shutdown stalled on the
+    // (later steps stuck with hanging tickets, shutdown stalled on the
     // drain backstop). The ticket itself is covered by `Responder::drop`.
     let guard = StepDoneGuard {
-        stream,
+        stream: decision.stream,
         done: done.clone(),
     };
-    let spawned = executor.spawn(move |worker| {
+    let _ = executor.spawn(move |worker| {
         let _guard = guard;
         let outcome = crate::shard::step_tracker(&step.tracker, &step.readings);
         step.trace.record(Stage::KernelDone);
         metrics.record_shard(worker, 1);
         complete_step(step, outcome.map_err(ServeError::Core), &metrics);
     });
-    if spawned.is_ok() {
-        inflight.insert(stream);
-    }
-    // On a dead pool the rejected job (with the guard inside) is dropped:
-    // the responder fires `Terminated`, a spurious `StepDone` goes to a
-    // closed queue harmlessly, and no in-flight gate was set.
 }
 
 /// Sends `StepDone` for its stream when dropped — on the worker's normal
@@ -1315,9 +1276,8 @@ fn complete_step(step: QueuedStep, outcome: Result<ThermalMap>, metrics: &ServeM
 /// Completes one shed decision: every blown job's ticket finishes with
 /// the typed retryable [`ServeError::DeadlineShed`] — sheds complete
 /// tickets, they never lose them — and the work is drained from the
-/// tenant's queue gauge and counted per tenant. The scheduler already
-/// emitted the `Rejected(DeadlineShed)` ring events at shed time, so the
-/// cards only mirror the terminal stamp.
+/// tenant's queue gauge and counted per tenant. Each trace ends with
+/// `Rejected(DeadlineShed)` at the shedding tick's instant.
 fn execute_shed(shed: ShedDecision<Work>, metrics: &ServeMetrics, now: std::time::Duration) {
     let ShedDecision {
         tenant,
@@ -1335,7 +1295,7 @@ fn execute_shed(shed: ShedDecision<Work>, metrics: &ServeMetrics, now: std::time
             Work::Step(_) => unreachable!("stream lanes are never shed"),
         };
         req.trace
-            .note_at(Stage::Rejected(RejectReason::DeadlineShed), now);
+            .record_at(Stage::Rejected(RejectReason::DeadlineShed), now);
         req.responder.send(Err(ServeError::DeadlineShed {
             name: tenant.name.clone(),
             deadline,
@@ -1392,13 +1352,12 @@ fn execute_flush(
         .collect();
     metrics.record_batch();
     metrics.record_tenant_batch(&tenant.name, jobs.len() as u64, total_frames as u64);
-    // Mirror the scheduler's coalesce ring events onto the cards (slot
-    // only — the ring already has them), then mark the shard hand-off.
+    // The batch formed at the tick instant; then the shard hand-off.
     let coalesced = Stage::Coalesced {
         requests: jobs.len() as u32,
     };
     for req in &jobs {
-        req.trace.note_at(coalesced, now);
+        req.trace.record_at(coalesced, now);
         req.trace.record(Stage::ShardDispatched);
     }
     // Every job in a decision pinned the same registry artifact (same
@@ -1555,6 +1514,49 @@ mod tests {
         ));
         // The rejected request never entered the queue.
         assert_eq!(server.metrics().requests, 0);
+    }
+
+    #[test]
+    fn non_finite_request_fails_alone_and_its_neighbours_coalesce() {
+        let (registry, _, frames) = fixture(2);
+        let direct = registry
+            .latest("chip")
+            .unwrap()
+            .reconstruct_batch(&frames)
+            .unwrap();
+        // Two requests fill a batch; the 10 s delay never fires.
+        let policy = BatchPolicy {
+            max_batch_requests: 2,
+            max_delay: Duration::from_secs(10),
+            ..BatchPolicy::default()
+        };
+        let server = Server::with_policy(registry, 1, policy);
+        let first = server
+            .submit(ServeRequest::new("chip", vec![frames[0].clone()]))
+            .unwrap();
+        for bad_value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = frames[1].clone();
+            bad[4] = bad_value;
+            let refused = server.submit(ServeRequest::new("chip", vec![frames[0].clone(), bad]));
+            assert!(matches!(
+                refused,
+                Err(ServeError::Core(CoreError::NonFiniteReading {
+                    frame: 1,
+                    sensor: 4
+                }))
+            ));
+        }
+        let second = server
+            .submit(ServeRequest::new("chip", vec![frames[1].clone()]))
+            .unwrap();
+        // The clean neighbours coalesced into one batch and were served
+        // bitwise as a direct reconstruction.
+        for (ticket, want) in [first, second].into_iter().zip(&direct) {
+            let got = ticket.wait().unwrap();
+            assert_eq!(got[0].as_slice(), want.as_slice());
+        }
+        let snap = server.metrics();
+        assert_eq!((snap.requests, snap.batches, snap.errors), (2, 1, 0));
     }
 
     #[test]

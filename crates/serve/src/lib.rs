@@ -27,7 +27,7 @@
 //!   temporal filtering, pinned to the deployment version they opened;
 //!   server-opened sessions are **scheduled workloads** (admission
 //!   control, stream lane, worker-pool execution, pollable
-//!   [`StepTicket`]s) and are durable: `EMSESS1` snapshots warm-restart
+//!   `Ticket<ThermalMap>`s) and are durable: `EMSESS1` snapshots warm-restart
 //!   a stream bitwise-identically across process restarts
 //!   ([`Server::resume_session`]);
 //! * [`ServeMetrics`] / [`MetricsSnapshot`] — request/frame counters,
@@ -140,7 +140,7 @@ pub use scheduler::{
     BrownoutPolicy, Decision, FlushDecision, FlushReason, OverrunAction, Scheduler, ShedDecision,
     StepDecision, StreamId, TenantKey,
 };
-pub use session::{StepTicket, TrackerSession};
+pub use session::TrackerSession;
 pub use shard::ShardedExecutor;
 pub use store::{
     CatalogArtifact, CheckpointReport, CrashStyle, DiskIo, DurabilityHub, Hydration,
@@ -148,7 +148,7 @@ pub use store::{
 };
 pub use trace::{
     FlightRecorder, RejectReason, RingSnapshot, Stage, TraceCard, TraceEvent, TraceExemplar,
-    TraceId, TraceRef,
+    TraceId,
 };
 
 #[cfg(test)]
@@ -196,7 +196,7 @@ pub mod prelude {
         BrownoutPolicy, Decision, FlushDecision, FlushReason, OverrunAction, Scheduler,
         ShedDecision, StepDecision, StreamId, TenantKey,
     };
-    pub use crate::session::{StepTicket, TrackerSession};
+    pub use crate::session::TrackerSession;
     pub use crate::shard::ShardedExecutor;
     pub use crate::store::{
         CatalogArtifact, CheckpointReport, CrashStyle, DiskIo, DurabilityHub, Hydration,
@@ -204,6 +204,6 @@ pub mod prelude {
     };
     pub use crate::trace::{
         FlightRecorder, RejectReason, RingSnapshot, Stage, TraceCard, TraceEvent, TraceExemplar,
-        TraceId, TraceRef,
+        TraceId,
     };
 }

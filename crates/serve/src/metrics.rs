@@ -29,7 +29,7 @@
 //! interpolated within it: a reported p99 of 5 ms means "99% of requests
 //! completed in at most 5 ms". Estimates are therefore conservative
 //! (never under-report) and within one 1-2-5 ladder step of the true
-//! quantile. See [`LatencyHistogram::quantile`] for the exact rule,
+//! quantile. See [`HistogramSnapshot::quantile`] for the exact rule,
 //! including the overflow clamp.
 
 use std::collections::{BTreeMap, HashMap};
@@ -75,17 +75,6 @@ pub fn bucket_bounds_ns() -> &'static [u64] {
     &BUCKET_BOUNDS_NS
 }
 
-/// Round-to-nearest mean of `total_ns` over `count` samples
-/// ([`Duration::ZERO`] when empty). Widening to `u128` keeps the
-/// half-count rounding bias from overflowing near `u64::MAX` totals.
-fn mean_rounded(total_ns: u64, count: u64) -> Duration {
-    if count == 0 {
-        return Duration::ZERO;
-    }
-    let rounded = (u128::from(total_ns) + u128::from(count) / 2) / u128::from(count);
-    Duration::from_nanos(rounded as u64)
-}
-
 /// A point-in-time copy of one [`LatencyHistogram`]'s raw state: the
 /// per-bucket counts (aligned with [`bucket_bounds_ns`], plus one final
 /// overflow bucket), the sample count and the summed nanoseconds.
@@ -107,14 +96,29 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean recorded latency, rounded to the nearest nanosecond
-    /// ([`Duration::ZERO`] when empty).
+    /// ([`Duration::ZERO`] when empty). Widening to `u128` keeps the
+    /// half-count rounding bias from overflowing near `u64::MAX` totals.
     pub fn mean(&self) -> Duration {
-        mean_rounded(self.total_ns, self.count)
+        if self.count == 0 {
+            return Duration::ZERO;
+        }
+        let count = u128::from(self.count);
+        let rounded = (u128::from(self.total_ns) + count / 2) / count;
+        Duration::from_nanos(rounded as u64)
     }
 
-    /// The `q`-quantile under the same bucket-upper-bound rule as
-    /// [`LatencyHistogram::quantile`]; [`Duration::ZERO`] when empty or
-    /// when `q` is NaN.
+    /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
+    /// containing it; [`Duration::ZERO`] when empty. Values in the
+    /// overflow bucket report the last bound (10 s).
+    ///
+    /// The rank is `ceil(q · count)` over the cumulative bucket counts
+    /// (so `q = 0.5` with two samples resolves to the first), and the
+    /// result is always one of the fixed bucket edges — no within-bucket
+    /// interpolation; see the [module docs](self) for why. Quantiles are
+    /// monotone in `q` and never below any recorded sample's bucket.
+    /// A NaN `q` is a caller bug, not a rank: it reports
+    /// [`Duration::ZERO`] explicitly instead of silently resolving to the
+    /// minimum bucket as `NaN.clamp(..).ceil() as u64` would.
     pub fn quantile(&self, q: f64) -> Duration {
         if q.is_nan() {
             return Duration::ZERO;
@@ -139,7 +143,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// Fixed-bucket latency histogram with lock-free recording.
+/// Fixed-bucket latency histogram with lock-free recording. Read it
+/// through [`LatencyHistogram::snapshot`]: the mean and quantiles are
+/// derived from the [`HistogramSnapshot`].
 ///
 /// Quantile estimates are upper bounds of the containing bucket: for
 /// samples within the bucket ladder they are conservative (never
@@ -177,53 +183,6 @@ impl LatencyHistogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean recorded latency, rounded to the nearest nanosecond
-    /// ([`Duration::ZERO`] when empty).
-    pub fn mean(&self) -> Duration {
-        mean_rounded(self.total_ns.load(Ordering::Relaxed), self.count())
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
-    /// containing it; [`Duration::ZERO`] when empty. Values in the
-    /// overflow bucket report the last bound (10 s).
-    ///
-    /// The rank is `ceil(q · count)` over the cumulative bucket counts
-    /// (so `q = 0.5` with two samples resolves to the first), and the
-    /// result is always one of the fixed bucket edges — no within-bucket
-    /// interpolation; see the [module docs](self) for why. Quantiles are
-    /// monotone in `q` and never below any recorded sample's bucket.
-    /// A NaN `q` is a caller bug, not a rank: it reports
-    /// [`Duration::ZERO`] explicitly (identically in
-    /// [`HistogramSnapshot::quantile`]) instead of silently resolving to
-    /// the minimum bucket as `NaN.clamp(..).ceil() as u64` used to.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if q.is_nan() {
-            return Duration::ZERO;
-        }
-        let total: u64 = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                let bound = BUCKET_BOUNDS_NS
-                    .get(i)
-                    .copied()
-                    .unwrap_or(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1]);
-                return Duration::from_nanos(bound);
-            }
-        }
-        Duration::from_nanos(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1])
     }
 
     /// A point-in-time copy of the raw bucket counts, sample count and
@@ -731,13 +690,10 @@ impl ServeMetrics {
         }
     }
 
-    /// The latency histogram (e.g. for custom quantiles).
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
     /// Folds all counters into a plain snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let latency = self.latency.snapshot();
+        let session_latency = self.session_latency.snapshot();
         MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
@@ -750,13 +706,13 @@ impl ServeMetrics {
             session_steps: self.session_steps.load(Ordering::Relaxed),
             sessions_open: self.sessions_open.load(Ordering::Relaxed),
             max_sessions_open: self.max_sessions_open.load(Ordering::Relaxed),
-            latency_mean: self.latency.mean(),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p99: self.latency.quantile(0.99),
-            session_latency_p50: self.session_latency.quantile(0.50),
-            session_latency_p99: self.session_latency.quantile(0.99),
-            latency_buckets: self.latency.snapshot(),
-            session_latency_buckets: self.session_latency.snapshot(),
+            latency_mean: latency.mean(),
+            latency_p50: latency.quantile(0.50),
+            latency_p99: latency.quantile(0.99),
+            session_latency_p50: session_latency.quantile(0.50),
+            session_latency_p99: session_latency.quantile(0.99),
+            latency_buckets: latency,
+            session_latency_buckets: session_latency,
             shard_frames: self
                 .shard_frames
                 .iter()
@@ -1016,14 +972,21 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// A live histogram holding `samples`, read through its snapshot.
+    fn snapshot_of(samples: &[Duration]) -> HistogramSnapshot {
+        let h = LatencyHistogram::new();
+        for &sample in samples {
+            h.record(sample);
+        }
+        h.snapshot()
+    }
+
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile(0.5), Duration::ZERO);
-        for us in [3u64, 30, 300, 3_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 4);
+        assert_eq!(snapshot_of(&[]).quantile(0.5), Duration::ZERO);
+        let us = [3u64, 30, 300, 3_000].map(Duration::from_micros);
+        let h = snapshot_of(&us);
+        assert_eq!(h.count, 4);
         // p50 falls in the 2nd sample's bucket (30 µs → 50 µs bound).
         assert_eq!(h.quantile(0.5), Duration::from_micros(50));
         // p99 falls in the last sample's bucket (3 ms → 5 ms bound).
@@ -1034,44 +997,37 @@ mod tests {
     }
 
     #[test]
-    fn nan_quantile_is_zero_in_both_impls() {
-        let h = LatencyHistogram::new();
-        for us in [3u64, 30, 300] {
-            h.record(Duration::from_micros(us));
-        }
-        // A NaN rank is a caller bug: both the live histogram and its
-        // snapshot report Duration::ZERO instead of silently resolving
-        // to the minimum bucket.
+    fn nan_quantile_is_zero() {
+        let h = snapshot_of(&[3u64, 30, 300].map(Duration::from_micros));
+        // A NaN rank is a caller bug: report Duration::ZERO instead of
+        // silently resolving to the minimum bucket.
         assert_eq!(h.quantile(f64::NAN), Duration::ZERO);
-        assert_eq!(h.snapshot().quantile(f64::NAN), Duration::ZERO);
-        // Infinities still clamp to the [0, 1] rank range as before.
+        // Infinities still clamp to the [0, 1] rank range.
         assert_eq!(h.quantile(f64::INFINITY), h.quantile(1.0));
         assert_eq!(h.quantile(f64::NEG_INFINITY), h.quantile(0.0));
-        assert_eq!(
-            h.snapshot().quantile(f64::INFINITY),
-            h.snapshot().quantile(1.0)
-        );
     }
 
     #[test]
-    fn mean_rounds_to_nearest_in_both_impls() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::from_nanos(1));
-        h.record(Duration::from_nanos(2));
+    fn mean_rounds_to_nearest() {
         // 3 ns over 2 samples is 1.5 ns: round to 2 ns, not truncate to 1.
-        assert_eq!(h.mean(), Duration::from_nanos(2));
-        assert_eq!(h.snapshot().mean(), Duration::from_nanos(2));
-        // Exact halves round up; below-half fractions round down.
-        h.record(Duration::from_nanos(1));
+        let ns = [1u64, 2].map(Duration::from_nanos);
+        assert_eq!(snapshot_of(&ns).mean(), Duration::from_nanos(2));
+        // Exact halves round up; below-half fractions round down:
         // 4 ns over 3 samples = 1.33 ns → 1 ns.
-        assert_eq!(h.mean(), Duration::from_nanos(1));
-        assert_eq!(h.snapshot().mean(), Duration::from_nanos(1));
+        let ns = [1u64, 2, 1].map(Duration::from_nanos);
+        assert_eq!(snapshot_of(&ns).mean(), Duration::from_nanos(1));
+        // The rounding bias cannot overflow near a u64::MAX total.
+        let h = HistogramSnapshot {
+            buckets: Vec::new(),
+            count: 2,
+            total_ns: u64::MAX,
+        };
+        assert_eq!(h.mean(), Duration::from_nanos(u64::MAX / 2 + 1));
     }
 
     #[test]
     fn histogram_overflow_bucket_reports_last_bound() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::from_secs(100));
+        let h = snapshot_of(&[Duration::from_secs(100)]);
         assert_eq!(h.quantile(1.0), Duration::from_secs(10));
     }
 
@@ -1226,6 +1182,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.buckets.len(), bucket_bounds_ns().len() + 1);
         assert_eq!(snap.count, 4);
+        assert_eq!(snap.total_ns, 3_333_000);
         assert_eq!(snap.buckets.iter().sum::<u64>(), 4);
         // Raw counts land exactly where the bounds say they should.
         for (i, &bound) in bucket_bounds_ns().iter().enumerate() {
@@ -1238,10 +1195,6 @@ mod tests {
                 .count() as u64;
             assert_eq!(snap.buckets[i], expected, "bucket {i}");
         }
-        // Derived figures agree between the live histogram and the copy.
-        assert_eq!(snap.quantile(0.5), h.quantile(0.5));
-        assert_eq!(snap.quantile(0.99), h.quantile(0.99));
-        assert_eq!(snap.mean(), h.mean());
         // An overflow sample lands in the final bucket of the copy too.
         h.record(Duration::from_secs(100));
         let snap = h.snapshot();

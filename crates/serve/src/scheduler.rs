@@ -28,14 +28,17 @@
 //! A streaming session ([`TrackerSession`]) is *stateful*: its steps must
 //! execute one at a time, in order, against its private temporal-filter
 //! state, so steps can never coalesce the way batch requests do. Rather
-//! than a side channel that bypasses scheduling (the pre-PR design), each
-//! session gets a **stream lane** — keyed by [`StreamId`] — in the *same*
-//! fairness rotation as the batch queues. A queued step is always ready
-//! (a monitor control loop is latency-critical; there is nothing to
-//! coalesce it with), so [`Scheduler::tick`] interleaves one step per
-//! lane per rotation pass with the batch flushes: a backlogged stream
-//! cannot starve batch tenants, and heavy batch traffic cannot starve a
-//! stream. After a tick returns, every stream lane is drained.
+//! than a side channel that bypasses scheduling, each session gets a
+//! **stream lane** — keyed by [`StreamId`] — in the *same* fairness
+//! rotation as the batch queues. A queued step is ready while its stream
+//! has nothing in flight (a monitor control loop is latency-critical;
+//! there is nothing to coalesce it with): granting it marks the stream in
+//! flight, and [`Scheduler::step_done`] reopens the lane once the driver
+//! has executed it. That gate is the whole per-session ordering rule —
+//! the driver may run steps of different streams in parallel, but never
+//! two of one stream. [`Scheduler::tick`] interleaves the ready steps
+//! with the batch flushes in one rotation: a backlogged stream cannot
+//! starve batch tenants, and heavy batch traffic cannot starve a stream.
 //!
 //! # Fairness rotation
 //!
@@ -106,7 +109,7 @@
 //!
 //! // A third request fills alpha's request budget: alpha flushes as one
 //! // three-request batch; beta keeps waiting on its own deadline. A
-//! // queued stream step is always ready and is granted in the same tick.
+//! // queued step of an idle stream is granted in the same tick.
 //! sched.submit(Duration::from_micros(20), a.clone(), 4, "a2");
 //! sched.submit_stream(StreamId(9), "step0");
 //! let decisions = sched.tick(Duration::from_micros(20));
@@ -117,6 +120,13 @@
 //! assert_eq!(batch.jobs, vec!["a0", "a1", "a2"]);
 //! let step = decisions[1].as_step().unwrap();
 //! assert_eq!((step.stream, step.job), (StreamId(9), "step0"));
+//! // The stream stays gated until the driver reports the step executed.
+//! sched.submit_stream(StreamId(9), "step1");
+//! assert!(sched.tick(Duration::from_micros(30)).is_empty());
+//! sched.step_done(StreamId(9));
+//! let next = sched.tick(Duration::from_micros(40));
+//! assert_eq!(next[0].as_step().unwrap().job, "step1");
+//! sched.step_done(StreamId(9));
 //!
 //! // Beta's latency budget expires exactly at its deadline.
 //! assert_eq!(sched.next_deadline(), Some(Duration::from_millis(1)));
@@ -134,8 +144,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
-
-use crate::trace::{FlightRecorder, RejectReason, Stage, TraceRef};
 
 /// When the micro-batcher flushes a coalesced batch, enforced **per
 /// tenant** (per pinned `(name, version)` queue).
@@ -385,9 +393,10 @@ pub struct ShedDecision<T> {
 }
 
 /// One granted stream step: the session lane it belongs to and its job
-/// payload. Steps are granted strictly one per rotation pass, in FIFO
-/// order within a lane — the driver executes them sequentially, which is
-/// what keeps a stateful session's temporal filter well-ordered.
+/// payload. Steps are granted in FIFO order within a lane, one at a time:
+/// the lane stays gated until the driver reports the step executed
+/// ([`Scheduler::step_done`]), which is what keeps a stateful session's
+/// temporal filter well-ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepDecision<T> {
     /// Which stream lane the step came from.
@@ -442,13 +451,11 @@ impl<T> Decision<T> {
     }
 }
 
-/// One queued job: its frame count, arrival time, trace handle and
-/// opaque payload.
+/// One queued job: its frame count, arrival time and opaque payload.
 #[derive(Debug)]
 struct Job<T> {
     frames: usize,
     enqueued_at: Duration,
-    trace: TraceRef,
     payload: T,
 }
 
@@ -468,12 +475,30 @@ impl<T> Default for TenantQueue<T> {
     }
 }
 
+/// One session's stream lane: its queued steps (FIFO) and whether a
+/// granted step is still executing.
+#[derive(Debug)]
+struct StreamLane<T> {
+    steps: VecDeque<T>,
+    in_flight: bool,
+}
+
+impl<T> Default for StreamLane<T> {
+    fn default() -> Self {
+        StreamLane {
+            steps: VecDeque::new(),
+            in_flight: false,
+        }
+    }
+}
+
 /// The pure coalesce/flush state machine. See the [module docs](self) for
 /// the design and a worked example.
 ///
 /// Invariant: a lane (tenant queue or stream lane) appears in the rotation
 /// iff it has a non-empty queue, and the rotation order is the fairness
-/// order (front = served next among ready lanes).
+/// order (front = served next among ready lanes). A stream lane's state
+/// outlives its queue while a granted step is in flight.
 #[derive(Debug)]
 pub struct Scheduler<T> {
     policy: BatchPolicy,
@@ -481,16 +506,9 @@ pub struct Scheduler<T> {
     /// by name so they survive hot-swap version bumps.
     overrides: HashMap<String, BatchPolicy>,
     tenants: HashMap<TenantKey, TenantQueue<T>>,
-    /// Pending steps per stream lane, FIFO.
-    streams: HashMap<StreamId, VecDeque<T>>,
+    /// Stream lanes with queued steps or a step in flight.
+    streams: HashMap<StreamId, StreamLane<T>>,
     rotation: VecDeque<LaneKey>,
-    /// The flight recorder lane events are emitted to, if one is
-    /// attached ([`Scheduler::set_recorder`]).
-    recorder: Option<FlightRecorder>,
-    /// The most recent clock value seen by `submit`/`tick` — the
-    /// timestamp [`Scheduler::drain`] (which takes no clock) stamps its
-    /// coalesce events with.
-    last_now: Duration,
     /// Brownout watermarks; `None` disables brownout entirely.
     brownout: Option<BrownoutPolicy>,
     /// Whether the scheduler is currently in brownout. Re-judged at the
@@ -507,20 +525,9 @@ impl<T> Scheduler<T> {
             tenants: HashMap::new(),
             streams: HashMap::new(),
             rotation: VecDeque::new(),
-            recorder: None,
-            last_now: Duration::ZERO,
             brownout: None,
             in_brownout: false,
         }
-    }
-
-    /// Attaches a [`FlightRecorder`]: from now on the scheduler emits
-    /// [`Stage::Enqueued`] for every traced submission and
-    /// [`Stage::Coalesced`] for every job it folds into a batch. Jobs
-    /// submitted through the untraced [`Scheduler::submit`] (or with
-    /// [`TraceRef::NONE`]) emit nothing.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.recorder = Some(recorder);
     }
 
     /// The global (fallback) policy this scheduler enforces.
@@ -577,27 +584,6 @@ impl<T> Scheduler<T> {
     /// fed into the scheduler already counts against the budget); a stamp
     /// whose deadline is already past simply flushes on the next tick.
     pub fn submit(&mut self, now: Duration, tenant: TenantKey, frames: usize, payload: T) {
-        self.submit_traced(now, tenant, frames, TraceRef::NONE, payload);
-    }
-
-    /// [`Scheduler::submit`] with a flight-recorder handle: when a
-    /// recorder is attached ([`Scheduler::set_recorder`]) and `trace` is
-    /// live, the scheduler emits [`Stage::Enqueued`] now and
-    /// [`Stage::Coalesced`] when the job is folded into a batch.
-    pub fn submit_traced(
-        &mut self,
-        now: Duration,
-        tenant: TenantKey,
-        frames: usize,
-        trace: TraceRef,
-        payload: T,
-    ) {
-        self.last_now = self.last_now.max(now);
-        if trace.is_traced() {
-            if let Some(recorder) = &self.recorder {
-                recorder.event(trace, Stage::Enqueued, now);
-            }
-        }
         if !self.tenants.contains_key(&tenant) {
             self.rotation.push_back(LaneKey::Tenant(tenant.clone()));
         }
@@ -606,21 +592,33 @@ impl<T> Scheduler<T> {
         queue.jobs.push_back(Job {
             frames,
             enqueued_at: now,
-            trace,
             payload,
         });
     }
 
-    /// Enqueues one session step for `stream`'s lane. Steps carry no
-    /// coalescing budgets or latency stamp: a queued step is always ready,
-    /// and [`Scheduler::tick`] grants one per lane per rotation pass —
-    /// interleaved fairly with batch flushes — until every stream lane is
-    /// drained.
+    /// Enqueues one session step at the back of `stream`'s lane. Steps
+    /// carry no coalescing budgets or latency stamp: the lane's front
+    /// step is ready whenever the stream has nothing in flight, and
+    /// [`Scheduler::tick`] grants it in the rotation, interleaved fairly
+    /// with batch flushes.
     pub fn submit_stream(&mut self, stream: StreamId, payload: T) {
-        if !self.streams.contains_key(&stream) {
+        let lane = self.streams.entry(stream).or_default();
+        if lane.steps.is_empty() {
             self.rotation.push_back(LaneKey::Stream(stream));
         }
-        self.streams.entry(stream).or_default().push_back(payload);
+        lane.steps.push_back(payload);
+    }
+
+    /// Reports that `stream`'s granted step finished executing: the lane
+    /// reopens and its next queued step (if any) is ready on the next
+    /// [`Scheduler::tick`]. A no-op for a stream with nothing in flight.
+    pub fn step_done(&mut self, stream: StreamId) {
+        if let Some(lane) = self.streams.get_mut(&stream) {
+            lane.in_flight = false;
+            if lane.steps.is_empty() {
+                self.streams.remove(&stream);
+            }
+        }
     }
 
     /// Decides every unit of work due at time `now`, in fairness order:
@@ -631,8 +629,8 @@ impl<T> Scheduler<T> {
     /// decided only after every other ready lane got one. Batch and step
     /// decisions interleave in the returned vec exactly as granted; the
     /// driver executes them in order. Returns an empty vec when nothing is
-    /// due. Since stream steps are always ready, every stream lane is
-    /// empty once `tick` returns.
+    /// due. A tick grants at most one step per stream: the grant marks
+    /// the stream in flight until [`Scheduler::step_done`].
     ///
     /// The common no-op tick (nothing ready) inspects each lane once and
     /// allocates nothing; a tenant key is cloned only when it actually
@@ -648,7 +646,6 @@ impl<T> Scheduler<T> {
     /// at the exact deadline instant: a job enqueued at `t` with budget
     /// `d` is shed by `tick(t + d)` and untouched by any earlier tick.
     pub fn tick(&mut self, now: Duration) -> Vec<Decision<T>> {
-        self.last_now = self.last_now.max(now);
         let mut decisions = Vec::new();
         self.judge_brownout();
         self.shed_expired(now, &mut decisions);
@@ -674,12 +671,15 @@ impl<T> Scheduler<T> {
                         // re-judged for readiness, so the extra grants stop
                         // the moment the queue drops under budget.
                         let weight = self.policy_for(&key).weight.max(1);
-                        decisions.push(Decision::Batch(self.take_batch(&key, reason, now)));
+                        decisions.push(Decision::Batch(self.take_batch(&key, reason, Some(now))));
                         for _ in 1..weight {
                             match self.readiness(&key, now) {
                                 Some(reason) => {
-                                    decisions
-                                        .push(Decision::Batch(self.take_batch(&key, reason, now)));
+                                    decisions.push(Decision::Batch(self.take_batch(
+                                        &key,
+                                        reason,
+                                        Some(now),
+                                    )));
                                 }
                                 None => break,
                             }
@@ -688,11 +688,12 @@ impl<T> Scheduler<T> {
                     }
                     None => None,
                 },
-                LaneKey::Stream(id) => {
+                LaneKey::Stream(id) if !self.streams[id].in_flight => {
                     let id = *id;
                     decisions.push(Decision::Step(self.take_step(id)));
                     Some(LaneKey::Stream(id))
                 }
+                LaneKey::Stream(_) => None,
             };
             match granted {
                 Some(lane) => {
@@ -730,9 +731,7 @@ impl<T> Scheduler<T> {
     /// Pops every deadline-blown job belonging to a `Shed` tenant into
     /// one [`ShedDecision`] per tenant, in rotation order. Blown jobs
     /// are a queue prefix under a monotone submit clock, so the pop
-    /// stops at the first job still within budget. Traced sheds emit
-    /// [`Stage::Rejected`] with [`RejectReason::DeadlineShed`] at `now`;
-    /// the driver stamps the terminal reject on the card itself.
+    /// stops at the first job still within budget.
     fn shed_expired(&mut self, now: Duration, decisions: &mut Vec<Decision<T>>) {
         let lanes: Vec<TenantKey> = self
             .rotation
@@ -767,11 +766,6 @@ impl<T> Scheduler<T> {
                 let job = queue.jobs.pop_front().expect("front exists");
                 queue.frames -= job.frames;
                 frames += job.frames;
-                if job.trace.is_traced() {
-                    if let Some(recorder) = &self.recorder {
-                        recorder.event(job.trace, Stage::Rejected(RejectReason::DeadlineShed), now);
-                    }
-                }
                 jobs.push(job.payload);
             }
             if jobs.is_empty() {
@@ -794,17 +788,35 @@ impl<T> Scheduler<T> {
     }
 
     /// Flushes everything still pending (shutdown), round-robin across
-    /// lanes, still respecting the size budgets per batch.
+    /// lanes, still respecting the size budgets per batch. Drain takes no
+    /// clock, so it judges no deadline: a drained batch is degraded only
+    /// while the scheduler is in brownout. The driver executes the
+    /// returned steps in order with nothing else running, so an idle
+    /// stream's whole queue is granted here; a stream whose step is still
+    /// in flight is skipped and its queued steps are dropped — running
+    /// them could race the unfinished one.
     pub fn drain(&mut self) -> Vec<Decision<T>> {
-        let now = self.last_now;
         let mut decisions = Vec::new();
         while let Some(lane) = self.rotation.front().cloned() {
-            decisions.push(match lane {
-                LaneKey::Tenant(key) => {
-                    Decision::Batch(self.take_batch(&key, FlushReason::Drain, now))
+            match lane {
+                LaneKey::Tenant(key) => decisions.push(Decision::Batch(self.take_batch(
+                    &key,
+                    FlushReason::Drain,
+                    None,
+                ))),
+                LaneKey::Stream(id) if self.streams[&id].in_flight => {
+                    self.rotation.pop_front();
+                    self.streams
+                        .get_mut(&id)
+                        .expect("lane exists")
+                        .steps
+                        .clear();
                 }
-                LaneKey::Stream(id) => Decision::Step(self.take_step(id)),
-            });
+                LaneKey::Stream(id) => {
+                    decisions.push(Decision::Step(self.take_step(id)));
+                    self.step_done(id);
+                }
+            }
         }
         decisions
     }
@@ -813,8 +825,9 @@ impl<T> Scheduler<T> {
     /// the policy in force for it) — when the next [`Scheduler::tick`] is
     /// due absent new submissions. `None` when idle or when every pending
     /// tenant's deadline is unrepresentable (flush-by-size-only). Stream
-    /// steps never appear here: they are always ready, so the driver ticks
-    /// immediately after submitting one.
+    /// steps never appear here: a step is ready as soon as it is submitted
+    /// or its lane's [`Scheduler::step_done`] arrives, so the driver ticks
+    /// right after either.
     pub fn next_deadline(&self) -> Option<Duration> {
         self.tenants
             .iter()
@@ -838,9 +851,9 @@ impl<T> Scheduler<T> {
     }
 
     /// Whether no job is pending anywhere — no batch request and no
-    /// stream step.
+    /// queued stream step (steps in flight are not pending).
     pub fn is_idle(&self) -> bool {
-        self.tenants.is_empty() && self.streams.is_empty()
+        self.rotation.is_empty()
     }
 
     /// Total pending requests across all tenants.
@@ -863,15 +876,20 @@ impl<T> Scheduler<T> {
         self.tenants.get(tenant).map_or(0, |q| q.jobs.len())
     }
 
-    /// Total pending stream steps across all lanes. Nonzero only between
-    /// a [`Scheduler::submit_stream`] and the next tick.
+    /// Total queued (not yet granted) stream steps across all lanes.
     pub fn pending_steps(&self) -> usize {
-        self.streams.values().map(VecDeque::len).sum()
+        self.streams.values().map(|lane| lane.steps.len()).sum()
     }
 
-    /// Pending steps queued for one stream lane (0 if none).
+    /// Queued (not yet granted) steps of one stream lane (0 if none).
     pub fn stream_depth(&self, stream: StreamId) -> usize {
-        self.streams.get(&stream).map_or(0, VecDeque::len)
+        self.streams.get(&stream).map_or(0, |lane| lane.steps.len())
+    }
+
+    /// Streams with a granted step that has not reported
+    /// [`Scheduler::step_done`] yet.
+    pub fn steps_in_flight(&self) -> usize {
+        self.streams.values().filter(|lane| lane.in_flight).count()
     }
 
     /// Which budget (if any) makes `key` flushable at `now`, under the
@@ -894,13 +912,13 @@ impl<T> Scheduler<T> {
 
     /// Pops one batch off `key`'s queue (oldest first, until a size budget
     /// of the tenant's policy fills or the queue empties) and rotates the
-    /// tenant to the back. Stamps every traced job with
-    /// [`Stage::Coalesced`] at `now`, carrying the batch's request count.
+    /// tenant to the back. `now` is the instant deadline overruns are
+    /// judged at (`None`: not judged).
     fn take_batch(
         &mut self,
         key: &TenantKey,
         reason: FlushReason,
-        now: Duration,
+        now: Option<Duration>,
     ) -> FlushDecision<T> {
         let policy = *self.policy_for(key);
         // A `Degrade` tenant's batch is marked degraded while the
@@ -914,13 +932,13 @@ impl<T> Scheduler<T> {
         let mut degraded = degrade_keep.filter(|_| self.in_brownout);
         let queue = self.tenants.get_mut(key).expect("flushed tenant exists");
         let mut jobs = Vec::new();
-        let mut traces = Vec::new();
         let mut frames = 0usize;
         while let Some(job) = queue.jobs.pop_front() {
             frames += job.frames;
             queue.frames -= job.frames;
             if degraded.is_none() {
-                if let (Some(keep), Some(budget)) = (degrade_keep, policy.deadline) {
+                if let (Some(keep), Some(budget), Some(now)) = (degrade_keep, policy.deadline, now)
+                {
                     let blown = job
                         .enqueued_at
                         .checked_add(budget)
@@ -930,20 +948,9 @@ impl<T> Scheduler<T> {
                     }
                 }
             }
-            if job.trace.is_traced() {
-                traces.push(job.trace);
-            }
             jobs.push(job.payload);
             if frames >= policy.max_batch_frames || jobs.len() >= policy.max_batch_requests {
                 break;
-            }
-        }
-        if let Some(recorder) = &self.recorder {
-            let stage = Stage::Coalesced {
-                requests: jobs.len() as u32,
-            };
-            for trace in traces {
-                recorder.event(trace, stage, now);
             }
         }
         let emptied = queue.jobs.is_empty();
@@ -966,21 +973,20 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Pops one step off `id`'s lane (FIFO) and rotates the lane to the
-    /// back (or retires it when emptied).
+    /// Pops one step off `id`'s lane (FIFO), marks the stream in flight
+    /// and rotates the lane to the back (or out of the rotation when its
+    /// queue emptied).
     fn take_step(&mut self, id: StreamId) -> StepDecision<T> {
         let lane = self.streams.get_mut(&id).expect("granted stream exists");
-        let job = lane.pop_front().expect("granted stream is non-empty");
-        let emptied = lane.is_empty();
-        if emptied {
-            self.streams.remove(&id);
-        }
-        let lane = LaneKey::Stream(id);
-        if let Some(pos) = self.rotation.iter().position(|k| k == &lane) {
+        let job = lane.steps.pop_front().expect("granted stream is non-empty");
+        lane.in_flight = true;
+        let emptied = lane.steps.is_empty();
+        let key = LaneKey::Stream(id);
+        if let Some(pos) = self.rotation.iter().position(|k| k == &key) {
             self.rotation.remove(pos);
         }
         if !emptied {
-            self.rotation.push_back(lane);
+            self.rotation.push_back(key);
         }
         StepDecision { stream: id, job }
     }
@@ -1085,18 +1091,29 @@ mod tests {
         assert_eq!(sched.pending_steps(), 3);
         assert!(!sched.is_idle());
         assert_eq!(sched.next_deadline(), None, "steps carry no deadline");
-        let d = sched.tick(Duration::ZERO);
-        let steps: Vec<u8> = d.iter().map(|d| d.as_step().unwrap().job).collect();
-        assert_eq!(steps, vec![0, 1, 2], "steps grant in FIFO order");
-        assert!(sched.is_idle(), "tick drains every stream lane");
+        // One step per tick: each grant gates the lane until step_done,
+        // and the lane drains in FIFO order.
+        for i in 0..3 {
+            let d = sched.tick(Duration::ZERO);
+            assert_eq!(d.len(), 1);
+            assert_eq!(d[0].as_step().unwrap().job, i, "steps grant in FIFO order");
+            assert_eq!(sched.steps_in_flight(), 1);
+            assert!(
+                sched.tick(Duration::ZERO).is_empty(),
+                "gated while in flight"
+            );
+            sched.step_done(s);
+        }
+        assert!(sched.is_idle());
+        assert_eq!(sched.steps_in_flight(), 0);
         assert_eq!(format!("{s}"), "stream#3");
     }
 
     #[test]
     fn streams_and_batches_interleave_round_robin() {
         // One ready tenant with two request-budget batches + two streams
-        // with two steps each: grants must alternate lanes, never letting
-        // one lane take two grants in a row while others are ready.
+        // with two steps each: grants alternate lanes, and each stream
+        // gets its second grant only after its first reported done.
         let mut sched: Scheduler<(char, u8)> = Scheduler::new(policy(1 << 20, 2, 1000));
         let t = TenantKey::new("bulk", 1);
         for i in 0..4 {
@@ -1106,18 +1123,25 @@ mod tests {
             sched.submit_stream(StreamId(1), ('x', i));
             sched.submit_stream(StreamId(2), ('y', i));
         }
-        let lanes: Vec<String> = sched
-            .tick(Duration::ZERO)
-            .iter()
-            .map(|d| match d {
-                Decision::Batch(b) => b.tenant.name.clone(),
-                Decision::Step(s) => format!("{}", s.stream),
-                Decision::Shed(s) => format!("shed:{}", s.tenant.name),
-            })
-            .collect();
+        let lanes = |decisions: Vec<Decision<(char, u8)>>| -> Vec<String> {
+            decisions
+                .iter()
+                .map(|d| match d {
+                    Decision::Batch(b) => b.tenant.name.clone(),
+                    Decision::Step(s) => format!("{}", s.stream),
+                    Decision::Shed(s) => format!("shed:{}", s.tenant.name),
+                })
+                .collect()
+        };
         assert_eq!(
-            lanes,
-            vec!["bulk", "stream#1", "stream#2", "bulk", "stream#1", "stream#2"]
+            lanes(sched.tick(Duration::ZERO)),
+            vec!["bulk", "stream#1", "stream#2", "bulk"]
+        );
+        sched.step_done(StreamId(1));
+        sched.step_done(StreamId(2));
+        assert_eq!(
+            lanes(sched.tick(Duration::ZERO)),
+            vec!["stream#1", "stream#2"]
         );
         assert!(sched.is_idle());
     }

@@ -17,7 +17,7 @@
 //! [`TrackerSession::submit_step`] passes admission control (the tenant's
 //! [`max_pending_per_tenant`](crate::BatchPolicy::max_pending_per_tenant)
 //! bound, like `try_submit`), enqueues the readings, and returns a
-//! pollable [`StepTicket`]; the batcher grants the step in its fairness
+//! pollable [`Ticket`]; the batcher grants the step in its fairness
 //! rotation — interleaved with batch flushes, neither starving the other —
 //! and the tracker arithmetic executes on the sharded worker pool with
 //! the deployment's dispatched SIMD kernel, never on the caller's thread.
@@ -51,88 +51,12 @@ use std::time::Instant;
 use eigenmaps_core::codec::{fnv1a64, SessionSnapshot};
 use eigenmaps_core::{Deployment, ThermalMap, TrackingReconstructor};
 
-use crate::batch::{BatchPolicy, BatcherMsg, QueuedStep, Responder, ResponseSlot};
+use crate::batch::{BatchPolicy, BatcherMsg, QueuedStep, Responder, ResponseSlot, Ticket};
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
 use crate::registry::DeploymentRegistry;
 use crate::scheduler::StreamId;
-use crate::trace::{FlightRecorder, RejectReason, Stage};
-
-/// A pending session-step response handle returned by
-/// [`TrackerSession::submit_step`] — the single-map analogue of
-/// [`Ticket`](crate::Ticket), consumable exactly once in any of the same
-/// three styles (block / poll / readiness callback).
-///
-/// Dropping a step ticket abandons the response but never the step: the
-/// tracker state still advances in submission order, so a fire-and-forget
-/// monitor loop may submit steps and only poll the occasional one.
-pub struct StepTicket {
-    version: u32,
-    slot: Arc<ResponseSlot<ThermalMap>>,
-}
-
-impl StepTicket {
-    /// The deployment version the session is pinned to.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Whether the step was served degraded. Always `false` today:
-    /// session steps track against the session's pinned full-fidelity
-    /// deployment and never substitute a truncated one (a stream's
-    /// temporal filter must stay bitwise-continuous across brownout).
-    /// Mirrors [`Ticket::is_degraded`] so transports can report the flag
-    /// uniformly for both workload classes.
-    ///
-    /// [`Ticket::is_degraded`]: crate::Ticket::is_degraded
-    pub fn is_degraded(&self) -> bool {
-        false
-    }
-
-    /// Whether the map is ready — [`StepTicket::try_wait`] would return it.
-    pub fn is_ready(&self) -> bool {
-        self.slot.is_ready()
-    }
-
-    /// Nonblocking poll: the tracked map if it is ready (returned exactly
-    /// once), `None` while it is still pending or after it was already
-    /// consumed.
-    pub fn try_wait(&mut self) -> Option<Result<ThermalMap>> {
-        self.slot.try_take()
-    }
-
-    /// Registers `callback` to run as soon as the map is ready — invoked
-    /// on whichever thread completes the step: a shard worker for
-    /// scheduled sessions (callbacks of different sessions can therefore
-    /// fire concurrently), the calling thread for standalone sessions, or
-    /// the batcher during shutdown drain. Runs immediately if the map is
-    /// already ready. A second registration replaces the first. Must not
-    /// block.
-    pub fn on_ready(&self, callback: impl FnOnce() + Send + 'static) {
-        self.slot.on_ready(callback);
-    }
-
-    /// Blocks until the step has executed on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// * The step's own failure ([`ServeError::Core`]), or
-    /// * [`ServeError::Terminated`] if the server shut down before
-    ///   responding, or if the response was already consumed by
-    ///   [`StepTicket::try_wait`].
-    pub fn wait(self) -> Result<ThermalMap> {
-        self.slot.wait()
-    }
-}
-
-impl std::fmt::Debug for StepTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StepTicket")
-            .field("version", &self.version)
-            .field("ready", &self.is_ready())
-            .finish()
-    }
-}
+use crate::trace::FlightRecorder;
 
 /// The stream-lane wiring a [`Server`](crate::Server)-opened session uses
 /// to reach the batcher: its lane id, a clone of the batcher queue and a
@@ -358,7 +282,7 @@ impl TrackerSession {
     /// warm-restart record [`TrackerSession::resume`] /
     /// [`Server::resume_session`](crate::Server::resume_session) consume.
     /// Snapshot with no steps in flight (await outstanding
-    /// [`StepTicket`]s first) so the captured state is a well-defined
+    /// [`Ticket`]s first) so the captured state is a well-defined
     /// point in the stream.
     pub fn snapshot(&self) -> Vec<u8> {
         // Capture (state, frames) under one tracker lock so the pair is
@@ -381,7 +305,7 @@ impl TrackerSession {
     }
 
     /// Submits one interval's `M` sensor readings as a scheduled step,
-    /// returning a pollable [`StepTicket`] — the nonblocking door a
+    /// returning a pollable [`Ticket`] — the nonblocking door a
     /// monitor event loop uses. The step joins the session's stream lane
     /// in the server's fairness rotation and executes on the sharded
     /// worker pool; steps of one session always execute in submission
@@ -397,7 +321,7 @@ impl TrackerSession {
     ///   session already has `max_pending_per_tenant` steps in flight.
     /// * [`ServeError::Terminated`] if the
     ///   server shut down.
-    pub fn submit_step(&self, readings: &[f64]) -> Result<StepTicket> {
+    pub fn submit_step(&self, readings: &[f64]) -> Result<Ticket<ThermalMap>> {
         let m = self.deployment.m();
         if readings.len() != m {
             return Err(ServeError::Core(eigenmaps_core::CoreError::ShapeMismatch {
@@ -412,10 +336,7 @@ impl TrackerSession {
             let map = self.step_inline(readings)?;
             let slot = ResponseSlot::new();
             slot.complete(Ok(map));
-            return Ok(StepTicket {
-                version: self.version,
-                slot,
-            });
+            return Ok(Ticket::new(self.version, slot, None));
         };
         // Admission control: reserve a pending slot or refuse, exactly
         // like `try_submit` (a stream lane is its own admission domain,
@@ -424,12 +345,7 @@ impl TrackerSession {
         let mut pending = self.pending.load(Ordering::Acquire);
         loop {
             if pending >= max_pending {
-                // A refused step still leaves a terminal-only ring event.
-                door.recorder.event(
-                    door.recorder.allocate(&self.name),
-                    Stage::Rejected(RejectReason::Saturated),
-                    door.recorder.now(),
-                );
+                door.recorder.record_saturated(&self.name);
                 return Err(ServeError::Saturated {
                     name: self.name.clone(),
                     pending,
@@ -446,10 +362,7 @@ impl TrackerSession {
             }
         }
         let slot = ResponseSlot::new();
-        let ticket = StepTicket {
-            version: self.version,
-            slot: Arc::clone(&slot),
-        };
+        let ticket = Ticket::new(self.version, Arc::clone(&slot), None);
         let step = QueuedStep {
             stream: door.stream,
             name: self.name.clone(),
@@ -500,7 +413,7 @@ impl TrackerSession {
     /// # Errors
     ///
     /// Union of [`TrackerSession::submit_step`] and
-    /// [`StepTicket::wait`].
+    /// [`Ticket::wait`].
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
         if self.door.is_none() {
             // Skip the ticket machinery on the inline path.

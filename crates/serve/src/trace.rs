@@ -214,38 +214,6 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// A copyable handle naming one trace — the id plus its interned tenant —
-/// that components without the full [`TraceCard`] (e.g. the pure
-/// scheduler) use to emit raw ring events through
-/// [`FlightRecorder::event`]. [`TraceRef::NONE`] is the untraced
-/// sentinel: every recorder API ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRef {
-    id: u64,
-    tenant: u32,
-}
-
-impl TraceRef {
-    /// The untraced sentinel: emitting events against it is a no-op.
-    pub const NONE: TraceRef = TraceRef { id: 0, tenant: 0 };
-
-    /// The trace id (zero for [`TraceRef::NONE`]).
-    pub fn id(&self) -> TraceId {
-        TraceId(self.id)
-    }
-
-    /// Whether this ref names a real trace.
-    pub fn is_traced(&self) -> bool {
-        self.id != 0
-    }
-}
-
-impl Default for TraceRef {
-    fn default() -> Self {
-        TraceRef::NONE
-    }
-}
-
 /// One decoded event out of the ring: which trace, which tenant, which
 /// stage, when (duration since the recorder's epoch).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -560,15 +528,6 @@ impl TraceCard {
         TraceId(self.0.as_ref().map_or(0, |c| c.id))
     }
 
-    /// A copyable [`TraceRef`] for components that emit raw ring events
-    /// (e.g. the scheduler).
-    pub fn trace_ref(&self) -> TraceRef {
-        self.0.as_ref().map_or(TraceRef::NONE, |c| TraceRef {
-            id: c.id,
-            tenant: c.tenant,
-        })
-    }
-
     /// Records `stage` now (on the recorder's clock): one ring event
     /// plus the card's stage stamp. A terminal stage
     /// ([`Stage::Responded`] / [`Stage::Rejected`]) folds the trace into
@@ -585,16 +544,6 @@ impl TraceCard {
     pub fn record_at(&self, stage: Stage, at: Duration) {
         if let Some(card) = &self.0 {
             card.shared.write(card.id, card.tenant, stage, at);
-            card.stamp(stage, at);
-        }
-    }
-
-    /// Stamps `stage` on the card **without** a ring event — for stages
-    /// another component (the scheduler) already emitted to the ring
-    /// against this trace's [`TraceRef`], so the card's exemplar view
-    /// stays complete without duplicating ring events.
-    pub fn note_at(&self, stage: Stage, at: Duration) {
-        if let Some(card) = &self.0 {
             card.stamp(stage, at);
         }
     }
@@ -657,8 +606,9 @@ impl FlightRecorder {
     }
 
     /// Turns recording on or off. Off, [`FlightRecorder::begin`] hands
-    /// out inert cards and [`FlightRecorder::event`] is a no-op — the
-    /// cost of a disabled recorder is one relaxed load per call site.
+    /// out inert cards and [`FlightRecorder::record_saturated`] is a
+    /// no-op — the cost of a disabled recorder is one relaxed load per
+    /// call site.
     pub fn set_enabled(&self, enabled: bool) {
         self.shared.enabled.store(enabled, Ordering::Release);
     }
@@ -697,28 +647,18 @@ impl FlightRecorder {
         card
     }
 
-    /// Allocates a bare [`TraceRef`] for `tenant` without a card or an
-    /// `Admitted` event — for terminal-only traces such as a request
-    /// rejected before admission. [`TraceRef::NONE`] when disabled.
-    pub fn allocate(&self, tenant: &str) -> TraceRef {
+    /// Records a request refused at admission ([`RejectReason::Saturated`])
+    /// as a terminal-only trace: one `Rejected` ring event under a fresh
+    /// trace id, with no card and no `Admitted` stage. No-op when
+    /// disabled.
+    pub fn record_saturated(&self, tenant: &str) {
         if !self.is_enabled() {
-            return TraceRef::NONE;
-        }
-        TraceRef {
-            id: self.shared.next_trace.fetch_add(1, Ordering::Relaxed),
-            tenant: self.shared.tenant_id(tenant),
-        }
-    }
-
-    /// Emits one raw ring event against `trace` at `at`. No-op for
-    /// [`TraceRef::NONE`] or when disabled. Unlike [`TraceCard`]
-    /// methods this does not advance any card state — it is the entry
-    /// point for card-less components like the scheduler.
-    pub fn event(&self, trace: TraceRef, stage: Stage, at: Duration) {
-        if !trace.is_traced() || !self.is_enabled() {
             return;
         }
-        self.shared.write(trace.id, trace.tenant, stage, at);
+        let id = self.shared.next_trace.fetch_add(1, Ordering::Relaxed);
+        let tenant = self.shared.tenant_id(tenant);
+        let stage = Stage::Rejected(RejectReason::Saturated);
+        self.shared.write(id, tenant, stage, self.now());
     }
 
     /// Events ever written to the ring (excluding contended writes that
@@ -905,9 +845,8 @@ mod tests {
     fn overwrite_oldest_keeps_the_newest_capacity_events() {
         let recorder = FlightRecorder::new(4);
         let card = recorder.begin_at("alpha", us(0));
-        let trace = card.trace_ref();
         for i in 1..=9u64 {
-            recorder.event(trace, Stage::Enqueued, us(i));
+            card.record_at(Stage::Enqueued, us(i));
         }
         // 10 events through a 4-slot ring: 6 dropped, newest 4 resident.
         assert_eq!(recorder.written(), 10);
@@ -928,18 +867,32 @@ mod tests {
         recorder.set_enabled(false);
         let card = recorder.begin("alpha");
         assert_eq!(card.id(), TraceId(0));
-        assert!(!card.trace_ref().is_traced());
         card.record(Stage::Responded);
-        assert_eq!(recorder.allocate("alpha"), TraceRef::NONE);
-        recorder.event(TraceRef::NONE, Stage::Enqueued, us(1));
+        card.record_at(Stage::Enqueued, us(1));
+        recorder.record_saturated("alpha");
         assert_eq!(recorder.written(), 0);
         assert!(recorder.snapshot().events.is_empty());
         assert!(recorder.exemplars().is_empty());
         // Re-enabling resumes recording with fresh ids.
         recorder.set_enabled(true);
         let card = recorder.begin("alpha");
-        assert!(card.trace_ref().is_traced());
+        assert_ne!(card.id(), TraceId(0));
         assert_eq!(recorder.written(), 1);
+    }
+
+    #[test]
+    fn saturated_rejection_is_one_terminal_only_event() {
+        let recorder = FlightRecorder::new(16);
+        let admitted = recorder.begin_at("alpha", us(0));
+        recorder.record_saturated("alpha");
+        let ring = recorder.snapshot();
+        assert_eq!(ring.written, 2);
+        let refused = &ring.events[1];
+        assert_eq!(refused.stage, Stage::Rejected(RejectReason::Saturated));
+        assert_eq!(refused.tenant, "alpha");
+        assert_ne!(refused.trace, admitted.id(), "a fresh trace id");
+        // No card, so nothing to finalize: no exemplar.
+        assert!(recorder.exemplars().is_empty());
     }
 
     #[test]
@@ -970,8 +923,8 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new(1));
         let recorder = FlightRecorder::with_metrics(64, Arc::clone(&metrics));
         let card = recorder.begin_at("alpha", us(0));
-        card.note_at(Stage::Enqueued, us(1));
-        card.note_at(Stage::Coalesced { requests: 2 }, us(30));
+        card.record_at(Stage::Enqueued, us(1));
+        card.record_at(Stage::Coalesced { requests: 2 }, us(30));
         card.record_at(Stage::ShardDispatched, us(40));
         card.record_at(Stage::KernelDone, us(240));
         card.record_at(Stage::Responded, us(243));
@@ -985,10 +938,9 @@ mod tests {
         assert_eq!(alpha.queue_wait.quantile(0.5), us(50));
         assert_eq!(alpha.execute.quantile(0.5), us(200));
         assert_eq!(alpha.respond.quantile(0.5), us(5));
-        // `note_at` stamped the card without ring events: the ring holds
-        // Admitted + the three recorded stages only.
-        assert_eq!(recorder.written(), 4);
-        // …but the exemplar still shows the complete lifecycle.
+        // One ring event per stage, and the exemplar shows the complete
+        // lifecycle.
+        assert_eq!(recorder.written(), 6);
         let kept = &recorder.exemplars()["alpha"];
         assert_eq!(kept[0].stages.len(), 6);
         assert_eq!(kept[0].stages[2].0, Stage::Coalesced { requests: 2 });

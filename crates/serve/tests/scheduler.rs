@@ -7,9 +7,12 @@
 //! interleaved submits of skewed traffic), latency-budget expiry at the
 //! exact deadline, batch-size recovery over the pre-PR FIFO coalescing
 //! baseline on the same two-tenant interleaved trace, version pinning
-//! across a mid-queue hot swap, and the QoS tiers: exact-instant
-//! deadline shedding for `Shed` tenants next to brownout-degraded
-//! serving for `Degrade` tenants, on the same clock.
+//! across a mid-queue hot swap, the one-step-per-stream gate (no second
+//! grant while a step is in flight, FIFO order after `step_done`,
+//! stream/batch round-robin fairness, `drain` skipping in-flight lanes),
+//! and the QoS tiers: exact-instant deadline shedding for `Shed` tenants
+//! next to brownout-degraded serving for `Degrade` tenants, on the same
+//! clock.
 
 use std::time::Duration;
 
@@ -297,7 +300,8 @@ fn stream_backlog_never_delays_batch_deadlines() {
     // A session submits one step per 10 µs grid point — a continuous
     // stream backlog — while a lone batch request waits on its 1 ms
     // latency budget. The batch must still flush exactly at its deadline,
-    // and every step must be granted in the same tick it was submitted.
+    // and every step must be granted in the same tick it was submitted
+    // (the driver reports each one done before the next arrives).
     const STEP_US: u64 = 10;
     let delay = Duration::from_millis(1);
     let mut sched: Scheduler<(char, u32)> = Scheduler::new(policy(1 << 20, 1 << 10, delay));
@@ -320,6 +324,7 @@ fn stream_backlog_never_delays_batch_deadlines() {
                 Decision::Step(s) => {
                     assert_eq!(s.job, ('s', steps_granted), "steps in order");
                     steps_granted += 1;
+                    sched.step_done(s.stream);
                 }
                 Decision::Shed(s) => panic!("no deadline policy set, yet shed {s:?}"),
             }
@@ -327,7 +332,7 @@ fn stream_backlog_never_delays_batch_deadlines() {
         assert_eq!(
             sched.pending_steps(),
             0,
-            "every tick drains the stream lane"
+            "every tick grants the submitted step"
         );
     }
     // The batch flushed exactly on its own deadline (the 1 ms grid point),
@@ -372,6 +377,7 @@ fn batch_backlog_never_starves_stream_steps() {
             "tick {i}: step granted at position {} behind the backlog",
             step_positions[0]
         );
+        sched.step_done(stream);
     }
 }
 
@@ -534,52 +540,158 @@ fn qos_tiers_shed_and_degrade_on_one_mock_clock() {
     assert!(!sched.in_brownout());
 }
 
-#[test]
-fn recorder_sees_the_exact_event_sequence_for_one_coalesced_batch() {
-    use eigenmaps_serve::{FlightRecorder, Stage};
-
-    // Mock clock throughout: every timestamp below is the `Duration`
-    // handed to the scheduler, so the sequence is exactly reproducible.
-    let recorder = FlightRecorder::new(64);
-    let mut sched: Scheduler<u32> = Scheduler::new(policy(256, 2, Duration::from_millis(1)));
-    sched.set_recorder(recorder.clone());
-    let key = TenantKey::new("sku", 1);
-
-    let first = recorder.allocate("sku");
-    let second = recorder.allocate("sku");
-    sched.submit_traced(us(10), key.clone(), 3, first, 1);
-    sched.submit_traced(us(20), key.clone(), 2, second, 2);
-
-    // Two requests fill the batch; the tick coalesces them into one.
-    let decisions = sched.tick(us(30));
-    assert_eq!(decisions.len(), 1);
-    let flush = decisions[0].as_batch().unwrap();
-    assert_eq!(flush.jobs, vec![1, 2]);
-
-    assert_eq!(recorder.written(), 4);
-    assert_eq!(recorder.dropped(), 0);
-    let ring = recorder.snapshot();
-    let got: Vec<(u64, Stage, Duration)> = ring
-        .events
+/// Grant order of `decisions` as lane labels: tenant names and streams.
+fn lanes<T>(decisions: &[Decision<T>]) -> Vec<String> {
+    decisions
         .iter()
-        .map(|e| (e.trace.0, e.stage, e.at))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (first.id().0, Stage::Enqueued, us(10)),
-            (second.id().0, Stage::Enqueued, us(20)),
-            (first.id().0, Stage::Coalesced { requests: 2 }, us(30)),
-            (second.id().0, Stage::Coalesced { requests: 2 }, us(30)),
-        ],
-        "enqueue order, then coalescing in pop order, all on the mock clock"
-    );
-    assert!(ring.events.iter().all(|e| e.tenant == "sku"));
+        .map(|d| match d {
+            Decision::Batch(b) => b.tenant.name.clone(),
+            Decision::Step(s) => s.stream.to_string(),
+            Decision::Shed(s) => format!("shed:{}", s.tenant.name),
+        })
+        .collect()
+}
 
-    // An untraced submit alongside traced ones emits nothing at all —
-    // not on enqueue, not when drain coalesces it.
-    sched.submit(us(40), key.clone(), 1, 3);
-    assert_eq!(sched.drain().len(), 1);
-    assert_eq!(recorder.written(), 4);
-    assert_eq!(recorder.dropped(), 0);
+#[test]
+fn no_second_step_is_granted_while_one_is_in_flight() {
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
+    let stream = StreamId(4);
+    sched.submit_stream(stream, 0);
+    sched.submit_stream(stream, 1);
+    let d = sched.tick(us(0));
+    assert_eq!(d.len(), 1, "one grant per stream");
+    assert_eq!(d[0].as_step().unwrap().job, 0);
+    assert_eq!(sched.steps_in_flight(), 1);
+    assert_eq!(sched.stream_depth(stream), 1);
+    // However long the step runs and whatever else arrives, the lane
+    // stays gated: later ticks grant nothing of this stream.
+    sched.submit_stream(stream, 2);
+    for t in [1u64, 10, 1_000, 1_000_000] {
+        assert!(sched.tick(us(t)).is_empty(), "tick at {t} µs");
+    }
+    assert_eq!(sched.stream_depth(stream), 2);
+    assert!(!sched.is_idle(), "queued steps are pending");
+    assert_eq!(sched.next_deadline(), None, "a gated step is no deadline");
+    // A stray step_done for an unknown stream changes nothing.
+    sched.step_done(StreamId(99));
+    assert!(sched.tick(us(2_000_000)).is_empty());
+}
+
+#[test]
+fn steps_resume_in_fifo_order_after_step_done() {
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
+    let (a, b) = (StreamId(1), StreamId(2));
+    for i in 0..3 {
+        sched.submit_stream(a, 10 + i);
+        sched.submit_stream(b, 20 + i);
+    }
+    let mut granted = Vec::new();
+    let mut now = 0u64;
+    while !sched.is_idle() {
+        let decisions = sched.tick(us(now));
+        assert!(!decisions.is_empty(), "an idle stream is always ready");
+        for d in decisions {
+            let step = d.as_step().unwrap();
+            granted.push(step.job);
+            // Completion order differs from grant order: b finishes
+            // before a. Per-stream order must not care.
+            sched.step_done(step.stream);
+        }
+        now += 10;
+    }
+    let of = |base: u32| -> Vec<u32> {
+        granted
+            .iter()
+            .copied()
+            .filter(|j| (base..base + 10).contains(j))
+            .collect()
+    };
+    assert_eq!(of(10), vec![10, 11, 12]);
+    assert_eq!(of(20), vec![20, 21, 22]);
+    assert_eq!(sched.steps_in_flight(), 0);
+}
+
+#[test]
+fn gated_streams_and_ready_batches_share_the_rotation_fairly() {
+    // A deep batch backlog (request budget 1) next to two streams with a
+    // queued backlog each. Every tick: each idle stream is granted once,
+    // in rotation order with the batch grants, and the batch tenant is
+    // never shut out by the streams (nor they by it).
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 1, Duration::from_secs(1)));
+    let bulk = TenantKey::new("bulk", 1);
+    for i in 0..3 {
+        sched.submit(us(0), bulk.clone(), 1, i);
+    }
+    for i in 0..3 {
+        sched.submit_stream(StreamId(1), 100 + i);
+        sched.submit_stream(StreamId(2), 200 + i);
+    }
+    // Tick 1: bulk, both streams, then bulk again (the streams are now
+    // gated, so the rotation's remaining grants go to the ready tenant).
+    let first = sched.tick(us(0));
+    assert_eq!(
+        lanes(&first),
+        vec!["bulk", "stream#1", "stream#2", "bulk", "bulk"]
+    );
+    assert_eq!(sched.tenant_depth(&bulk), 0);
+    // Tick 2 with more bulk work and only stream#2 done: the returning
+    // tenant queues behind the streams, so stream#2 goes first; stream#1
+    // stays gated.
+    sched.submit(us(10), bulk.clone(), 1, 3);
+    sched.step_done(StreamId(2));
+    assert_eq!(lanes(&sched.tick(us(10))), vec!["stream#2", "bulk"]);
+    // Tick 3: both done — each stream gets exactly one more grant.
+    sched.step_done(StreamId(1));
+    sched.step_done(StreamId(2));
+    assert_eq!(lanes(&sched.tick(us(20))), vec!["stream#1", "stream#2"]);
+    sched.step_done(StreamId(1));
+    sched.step_done(StreamId(2));
+    assert_eq!(lanes(&sched.tick(us(30))), vec!["stream#1"]);
+    sched.step_done(StreamId(1));
+    assert!(sched.is_idle());
+    assert_eq!(sched.steps_in_flight(), 0);
+}
+
+#[test]
+fn drain_skips_streams_with_a_step_in_flight() {
+    use std::sync::Arc;
+
+    // Payloads are Arc handles so dropped steps are observable: a drop
+    // releases the strong count the test holds.
+    let mut sched: Scheduler<Arc<u32>> =
+        Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
+    let busy = StreamId(1);
+    let idle = StreamId(2);
+    let steps: Vec<Arc<u32>> = (0..5).map(Arc::new).collect();
+    sched.submit_stream(busy, Arc::clone(&steps[0]));
+    sched.submit_stream(busy, Arc::clone(&steps[1]));
+    sched.submit_stream(busy, Arc::clone(&steps[2]));
+    let granted = sched.tick(us(0));
+    assert_eq!(granted.len(), 1, "busy's first step is now in flight");
+    sched.submit_stream(idle, Arc::clone(&steps[3]));
+    sched.submit_stream(idle, Arc::clone(&steps[4]));
+    sched.submit(us(0), TenantKey::new("t", 1), 1, Arc::new(9));
+
+    let drained = sched.drain();
+    // The idle stream's whole queue is granted, in order, for the
+    // driver to run inline; the busy stream's queued steps are dropped.
+    let jobs: Vec<u32> = drained
+        .iter()
+        .filter_map(|d| d.as_step())
+        .map(|s| {
+            assert_eq!(s.stream, idle, "nothing of the busy stream drains");
+            *s.job
+        })
+        .collect();
+    assert_eq!(jobs, vec![3, 4]);
+    assert_eq!(drained.iter().filter(|d| d.as_batch().is_some()).count(), 1);
+    assert_eq!(Arc::strong_count(&steps[1]), 1, "queued step dropped");
+    assert_eq!(Arc::strong_count(&steps[2]), 1, "queued step dropped");
+    assert!(sched.is_idle());
+    assert_eq!(sched.pending_steps(), 0);
+    // The in-flight step still reports back harmlessly.
+    assert_eq!(sched.steps_in_flight(), 1);
+    sched.step_done(busy);
+    assert_eq!(sched.steps_in_flight(), 0);
+    drop(granted);
 }

@@ -556,3 +556,150 @@ fn registry_hot_swap_under_concurrent_serving() {
     }
     serving.join().unwrap();
 }
+
+#[test]
+fn server_records_each_trace_stage_once_with_exact_arguments() {
+    let (deployment, frames) = fixture(4);
+    let registry = Arc::new(DeploymentRegistry::new());
+    for name in ["batch", "stream", "sat", "shed"] {
+        registry.publish(name, (*deployment).clone());
+    }
+    // Two requests fill a batch; nothing flushes on the 10 s delay.
+    let policy = BatchPolicy {
+        max_batch_requests: 2,
+        max_delay: Duration::from_secs(10),
+        ..BatchPolicy::default()
+    };
+    let server = Server::with_policy(Arc::clone(&registry), 2, policy);
+    server
+        .set_tenant_policy(
+            "sat",
+            Some(BatchPolicy {
+                max_pending_per_tenant: 0,
+                ..policy
+            }),
+        )
+        .unwrap();
+    let shed_budget = Duration::from_millis(1);
+    server
+        .set_tenant_policy(
+            "shed",
+            Some(BatchPolicy {
+                deadline: Some(shed_budget),
+                overrun: OverrunAction::Shed,
+                ..policy
+            }),
+        )
+        .unwrap();
+    let mut session = server.open_session("stream", 1.0).unwrap();
+
+    // One of each lifecycle: a coalesced pair, a step, a refusal at the
+    // door and a deadline shed.
+    let traffic = |session: &mut TrackerSession| {
+        let first = server
+            .submit(ServeRequest::new("batch", vec![frames[0].clone()]))
+            .unwrap();
+        let second = server
+            .submit(ServeRequest::new("batch", vec![frames[1].clone()]))
+            .unwrap();
+        assert_eq!(first.wait().unwrap().len(), 1);
+        assert_eq!(second.wait().unwrap().len(), 1);
+        session.step(&frames[2]).unwrap();
+        let refused = server.try_submit(ServeRequest::new("sat", vec![frames[3].clone()]));
+        assert!(matches!(refused, Err(ServeError::Saturated { .. })));
+        let shed = server
+            .submit(ServeRequest::new("shed", vec![frames[3].clone()]))
+            .unwrap();
+        assert!(matches!(shed.wait(), Err(ServeError::DeadlineShed { .. })));
+    };
+    traffic(&mut session);
+
+    let ring = server.recorder().snapshot();
+    assert_eq!(ring.dropped, 0);
+    // Per tenant, each trace's events in ring order.
+    let traces = |tenant: &str| -> Vec<Vec<(Stage, Duration)>> {
+        let mut ids: Vec<TraceId> = Vec::new();
+        let mut events: Vec<Vec<(Stage, Duration)>> = Vec::new();
+        for event in ring.events.iter().filter(|e| e.tenant == tenant) {
+            let slot = match ids.iter().position(|&id| id == event.trace) {
+                Some(slot) => slot,
+                None => {
+                    ids.push(event.trace);
+                    events.push(Vec::new());
+                    ids.len() - 1
+                }
+            };
+            events[slot].push((event.stage, event.at));
+        }
+        events
+    };
+    let stages = |trace: &[(Stage, Duration)]| -> Vec<Stage> {
+        trace.iter().map(|&(stage, _)| stage).collect()
+    };
+    let at = |trace: &[(Stage, Duration)], code: u8| -> Duration {
+        trace.iter().find(|(s, _)| s.code() == code).unwrap().1
+    };
+
+    let batch = traces("batch");
+    assert_eq!(batch.len(), 2);
+    for trace in &batch {
+        assert_eq!(
+            stages(trace),
+            vec![
+                Stage::Admitted,
+                Stage::Enqueued,
+                Stage::Coalesced { requests: 2 },
+                Stage::ShardDispatched,
+                Stage::KernelDone,
+                Stage::Responded,
+            ]
+        );
+        assert!(trace.windows(2).all(|w| w[0].1 <= w[1].1), "monotone");
+    }
+    // Both requests were coalesced by the same tick, stamped with its
+    // instant; each was enqueued at its own client submit time.
+    assert_eq!(at(&batch[0], 2), at(&batch[1], 2));
+    assert!(at(&batch[0], 1) <= at(&batch[1], 1));
+
+    let stream = traces("stream");
+    assert_eq!(stream.len(), 1);
+    assert_eq!(
+        stages(&stream[0]),
+        vec![
+            Stage::Admitted,
+            Stage::Enqueued,
+            Stage::ShardDispatched,
+            Stage::KernelDone,
+            Stage::Responded,
+        ]
+    );
+
+    let sat = traces("sat");
+    assert_eq!(sat.len(), 1);
+    assert_eq!(
+        stages(&sat[0]),
+        vec![Stage::Rejected(RejectReason::Saturated)]
+    );
+
+    let shed = traces("shed");
+    assert_eq!(shed.len(), 1);
+    assert_eq!(
+        stages(&shed[0]),
+        vec![
+            Stage::Admitted,
+            Stage::Enqueued,
+            Stage::Rejected(RejectReason::DeadlineShed),
+        ]
+    );
+    // Shed no earlier than the deadline instant.
+    assert!(at(&shed[0], 6) >= at(&shed[0], 1) + shed_budget);
+
+    // Every stage was written exactly once: nothing else is in the ring.
+    assert_eq!(ring.written, 2 * 6 + 5 + 1 + 3);
+    assert_eq!(ring.events.len() as u64, ring.written);
+
+    // A disabled recorder writes nothing for the same traffic.
+    server.recorder().set_enabled(false);
+    traffic(&mut session);
+    assert_eq!(server.recorder().written(), ring.written);
+}

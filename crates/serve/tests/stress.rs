@@ -574,13 +574,13 @@ fn qos_overload_schedules_account_every_ticket() {
     }
 }
 
-/// Satellite: the flight-recorder ring under raw multi-writer fire.
-/// Every event encodes its writer and sequence in *three* fields
-/// (trace id, coalesce arg, timestamp); a torn slot — fields from two
-/// different writes — cannot stay self-consistent. Quiescent
-/// accounting is exact: every claimed ticket beyond the ring's
-/// capacity is a drop, whether overwritten or abandoned to a lapping
-/// writer.
+/// Satellite: the flight-recorder ring under raw multi-writer fire,
+/// each writer recording through its own trace card. Every event
+/// encodes its writer and sequence in *three* fields (trace id,
+/// coalesce arg, timestamp); a torn slot — fields from two different
+/// writes — cannot stay self-consistent. Quiescent accounting is exact:
+/// every claimed ticket beyond the ring's capacity is a drop, whether
+/// overwritten or abandoned to a lapping writer.
 #[test]
 fn concurrent_ring_writers_never_tear_events_and_drops_account_exactly() {
     let stress = std::env::var_os("EIGENMAPS_STRESS").is_some();
@@ -589,17 +589,20 @@ fn concurrent_ring_writers_never_tear_events_and_drops_account_exactly() {
     for capacity in [64usize, 8] {
         let recorder = FlightRecorder::new(capacity);
         let names: Vec<String> = (0..writers).map(|k| format!("w{k}")).collect();
-        let refs: Vec<_> = names.iter().map(|n| recorder.allocate(n)).collect();
-        let ids: Vec<u64> = refs.iter().map(|r| r.id().0).collect();
+        // Each card's `Admitted` event lands before any writer starts,
+        // so it is the oldest history and always among the drops.
+        let cards: Vec<_> = names
+            .iter()
+            .map(|n| recorder.begin_at(n, Duration::ZERO))
+            .collect();
+        let ids: Vec<u64> = cards.iter().map(|c| c.id().0).collect();
 
         std::thread::scope(|scope| {
-            for (k, &trace) in refs.iter().enumerate() {
-                let recorder = recorder.clone();
+            for (k, card) in cards.iter().enumerate() {
                 scope.spawn(move || {
                     for i in 0..per_writer {
                         let p = (k * per_writer + i) as u32;
-                        recorder.event(
-                            trace,
+                        card.record_at(
                             Stage::Coalesced { requests: p },
                             Duration::from_nanos(u64::from(p) + 1),
                         );
@@ -608,7 +611,7 @@ fn concurrent_ring_writers_never_tear_events_and_drops_account_exactly() {
             }
         });
 
-        let total = (writers * per_writer) as u64;
+        let total = (writers * (per_writer + 1)) as u64;
         assert_eq!(
             recorder.dropped(),
             total - capacity as u64,
