@@ -69,6 +69,15 @@ pub enum CoreError {
         /// Index of the first non-finite reading within that frame.
         sensor: usize,
     },
+    /// A frame's coefficients would synthesize a map with an infinite
+    /// (or NaN) cell: finite but enormous readings, or a non-finite
+    /// coefficient. Refused before synthesis, so no such map (and, for a
+    /// tracker, no such filter state) is ever produced.
+    ReconstructionOverflow {
+        /// Index of the offending frame within the call (0 for a single
+        /// reading or coefficient vector).
+        frame: usize,
+    },
     /// An inner linear-algebra kernel failed.
     Linalg(LinalgError),
 }
@@ -108,6 +117,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::NonFiniteReading { frame, sensor } => {
                 write!(f, "non-finite reading at frame {frame}, sensor {sensor}")
+            }
+            CoreError::ReconstructionOverflow { frame } => {
+                write!(f, "frame {frame} would reconstruct a non-finite map")
             }
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }

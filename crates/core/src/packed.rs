@@ -90,6 +90,8 @@ pub struct PackedBasis {
     cols: usize,
     panels: usize,
     tile_panels: usize,
+    /// `max |Ψ_ij|` over the packed matrix.
+    max_abs: f64,
 }
 
 impl PackedBasis {
@@ -109,10 +111,12 @@ impl PackedBasis {
         let cols = matrix.cols();
         let panels = rows.div_ceil(PANEL_ROWS);
         let mut data = vec![PanelCol([0.0; PANEL_ROWS]); panels * cols];
+        let mut max_abs = 0.0_f64;
         for i in 0..rows {
             let (p, lane) = (i / PANEL_ROWS, i % PANEL_ROWS);
             for (j, &v) in matrix.row(i).iter().enumerate() {
                 data[p * cols + j].0[lane] = v;
+                max_abs = max_abs.max(v.abs());
             }
         }
         PackedBasis {
@@ -121,7 +125,14 @@ impl PackedBasis {
             cols,
             panels,
             tile_panels: tile_panels.max(1),
+            max_abs,
         }
+    }
+
+    /// Largest entry magnitude `max |Ψ_ij|`, recorded at pack time: with
+    /// `Σ_j |α_j|` it bounds every synthesized cell.
+    pub fn max_abs(&self) -> f64 {
+        self.max_abs
     }
 
     /// Unpadded row count `N` of the packed matrix.

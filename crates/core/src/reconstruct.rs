@@ -107,6 +107,9 @@ pub struct Reconstructor {
     /// fleet share one multi-megabyte panel buffer.
     packed: Arc<PackedBasis>,
     mean: Vec<f64>,
+    /// `max |mean_i|`; with [`PackedBasis::max_abs`] it bounds every
+    /// synthesized cell (see [`Reconstructor::check_synthesis`]).
+    mean_max: f64,
     mean_at_sensors: Vec<f64>,
     qr: Qr,
     condition_number: f64,
@@ -159,10 +162,12 @@ impl Reconstructor {
         let condition_number = svd.cond();
         let qr = Qr::new(&sensing)?;
         let mean = basis.mean().to_vec();
+        let mean_max = mean.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
         let mean_at_sensors = sensors.locations().iter().map(|&i| mean[i]).collect();
         Ok(Reconstructor {
             packed: Arc::new(PackedBasis::pack(basis.matrix())),
             mean,
+            mean_max,
             mean_at_sensors,
             qr,
             condition_number,
@@ -268,7 +273,9 @@ impl Reconstructor {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ShapeMismatch`] if `alpha.len() != K`.
+    /// * [`CoreError::ShapeMismatch`] if `alpha.len() != K`.
+    /// * [`CoreError::ReconstructionOverflow`] (`frame` 0) if `alpha`
+    ///   could synthesize a non-finite cell.
     pub fn map_from_coefficients(&self, alpha: &[f64]) -> Result<ThermalMap> {
         if alpha.len() != self.k() {
             return Err(CoreError::ShapeMismatch {
@@ -277,6 +284,7 @@ impl Reconstructor {
                 found: alpha.len(),
             });
         }
+        self.check_synthesis(0, alpha)?;
         let mut cells = vec![0.0; self.rows * self.cols];
         {
             // A one-frame block: `alpha` transposed at bsz = 1 is itself.
@@ -289,12 +297,29 @@ impl Reconstructor {
         ThermalMap::new(self.rows, self.cols, cells)
     }
 
+    /// Refuses coefficients whose map could overflow, in O(K). Every
+    /// cell obeys `|Σ_j Ψ_ij α_j + mean_i| ≤ Σ_j |α_j| · max|Ψ| + max|mean|`;
+    /// the bound must stay within half of `f64::MAX`, headroom for the
+    /// kernels' rounding. A NaN or ±∞ coefficient fails the comparison
+    /// too.
+    fn check_synthesis(&self, frame: usize, alpha: &[f64]) -> Result<()> {
+        let l1: f64 = alpha.iter().map(|a| a.abs()).sum();
+        let bound = l1 * self.packed.max_abs() + self.mean_max;
+        if bound <= f64::MAX / 2.0 {
+            Ok(())
+        } else {
+            Err(CoreError::ReconstructionOverflow { frame })
+        }
+    }
+
     /// Reconstructs the full thermal map `x̃ = Ψ_K α̂ + mean` from sensor
     /// readings (Theorem 1).
     ///
     /// # Errors
     ///
-    /// Same contract as [`Reconstructor::coefficients`].
+    /// Same contract as [`Reconstructor::coefficients`], plus
+    /// [`CoreError::ReconstructionOverflow`] when finite but enormous
+    /// readings would synthesize a non-finite cell.
     pub fn reconstruct(&self, readings: &[f64]) -> Result<ThermalMap> {
         let alpha = self.coefficients(readings)?;
         self.map_from_coefficients(&alpha)
@@ -321,7 +346,8 @@ impl Reconstructor {
     ///
     /// Returns [`CoreError::ShapeMismatch`] if any frame's length differs
     /// from `M`, [`CoreError::NonFiniteReading`] for the first NaN or ±∞
-    /// reading; propagates solver failures.
+    /// reading, [`CoreError::ReconstructionOverflow`] for the first frame
+    /// whose map would not be finite; propagates solver failures.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
         self.reconstruct_batch_with(frames, &mut BatchScratch::new())
     }
@@ -372,8 +398,9 @@ impl Reconstructor {
             {
                 *s = x - mu;
             }
-            self.qr
-                .solve_lstsq_into(centered, &mut alphas[f * k..(f + 1) * k])?;
+            let alpha = &mut alphas[f * k..(f + 1) * k];
+            self.qr.solve_lstsq_into(centered, alpha)?;
+            self.check_synthesis(f, alpha)?;
         }
 
         // Phase 2: packed, L2-tiled synthesis Ψ_K α + mean through the
@@ -512,6 +539,41 @@ mod tests {
             );
         }
         assert!(rec.reconstruct(&good).is_ok());
+    }
+
+    #[test]
+    fn readings_that_would_overflow_the_map_are_refused() {
+        let ens = smooth_ensemble(6, 6, 60);
+        let basis = EigenBasis::fit_exact(&ens, 2).unwrap();
+        let sensors = SensorSet::new(6, 6, vec![0, 7, 21, 35]).unwrap();
+        let rec = Reconstructor::new(&basis, &sensors).unwrap();
+        let good = sensors.sample(&ens.map(3));
+        // Enormous but finite readings stay finite in the map...
+        let big = vec![1e300; 4];
+        let map = rec.reconstruct(&big).unwrap();
+        assert!(map.as_slice().iter().all(|x| x.is_finite()));
+        for huge in [1.7e308, -1.7e308, f64::MAX] {
+            // ...until the map itself would overflow.
+            let bad = vec![huge; 4];
+            let refused = CoreError::ReconstructionOverflow { frame: 0 };
+            assert_eq!(rec.reconstruct(&bad).unwrap_err(), refused);
+            let batch = vec![good.clone(), big.clone(), bad];
+            assert_eq!(
+                rec.reconstruct_batch(&batch).unwrap_err(),
+                CoreError::ReconstructionOverflow { frame: 2 }
+            );
+        }
+        // Non-finite coefficients never reach the kernel either.
+        for alpha in [[f64::NAN, 0.0], [0.0, f64::INFINITY], [f64::MAX, f64::MAX]] {
+            assert_eq!(
+                rec.map_from_coefficients(&alpha).unwrap_err(),
+                CoreError::ReconstructionOverflow { frame: 0 }
+            );
+        }
+        // The guard leaves ordinary frames bitwise alone.
+        let single = rec.reconstruct(&good).unwrap();
+        let batched = rec.reconstruct_batch(&[good.clone(), big]).unwrap();
+        assert_eq!(single.as_slice(), batched[0].as_slice());
     }
 
     #[test]

@@ -150,18 +150,17 @@ impl TrackingReconstructor {
     ///
     /// # Errors
     ///
-    /// Propagates [`Reconstructor::coefficients`] failures.
+    /// Propagates [`Reconstructor::coefficients`] and
+    /// [`Reconstructor::map_from_coefficients`] failures. A refused step
+    /// leaves the tracker as if it never saw the readings.
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
-        let alpha_ls = self.inner.coefficients(readings)?;
-        let state = match self.state.take() {
-            None => alpha_ls,
-            Some(mut prev) => {
-                for (p, a) in prev.iter_mut().zip(alpha_ls.iter()) {
-                    *p = (1.0 - self.gain) * *p + self.gain * a;
-                }
-                prev
+        let mut state = self.inner.coefficients(readings)?;
+        if let Some(prev) = &self.state {
+            for (a, p) in state.iter_mut().zip(prev) {
+                *a = (1.0 - self.gain) * p + self.gain * *a;
             }
-        };
+        }
+        // The state is committed only once its map exists.
         let map = self.inner.map_from_coefficients(&state)?;
         self.state = Some(state);
         self.frames += 1;
@@ -233,6 +232,31 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "step {t}");
         }
         assert_eq!(hit.frames(), clean.frames());
+    }
+
+    #[test]
+    fn overflowing_step_leaves_the_filter_state_untouched() {
+        let (basis, sensors, rec) = setup();
+        let mut clean = TrackingReconstructor::new(rec.clone(), 0.3).unwrap();
+        let mut hit = TrackingReconstructor::new(rec, 0.3).unwrap();
+        for t in 0..6 {
+            let readings = sensors.sample(&truth_at(&basis, t));
+            if t == 3 {
+                for huge in [1.7e308, -1.7e308] {
+                    assert_eq!(
+                        hit.step(&vec![huge; readings.len()]).unwrap_err(),
+                        CoreError::ReconstructionOverflow { frame: 0 }
+                    );
+                }
+            }
+            let want = clean.step(&readings).unwrap();
+            let got = hit.step(&readings).unwrap();
+            let bits =
+                |m: &ThermalMap| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "step {t}");
+        }
+        assert_eq!(hit.frames(), clean.frames());
+        assert_eq!(hit.export_state(), clean.export_state());
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! The TCP front door: a single-threaded, nonblocking accept/poll event
-//! loop that speaks [`EMWIRE1`](crate::protocol) and bridges onto the
-//! in-process [`Server`] front door.
+//! The TCP front door: a single-threaded, nonblocking, readiness-driven
+//! event loop that speaks [`EMWIRE1`](crate::protocol) and bridges onto
+//! the in-process [`Server`] front door.
 //!
 //! No async runtime: the loop multiplexes plain [`std::net`] sockets in
-//! nonblocking mode. Batch and step submissions go through
+//! nonblocking mode and sleeps in one `poll(2)` call over the sockets it
+//! can act on: the listener (until draining), each connection for
+//! reading (unless draining or backpressured) and, while it has unflushed
+//! bytes, for writing. Batch and step submissions go through
 //! [`Server::try_submit`] / [`TrackerSession::submit_step`]; their
 //! tickets park in per-connection tables and complete on a later loop
-//! pass. A ticket's `on_ready` callback pokes a wakeup channel — the
-//! loop's stand-in for a self-pipe — so responses flush promptly instead
-//! of waiting out the poll interval.
+//! pass. Completions happen on other threads, so the poll set also holds
+//! the read end of a self-pipe: a ticket's `on_ready` callback and
+//! [`DoorHandle::shutdown`] write one byte to it. The wait's only timeout
+//! is the earliest idle-reap or drain deadline, so an idle door costs no
+//! CPU and a request is served as soon as its bytes arrive.
 //!
 //! Robustness contract (exercised by the crate's tests):
 //!
@@ -26,10 +31,10 @@
 //!   progress; a graceful shutdown drains pending responses first.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::ffi::c_short;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,35 +48,45 @@ use crate::protocol::{
     status_of, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireMetrics,
     WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
+use crate::sys::{self, PollFd};
 
 /// Tunables for the event loop. [`NetConfig::default`] is sized for
 /// tests and small fleets; production deployments mostly raise
-/// `idle_timeout`.
+/// `idle_timeout`. There is no poll interval: the loop wakes on socket
+/// readiness, ticket completion, shutdown, or its next deadline.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Largest record (length prefix excluded) the door will buffer;
     /// larger frames are skipped and answered with `BadFrame`.
     pub max_frame_bytes: usize,
-    /// How long the loop sleeps on the wakeup channel when idle.
-    pub poll_interval: Duration,
     /// Connections with no read/write progress for this long are
     /// dropped — covers both idle clients and slow readers sitting on a
-    /// full write backlog.
+    /// full write backlog. The loop sleeps at most until the earliest
+    /// such deadline.
     pub idle_timeout: Duration,
     /// Soft bound on a connection's unflushed response bytes; past it
-    /// the door stops reading from that connection until the backlog
-    /// drains.
+    /// the door stops reading from (and polling for input on) that
+    /// connection until the backlog drains.
     pub write_backlog_limit: usize,
     /// On shutdown, how long to keep flushing in-flight responses
     /// before dropping the remaining connections.
     pub drain_timeout: Duration,
 }
 
+/// How long the listener sits out of the poll set after an accept
+/// failure that is not transient.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Most bytes one pass reads from a connection. The rest stays in the
+/// socket (still poll-ready) for the next pass, after this pass's
+/// replies have had their say in the backpressure check, and one
+/// flooding client cannot hog a pass.
+const READ_BUDGET: usize = 256 * 1024;
+
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(1),
             idle_timeout: Duration::from_secs(60),
             write_backlog_limit: 4 * 1024 * 1024,
             drain_timeout: Duration::from_secs(5),
@@ -79,11 +94,39 @@ impl Default for NetConfig {
     }
 }
 
-enum Wake {
-    /// A parked ticket became ready — sweep and flush.
-    Notify,
-    /// Shutdown was requested — enter the drain phase.
-    Shutdown,
+/// Both ends of the loop's self-pipe in one allocation, so a [`Waker`]
+/// that outlives the loop still writes into an open socket.
+struct SelfPipe {
+    rx: sys::Pipe,
+    tx: sys::Pipe,
+}
+
+/// Wakes the event loop from any thread.
+#[derive(Clone)]
+struct Waker(Arc<SelfPipe>);
+
+impl Waker {
+    fn new() -> io::Result<Self> {
+        let (rx, tx) = sys::pipe()?;
+        Ok(Waker(Arc::new(SelfPipe { rx, tx })))
+    }
+
+    /// Writes one wake byte without blocking. A full pipe already holds
+    /// a pending wake-up, so `WouldBlock` (like any failure) is dropped.
+    fn wake(&self) {
+        let _ = (&self.0.tx).write(&[1]);
+    }
+
+    /// The read end, watched for wake bytes.
+    fn pollfd(&self) -> PollFd {
+        sys::pollfd(&self.0.rx, sys::POLLIN)
+    }
+
+    /// Empties the pipe, so the next wait blocks until a fresh wake.
+    fn drain(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.0.rx).read(&mut sink), Ok(n) if n > 0) {}
+    }
 }
 
 /// A cheap handle for stopping a running [`NetServer`] from another
@@ -91,7 +134,7 @@ enum Wake {
 #[derive(Clone)]
 pub struct DoorHandle {
     stop: Arc<AtomicBool>,
-    wake: Sender<Wake>,
+    waker: Waker,
 }
 
 impl DoorHandle {
@@ -100,9 +143,7 @@ impl DoorHandle {
     /// returns from [`NetServer::run`].
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        // The loop may be asleep in `recv_timeout`; losing the race to a
-        // dropped receiver just means it already exited.
-        let _ = self.wake.send(Wake::Shutdown);
+        self.waker.wake();
     }
 }
 
@@ -148,14 +189,35 @@ impl Conn {
         self.batches.len() + self.steps.len()
     }
 
+    /// Whether the loop reads from this connection: not while draining,
+    /// and not while its backlog is over the bound (backpressure).
+    fn reading(&self, config: &NetConfig, draining: bool) -> bool {
+        !draining && self.backlog() <= config.write_backlog_limit
+    }
+
+    /// The readiness this connection waits for; `0` leaves it out of
+    /// the poll set.
+    fn interest(&self, config: &NetConfig, draining: bool) -> c_short {
+        let mut events = 0;
+        if self.reading(config, draining) {
+            events |= sys::POLLIN;
+        }
+        if self.backlog() > 0 {
+            events |= sys::POLLOUT;
+        }
+        events
+    }
+
     fn enqueue(&mut self, frame: Vec<u8>, metrics: &ServeMetrics) {
         metrics.record_wire_frame_out();
         metrics.record_wire_bytes_out(frame.len() as u64);
-        if self.written > 0 && self.written == self.outbox.len() {
-            self.outbox.clear();
+        if self.written == self.outbox.len() {
+            // Nothing unflushed: adopt the sealed frame, no copy.
+            self.outbox = frame;
             self.written = 0;
+        } else {
+            self.outbox.extend_from_slice(&frame);
         }
-        self.outbox.extend_from_slice(&frame);
     }
 }
 
@@ -168,8 +230,7 @@ pub struct NetServer {
     server: Arc<Server>,
     config: NetConfig,
     stop: Arc<AtomicBool>,
-    wake_tx: Sender<Wake>,
-    wake_rx: Receiver<Wake>,
+    waker: Waker,
     /// Hydrated sessions waiting for a client to `Attach` by durable id.
     orphans: Arc<Mutex<HashMap<u64, TrackerSession>>>,
 }
@@ -189,7 +250,8 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from binding.
+    /// Propagates socket errors from binding or from opening the
+    /// loop's self-pipe.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         server: Arc<Server>,
@@ -198,15 +260,13 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let (wake_tx, wake_rx) = mpsc::channel();
         Ok(NetServer {
             listener,
             local_addr,
             server,
             config,
             stop: Arc::new(AtomicBool::new(false)),
-            wake_tx,
-            wake_rx,
+            waker: Waker::new()?,
             orphans: Arc::new(Mutex::new(HashMap::new())),
         })
     }
@@ -232,7 +292,7 @@ impl NetServer {
     pub fn handle(&self) -> DoorHandle {
         DoorHandle {
             stop: Arc::clone(&self.stop),
-            wake: self.wake_tx.clone(),
+            waker: self.waker.clone(),
         }
     }
 
@@ -245,23 +305,51 @@ impl NetServer {
             server,
             config,
             stop,
-            wake_tx,
-            wake_rx,
+            waker,
             orphans,
         } = self;
         let metrics = Arc::clone(server.metrics_hub());
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_conn: u64 = 1;
         let mut drain_deadline: Option<Instant> = None;
+        // Set after an accept failure that is not transient (say, out of
+        // descriptors): the listener would poll ready on every pass, so
+        // it sits out of the poll set until this instant.
+        let mut accept_paused_until: Option<Instant> = None;
+        let mut fds: Vec<PollFd> = Vec::new();
 
         loop {
-            // Sleep on the wakeup channel: a ready ticket (or shutdown)
-            // pokes it, otherwise the poll interval bounds the nap.
-            match wake_rx.recv_timeout(config.poll_interval) {
-                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => unreachable!("loop holds a sender"),
+            // Wait phase: the poll set reflects the state going to
+            // sleep; the stop flag is read again on waking.
+            let draining = stop.load(Ordering::Acquire);
+            accept_paused_until = accept_paused_until.filter(|&t| Instant::now() < t);
+            let listening = !draining && accept_paused_until.is_none();
+            fds.clear();
+            fds.push(waker.pollfd());
+            if listening {
+                fds.push(sys::pollfd(&listener, sys::POLLIN));
             }
-            while wake_rx.try_recv().is_ok() {}
+            for conn in conns.values() {
+                let events = conn.interest(&config, draining);
+                if events != 0 {
+                    fds.push(sys::pollfd(&conn.stream, events));
+                }
+            }
+            let deadline = conns
+                .values()
+                .map(|conn| conn.last_progress + config.idle_timeout)
+                .chain(drain_deadline)
+                .chain(accept_paused_until)
+                .min();
+            sys::wait_ready(
+                &mut fds,
+                deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            );
+            // Drain before the completion sweep: a ticket finishing after
+            // its sweep leaves a fresh byte behind for the next wait.
+            if fds[0].is_ready() {
+                waker.drain();
+            }
 
             let draining = stop.load(Ordering::Acquire);
             let now = Instant::now();
@@ -270,7 +358,7 @@ impl NetServer {
             }
 
             // Accept phase — skipped once draining.
-            if !draining {
+            if listening && !draining && fds[1].is_ready() {
                 loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
@@ -283,9 +371,16 @@ impl NetServer {
                             next_conn += 1;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        // Transient accept errors (aborted handshakes);
-                        // keep serving.
-                        Err(_) => break,
+                        // An aborted handshake; the next one may be fine.
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                            ) => {}
+                        Err(_) => {
+                            accept_paused_until = Some(now + ACCEPT_RETRY);
+                            break;
+                        }
                     }
                 }
             }
@@ -293,7 +388,7 @@ impl NetServer {
             let mut dead: Vec<u64> = Vec::new();
             for (&id, conn) in conns.iter_mut() {
                 let alive = service_conn(
-                    conn, &server, &metrics, &wake_tx, &orphans, &config, draining, now,
+                    conn, &server, &metrics, &waker, &orphans, &config, draining, now,
                 );
                 if !alive {
                     dead.push(id);
@@ -337,7 +432,7 @@ fn service_conn(
     conn: &mut Conn,
     server: &Arc<Server>,
     metrics: &Arc<ServeMetrics>,
-    wake: &Sender<Wake>,
+    waker: &Waker,
     orphans: &Mutex<HashMap<u64, TrackerSession>>,
     config: &NetConfig,
     draining: bool,
@@ -346,9 +441,10 @@ fn service_conn(
     // Read phase — skipped while the write backlog is over the bound
     // (backpressure) or the door is draining.
     let mut peer_closed = false;
-    if !draining && conn.backlog() <= config.write_backlog_limit {
+    if conn.reading(config, draining) {
         let mut chunk = [0u8; 16 * 1024];
-        loop {
+        let mut budget = READ_BUDGET;
+        while budget > 0 {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     peer_closed = true;
@@ -358,6 +454,7 @@ fn service_conn(
                     metrics.record_wire_bytes_in(n as u64);
                     conn.frames.extend(&chunk[..n]);
                     conn.last_progress = now;
+                    budget = budget.saturating_sub(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -377,7 +474,7 @@ fn service_conn(
                 metrics.record_wire_frame_in();
                 match Request::decode(&record) {
                     Ok((id, request)) => {
-                        dispatch(conn, server, metrics, wake, orphans, id, request)
+                        dispatch(conn, server, metrics, waker, orphans, id, request)
                     }
                     Err(failure) => {
                         record_wire_error(metrics, &failure.error);
@@ -528,7 +625,7 @@ fn dispatch(
     conn: &mut Conn,
     server: &Arc<Server>,
     metrics: &Arc<ServeMetrics>,
-    wake: &Sender<Wake>,
+    waker: &Waker,
     orphans: &Mutex<HashMap<u64, TrackerSession>>,
     id: u64,
     request: Request,
@@ -537,10 +634,8 @@ fn dispatch(
         Request::SubmitBatch { deployment, frames } => {
             match server.try_submit(ServeRequest::new(deployment, frames)) {
                 Ok(ticket) => {
-                    let tx = wake.clone();
-                    ticket.on_ready(move || {
-                        let _ = tx.send(Wake::Notify);
-                    });
+                    let waker = waker.clone();
+                    ticket.on_ready(move || waker.wake());
                     conn.batches.insert(id, ticket);
                 }
                 Err(e) => {
@@ -562,10 +657,8 @@ fn dispatch(
         Request::StepSession { session, readings } => match conn.sessions.get(&session) {
             Some(open) => match open.submit_step(&readings) {
                 Ok(ticket) => {
-                    let tx = wake.clone();
-                    ticket.on_ready(move || {
-                        let _ = tx.send(Wake::Notify);
-                    });
+                    let waker = waker.clone();
+                    ticket.on_ready(move || waker.wake());
                     conn.steps.insert(id, ticket);
                 }
                 Err(e) => {

@@ -11,9 +11,10 @@
 //!   metrics), built on the same little-endian codec as the workspace's
 //!   file formats. The module docs are the format specification.
 //! * [`door`] — [`NetServer`], a single-threaded nonblocking TCP
-//!   accept/poll event loop (plain [`std::net`], no async runtime) that
-//!   bridges wire requests onto [`eigenmaps_serve::Server`] and
-//!   completes parked tickets through a wakeup channel.
+//!   readiness-driven event loop (plain [`std::net`] and one `poll(2)`
+//!   call, no async runtime) that bridges wire requests onto
+//!   [`eigenmaps_serve::Server`] and completes parked tickets when their
+//!   readiness callbacks poke its self-pipe.
 //! * [`client`] — [`Client`], a blocking request/response client with
 //!   typed helpers and retryability surfaced on errors.
 //!
@@ -44,12 +45,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// The one `unsafe` block is the `poll(2)` call in `sys`, which opts in
+// with `allow`; every block must carry a `// SAFETY:` comment.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod door;
 pub mod protocol;
+mod sys;
 
 pub use client::{BatchReply, Client, NetError, SessionInfo};
 pub use door::{DoorHandle, NetConfig, NetServer};

@@ -1204,6 +1204,10 @@ impl Response {
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`. Popping a record only
+    /// advances it and the next `extend` compacts, so draining a buffer
+    /// of many small records costs linear, not quadratic, time.
+    start: usize,
     /// Bytes of an oversized frame still to discard.
     discard: u64,
     max_frame: usize,
@@ -1214,6 +1218,7 @@ impl FrameBuffer {
     pub fn new(max_frame: usize) -> Self {
         FrameBuffer {
             buf: Vec::new(),
+            start: 0,
             discard: 0,
             max_frame,
         }
@@ -1221,6 +1226,8 @@ impl FrameBuffer {
 
     /// Appends freshly read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         if self.discard > 0 {
             let skip = (self.discard).min(bytes.len() as u64) as usize;
             self.discard -= skip as u64;
@@ -1232,34 +1239,34 @@ impl FrameBuffer {
 
     /// Bytes currently buffered (excluding discarded oversized payload).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Pops the next complete record, `Some(Err(_))` for an oversized
     /// length prefix (reported once; the payload is discarded as it
     /// arrives), or `None` while the next frame is incomplete.
     pub fn next_record(&mut self) -> Option<Result<Vec<u8>, WireError>> {
-        if self.buf.len() < 4 {
+        let pending = &self.buf[self.start..];
+        if pending.len() < 4 {
             return None;
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
         if len > self.max_frame {
             // Consume the prefix, arm discard mode for the payload; any
             // already-buffered payload bytes are dropped right here.
-            let have = self.buf.len() - 4;
-            let eat = have.min(len);
-            self.buf.drain(..4 + eat);
+            let eat = (pending.len() - 4).min(len);
+            self.start += 4 + eat;
             self.discard = (len - eat) as u64;
             return Some(Err(WireError::Oversized {
                 len,
                 max: self.max_frame,
             }));
         }
-        if self.buf.len() - 4 < len {
+        if pending.len() - 4 < len {
             return None;
         }
-        let record = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        let record = pending[4..4 + len].to_vec();
+        self.start += 4 + len;
         Some(Ok(record))
     }
 }

@@ -768,3 +768,340 @@ fn shed_and_degraded_serving_surface_over_the_wire() {
     handle.shutdown();
     join.join().unwrap();
 }
+
+/// Polls `probe` every few milliseconds until it holds, failing after
+/// `limit` with `what` in the message.
+fn wait_until(limit: Duration, what: &str, mut probe: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + limit;
+    while !probe() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A connection that never sends a byte is reaped as idle shortly after
+/// `idle_timeout`, with no other traffic to wake the loop.
+#[test]
+fn silent_connection_is_reaped_as_idle_on_time() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let idle_timeout = Duration::from_millis(200);
+    let config = NetConfig {
+        idle_timeout,
+        ..NetConfig::default()
+    };
+    let (addr, handle, join) = spawn_door_with(Arc::clone(&server), config);
+
+    let opened = std::time::Instant::now();
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    wait_until(Duration::from_secs(5), "idle reap", || {
+        server.metrics().wire.reaped_idle == 1
+    });
+    let waited = opened.elapsed();
+    assert!(waited >= idle_timeout, "reaped early, after {waited:?}");
+    assert!(
+        waited < idle_timeout + Duration::from_millis(800),
+        "reaped late, after {waited:?}"
+    );
+    // The door closed its end: the client reads EOF.
+    let mut byte = [0u8; 1];
+    assert_eq!(silent.read(&mut byte).expect("EOF, not a timeout"), 0);
+    wait_until(Duration::from_secs(5), "connection gauge", || {
+        server.metrics().wire.connections_open == 0
+    });
+    assert_eq!(server.metrics().wire.reaped_slow_client, 0);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A client that pipelines batch requests and never reads its replies
+/// gets backpressure: once its unflushed replies pass
+/// `write_backlog_limit`, the door stops reading from it (`bytes_in`
+/// stops growing) and, without progress, reaps it as a slow client.
+#[test]
+fn backlogged_reader_gets_backpressure_then_is_reaped_as_slow_client() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let config = NetConfig {
+        write_backlog_limit: 1024,
+        idle_timeout: Duration::from_secs(2),
+        ..NetConfig::default()
+    };
+    let (addr, handle, join) = spawn_door_with(Arc::clone(&server), config);
+
+    let flood = TcpStream::connect(addr).expect("connect");
+    let request = Request::SubmitBatch {
+        deployment: fleet.names[0].to_string(),
+        frames: fleet.frames[0].clone(),
+    };
+    let writer = {
+        let mut flood = flood.try_clone().unwrap();
+        std::thread::spawn(move || {
+            // Write until the door's reap breaks the socket.
+            for id in 1u64.. {
+                let frame = request.encode(id).expect("encodes");
+                if flood.write_all(&frame).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+
+    // Backpressure: `bytes_in` settles while the writer is still trying.
+    let mut last = server.metrics().wire.bytes_in;
+    let mut steady_since = std::time::Instant::now();
+    wait_until(Duration::from_secs(10), "bytes_in to plateau", || {
+        let now = server.metrics().wire.bytes_in;
+        if now != last {
+            last = now;
+            steady_since = std::time::Instant::now();
+        }
+        last > 0 && steady_since.elapsed() >= Duration::from_millis(200)
+    });
+    let plateau = server.metrics().wire.bytes_in;
+    std::thread::sleep(Duration::from_millis(300));
+    let wire = server.metrics().wire;
+    assert_eq!(
+        wire.bytes_in, plateau,
+        "the door kept reading past the bound"
+    );
+    assert_eq!(wire.reaped_slow_client, 0, "reaped before the timeout");
+
+    // No progress in either direction: a slow-client reap.
+    wait_until(Duration::from_secs(10), "slow-client reap", || {
+        server.metrics().wire.reaped_slow_client == 1
+    });
+    writer.join().unwrap();
+    drop(flood);
+    // The gauge drops just after the socket closes.
+    wait_until(Duration::from_secs(5), "connection gauge", || {
+        server.metrics().wire.connections_open == 0
+    });
+    assert_eq!(server.metrics().wire.reaped_idle, 0);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A graceful shutdown with responses still in flight delivers every one
+/// of them before `run` returns.
+#[test]
+fn shutdown_delivers_inflight_responses_before_run_returns() {
+    let fleet = fleet();
+    // A long coalescing delay keeps the batch queued while the door is
+    // told to stop.
+    let policy = BatchPolicy {
+        max_batch_frames: 4096,
+        max_batch_requests: 1024,
+        max_delay: Duration::from_millis(300),
+        ..BatchPolicy::default()
+    };
+    let server = Arc::new(Server::with_policy(Arc::clone(&fleet.registry), 2, policy));
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let requests = 3u64;
+    for id in 1..=requests {
+        let frame = Request::SubmitBatch {
+            deployment: fleet.names[0].to_string(),
+            frames: fleet.frames[0].clone(),
+        }
+        .encode(id)
+        .expect("encodes");
+        raw.write_all(&frame).unwrap();
+    }
+    wait_until(Duration::from_secs(5), "requests admitted", || {
+        server.metrics().requests == requests
+    });
+    assert_eq!(server.metrics().wire.frames_out, 0, "still in flight");
+
+    handle.shutdown();
+    join.join().unwrap();
+
+    // Every reply is already on the socket, followed by the door's EOF.
+    let truth = fleet.deployments[0]
+        .reconstruct_batch(&fleet.frames[0])
+        .unwrap();
+    let mut frames = FrameBuffer::new(eigenmaps_net::MAX_FRAME_BYTES);
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes).expect("read to EOF");
+    frames.extend(&bytes);
+    let mut ids = Vec::new();
+    while let Some(outcome) = frames.next_record() {
+        let (id, reply) = Response::decode(&outcome.expect("well-formed")).expect("decodes");
+        match reply {
+            Response::Batch { maps, .. } => {
+                for (i, map) in maps.into_iter().enumerate() {
+                    let map = map.into_map().expect("valid map");
+                    assert_bitwise(&map, &truth[i], "drained reply");
+                }
+            }
+            other => panic!("expected a batch reply, got {other:?}"),
+        }
+        ids.push(id);
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=requests).collect::<Vec<_>>());
+    assert_eq!(server.metrics().wire.reaped_drain, 1);
+}
+
+/// Shutdown reaches an idle door promptly even under the default 60 s
+/// idle timeout: the stop request itself must wake the loop.
+#[test]
+fn shutdown_wakes_an_idle_door_promptly() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+    let _idle = TcpStream::connect(addr).expect("connect");
+    wait_until(Duration::from_secs(5), "connection accepted", || {
+        server.metrics().wire.connections_open == 1
+    });
+    std::thread::sleep(Duration::from_millis(50));
+
+    let asked = std::time::Instant::now();
+    handle.shutdown();
+    join.join().unwrap();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+/// An arbitrary reading from raw bits, weighted toward the edges of
+/// `f64`: any pattern (NaN payloads included), ±∞ and NaNs, subnormals,
+/// magnitudes near `±f64::MAX`, and plausible temperatures.
+fn arbitrary_reading(rng: &mut StdRng) -> f64 {
+    let sign = rng.next_u64() & (1 << 63);
+    let mantissa = rng.next_u64() & 0x000F_FFFF_FFFF_FFFF;
+    match rng.gen_range(0..5u32) {
+        0 => f64::from_bits(rng.next_u64()),
+        1 => f64::from_bits(sign | 0x7FF0_0000_0000_0000 | mantissa),
+        2 => f64::from_bits(sign | mantissa),
+        3 => {
+            // Biased exponents 0x7E0..=0x7FE: about 1e300 up to f64::MAX.
+            let exponent = rng.gen_range(0x7E0..0x7FFu64);
+            f64::from_bits(sign | exponent << 52 | mantissa)
+        }
+        _ => 45.0 + rng.gen_range(0..1000u64) as f64 * 0.01,
+    }
+}
+
+/// A fuzzed frame: clean, with a few arbitrary readings, or all
+/// arbitrary.
+fn fuzzed_frame(rng: &mut StdRng, clean: &[f64]) -> Vec<f64> {
+    let mut frame = clean.to_vec();
+    match rng.gen_range(0..3u32) {
+        0 => {}
+        1 => {
+            for _ in 0..rng.gen_range(1..3u32) {
+                let at = rng.gen_range(0..frame.len() as u64) as usize;
+                frame[at] = arbitrary_reading(rng);
+            }
+        }
+        _ => frame.iter_mut().for_each(|x| *x = arbitrary_reading(rng)),
+    }
+    frame
+}
+
+fn assert_bad_request(err: &NetError, context: &str) {
+    assert!(
+        matches!(err, NetError::Server { status, .. } if *status == WireStatus::BadRequest),
+        "{context}: {err:?}"
+    );
+}
+
+fn assert_finite(map: &ThermalMap, context: &str) {
+    assert!(
+        map.as_slice().iter().all(|x| x.is_finite()),
+        "{context}: a reply carries a non-finite cell"
+    );
+}
+
+/// Satellite: no reply ever carries a non-finite cell, whatever bit
+/// patterns the readings hold. Each fuzzed batch and step is answered
+/// either with `BadRequest` or with finite maps bitwise-equal to the
+/// in-process reconstruction, and a session whose step was refused keeps
+/// stepping as if it never saw that step. `EIGENMAPS_STRESS=1` widens
+/// the sweep.
+#[test]
+fn fuzzed_readings_get_bad_request_or_finite_maps() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 2));
+    let (addr, handle, join) = spawn_door(server);
+    let mut client = Client::connect(addr).expect("connect");
+    let deployment = &fleet.deployments[0];
+    let clean = &fleet.frames[0];
+    let m = clean[0].len();
+
+    // The pinned edge: finite readings near ±f64::MAX overflow the map.
+    for huge in [1.7e308, -1.7e308] {
+        let err = client
+            .submit_batch(fleet.names[0], vec![vec![huge; m]])
+            .unwrap_err();
+        assert_bad_request(&err, "all-huge batch");
+    }
+    let maps = client
+        .submit_batch(fleet.names[0], vec![vec![1e300; m]])
+        .expect("1e300 stays finite")
+        .maps;
+    assert_finite(&maps[0], "1e300 batch");
+
+    let seeds: u64 = if std::env::var("EIGENMAPS_STRESS").is_ok_and(|v| v == "1") {
+        32
+    } else {
+        4
+    };
+    for seed in 0..seeds {
+        let mut rng = StdRng::seed_from_u64(0xF1_0A7 ^ seed);
+        // `oracle` sees every step and decides which are refused;
+        // `replay` sees only the accepted ones.
+        let mut oracle = deployment.tracker(0.5).unwrap();
+        let mut replay = deployment.tracker(0.5).unwrap();
+        let session = client.open_session(fleet.names[0], 0.5).unwrap().session;
+        for round in 0..24 {
+            let context = format!("seed {seed} round {round}");
+            let frames: Vec<Vec<f64>> = (0..rng.gen_range(1..4u64))
+                .map(|i| fuzzed_frame(&mut rng, &clean[(round + i as usize) % clean.len()]))
+                .collect();
+            match deployment.reconstruct_batch(&frames) {
+                Ok(want) => {
+                    let got = client
+                        .submit_batch(fleet.names[0], frames)
+                        .unwrap_or_else(|e| panic!("{context}: batch refused: {e:?}"))
+                        .maps;
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_finite(g, &context);
+                        assert_bitwise(g, w, &context);
+                    }
+                }
+                Err(_) => {
+                    let err = client.submit_batch(fleet.names[0], frames).unwrap_err();
+                    assert_bad_request(&err, &context);
+                }
+            }
+
+            let readings = fuzzed_frame(&mut rng, &clean[round % clean.len()]);
+            match oracle.step(&readings) {
+                Ok(_) => {
+                    let want = replay.step(&readings).unwrap();
+                    let got = client
+                        .step(session, readings)
+                        .unwrap_or_else(|e| panic!("{context}: step refused: {e:?}"));
+                    assert_finite(&got, &context);
+                    assert_bitwise(&got, &want, &context);
+                }
+                Err(_) => {
+                    let err = client.step(session, readings).unwrap_err();
+                    assert_bad_request(&err, &context);
+                }
+            }
+        }
+        client.close_session(session).unwrap();
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
+}

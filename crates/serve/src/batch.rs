@@ -1389,26 +1389,45 @@ fn execute_flush(
         counts.push(req.frames.len());
         combined.append(&mut req.frames); // moves the inner Vecs, no copy
     }
-    let outcome = executor.execute(&deployment, &Arc::new(combined));
+    let combined = Arc::new(combined);
+    let outcomes: Vec<Result<Vec<ThermalMap>>> = match executor.execute(&deployment, &combined) {
+        Ok(mut maps) => counts
+            .iter()
+            .map(|&count| {
+                let rest = maps.split_off(count);
+                Ok(std::mem::replace(&mut maps, rest))
+            })
+            .collect(),
+        // Overflow is a property of one request's readings: serve each
+        // request alone so only the offender fails. Bitwise the same,
+        // since a batch equals its frames reconstructed one by one.
+        Err(ServeError::Core(CoreError::ReconstructionOverflow { .. })) if jobs.len() > 1 => {
+            let mut start = 0;
+            counts
+                .iter()
+                .map(|&count| {
+                    let frames = Arc::new(combined[start..start + count].to_vec());
+                    start += count;
+                    executor.execute(&deployment, &frames)
+                })
+                .collect()
+        }
+        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
+    };
     for req in &jobs {
         req.trace.record(Stage::KernelDone);
     }
-    match outcome {
-        Ok(mut maps) => {
-            for (req, count) in jobs.into_iter().zip(counts) {
-                let rest = maps.split_off(count);
-                let chunk = std::mem::replace(&mut maps, rest);
-                metrics.record_latency(req.enqueued.elapsed());
+    for (req, outcome) in jobs.into_iter().zip(outcomes) {
+        metrics.record_latency(req.enqueued.elapsed());
+        match outcome {
+            Ok(maps) => {
                 req.trace.record(Stage::Responded);
-                req.responder.send(Ok(chunk));
+                req.responder.send(Ok(maps));
             }
-        }
-        Err(e) => {
-            for req in jobs {
-                metrics.record_latency(req.enqueued.elapsed());
+            Err(e) => {
                 metrics.record_error();
                 req.trace.record(Stage::Rejected(RejectReason::Failed));
-                req.responder.send(Err(e.clone()));
+                req.responder.send(Err(e));
             }
         }
     }
@@ -1557,6 +1576,43 @@ mod tests {
         }
         let snap = server.metrics();
         assert_eq!((snap.requests, snap.batches, snap.errors), (2, 1, 0));
+    }
+
+    #[test]
+    fn overflowing_request_fails_alone_and_its_coalesced_neighbour_is_served() {
+        let (registry, _, frames) = fixture(2);
+        let direct = registry
+            .latest("chip")
+            .unwrap()
+            .reconstruct_batch(&frames)
+            .unwrap();
+        // Two requests fill a batch; the 10 s delay never fires.
+        let policy = BatchPolicy {
+            max_batch_requests: 2,
+            max_delay: Duration::from_secs(10),
+            ..BatchPolicy::default()
+        };
+        let server = Server::with_policy(registry, 2, policy);
+        // Finite readings pass admission; the solve reveals the overflow.
+        let huge = vec![1.7e308; frames[0].len()];
+        let bad = server
+            .submit(ServeRequest::new("chip", vec![frames[0].clone(), huge]))
+            .unwrap();
+        let good = server
+            .submit(ServeRequest::new("chip", frames.clone()))
+            .unwrap();
+        assert!(matches!(
+            bad.wait(),
+            Err(ServeError::Core(CoreError::ReconstructionOverflow {
+                frame: 1
+            }))
+        ));
+        let got = good.wait().unwrap();
+        for (got, want) in got.iter().zip(&direct) {
+            assert_eq!(got.as_slice(), want.as_slice());
+        }
+        let snap = server.metrics();
+        assert_eq!((snap.requests, snap.batches, snap.errors), (2, 1, 1));
     }
 
     #[test]

@@ -177,10 +177,10 @@ impl ShardedExecutor {
         }
 
         let mut maps = Vec::with_capacity(frames.len());
-        for outcome in slots {
+        for (outcome, span) in slots.into_iter().zip(&spans) {
             let shard_maps = outcome
                 .expect("every slot replied")
-                .map_err(ServeError::Core)?;
+                .map_err(|e| ServeError::Core(rebase(e, span.start)))?;
             maps.extend(shard_maps);
         }
         Ok(maps)
@@ -204,6 +204,20 @@ impl ShardedExecutor {
             .map_err(|_| ServeError::Terminated {
                 context: "shard queue closed",
             })
+    }
+}
+
+/// Renumbers a shard's frame-indexed error from its span to the batch.
+fn rebase(error: CoreError, offset: usize) -> CoreError {
+    match error {
+        CoreError::NonFiniteReading { frame, sensor } => CoreError::NonFiniteReading {
+            frame: frame + offset,
+            sensor,
+        },
+        CoreError::ReconstructionOverflow { frame } => CoreError::ReconstructionOverflow {
+            frame: frame + offset,
+        },
+        other => other,
     }
 }
 
