@@ -76,6 +76,11 @@
 //! the recommended path and the manual one is considered deprecated for
 //! application code.
 
+// `unsafe` here is the SIMD kernels, the aligned `PackedBasis::panel`
+// view and the SSE4.2 `crc32c` dispatch; every block must carry a
+// `// SAFETY:` comment.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod allocate;
 pub mod basis;
 pub mod clock;

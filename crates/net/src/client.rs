@@ -1,4 +1,4 @@
-//! A blocking `EMWIRE1` client over [`std::net::TcpStream`]: one
+//! A blocking `EMWIRE2` client over [`std::net::TcpStream`]: one
 //! request/response exchange at a time, typed helpers for every request
 //! kind, and retryability surfaced on errors so callers can spin on
 //! `Saturated`/`SessionBusy`/`DeadlineShed` backpressure.
@@ -28,7 +28,7 @@ pub enum NetError {
     /// The request was too large to seal into one frame; nothing was
     /// sent. Split the batch (or artifact) and retry smaller.
     Encode(EncodeError),
-    /// The server's reply failed `EMWIRE1` validation.
+    /// The server's reply failed `EMWIRE2` validation.
     Wire(WireError),
     /// The server answered with a typed `Error` reply.
     Server {
@@ -124,7 +124,7 @@ pub struct BatchReply {
     pub degraded: bool,
 }
 
-/// A blocking `EMWIRE1` client. Not thread-safe by design — one
+/// A blocking `EMWIRE2` client. Not thread-safe by design — one
 /// in-flight exchange at a time, matched by correlation id.
 pub struct Client {
     stream: TcpStream,

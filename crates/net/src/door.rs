@@ -1,5 +1,5 @@
 //! The TCP front door: a single-threaded, nonblocking, readiness-driven
-//! event loop that speaks [`EMWIRE1`](crate::protocol) and bridges onto
+//! event loop that speaks [`EMWIRE2`](crate::protocol) and bridges onto
 //! the in-process [`Server`] front door.
 //!
 //! No async runtime: the loop multiplexes plain [`std::net`] sockets in
@@ -221,7 +221,7 @@ impl Conn {
     }
 }
 
-/// The `EMWIRE1` TCP front door. Bind with [`NetServer::bind`], grab a
+/// The `EMWIRE2` TCP front door. Bind with [`NetServer::bind`], grab a
 /// [`DoorHandle`] for shutdown, then [`NetServer::run`] the loop (it
 /// blocks the calling thread until shutdown).
 pub struct NetServer {
@@ -516,7 +516,7 @@ fn service_conn(
         let version = ticket.version();
         match ticket.try_wait() {
             Some(Ok(maps)) => {
-                let maps = maps.iter().map(WireMap::from).collect();
+                let maps = maps.into_iter().map(WireMap::from).collect();
                 let reply = Response::Batch {
                     version,
                     maps,
@@ -543,7 +543,7 @@ fn service_conn(
         let mut ticket = conn.steps.remove(&id).expect("ready id came from the map");
         match ticket.try_wait() {
             Some(Ok(map)) => {
-                let map = WireMap::from(&map);
+                let map = WireMap::from(map);
                 let reply = Response::Step {
                     map,
                     degraded: ticket.is_degraded(),

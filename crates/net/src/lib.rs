@@ -5,7 +5,7 @@
 //! [`eigenmaps_serve`]. This crate puts that runtime on the network with
 //! three pieces:
 //!
-//! * [`protocol`] — the `EMWIRE1` versioned, length-prefixed,
+//! * [`protocol`] — the `EMWIRE2` versioned, length-prefixed,
 //!   checksummed binary wire format covering the full serving surface
 //!   (batches, streaming sessions, snapshot/resume, catalog, publish,
 //!   metrics), built on the same little-endian codec as the workspace's

@@ -1,8 +1,8 @@
-//! The `EMWIRE1` binary wire protocol: versioned, length-prefixed,
+//! The `EMWIRE2` binary wire protocol: versioned, length-prefixed,
 //! checksummed frames over the shared little-endian codec
 //! ([`eigenmaps_core::codec`]), covering the full serving surface.
 //!
-//! `EMWIRE1` is the fourth binary format in the workspace, next to
+//! `EMWIRE2` is the fourth binary format in the workspace, next to
 //! `EMDEPLOY` (deployment artifacts), `EIGMAPS1` (ensemble caches) and
 //! `EMSESS1` (session snapshots) — those three are specified in
 //! [`eigenmaps_core::codec`]'s module docs; this one lives here because it
@@ -15,15 +15,18 @@
 //! | offset | field      | type        | value |
 //! |--------|------------|-------------|-------|
 //! | 0      | `length`   | `u32`       | byte length of the record that follows (everything below) |
-//! | 4      | `magic`    | 7 bytes     | `"EMWIRE1"` |
-//! | 11     | `version`  | `u32`       | 1 |
+//! | 4      | `magic`    | 7 bytes     | `"EMWIRE2"` |
+//! | 11     | `version`  | `u32`       | 2 |
 //! | 15     | `id`       | `u64`       | request correlation id, echoed verbatim in the response |
 //! | 23     | `kind`     | `u8`        | message kind tag (see below) |
 //! | 24     | `body`     | kind-specific | see the per-kind tables |
-//! | 24+n   | `checksum` | `u64`       | FNV-1a 64 over `magic..body` ([`fnv1a64`]) |
+//! | 24+n   | `checksum` | `u32`       | CRC-32C over `magic..body` ([`crc32c`]) |
 //!
 //! All integers are little-endian; lengths/counts are `u64` on the wire
-//! ([`Encoder::put_len`]). The minimal record is 28 bytes (empty body).
+//! ([`Encoder::put_len`]). The minimal record is 24 bytes (empty body).
+//! Version 1 (`EMWIRE1`) carried a `u64` FNV-1a trailer in a 28-byte
+//! minimal record; a version-2 endpoint rejects its records as corrupt,
+//! naming the bad magic (see *Validation rules*).
 //!
 //! ## Kind tags
 //!
@@ -68,13 +71,16 @@
 //!   not buffer (or allocate) the payload; [`FrameBuffer`] skips exactly
 //!   `length` bytes as they arrive, so framing survives and the
 //!   connection does not tear down.
-//! * A complete record shorter than 28 bytes, with the wrong magic, an
-//!   unsupported version or a trailing checksum that does not match
-//!   `fnv1a64(magic..body)` is **corrupt**: the record is consumed (its
-//!   advertised length is trusted — the checksum says the *content* is
-//!   bad, not the framing), the error is reported and the connection
-//!   lives on. The correlation id of a corrupt record is untrusted and
-//!   never echoed.
+//! * A complete record is **corrupt** when it is shorter than 24 bytes,
+//!   carries the wrong magic or an unsupported version, or ends in a
+//!   checksum that does not match `crc32c(magic..body)`. The envelope is
+//!   classified in that order, **before** the checksum is verified, so a
+//!   peer speaking another protocol version is told "bad magic" or
+//!   "unsupported wire version", not "checksum mismatch". The record is
+//!   consumed (its advertised length is trusted — the checksum says the
+//!   *content* is bad, not the framing), the error is reported and the
+//!   connection lives on. The correlation id of a corrupt record is
+//!   untrusted and never echoed.
 //! * A record whose envelope validates but whose body fails to decode —
 //!   truncated body, trailing bytes, impossible counts, invalid UTF-8 —
 //!   is **malformed**; an unassigned or wrong-direction `kind` is
@@ -96,21 +102,21 @@
 
 use std::fmt;
 
-use eigenmaps_core::codec::{fnv1a64, CodecError, Decoder, Encoder};
+use eigenmaps_core::codec::{crc32c, CodecError, Decoder, Encoder};
 use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{HistogramSnapshot, ServeError, WireSnapshot};
 
-/// Magic bytes opening every `EMWIRE1` record.
-pub const MAGIC: &[u8; 7] = b"EMWIRE1";
+/// Magic bytes opening every `EMWIRE2` record.
+pub const MAGIC: &[u8; 7] = b"EMWIRE2";
 /// Wire protocol version encoded (and required) by this implementation.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Default max-frame-size bound: the largest record (length prefix
 /// excluded) an endpoint will buffer. 16 MiB fits ~2M `f64` cells per
 /// message — far beyond any realistic thermal-map batch.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 /// Fixed bytes in every record besides the body: magic (7) + version (4)
-/// + id (8) + kind (1) + checksum (8).
-pub const RECORD_OVERHEAD: usize = 28;
+/// + id (8) + kind (1) + checksum (4).
+pub const RECORD_OVERHEAD: usize = 24;
 
 const KIND_SUBMIT_BATCH: u8 = 0x01;
 const KIND_OPEN_SESSION: u8 = 0x02;
@@ -134,7 +140,7 @@ const KIND_METRICS_REPLY: u8 = 0x88;
 const KIND_TRACE_REPLY: u8 = 0x89;
 const KIND_ERROR: u8 = 0xFF;
 
-/// How a received byte sequence failed `EMWIRE1` validation. Mirrors
+/// How a received byte sequence failed `EMWIRE2` validation. Mirrors
 /// [`eigenmaps_serve::WireErrorKind`] for the metrics gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -494,6 +500,17 @@ impl From<&ThermalMap> for WireMap {
     }
 }
 
+/// Moves the cells out of an owned map: no copy.
+impl From<ThermalMap> for WireMap {
+    fn from(map: ThermalMap) -> Self {
+        WireMap {
+            rows: map.rows(),
+            cols: map.cols(),
+            cells: map.into_vec(),
+        }
+    }
+}
+
 impl WireMap {
     /// Rebuilds the [`ThermalMap`].
     ///
@@ -510,6 +527,10 @@ impl WireMap {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_len(self.rows).put_len(self.cols);
         enc.f64_slice(&self.cells);
+    }
+
+    fn encoded_len(&self) -> usize {
+        16 + 8 * self.cells.len()
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -575,6 +596,10 @@ fn encode_histogram(enc: &mut Encoder, h: &HistogramSnapshot) {
     enc.u64(h.count).u64(h.total_ns);
 }
 
+fn histogram_len(h: &HistogramSnapshot) -> usize {
+    8 + 8 * h.buckets.len() + 16
+}
+
 fn decode_histogram(dec: &mut Decoder<'_>) -> Result<HistogramSnapshot, WireError> {
     let n = dec.take_len()?;
     let mut buckets = Vec::with_capacity(n.min(1024));
@@ -624,6 +649,11 @@ impl WireMetrics {
             .u64(self.wire.hydration_skipped);
         encode_histogram(enc, &self.latency_buckets);
         encode_histogram(enc, &self.session_latency_buckets);
+    }
+
+    fn encoded_len(&self) -> usize {
+        // 13 headline scalars and 19 wire gauges, then the histograms.
+        32 * 8 + histogram_len(&self.latency_buckets) + histogram_len(&self.session_latency_buckets)
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -772,6 +802,23 @@ impl WireTrace {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        let events: usize = self
+            .events
+            .iter()
+            .map(|e| 8 + str_len(&e.tenant) + 17)
+            .sum();
+        let tenants: usize = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let exemplars: usize = t.exemplars.iter().map(|x| 24 + 17 * x.stages.len()).sum();
+                str_len(&t.tenant) + 6 * 8 + 8 + exemplars
+            })
+            .sum();
+        16 + 8 + events + 8 + tenants
+    }
+
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let written = dec.u64()?;
         let dropped = dec.u64()?;
@@ -841,6 +888,10 @@ fn encode_str(enc: &mut Encoder, s: &str) {
     enc.bytes(s.as_bytes());
 }
 
+fn str_len(s: &str) -> usize {
+    8 + s.len()
+}
+
 fn decode_str(dec: &mut Decoder<'_>) -> Result<String, WireError> {
     let len = dec.take_len()?;
     let raw = dec.take(len)?;
@@ -874,62 +925,83 @@ fn encode_readings(enc: &mut Encoder, readings: &[f64]) {
     enc.f64_slice(readings);
 }
 
+fn readings_len(readings: &[f64]) -> usize {
+    8 + 8 * readings.len()
+}
+
 fn decode_readings(dec: &mut Decoder<'_>) -> Result<Vec<f64>, WireError> {
     let m = dec.take_len()?;
     Ok(dec.f64_vec(m)?)
 }
 
 /// Seals `kind` + `body` into a complete wire frame (length prefix
-/// included) under correlation id `id`.
+/// included) under correlation id `id`, in one buffer and one pass.
+///
+/// `body_len` is the exact byte length `body` writes: the frame is
+/// allocated once at its final size, the length prefix starts as a
+/// placeholder, and the checksum and prefix are patched in place once the
+/// body is written — the record is never copied.
 ///
 /// # Errors
 ///
 /// [`EncodeError`] when the record exceeds [`MAX_FRAME_BYTES`] — the
 /// encode-side mirror of the receiver's oversized check. The bound also
-/// keeps the `u32` length prefix exact: without it, `record.len() as u32`
+/// keeps the `u32` length prefix exact: without it, `record_len as u32`
 /// would silently truncate any record over `u32::MAX` bytes.
-fn seal_frame(id: u64, kind: u8, body: impl FnOnce(&mut Encoder)) -> Result<Vec<u8>, EncodeError> {
-    let mut enc = Encoder::with_capacity(64);
-    enc.bytes(MAGIC).u32(VERSION).u64(id).u8(kind);
+fn seal_frame(
+    id: u64,
+    kind: u8,
+    body_len: usize,
+    body: impl FnOnce(&mut Encoder),
+) -> Result<Vec<u8>, EncodeError> {
+    let mut enc = Encoder::with_capacity(4 + RECORD_OVERHEAD + body_len);
+    enc.u32(0).bytes(MAGIC).u32(VERSION).u64(id).u8(kind);
     body(&mut enc);
-    let mut record = enc.finish();
-    let checksum = fnv1a64(&record);
-    record.extend_from_slice(&checksum.to_le_bytes());
-    if record.len() > MAX_FRAME_BYTES {
+    let mut frame = enc.finish();
+    // The record excludes the 4-byte prefix and includes the 4-byte
+    // trailer still to come.
+    let record_len = frame.len();
+    if record_len > MAX_FRAME_BYTES {
         return Err(EncodeError {
-            len: record.len(),
+            len: record_len,
             max: MAX_FRAME_BYTES,
         });
     }
-    let prefix = u32::try_from(record.len()).expect("bound fits in u32");
-    let mut frame = Vec::with_capacity(4 + record.len());
-    frame.extend_from_slice(&prefix.to_le_bytes());
-    frame.extend_from_slice(&record);
+    let checksum = crc32c(&frame[4..]);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    debug_assert_eq!(
+        frame.len(),
+        4 + RECORD_OVERHEAD + body_len,
+        "body_len is exact"
+    );
+    let prefix = u32::try_from(record_len).expect("bound fits in u32");
+    frame[..4].copy_from_slice(&prefix.to_le_bytes());
     Ok(frame)
 }
 
-/// Validates a complete record's envelope (magic, version, checksum) and
-/// hands back a decoder positioned at `id`.
-fn open_record<'a>(record: &'a [u8]) -> Result<Decoder<'a>, WireError> {
+/// Validates a complete record's envelope and hands back a decoder
+/// positioned at `id`. Length, magic and version are classified before
+/// the checksum is verified, so version skew reads as what it is.
+fn open_record(record: &[u8]) -> Result<Decoder<'_>, WireError> {
     if record.len() < RECORD_OVERHEAD {
         return Err(WireError::Corrupt {
             context: "record shorter than the fixed envelope",
         });
     }
-    let (payload, trailer) = record.split_at(record.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if fnv1a64(payload) != stored {
-        return Err(WireError::Corrupt {
-            context: "checksum mismatch",
-        });
-    }
+    let (payload, trailer) = record.split_at(record.len() - 4);
     let mut dec = Decoder::new(payload);
     dec.magic(MAGIC).map_err(|_| WireError::Corrupt {
-        context: "bad magic",
+        context: "bad magic (not an EMWIRE2 record)",
     })?;
     dec.version(VERSION).map_err(|_| WireError::Corrupt {
         context: "unsupported wire version",
     })?;
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+    if crc32c(payload) != stored {
+        return Err(WireError::Corrupt {
+            context: "checksum mismatch",
+        });
+    }
     Ok(dec)
 }
 
@@ -943,7 +1015,9 @@ impl Request {
     pub fn encode(&self, id: u64) -> Result<Vec<u8>, EncodeError> {
         match self {
             Request::SubmitBatch { deployment, frames } => {
-                seal_frame(id, KIND_SUBMIT_BATCH, |enc| {
+                let len =
+                    str_len(deployment) + 8 + frames.iter().map(|f| readings_len(f)).sum::<usize>();
+                seal_frame(id, KIND_SUBMIT_BATCH, len, |enc| {
                     encode_str(enc, deployment);
                     enc.put_len(frames.len());
                     for frame in frames {
@@ -951,33 +1025,42 @@ impl Request {
                     }
                 })
             }
-            Request::OpenSession { deployment, gain } => seal_frame(id, KIND_OPEN_SESSION, |enc| {
-                encode_str(enc, deployment);
-                enc.f64(*gain);
-            }),
+            Request::OpenSession { deployment, gain } => {
+                seal_frame(id, KIND_OPEN_SESSION, str_len(deployment) + 8, |enc| {
+                    encode_str(enc, deployment);
+                    enc.f64(*gain);
+                })
+            }
             Request::StepSession { session, readings } => {
-                seal_frame(id, KIND_STEP_SESSION, |enc| {
+                seal_frame(id, KIND_STEP_SESSION, 8 + readings_len(readings), |enc| {
                     enc.u64(*session);
                     encode_readings(enc, readings);
                 })
             }
-            Request::CloseSession { session } => seal_frame(id, KIND_CLOSE_SESSION, |enc| {
+            Request::CloseSession { session } => seal_frame(id, KIND_CLOSE_SESSION, 8, |enc| {
                 enc.u64(*session);
             }),
-            Request::Snapshot { session } => seal_frame(id, KIND_SNAPSHOT, |enc| {
+            Request::Snapshot { session } => seal_frame(id, KIND_SNAPSHOT, 8, |enc| {
                 enc.u64(*session);
             }),
-            Request::Resume { snapshot } => seal_frame(id, KIND_RESUME, |enc| {
-                encode_blob(enc, snapshot);
-            }),
-            Request::Catalog => seal_frame(id, KIND_CATALOG, |_| {}),
-            Request::Publish { name, artifact } => seal_frame(id, KIND_PUBLISH, |enc| {
-                encode_str(enc, name);
-                encode_blob(enc, artifact);
-            }),
-            Request::Metrics => seal_frame(id, KIND_METRICS, |_| {}),
-            Request::Trace => seal_frame(id, KIND_TRACE, |_| {}),
-            Request::Attach { durable } => seal_frame(id, KIND_ATTACH, |enc| {
+            Request::Resume { snapshot } => {
+                seal_frame(id, KIND_RESUME, 8 + snapshot.len(), |enc| {
+                    encode_blob(enc, snapshot);
+                })
+            }
+            Request::Catalog => seal_frame(id, KIND_CATALOG, 0, |_| {}),
+            Request::Publish { name, artifact } => seal_frame(
+                id,
+                KIND_PUBLISH,
+                str_len(name) + 8 + artifact.len(),
+                |enc| {
+                    encode_str(enc, name);
+                    encode_blob(enc, artifact);
+                },
+            ),
+            Request::Metrics => seal_frame(id, KIND_METRICS, 0, |_| {}),
+            Request::Trace => seal_frame(id, KIND_TRACE, 0, |_| {}),
+            Request::Attach { durable } => seal_frame(id, KIND_ATTACH, 8, |enc| {
                 enc.u64(*durable);
             }),
         }
@@ -1062,53 +1145,72 @@ impl Response {
                 version,
                 maps,
                 degraded,
-            } => seal_frame(id, KIND_BATCH_REPLY, |enc| {
-                enc.u32(*version);
-                enc.put_len(maps.len());
-                for map in maps {
-                    map.encode(enc);
-                }
-                enc.u8(*degraded as u8);
-            }),
+            } => {
+                let len = 4 + 8 + maps.iter().map(WireMap::encoded_len).sum::<usize>() + 1;
+                seal_frame(id, KIND_BATCH_REPLY, len, |enc| {
+                    enc.u32(*version);
+                    enc.put_len(maps.len());
+                    for map in maps {
+                        map.encode(enc);
+                    }
+                    enc.u8(*degraded as u8);
+                })
+            }
             Response::SessionOpened {
                 session,
                 version,
                 frames,
                 durable,
-            } => seal_frame(id, KIND_SESSION_OPENED, |enc| {
+            } => seal_frame(id, KIND_SESSION_OPENED, 28, |enc| {
                 enc.u64(*session).u32(*version).u64(*frames).u64(*durable);
             }),
-            Response::Step { map, degraded } => seal_frame(id, KIND_STEP_REPLY, |enc| {
-                map.encode(enc);
-                enc.u8(*degraded as u8);
-            }),
-            Response::Closed => seal_frame(id, KIND_CLOSED, |_| {}),
-            Response::Snapshot { snapshot } => seal_frame(id, KIND_SNAPSHOT_REPLY, |enc| {
-                encode_blob(enc, snapshot);
-            }),
-            Response::Catalog { entries } => seal_frame(id, KIND_CATALOG_REPLY, |enc| {
-                enc.put_len(entries.len());
-                for (name, versions) in entries {
-                    encode_str(enc, name);
-                    enc.put_len(versions.len());
-                    for &v in versions {
-                        enc.u32(v);
+            Response::Step { map, degraded } => {
+                seal_frame(id, KIND_STEP_REPLY, map.encoded_len() + 1, |enc| {
+                    map.encode(enc);
+                    enc.u8(*degraded as u8);
+                })
+            }
+            Response::Closed => seal_frame(id, KIND_CLOSED, 0, |_| {}),
+            Response::Snapshot { snapshot } => {
+                seal_frame(id, KIND_SNAPSHOT_REPLY, 8 + snapshot.len(), |enc| {
+                    encode_blob(enc, snapshot);
+                })
+            }
+            Response::Catalog { entries } => {
+                let len = 8 + entries
+                    .iter()
+                    .map(|(name, versions)| str_len(name) + 8 + 4 * versions.len())
+                    .sum::<usize>();
+                seal_frame(id, KIND_CATALOG_REPLY, len, |enc| {
+                    enc.put_len(entries.len());
+                    for (name, versions) in entries {
+                        encode_str(enc, name);
+                        enc.put_len(versions.len());
+                        for &v in versions {
+                            enc.u32(v);
+                        }
                     }
-                }
-            }),
-            Response::Published { version } => seal_frame(id, KIND_PUBLISHED, |enc| {
+                })
+            }
+            Response::Published { version } => seal_frame(id, KIND_PUBLISHED, 4, |enc| {
                 enc.u32(*version);
             }),
-            Response::Metrics(metrics) => seal_frame(id, KIND_METRICS_REPLY, |enc| {
-                metrics.encode(enc);
-            }),
-            Response::Trace(trace) => seal_frame(id, KIND_TRACE_REPLY, |enc| {
-                trace.encode(enc);
-            }),
-            Response::Error { status, message } => seal_frame(id, KIND_ERROR, |enc| {
-                enc.u8(status.to_u8());
-                encode_str(enc, message);
-            }),
+            Response::Metrics(metrics) => {
+                seal_frame(id, KIND_METRICS_REPLY, metrics.encoded_len(), |enc| {
+                    metrics.encode(enc);
+                })
+            }
+            Response::Trace(trace) => {
+                seal_frame(id, KIND_TRACE_REPLY, trace.encoded_len(), |enc| {
+                    trace.encode(enc);
+                })
+            }
+            Response::Error { status, message } => {
+                seal_frame(id, KIND_ERROR, 1 + str_len(message), |enc| {
+                    enc.u8(status.to_u8());
+                    encode_str(enc, message);
+                })
+            }
         }
     }
 
@@ -1274,6 +1376,15 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Appends the `EMWIRE2` trailer to a hand-built `magic..body`,
+    /// giving a record (no length prefix).
+    fn seal_by_hand(enc: Encoder) -> Vec<u8> {
+        let mut record = enc.finish();
+        let checksum = crc32c(&record);
+        record.extend_from_slice(&checksum.to_le_bytes());
+        record
+    }
 
     fn roundtrip_request(req: Request) {
         let frame = req.encode(42).expect("encodes");
@@ -1592,9 +1703,7 @@ mod tests {
         enc.put_len(1).put_len(1);
         enc.f64_slice(&[42.0]);
         enc.u8(2);
-        let mut record = enc.finish();
-        let checksum = fnv1a64(&record);
-        record.extend_from_slice(&checksum.to_le_bytes());
+        let record = seal_by_hand(enc);
         let failure = Response::decode(&record).unwrap_err();
         assert_eq!(failure.id, Some(4));
         assert!(matches!(failure.error, WireError::Malformed { .. }));
@@ -1609,11 +1718,107 @@ mod tests {
             .u64(3)
             .u8(KIND_CATALOG)
             .u8(0xEE);
-        let mut record = enc.finish();
-        let checksum = fnv1a64(&record);
-        record.extend_from_slice(&checksum.to_le_bytes());
+        let record = seal_by_hand(enc);
         let failure = Request::decode(&record).unwrap_err();
         assert_eq!(failure.id, Some(3));
         assert!(matches!(failure.error, WireError::Malformed { .. }));
+    }
+
+    #[test]
+    fn envelope_is_classified_before_the_checksum() {
+        // A record sealed by a version-1 peer: "EMWIRE1", version 1 and an
+        // 8-byte FNV-1a trailer. Its magic is named, not its checksum.
+        let mut enc = Encoder::with_capacity(64);
+        enc.bytes(b"EMWIRE1").u32(1).u64(5).u8(KIND_CATALOG);
+        let mut old = enc.finish();
+        let checksum = eigenmaps_core::codec::fnv1a64(&old);
+        old.extend_from_slice(&checksum.to_le_bytes());
+        let failure = Request::decode(&old).unwrap_err();
+        assert_eq!(failure.id, None);
+        assert_eq!(
+            failure.error,
+            WireError::Corrupt {
+                context: "bad magic (not an EMWIRE2 record)"
+            }
+        );
+
+        // Right magic, a future version, a valid CRC: the version is named.
+        let mut enc = Encoder::with_capacity(64);
+        enc.bytes(MAGIC).u32(VERSION + 1).u64(5).u8(KIND_CATALOG);
+        let failure = Request::decode(&seal_by_hand(enc)).unwrap_err();
+        assert_eq!(failure.id, None);
+        assert_eq!(
+            failure.error,
+            WireError::Corrupt {
+                context: "unsupported wire version"
+            }
+        );
+
+        // A sound envelope with a flipped id bit fails only the checksum.
+        let mut frame = Request::Catalog.encode(5).expect("encodes");
+        frame[4 + 11] ^= 0x01;
+        let failure = Request::decode(&frame[4..]).unwrap_err();
+        assert_eq!(failure.id, None);
+        assert_eq!(
+            failure.error,
+            WireError::Corrupt {
+                context: "checksum mismatch"
+            }
+        );
+    }
+
+    #[test]
+    fn sealing_owned_and_borrowed_maps_gives_the_reference_bytes() {
+        let maps: Vec<ThermalMap> = (0..3)
+            .map(|t| ThermalMap::from_fn(4, 5, |r, c| 40.0 + (t * 20 + r * 5 + c) as f64 * 0.37))
+            .collect();
+        let borrowed = Response::Batch {
+            version: 9,
+            maps: maps.iter().map(WireMap::from).collect(),
+            degraded: true,
+        }
+        .encode(77)
+        .expect("encodes");
+        let owned = Response::Batch {
+            version: 9,
+            maps: maps.clone().into_iter().map(WireMap::from).collect(),
+            degraded: true,
+        }
+        .encode(77)
+        .expect("encodes");
+        assert_eq!(owned, borrowed, "door (by value) and by-reference paths");
+
+        // An independent reference: encode the record, checksum it, then
+        // prepend the length prefix.
+        let mut enc = Encoder::with_capacity(64);
+        enc.bytes(MAGIC).u32(VERSION).u64(77).u8(KIND_BATCH_REPLY);
+        enc.u32(9).put_len(maps.len());
+        for map in &maps {
+            enc.put_len(map.rows()).put_len(map.cols());
+            for &cell in map.as_slice() {
+                enc.f64(cell);
+            }
+        }
+        enc.u8(1);
+        let record = seal_by_hand(enc);
+        let mut reference = (record.len() as u32).to_le_bytes().to_vec();
+        reference.extend_from_slice(&record);
+        assert_eq!(owned, reference, "single-pass seal vs encode-then-prefix");
+
+        let step = Response::Step {
+            map: WireMap::from(maps[1].clone()),
+            degraded: false,
+        }
+        .encode(78)
+        .expect("encodes");
+        let mut enc = Encoder::with_capacity(64);
+        enc.bytes(MAGIC).u32(VERSION).u64(78).u8(KIND_STEP_REPLY);
+        enc.put_len(4)
+            .put_len(5)
+            .f64_slice(maps[1].as_slice())
+            .u8(0);
+        let record = seal_by_hand(enc);
+        assert_eq!(step[..4], (record.len() as u32).to_le_bytes());
+        assert_eq!(step[4..], record[..]);
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end loopback tests for the `EMWIRE1` TCP edge: bitwise parity
+//! End-to-end loopback tests for the `EMWIRE2` TCP edge: bitwise parity
 //! with the in-process path, durable sessions across a server restart,
 //! hostile-bytes robustness, mid-flight disconnects, and the wire
 //! metrics surface.
@@ -307,6 +307,69 @@ fn corrupt_and_oversized_frames_reject_without_tearing_down_the_connection() {
     assert!(snap.wire.errors_corrupt >= 1);
     assert!(snap.wire.errors_oversized >= 1);
     assert!(snap.wire.errors_unknown_kind >= 1);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn version_skewed_peer_gets_a_version_error_not_a_checksum_error() {
+    use eigenmaps_core::codec::{fnv1a64, Encoder};
+
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut frames = FrameBuffer::new(eigenmaps_net::MAX_FRAME_BYTES);
+    let mut read_reply = |raw: &mut TcpStream| -> (u64, Response) {
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(outcome) = frames.next_record() {
+                let record = outcome.expect("reply frames are well-formed");
+                return Response::decode(&record).expect("reply decodes");
+            }
+            let n = raw.read(&mut chunk).expect("read reply");
+            assert_ne!(n, 0, "door must not close the connection");
+            frames.extend(&chunk[..n]);
+        }
+    };
+
+    // A Catalog request sealed the version-1 way: "EMWIRE1", version 1,
+    // kind 0x07, then an 8-byte FNV-1a trailer (a 28-byte record).
+    let mut enc = Encoder::with_capacity(32);
+    enc.bytes(b"EMWIRE1").u32(1).u64(12).u8(0x07);
+    let mut record = enc.finish();
+    let checksum = fnv1a64(&record);
+    record.extend_from_slice(&checksum.to_le_bytes());
+    assert_eq!(record.len(), 28);
+    let mut old_frame = (record.len() as u32).to_le_bytes().to_vec();
+    old_frame.extend_from_slice(&record);
+    raw.write_all(&old_frame).unwrap();
+    let (id, reply) = read_reply(&mut raw);
+    assert_eq!(id, 0, "ids of unvalidated envelopes are never echoed");
+    match reply {
+        Response::Error { status, message } => {
+            assert_eq!(status, WireStatus::BadFrame);
+            assert!(
+                message.contains("magic") || message.contains("version"),
+                "the skew is named: {message}"
+            );
+            assert!(!message.contains("checksum"), "got: {message}");
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    // The same connection then serves a current-version request.
+    raw.write_all(&Request::Catalog.encode(13).expect("encodes"))
+        .unwrap();
+    let (id, reply) = read_reply(&mut raw);
+    assert_eq!(id, 13);
+    match reply {
+        Response::Catalog { entries } => assert_eq!(entries.len(), 2),
+        other => panic!("expected the catalog, got {other:?}"),
+    }
+    assert_eq!(server.metrics().wire.errors_corrupt, 1);
 
     handle.shutdown();
     join.join().unwrap();

@@ -48,7 +48,7 @@
 //! store**, which keeps the [`EXEMPLARS_PER_TENANT`] worst full traces
 //! per tenant ([`FlightRecorder::exemplars`]) so the outlier behind a
 //! bad p99 can be read stage by stage. The `eigenmaps-net` crate serves
-//! both — plus the raw ring — over the wire as the `EMWIRE1` `Trace`
+//! both — plus the raw ring — over the wire as the `EMWIRE2` `Trace`
 //! reply.
 
 use std::collections::{BTreeMap, HashMap};

@@ -24,7 +24,7 @@
 //!   multi-threaded [`serve::ShardedExecutor`], the micro-batching
 //!   [`serve::Server`] front end, streaming [`serve::TrackerSession`]s and
 //!   serving metrics.
-//! * [`net`] — the network edge: the versioned `EMWIRE1` binary wire
+//! * [`net`] — the network edge: the versioned `EMWIRE2` binary wire
 //!   protocol, the nonblocking TCP front door [`net::NetServer`] (plain
 //!   `std::net`, no async runtime) bridging sockets onto
 //!   [`serve::Server`], and the blocking [`net::Client`]. Batches and

@@ -586,9 +586,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// EMWIRE1: the network wire format must uphold the same codec discipline as
-// the file formats — bitwise roundtrips, and rejection (never a panic, never
-// a desynchronized stream) for truncated, corrupted or oversized frames.
+// EMWIRE2 (the `emwire1_*` properties predate the version bump and hold
+// unchanged): the network wire format must uphold the same codec discipline
+// as the file formats — bitwise roundtrips, and rejection (never a panic,
+// never a desynchronized stream) for truncated, corrupted or oversized
+// frames.
 // ---------------------------------------------------------------------------
 
 /// An arbitrary request: every kind reachable, strings/floats/blob lengths
@@ -726,7 +728,7 @@ proptest! {
         use eigenmaps::net::Request;
         let frame = request.encode(99).expect("encodes");
         // Flip any byte of the record (past the length prefix): the
-        // FNV-1a trailer covers every payload byte and the trailer itself
+        // CRC-32C trailer covers every payload byte and the trailer itself
         // only matches its own payload, so no single-byte change decodes.
         let record = &frame[4..];
         let pos = ((record.len() as f64 * pos_frac) as usize).min(record.len() - 1);
@@ -773,6 +775,248 @@ proptest! {
         let (id, got) = Request::decode(&records[0]).expect("survivor decodes");
         prop_assert_eq!(id, 3);
         prop_assert_eq!(got, request);
+    }
+}
+
+/// An arbitrary response: every kind reachable, including `Batch` replies
+/// of up to 8 maps of up to 32 × 32 cells and `Step` replies, with cell
+/// bits, strings, counters and blobs drawn from a per-case seed.
+fn wire_response_strategy() -> impl Strategy<Value = eigenmaps::net::Response> {
+    use eigenmaps::net::{
+        Response, WireExemplar, WireMap, WireMetrics, WireStage, WireStatus, WireTenantTrace,
+        WireTrace, WireTraceEvent,
+    };
+    use eigenmaps::serve::{HistogramSnapshot, WireSnapshot};
+    (0u32..10, 0u64..1_000_000).prop_map(|(kind, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let word = |rng: &mut rand::rngs::StdRng| -> String {
+            let len = rng.gen_range(0..12u64) as usize;
+            (0..len)
+                .map(|_| char::from(b'a' + (rng.gen_range(0..26u64) as u8)))
+                .collect()
+        };
+        let map = |rng: &mut rand::rngs::StdRng| -> WireMap {
+            let rows = rng.gen_range(1..33u64) as usize;
+            let cols = rng.gen_range(1..33u64) as usize;
+            let cells = (0..rows * cols)
+                .map(|_| {
+                    // Arbitrary bit patterns, NaN mapped out so the decoded
+                    // value still compares equal to the original.
+                    let x = f64::from_bits(rng.next_u64());
+                    if x.is_nan() {
+                        0.0
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            WireMap { rows, cols, cells }
+        };
+        let histogram = |rng: &mut rand::rngs::StdRng| -> HistogramSnapshot {
+            let n = rng.gen_range(0..24u64) as usize;
+            HistogramSnapshot {
+                buckets: (0..n).map(|_| rng.next_u64()).collect(),
+                count: rng.next_u64(),
+                total_ns: rng.next_u64(),
+            }
+        };
+        match kind {
+            0 => {
+                let count = rng.gen_range(0..9u64) as usize;
+                Response::Batch {
+                    version: rng.next_u64() as u32,
+                    maps: (0..count).map(|_| map(&mut rng)).collect(),
+                    degraded: rng.gen_range(0..2u64) == 1,
+                }
+            }
+            1 => Response::SessionOpened {
+                session: rng.next_u64(),
+                version: rng.next_u64() as u32,
+                frames: rng.next_u64(),
+                durable: rng.next_u64(),
+            },
+            2 => Response::Step {
+                map: map(&mut rng),
+                degraded: rng.gen_range(0..2u64) == 1,
+            },
+            3 => Response::Closed,
+            4 => {
+                let n = rng.gen_range(0..64u64) as usize;
+                Response::Snapshot {
+                    snapshot: (0..n).map(|_| rng.next_u64() as u8).collect(),
+                }
+            }
+            5 => {
+                let n = rng.gen_range(0..4u64);
+                Response::Catalog {
+                    entries: (0..n)
+                        .map(|_| {
+                            let versions = rng.gen_range(0..5u64);
+                            (
+                                word(&mut rng),
+                                (0..versions).map(|_| rng.next_u64() as u32).collect(),
+                            )
+                        })
+                        .collect(),
+                }
+            }
+            6 => Response::Published {
+                version: rng.next_u64() as u32,
+            },
+            7 => Response::Metrics(Box::new(WireMetrics {
+                requests: rng.next_u64(),
+                frames: rng.next_u64(),
+                session_steps: rng.next_u64(),
+                latency_p99_ns: rng.next_u64(),
+                brownout_entries: rng.next_u64(),
+                wire: WireSnapshot {
+                    bytes_out: rng.next_u64(),
+                    errors_corrupt: rng.next_u64(),
+                    hydration_skipped: rng.next_u64(),
+                    ..WireSnapshot::default()
+                },
+                latency_buckets: histogram(&mut rng),
+                session_latency_buckets: histogram(&mut rng),
+                ..WireMetrics::default()
+            })),
+            8 => {
+                let events = rng.gen_range(0..4u64);
+                let tenants = rng.gen_range(0..3u64);
+                Response::Trace(WireTrace {
+                    written: rng.next_u64(),
+                    dropped: rng.next_u64(),
+                    events: (0..events)
+                        .map(|_| WireTraceEvent {
+                            trace: rng.next_u64(),
+                            tenant: word(&mut rng),
+                            stage: rng.next_u64() as u8,
+                            arg: rng.next_u64(),
+                            at_ns: rng.next_u64(),
+                        })
+                        .collect(),
+                    tenants: (0..tenants)
+                        .map(|_| {
+                            let exemplars = rng.gen_range(0..3u64);
+                            WireTenantTrace {
+                                tenant: word(&mut rng),
+                                queue_wait_p50_ns: rng.next_u64(),
+                                execute_p99_ns: rng.next_u64(),
+                                respond_p50_ns: rng.next_u64(),
+                                exemplars: (0..exemplars)
+                                    .map(|_| {
+                                        let stages = rng.gen_range(0..7u64);
+                                        WireExemplar {
+                                            trace: rng.next_u64(),
+                                            total_ns: rng.next_u64(),
+                                            stages: (0..stages)
+                                                .map(|_| WireStage {
+                                                    stage: rng.next_u64() as u8,
+                                                    arg: rng.next_u64(),
+                                                    at_ns: rng.next_u64(),
+                                                })
+                                                .collect(),
+                                        }
+                                    })
+                                    .collect(),
+                                ..WireTenantTrace::default()
+                            }
+                        })
+                        .collect(),
+                })
+            }
+            _ => {
+                let statuses = [
+                    WireStatus::UnknownDeployment,
+                    WireStatus::UnknownVersion,
+                    WireStatus::Terminated,
+                    WireStatus::Saturated,
+                    WireStatus::SnapshotMismatch,
+                    WireStatus::BadRequest,
+                    WireStatus::BadFrame,
+                    WireStatus::UnknownSession,
+                    WireStatus::SessionBusy,
+                    WireStatus::DeadlineShed,
+                ];
+                Response::Error {
+                    status: statuses[rng.gen_range(0..statuses.len() as u64) as usize],
+                    message: word(&mut rng),
+                }
+            }
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn emwire2_responses_roundtrip_bitwise_through_chunked_streams(
+        response in wire_response_strategy(),
+        id in 0u64..u64::MAX,
+        chunk in 1usize..4096,
+    ) {
+        use eigenmaps::net::{FrameBuffer, Response, MAX_FRAME_BYTES};
+        let frame = response.encode(id).expect("encodes");
+        let mut fb = FrameBuffer::new(MAX_FRAME_BYTES);
+        let mut records = Vec::new();
+        for piece in frame.chunks(chunk) {
+            fb.extend(piece);
+            while let Some(outcome) = fb.next_record() {
+                records.push(outcome.expect("valid frame"));
+            }
+        }
+        prop_assert_eq!(records.len(), 1);
+        let (got_id, got) = Response::decode(&records[0]).expect("roundtrip decodes");
+        prop_assert_eq!(got_id, id);
+        prop_assert_eq!(got.encode(id).expect("encodes"), frame);
+        prop_assert_eq!(got, response);
+    }
+
+    #[test]
+    fn emwire2_any_one_to_three_bit_flips_are_corrupt_without_an_id(
+        request in wire_request_strategy(),
+        response in wire_response_strategy(),
+        pick_response in 0u32..2,
+        flips in 1usize..=3,
+        seed in 0u64..1_000_000,
+    ) {
+        use eigenmaps::net::{Request, Response, WireError};
+        use rand::{Rng, SeedableRng};
+        let frame = if pick_response == 1 {
+            response.encode(41).expect("encodes")
+        } else {
+            request.encode(41).expect("encodes")
+        };
+        // Flip `flips` distinct bits anywhere in the record, trailer
+        // included. CRC-32C's Hamming distance of 4 leaves no 1–3-bit
+        // pattern undetected, and the envelope checks that run before it
+        // also report `Corrupt`, so no flip reaches a body decoder.
+        let mut bad = frame[4..].to_vec();
+        let bits = bad.len() as u64 * 8;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut chosen: Vec<u64> = Vec::new();
+        while chosen.len() < flips {
+            let bit = rng.gen_range(0..bits);
+            if !chosen.contains(&bit) {
+                chosen.push(bit);
+                bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+        }
+        let outcome = if pick_response == 1 {
+            Response::decode(&bad).map(|_| ())
+        } else {
+            Request::decode(&bad).map(|_| ())
+        };
+        prop_assert!(outcome.is_err(), "flipped bits {:?} still decode", chosen);
+        let failure = outcome.unwrap_err();
+        prop_assert!(failure.id.is_none(), "flipped bits {:?}: id {:?}", chosen, failure.id);
+        prop_assert!(
+            matches!(failure.error, WireError::Corrupt { .. }),
+            "flipped bits {:?}: {:?}",
+            chosen,
+            failure.error
+        );
     }
 }
 
