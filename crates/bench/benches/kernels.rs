@@ -1,10 +1,13 @@
 //! Criterion benchmarks for the numerical kernels underlying EigenMaps:
-//! the dense factorizations, the DCT basis build, the sparse CG solve and
-//! the PCA fit. These are the knobs that decide whether the method is
-//! usable inside a DTM loop, so we track them explicitly.
+//! the dense factorizations, the DCT basis build, the sparse CG solve, the
+//! thermal stepper's banded Cholesky and the PCA fit. These are the knobs
+//! that decide whether the method is usable inside a DTM loop, so we track
+//! them explicitly.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use eigenmaps_floorplan::Floorplan;
 use eigenmaps_linalg::prelude::*;
+use eigenmaps_thermal::{GridSpec, ThermalModel};
 
 fn basis_like(n: usize, k: usize) -> Matrix {
     // A deterministic dense matrix with smooth structure; the banded boost
@@ -118,6 +121,36 @@ fn bench_cg(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dataset build's backward-Euler system `G + C/Δt` on the 28×30 T1
+/// grid with the 4-layer default stack (3360 unknowns, half-bandwidth
+/// 112): the one-off factorization, then one step's solve.
+fn bench_transient_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("transient_step");
+    group.sample_size(10);
+    let (rows, cols, dt) = (28, 30, 0.05);
+    let t1 = Floorplan::ultrasparc_t1();
+    let grid = GridSpec::new(
+        rows,
+        cols,
+        t1.die_width() / cols as f64,
+        t1.die_height() / rows as f64,
+    );
+    let model = ThermalModel::with_default_stack(grid).unwrap();
+    let system = model.step_matrix(dt);
+    let order = model.band_order();
+    let shape = format!("{rows}x{cols}x{}", model.layers().len());
+    group.bench_function(BenchmarkId::new("factor", &shape), |bch| {
+        bch.iter(|| black_box(BandCholesky::factor(black_box(&system), &order).unwrap()))
+    });
+    let factor = BandCholesky::factor(&system, &order).unwrap();
+    let b = model.rhs(&vec![0.02; model.die_cells()]).unwrap();
+    let mut x = vec![0.0; model.state_len()];
+    group.bench_function(BenchmarkId::new("solve", &shape), |bch| {
+        bch.iter(|| factor.solve_into(black_box(&b), black_box(&mut x)).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_pca(c: &mut Criterion) {
     let mut group = c.benchmark_group("pca_fit");
     group.sample_size(10);
@@ -147,6 +180,7 @@ criterion_group!(
     bench_sym_eig,
     bench_dct_basis,
     bench_cg,
+    bench_transient_step,
     bench_pca
 );
 criterion_main!(kernels);

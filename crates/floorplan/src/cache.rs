@@ -1,7 +1,8 @@
 //! Binary on-disk caching of map ensembles.
 //!
-//! Regenerating the full 2652-snapshot dataset takes a little while, so the
-//! figure binaries cache it. The format is a deliberately tiny hand-rolled
+//! Regenerating the full 2652-snapshot, 56×60 dataset takes ~20 s of
+//! transient simulation (2 hardware threads, release build), so the figure
+//! binaries cache it. The format is a deliberately tiny hand-rolled
 //! little-endian layout (magic, dims, then raw `f64`s) encoded with the
 //! shared workspace byte codec ([`eigenmaps_core::codec`]) rather than an
 //! extra serialization dependency — see DESIGN.md §6.

@@ -5,6 +5,12 @@
 //! `T = 2652` transient snapshots of a `W = 60 × H = 56` UltraSPARC T1
 //! thermal map, produced by 3D-ICE from the Leon et al. power traces. The
 //! defaults of [`DatasetBuilder`] regenerate exactly those dimensions.
+//!
+//! Every snapshot (and every warm-up step) is one backward-Euler step of
+//! [`TransientSim`], which factors its system matrix once per build. At
+//! the paper's 56×60 grid the factor holds ~24 MB and the whole build takes
+//! ~20 s; the 28×30 grid the serving benchmark uses builds 400 steps in
+//! ~0.2 s (2 hardware threads, release build).
 
 use eigenmaps_core::{MapEnsemble, ThermalMap};
 use eigenmaps_thermal::{Environment, GridSpec, Layer, ThermalModel, TransientSim};
@@ -304,6 +310,31 @@ mod tests {
         for t in 0..a.len() {
             assert_eq!(a.map(t).as_slice(), b.map(t).as_slice());
         }
+    }
+
+    #[test]
+    fn rebuilding_gives_a_bitwise_equal_ensemble() {
+        // Deployments designed from two builds must be byte-identical, so
+        // the maps must agree to the bit, not just to a tolerance.
+        let build = || {
+            DatasetBuilder::ultrasparc_t1()
+                .grid(16, 12)
+                .snapshots(20)
+                .settle_steps(5)
+                .seed(7)
+                .build()
+                .unwrap()
+        };
+        let (a, b) = (build(), build());
+        let bits = |d: &ThermalDataset| -> Vec<u64> {
+            d.ensemble()
+                .data()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

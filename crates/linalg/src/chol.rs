@@ -1,9 +1,9 @@
 //! Cholesky factorization for symmetric positive-definite matrices.
 //!
-//! The thermal simulator's backward-Euler system matrix `(C/Δt + G)` is SPD,
-//! as is the Gram matrix `Ψ̃ᵀΨ̃` of a full-rank sensing matrix; Cholesky is
-//! the natural direct solver for both (the iterative alternative lives in
-//! [`crate::sparse`]).
+//! The Gram matrix `Ψ̃ᵀΨ̃` of a full-rank sensing matrix is SPD, and
+//! Cholesky is its natural direct solver. The thermal simulator's sparse
+//! SPD systems use the banded variant, [`crate::sparse::BandCholesky`],
+//! which this dense factor checks in tests.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

@@ -9,11 +9,15 @@
 //! * a 3-D finite-volume RC network over a layered stack
 //!   ([`ThermalModel`]): silicon die, TIM, copper spreader, heat-sink base,
 //!   with adiabatic side walls and a convective top boundary;
-//! * steady-state solves (`G·T = P`) via preconditioned conjugate
-//!   gradients;
+//! * steady-state solves (`G·T = P`) with a banded Cholesky factor;
 //! * unconditionally-stable backward-Euler transient stepping
-//!   ([`TransientSim`]) with warm-started CG, which is what generates the
-//!   thermal-map snapshots consumed by the PCA stage.
+//!   ([`TransientSim`]), which is what generates the thermal-map snapshots
+//!   consumed by the PCA stage. The step matrix `G + C/Δt` is factored
+//!   once ([`eigenmaps_linalg::sparse::BandCholesky`], under the ordering
+//!   of [`ThermalModel::band_order`]), so each step is one forward and one
+//!   backward triangular sweep;
+//! * a liquid-cooled variant ([`LiquidCooledStack`]) whose coolant
+//!   advection makes the system nonsymmetric; it is solved with BiCGSTAB.
 //!
 //! Cell indexing follows the paper's column-stacking convention
 //! (`i = row + col·H`), so the die-layer slice of a state vector *is* a

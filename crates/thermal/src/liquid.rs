@@ -8,7 +8,8 @@
 //! column (x) axis. Each channel cell exchanges heat convectively with the
 //! solid walls above and below, and *advects* energy downstream with the
 //! coolant flow. Advection makes the system matrix nonsymmetric, so the
-//! solver switches from CG to BiCGSTAB.
+//! banded Cholesky of the air-cooled model does not apply and the solver
+//! is BiCGSTAB.
 
 use eigenmaps_linalg::sparse::{bicgstab_solve, CgOptions, CsrMatrix, TripletBuilder};
 

@@ -8,7 +8,7 @@
 //! black box to produce its design-time dataset; this module is our
 //! re-implementation of that black box (see DESIGN.md, substitutions).
 
-use eigenmaps_linalg::sparse::{CsrMatrix, TripletBuilder};
+use eigenmaps_linalg::sparse::{BandCholesky, CsrMatrix, TripletBuilder};
 
 use crate::error::{Result, ThermalError};
 use crate::material::Layer;
@@ -311,40 +311,76 @@ impl ThermalModel {
         }
         let mut b = vec![0.0; self.state_len()];
         b[..power.len()].copy_from_slice(power);
-        for (bi, (&g, _)) in b
-            .iter_mut()
-            .zip(self.ambient_coupling.iter().zip(self.capacitance.iter()))
-        {
+        for (bi, &g) in b.iter_mut().zip(self.ambient_coupling.iter()) {
             *bi += g * self.env.ambient;
         }
         Ok(b)
     }
 
+    /// The backward-Euler system matrix `G + C/Δt` for a time step `dt`
+    /// (seconds), SPD for any `dt > 0`.
+    pub fn step_matrix(&self, dt: f64) -> CsrMatrix {
+        let n = self.state_len();
+        let mut tb = TripletBuilder::new(n, n);
+        for (i, j, v) in self.conductance.entries() {
+            tb.push(i, j, v);
+        }
+        for (i, &c) in self.capacitance.iter().enumerate() {
+            tb.push(i, i, c / dt);
+        }
+        tb.to_csr()
+    }
+
+    /// The symmetric ordering the direct solves factor under
+    /// (`order[k]` is the state index placed at position `k`): cell-major,
+    /// with a cell's layers adjacent and the grid's shorter side running
+    /// fastest. Layer neighbours then sit 1 apart, neighbours along the
+    /// short side `layers` apart and neighbours along the long side
+    /// `min(rows, cols) · layers` apart, which is the half-bandwidth of
+    /// every matrix assembled on this stencil (when the long side has more
+    /// than one cell).
+    pub fn band_order(&self) -> Vec<usize> {
+        let GridSpec { rows, cols, .. } = self.grid;
+        let per_layer = self.grid.cells();
+        let layers = self.layers.len();
+        let (fast, slow) = (rows.min(cols), rows.max(cols));
+        let mut order = Vec::with_capacity(self.state_len());
+        for s in 0..slow {
+            for f in 0..fast {
+                let cell = if rows <= cols {
+                    self.grid.index(f, s)
+                } else {
+                    self.grid.index(s, f)
+                };
+                order.extend((0..layers).map(|l| l * per_layer + cell));
+            }
+        }
+        order
+    }
+
+    /// Factors `matrix` (assembled on this model's stencil) under
+    /// [`ThermalModel::band_order`].
+    pub(crate) fn band_factor(&self, matrix: &CsrMatrix) -> Result<BandCholesky> {
+        Ok(BandCholesky::factor(matrix, &self.band_order())?)
+    }
+
     /// Solves the steady-state system `G T = P + G_amb·T_amb` and returns
     /// the full temperature state (°C).
+    ///
+    /// Each call factors `G` with a banded Cholesky, under the same
+    /// ordering [`crate::TransientSim`] uses, and solves directly.
     ///
     /// # Errors
     ///
     /// * [`ThermalError::PowerShapeMismatch`] for a wrong-length power map.
-    /// * [`ThermalError::Solver`] if CG fails (cannot happen for the SPD
-    ///   matrices assembled here).
+    /// * [`ThermalError::Solver`] if the factorization fails (cannot happen
+    ///   for the SPD matrices assembled here).
     pub fn steady_state(&self, power: &[f64]) -> Result<Vec<f64>> {
-        use eigenmaps_linalg::sparse::{cg_solve, CgOptions};
         let b = self.rhs(power)?;
-        let guess = vec![self.env.ambient; self.state_len()];
-        let sol = cg_solve(
-            &self.conductance,
-            &b,
-            &CgOptions {
-                tolerance: 1e-10,
-                max_iterations: 40 * self.state_len(),
-                initial_guess: Some(guess),
-            },
-        )?;
-        Ok(sol.x)
+        Ok(self.band_factor(&self.conductance)?.solve(&b)?)
     }
 
-    /// Extracts (copies) the die-layer temperatures from a full state.
+    /// Borrows the die-layer temperatures from a full state.
     ///
     /// # Panics
     ///
@@ -398,6 +434,28 @@ mod tests {
                 d >= offsum - 1e-9,
                 "row {i} not diagonally dominant: {d} < {offsum}"
             );
+        }
+    }
+
+    #[test]
+    fn steady_state_matches_a_tight_cg_solve_in_both_orientations() {
+        use eigenmaps_linalg::sparse::{cg_solve, CgOptions};
+        for (rows, cols) in [(7, 5), (5, 7)] {
+            let m =
+                ThermalModel::with_default_stack(GridSpec::new(rows, cols, 1e-3, 1e-3)).unwrap();
+            let power: Vec<f64> = (0..m.die_cells())
+                .map(|i| 0.02 + 0.3 * ((i * 7 % 11) as f64 / 11.0))
+                .collect();
+            let direct = m.steady_state(&power).unwrap();
+            let opts = CgOptions {
+                tolerance: 1e-12,
+                max_iterations: 40 * m.state_len(),
+                initial_guess: None,
+            };
+            let cg = cg_solve(m.conductance(), &m.rhs(&power).unwrap(), &opts).unwrap();
+            for (a, b) in direct.iter().zip(&cg.x) {
+                assert!((a - b).abs() < 1e-8, "{rows}x{cols}: {a} vs CG {b}");
+            }
         }
     }
 
