@@ -333,7 +333,7 @@ fn bench_interleaved_tenants(c: &mut Criterion) {
 
 /// Mixed-workload axis: the same two-tenant alternating batch trace run
 /// once alone and once with two streaming sessions continuously stepping
-/// through the same scheduler and worker pool. Batch p99 comes from the
+/// through the same scheduler and batcher. Batch p99 comes from the
 /// batch-request histogram (session steps record into their own), so the
 /// regression streams inflict on batch traffic is read directly off the
 /// metrics — asserted < 20%, i.e. the fairness rotation keeps streams

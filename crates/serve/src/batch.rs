@@ -32,9 +32,9 @@
 //! with [`Server::open_session`] (or warm-started with
 //! [`Server::resume_session`]) owns a stream lane in the scheduler's
 //! fairness rotation, its `submit_step` is admission-controlled like
-//! `try_submit`, and each step executes on the sharded worker pool
-//! interleaved fairly with batch flushes — there is no unscheduled
-//! serving path left. Per-tenant [`BatchPolicy`] overrides
+//! `try_submit`, and the batcher runs each granted step to completion
+//! itself, in grant order, interleaved fairly with batch flushes — there
+//! is no unscheduled serving path left. Per-tenant [`BatchPolicy`] overrides
 //! ([`Server::set_tenant_policy`]) tier both workload classes by SKU.
 
 use std::collections::HashMap;
@@ -321,9 +321,8 @@ impl<R> Ticket<R> {
 
     /// Registers `callback` to run as soon as the response is ready —
     /// invoked on whichever thread completes it: the batcher for batch
-    /// requests, a shard worker for scheduled steps (callbacks of
-    /// different sessions can fire concurrently), the calling thread for
-    /// standalone sessions. If the response is already ready, runs it
+    /// requests and scheduled steps, the calling thread for standalone
+    /// sessions. If the response is already ready, runs it
     /// immediately on the calling thread. A second registration replaces
     /// the first. The callback must not block — it is the readiness hook
     /// an event loop uses to schedule a [`Ticket::try_wait`].
@@ -394,11 +393,6 @@ pub(crate) struct QueuedStep {
 pub(crate) enum BatcherMsg {
     Request(QueuedRequest),
     Step(QueuedStep),
-    /// Sent back to the batcher by the worker that finished a dispatched
-    /// step: [`Scheduler::step_done`] reopens the stream's lane —
-    /// per-session ordering without blocking the batcher on step
-    /// execution.
-    StepDone(StreamId),
     Policy {
         name: String,
         policy: Option<BatchPolicy>,
@@ -480,12 +474,9 @@ impl Server {
             let executor = Arc::clone(&executor);
             let metrics = Arc::clone(&metrics);
             let recorder = recorder.clone();
-            // The batcher holds a sender to its own queue: workers clone
-            // it into dispatched steps to report `StepDone`.
-            let done = queue.clone();
             std::thread::Builder::new()
                 .name("eigenmaps-batcher".into())
-                .spawn(move || batcher_loop(&rx, &executor, &metrics, &done, policy, recorder))
+                .spawn(move || batcher_loop(&rx, &executor, &metrics, policy, recorder))
                 .expect("spawn batcher")
         };
         Server {
@@ -818,8 +809,8 @@ impl Server {
     /// is a **scheduled workload**: each [`TrackerSession::submit_step`]
     /// (and the blocking [`TrackerSession::step`] convenience) goes
     /// through admission control into the session's own stream lane in
-    /// the batcher's fairness rotation, and the tracker arithmetic runs
-    /// on the sharded worker pool — never on the caller's thread. See
+    /// the batcher's fairness rotation, and the batcher thread runs the
+    /// tracker arithmetic — never the caller's thread. See
     /// [`TrackerSession`].
     ///
     /// # Errors
@@ -1007,21 +998,18 @@ impl Drop for Server {
 }
 
 /// The batcher thread: feeds arrivals into the pure [`Scheduler`] and
-/// executes its decisions in the scheduler's fairness order. Batch
-/// flushes run synchronously on the pool; session steps are dispatched
-/// **fire-and-forget** ([`ShardedExecutor::spawn`]) so steps of different
-/// sessions run in parallel across the workers while the batcher keeps
-/// scheduling. Per-session ordering is the scheduler's stream gate: a
-/// granted step holds its lane until the worker's `StepDone` message
-/// reaches [`Scheduler::step_done`]. All timing runs on a `Duration`
-/// clock anchored at the recorder's epoch, matching what the scheduler's
-/// mock-clock tests exercise. Runs until a `Shutdown` message arrives (or
-/// every sender hangs up), then drains.
+/// executes its decisions one by one, in the scheduler's fairness order.
+/// Batch flushes fan out across the pool and block until stitched;
+/// session steps — a few microseconds of solve and synthesis — run to
+/// completion right here. Executing in grant order is the whole
+/// per-session ordering rule: one stream's steps can never overlap. All
+/// timing runs on a `Duration` clock anchored at the recorder's epoch,
+/// matching what the scheduler's mock-clock tests exercise. Runs until a
+/// `Shutdown` message arrives (or every sender hangs up), then drains.
 fn batcher_loop(
     rx: &Receiver<BatcherMsg>,
-    executor: &Arc<ShardedExecutor>,
-    metrics: &Arc<ServeMetrics>,
-    done: &Sender<BatcherMsg>,
+    executor: &ShardedExecutor,
+    metrics: &ServeMetrics,
     policy: BatchPolicy,
     recorder: FlightRecorder,
 ) {
@@ -1097,54 +1085,35 @@ fn batcher_loop(
         // scheduler's state into the gauge right after it.
         metrics.set_brownout(scheduler.in_brownout());
         for decision in decisions {
-            match decision {
-                Decision::Batch(flush) => {
-                    execute_flush(flush, executor, metrics, now, &mut truncated)
-                }
-                Decision::Step(step) => dispatch_step(step, executor, metrics, done),
-                Decision::Shed(shed) => execute_shed(shed, metrics, now),
-            }
+            execute(decision, executor, metrics, now, &mut truncated);
         }
     }
-    // Shutdown drain. First wait out the steps already on workers
-    // (absorbing late traffic) so nothing below can race a worker for a
-    // session's tracker; the timeout is a backstop against a dead pool
-    // that will never report StepDone.
-    let drain_deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while scheduler.steps_in_flight() > 0 {
-        let remaining = drain_deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            Ok(msg) => {
-                admit(
-                    msg,
-                    &mut scheduler,
-                    &mut durability,
-                    metrics,
-                    epoch,
-                    epoch.elapsed(),
-                );
-            }
-            Err(_) => break, // timed out or disconnected: stop waiting
-        }
-    }
-    // Then flush everything still scheduled; steps run synchronously now.
-    // On the timed-out path the drain skips streams still in flight:
-    // their queued steps drop and their responders fire `Terminated`.
+    // Shutdown drain: every decision ran to completion above, so nothing
+    // is in flight — flush everything still scheduled, steps included.
     let drain_now = epoch.elapsed();
     for decision in scheduler.drain() {
-        match decision {
-            Decision::Batch(flush) => {
-                execute_flush(flush, executor, metrics, drain_now, &mut truncated)
-            }
-            Decision::Step(step) => match step.job {
-                Work::Step(step) => execute_step_inline(step, metrics),
-                Work::Request(_) => unreachable!("stream lanes carry only steps"),
-            },
-            // Drain serves everything that is still queued rather than
-            // second-guessing deadlines at shutdown, but stay total over
-            // the decision type in case that ever changes.
-            Decision::Shed(shed) => execute_shed(shed, metrics, drain_now),
-        }
+        execute(decision, executor, metrics, drain_now, &mut truncated);
+    }
+}
+
+/// Executes one scheduler decision on the batcher thread — the one
+/// execution path of the serving loop and the shutdown drain alike. The
+/// drain never sheds, but stays total over the decision type.
+fn execute(
+    decision: Decision<Work>,
+    executor: &ShardedExecutor,
+    metrics: &ServeMetrics,
+    now: Duration,
+    truncated: &mut HashMap<(TenantKey, usize), Arc<Deployment>>,
+) {
+    match decision {
+        Decision::Batch(flush) => execute_flush(flush, executor, metrics, now, truncated),
+        Decision::Step(StepDecision {
+            job: Work::Step(step),
+            ..
+        }) => execute_step(step, metrics),
+        Decision::Step(_) => unreachable!("stream lanes carry only steps"),
+        Decision::Shed(shed) => execute_shed(shed, metrics, now),
     }
 }
 
@@ -1178,7 +1147,6 @@ fn admit(
             step.trace.record(Stage::Enqueued);
             scheduler.submit_stream(step.stream, Work::Step(step));
         }
-        BatcherMsg::StepDone(stream) => scheduler.step_done(stream),
         BatcherMsg::Policy { name, policy } => scheduler.set_tenant_policy(name, policy),
         BatcherMsg::Brownout(policy) => {
             scheduler.set_brownout(policy);
@@ -1197,66 +1165,30 @@ fn admit(
     true
 }
 
-/// Dispatches one granted session step to the worker pool without
-/// blocking the batcher: the worker locks the session's tracker, runs the
-/// step, completes the ticket and reports `StepDone` so the scheduler
-/// reopens the stream's lane. On a dead pool the rejected job is dropped:
-/// its responder completes `Terminated` and its guard still reports
-/// `StepDone`.
-fn dispatch_step(
-    decision: StepDecision<Work>,
-    executor: &Arc<ShardedExecutor>,
-    metrics: &Arc<ServeMetrics>,
-    done: &Sender<BatcherMsg>,
-) {
-    let step = match decision.job {
-        Work::Step(step) => step,
-        Work::Request(_) => unreachable!("stream lanes carry only steps"),
-    };
-    let metrics = Arc::clone(metrics);
-    step.trace.record(Stage::ShardDispatched);
-    // The guard reports `StepDone` even if the step panics mid-worker:
-    // without it, a panicking step would leave the stream gated forever
-    // (later steps stuck with hanging tickets, shutdown stalled on the
-    // drain backstop). The ticket itself is covered by `Responder::drop`.
-    let guard = StepDoneGuard {
-        stream: decision.stream,
-        done: done.clone(),
-    };
-    let _ = executor.spawn(move |worker| {
-        let _guard = guard;
-        let outcome = crate::shard::step_tracker(&step.tracker, &step.readings);
-        step.trace.record(Stage::KernelDone);
-        metrics.record_shard(worker, 1);
-        complete_step(step, outcome.map_err(ServeError::Core), &metrics);
-    });
-}
-
-/// Sends `StepDone` for its stream when dropped — on the worker's normal
-/// exit from a step, or during unwind if the step panicked.
-struct StepDoneGuard {
-    stream: StreamId,
-    done: Sender<BatcherMsg>,
-}
-
-impl Drop for StepDoneGuard {
-    fn drop(&mut self) {
-        let _ = self.done.send(BatcherMsg::StepDone(self.stream));
-    }
-}
-
-/// Completes one executed session step: per-class latency, frame and
-/// step accounting, then the ticket — shared by the worker-side dispatch
-/// path and the synchronous shutdown drain.
-fn complete_step(step: QueuedStep, outcome: Result<ThermalMap>, metrics: &ServeMetrics) {
+/// Executes one granted session step on the batcher thread and completes
+/// its ticket: per-class latency, frame and step accounting, then the
+/// response.
+fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
     let QueuedStep {
         name,
+        tracker,
+        readings,
         enqueued,
         frames,
         trace,
         responder,
         ..
     } = step;
+    trace.record(Stage::ShardDispatched);
+    let outcome = match tracker.lock() {
+        Ok(mut tracker) => tracker.step(&readings).map_err(ServeError::Core),
+        // A panicked session poisoned its tracker; fail the step, not
+        // the batcher.
+        Err(_) => Err(ServeError::Core(CoreError::InvalidArgument {
+            context: "session tracker poisoned",
+        })),
+    };
+    trace.record(Stage::KernelDone);
     metrics.record_session_latency(enqueued.elapsed());
     match outcome {
         Ok(map) => {
@@ -1431,16 +1363,6 @@ fn execute_flush(
             }
         }
     }
-}
-
-/// Executes one session step inline on the batcher thread (the
-/// shutdown-drain path, where nothing else is in flight for the stream)
-/// and completes its ticket.
-fn execute_step_inline(step: QueuedStep, metrics: &ServeMetrics) {
-    step.trace.record(Stage::ShardDispatched);
-    let outcome = crate::shard::step_tracker(&step.tracker, &step.readings);
-    step.trace.record(Stage::KernelDone);
-    complete_step(step, outcome.map_err(ServeError::Core), metrics);
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! * [`TrackerSession`] — streaming per-tenant telemetry sessions with
 //!   temporal filtering, pinned to the deployment version they opened;
 //!   server-opened sessions are **scheduled workloads** (admission
-//!   control, stream lane, worker-pool execution, pollable
+//!   control, stream lane, run to completion on the batcher, pollable
 //!   `Ticket<ThermalMap>`s) and are durable: `EMSESS1` snapshots warm-restart
 //!   a stream bitwise-identically across process restarts
 //!   ([`Server::resume_session`]);
@@ -114,7 +114,7 @@
 //! relative); sharding and batching under any one backend never do.
 //!
 //! The same contract covers streams: a session step scheduled through
-//! the fair front door and executed on the worker pool produces maps
+//! the fair front door and executed on the batcher thread produces maps
 //! bitwise-identical to stepping the tracker inline on the caller's
 //! thread, and a stream resumed from an `EMSESS1` snapshot continues
 //! bitwise-identically to one that was never interrupted.

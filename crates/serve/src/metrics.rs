@@ -941,9 +941,12 @@ pub struct MetricsSnapshot {
     pub latency_buckets: HistogramSnapshot,
     /// Raw bucket counts behind the session-step latency quantiles.
     pub session_latency_buckets: HistogramSnapshot,
-    /// Frames executed per shard.
+    /// Batch frames executed per shard. Counts batch shards only:
+    /// session steps run on the batcher and are counted by
+    /// [`MetricsSnapshot::session_steps`].
     pub shard_frames: Vec<u64>,
-    /// Shard batches executed per shard.
+    /// Batch shards executed per shard (session steps are not counted
+    /// here either).
     pub shard_batches: Vec<u64>,
     /// Per-tenant batching counters and queue-depth gauges, keyed by
     /// deployment name (sorted).

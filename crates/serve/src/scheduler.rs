@@ -30,15 +30,15 @@
 //! state, so steps can never coalesce the way batch requests do. Rather
 //! than a side channel that bypasses scheduling, each session gets a
 //! **stream lane** — keyed by [`StreamId`] — in the *same* fairness
-//! rotation as the batch queues. A queued step is ready while its stream
-//! has nothing in flight (a monitor control loop is latency-critical;
-//! there is nothing to coalesce it with): granting it marks the stream in
-//! flight, and [`Scheduler::step_done`] reopens the lane once the driver
-//! has executed it. That gate is the whole per-session ordering rule —
-//! the driver may run steps of different streams in parallel, but never
-//! two of one stream. [`Scheduler::tick`] interleaves the ready steps
-//! with the batch flushes in one rotation: a backlogged stream cannot
-//! starve batch tenants, and heavy batch traffic cannot starve a stream.
+//! rotation as the batch queues. A queued step is always ready (a monitor
+//! control loop is latency-critical; there is nothing to coalesce it
+//! with), and a lane hands out its steps in FIFO order, so the driver
+//! keeps a session's temporal filter well-ordered simply by executing the
+//! decisions in the order they are returned. [`Scheduler::tick`]
+//! interleaves the steps with the batch flushes in one rotation: a
+//! backlogged stream's next step comes only after every other ready lane
+//! got a grant, so it cannot starve batch tenants, and heavy batch
+//! traffic cannot starve a stream.
 //!
 //! # Fairness rotation
 //!
@@ -108,25 +108,20 @@
 //! assert!(sched.tick(Duration::from_micros(10)).is_empty());
 //!
 //! // A third request fills alpha's request budget: alpha flushes as one
-//! // three-request batch; beta keeps waiting on its own deadline. A
-//! // queued step of an idle stream is granted in the same tick.
+//! // three-request batch; beta keeps waiting on its own deadline. The
+//! // queued steps of a stream are granted in the same tick, in order.
 //! sched.submit(Duration::from_micros(20), a.clone(), 4, "a2");
 //! sched.submit_stream(StreamId(9), "step0");
+//! sched.submit_stream(StreamId(9), "step1");
 //! let decisions = sched.tick(Duration::from_micros(20));
-//! assert_eq!(decisions.len(), 2);
+//! assert_eq!(decisions.len(), 3);
 //! let batch = decisions[0].as_batch().unwrap();
 //! assert_eq!(batch.tenant, a);
 //! assert_eq!(batch.reason, FlushReason::RequestBudget);
 //! assert_eq!(batch.jobs, vec!["a0", "a1", "a2"]);
-//! let step = decisions[1].as_step().unwrap();
-//! assert_eq!((step.stream, step.job), (StreamId(9), "step0"));
-//! // The stream stays gated until the driver reports the step executed.
-//! sched.submit_stream(StreamId(9), "step1");
-//! assert!(sched.tick(Duration::from_micros(30)).is_empty());
-//! sched.step_done(StreamId(9));
-//! let next = sched.tick(Duration::from_micros(40));
-//! assert_eq!(next[0].as_step().unwrap().job, "step1");
-//! sched.step_done(StreamId(9));
+//! let steps: Vec<_> = decisions[1..].iter().map(|d| d.as_step().unwrap()).collect();
+//! assert_eq!((steps[0].stream, steps[0].job), (StreamId(9), "step0"));
+//! assert_eq!((steps[1].stream, steps[1].job), (StreamId(9), "step1"));
 //!
 //! // Beta's latency budget expires exactly at its deadline.
 //! assert_eq!(sched.next_deadline(), Some(Duration::from_millis(1)));
@@ -316,7 +311,7 @@ impl fmt::Display for TenantKey {
 }
 
 /// Identity of one stream lane: a streaming session whose steps are
-/// scheduled one at a time through the fairness rotation.
+/// scheduled in submission order through the fairness rotation.
 ///
 /// Allocated by the [`Server`](crate::Server) front end (one per open
 /// [`TrackerSession`](crate::TrackerSession)); the scheduler treats it as
@@ -393,10 +388,9 @@ pub struct ShedDecision<T> {
 }
 
 /// One granted stream step: the session lane it belongs to and its job
-/// payload. Steps are granted in FIFO order within a lane, one at a time:
-/// the lane stays gated until the driver reports the step executed
-/// ([`Scheduler::step_done`]), which is what keeps a stateful session's
-/// temporal filter well-ordered.
+/// payload. Steps are granted in FIFO order within a lane, so a driver
+/// that executes decisions in the order returned keeps a stateful
+/// session's temporal filter well-ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepDecision<T> {
     /// Which stream lane the step came from.
@@ -475,30 +469,12 @@ impl<T> Default for TenantQueue<T> {
     }
 }
 
-/// One session's stream lane: its queued steps (FIFO) and whether a
-/// granted step is still executing.
-#[derive(Debug)]
-struct StreamLane<T> {
-    steps: VecDeque<T>,
-    in_flight: bool,
-}
-
-impl<T> Default for StreamLane<T> {
-    fn default() -> Self {
-        StreamLane {
-            steps: VecDeque::new(),
-            in_flight: false,
-        }
-    }
-}
-
 /// The pure coalesce/flush state machine. See the [module docs](self) for
 /// the design and a worked example.
 ///
 /// Invariant: a lane (tenant queue or stream lane) appears in the rotation
 /// iff it has a non-empty queue, and the rotation order is the fairness
-/// order (front = served next among ready lanes). A stream lane's state
-/// outlives its queue while a granted step is in flight.
+/// order (front = served next among ready lanes).
 #[derive(Debug)]
 pub struct Scheduler<T> {
     policy: BatchPolicy,
@@ -506,8 +482,8 @@ pub struct Scheduler<T> {
     /// by name so they survive hot-swap version bumps.
     overrides: HashMap<String, BatchPolicy>,
     tenants: HashMap<TenantKey, TenantQueue<T>>,
-    /// Stream lanes with queued steps or a step in flight.
-    streams: HashMap<StreamId, StreamLane<T>>,
+    /// Stream lanes with queued steps, each in FIFO order.
+    streams: HashMap<StreamId, VecDeque<T>>,
     rotation: VecDeque<LaneKey>,
     /// Brownout watermarks; `None` disables brownout entirely.
     brownout: Option<BrownoutPolicy>,
@@ -597,28 +573,15 @@ impl<T> Scheduler<T> {
     }
 
     /// Enqueues one session step at the back of `stream`'s lane. Steps
-    /// carry no coalescing budgets or latency stamp: the lane's front
-    /// step is ready whenever the stream has nothing in flight, and
-    /// [`Scheduler::tick`] grants it in the rotation, interleaved fairly
-    /// with batch flushes.
+    /// carry no coalescing budgets or latency stamp: a queued step is
+    /// always ready, and [`Scheduler::tick`] grants it in the rotation,
+    /// interleaved fairly with batch flushes.
     pub fn submit_stream(&mut self, stream: StreamId, payload: T) {
         let lane = self.streams.entry(stream).or_default();
-        if lane.steps.is_empty() {
+        if lane.is_empty() {
             self.rotation.push_back(LaneKey::Stream(stream));
         }
-        lane.steps.push_back(payload);
-    }
-
-    /// Reports that `stream`'s granted step finished executing: the lane
-    /// reopens and its next queued step (if any) is ready on the next
-    /// [`Scheduler::tick`]. A no-op for a stream with nothing in flight.
-    pub fn step_done(&mut self, stream: StreamId) {
-        if let Some(lane) = self.streams.get_mut(&stream) {
-            lane.in_flight = false;
-            if lane.steps.is_empty() {
-                self.streams.remove(&stream);
-            }
-        }
+        lane.push_back(payload);
     }
 
     /// Decides every unit of work due at time `now`, in fairness order:
@@ -629,8 +592,9 @@ impl<T> Scheduler<T> {
     /// decided only after every other ready lane got one. Batch and step
     /// decisions interleave in the returned vec exactly as granted; the
     /// driver executes them in order. Returns an empty vec when nothing is
-    /// due. A tick grants at most one step per stream: the grant marks
-    /// the stream in flight until [`Scheduler::step_done`].
+    /// due. Queued steps are always ready, so a tick grants every one of
+    /// them — a stream's steps in FIFO order, one per pass of the
+    /// rotation.
     ///
     /// The common no-op tick (nothing ready) inspects each lane once and
     /// allocates nothing; a tenant key is cloned only when it actually
@@ -688,12 +652,11 @@ impl<T> Scheduler<T> {
                     }
                     None => None,
                 },
-                LaneKey::Stream(id) if !self.streams[id].in_flight => {
+                LaneKey::Stream(id) => {
                     let id = *id;
                     decisions.push(Decision::Step(self.take_step(id)));
                     Some(LaneKey::Stream(id))
                 }
-                LaneKey::Stream(_) => None,
             };
             match granted {
                 Some(lane) => {
@@ -790,11 +753,8 @@ impl<T> Scheduler<T> {
     /// Flushes everything still pending (shutdown), round-robin across
     /// lanes, still respecting the size budgets per batch. Drain takes no
     /// clock, so it judges no deadline: a drained batch is degraded only
-    /// while the scheduler is in brownout. The driver executes the
-    /// returned steps in order with nothing else running, so an idle
-    /// stream's whole queue is granted here; a stream whose step is still
-    /// in flight is skipped and its queued steps are dropped — running
-    /// them could race the unfinished one.
+    /// while the scheduler is in brownout. Every queued step is granted,
+    /// each stream's in FIFO order.
     pub fn drain(&mut self) -> Vec<Decision<T>> {
         let mut decisions = Vec::new();
         while let Some(lane) = self.rotation.front().cloned() {
@@ -804,18 +764,7 @@ impl<T> Scheduler<T> {
                     FlushReason::Drain,
                     None,
                 ))),
-                LaneKey::Stream(id) if self.streams[&id].in_flight => {
-                    self.rotation.pop_front();
-                    self.streams
-                        .get_mut(&id)
-                        .expect("lane exists")
-                        .steps
-                        .clear();
-                }
-                LaneKey::Stream(id) => {
-                    decisions.push(Decision::Step(self.take_step(id)));
-                    self.step_done(id);
-                }
+                LaneKey::Stream(id) => decisions.push(Decision::Step(self.take_step(id))),
             }
         }
         decisions
@@ -825,9 +774,8 @@ impl<T> Scheduler<T> {
     /// the policy in force for it) — when the next [`Scheduler::tick`] is
     /// due absent new submissions. `None` when idle or when every pending
     /// tenant's deadline is unrepresentable (flush-by-size-only). Stream
-    /// steps never appear here: a step is ready as soon as it is submitted
-    /// or its lane's [`Scheduler::step_done`] arrives, so the driver ticks
-    /// right after either.
+    /// steps never appear here: a step is ready as soon as it is
+    /// submitted, so the driver ticks right after the submit.
     pub fn next_deadline(&self) -> Option<Duration> {
         self.tenants
             .iter()
@@ -851,7 +799,7 @@ impl<T> Scheduler<T> {
     }
 
     /// Whether no job is pending anywhere — no batch request and no
-    /// queued stream step (steps in flight are not pending).
+    /// queued stream step.
     pub fn is_idle(&self) -> bool {
         self.rotation.is_empty()
     }
@@ -878,18 +826,12 @@ impl<T> Scheduler<T> {
 
     /// Total queued (not yet granted) stream steps across all lanes.
     pub fn pending_steps(&self) -> usize {
-        self.streams.values().map(|lane| lane.steps.len()).sum()
+        self.streams.values().map(VecDeque::len).sum()
     }
 
     /// Queued (not yet granted) steps of one stream lane (0 if none).
     pub fn stream_depth(&self, stream: StreamId) -> usize {
-        self.streams.get(&stream).map_or(0, |lane| lane.steps.len())
-    }
-
-    /// Streams with a granted step that has not reported
-    /// [`Scheduler::step_done`] yet.
-    pub fn steps_in_flight(&self) -> usize {
-        self.streams.values().filter(|lane| lane.in_flight).count()
+        self.streams.get(&stream).map_or(0, VecDeque::len)
     }
 
     /// Which budget (if any) makes `key` flushable at `now`, under the
@@ -973,14 +915,16 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Pops one step off `id`'s lane (FIFO), marks the stream in flight
-    /// and rotates the lane to the back (or out of the rotation when its
-    /// queue emptied).
+    /// Pops one step off `id`'s lane (FIFO) and rotates the lane to the
+    /// back (or out of the rotation, and the lane away, when its queue
+    /// emptied).
     fn take_step(&mut self, id: StreamId) -> StepDecision<T> {
         let lane = self.streams.get_mut(&id).expect("granted stream exists");
-        let job = lane.steps.pop_front().expect("granted stream is non-empty");
-        lane.in_flight = true;
-        let emptied = lane.steps.is_empty();
+        let job = lane.pop_front().expect("granted stream is non-empty");
+        let emptied = lane.is_empty();
+        if emptied {
+            self.streams.remove(&id);
+        }
         let key = LaneKey::Stream(id);
         if let Some(pos) = self.rotation.iter().position(|k| k == &key) {
             self.rotation.remove(pos);
@@ -1091,29 +1035,24 @@ mod tests {
         assert_eq!(sched.pending_steps(), 3);
         assert!(!sched.is_idle());
         assert_eq!(sched.next_deadline(), None, "steps carry no deadline");
-        // One step per tick: each grant gates the lane until step_done,
-        // and the lane drains in FIFO order.
-        for i in 0..3 {
-            let d = sched.tick(Duration::ZERO);
-            assert_eq!(d.len(), 1);
-            assert_eq!(d[0].as_step().unwrap().job, i, "steps grant in FIFO order");
-            assert_eq!(sched.steps_in_flight(), 1);
-            assert!(
-                sched.tick(Duration::ZERO).is_empty(),
-                "gated while in flight"
-            );
-            sched.step_done(s);
-        }
+        // A lone lane drains within one tick, in FIFO order.
+        let jobs: Vec<u8> = sched
+            .tick(Duration::ZERO)
+            .iter()
+            .map(|d| d.as_step().unwrap().job)
+            .collect();
+        assert_eq!(jobs, vec![0, 1, 2], "steps grant in FIFO order");
         assert!(sched.is_idle());
-        assert_eq!(sched.steps_in_flight(), 0);
+        assert_eq!(sched.stream_depth(s), 0);
+        assert!(sched.tick(Duration::ZERO).is_empty());
         assert_eq!(format!("{s}"), "stream#3");
     }
 
     #[test]
     fn streams_and_batches_interleave_round_robin() {
         // One ready tenant with two request-budget batches + two streams
-        // with two steps each: grants alternate lanes, and each stream
-        // gets its second grant only after its first reported done.
+        // with two steps each: grants alternate lanes, so each lane's
+        // second grant comes only after every other lane got its first.
         let mut sched: Scheduler<(char, u8)> = Scheduler::new(policy(1 << 20, 2, 1000));
         let t = TenantKey::new("bulk", 1);
         for i in 0..4 {
@@ -1135,13 +1074,7 @@ mod tests {
         };
         assert_eq!(
             lanes(sched.tick(Duration::ZERO)),
-            vec!["bulk", "stream#1", "stream#2", "bulk"]
-        );
-        sched.step_done(StreamId(1));
-        sched.step_done(StreamId(2));
-        assert_eq!(
-            lanes(sched.tick(Duration::ZERO)),
-            vec!["stream#1", "stream#2"]
+            vec!["bulk", "stream#1", "stream#2", "bulk", "stream#1", "stream#2"]
         );
         assert!(sched.is_idle());
     }

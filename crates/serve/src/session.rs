@@ -19,7 +19,7 @@
 //! bound, like `try_submit`), enqueues the readings, and returns a
 //! pollable [`Ticket`]; the batcher grants the step in its fairness
 //! rotation — interleaved with batch flushes, neither starving the other —
-//! and the tracker arithmetic executes on the sharded worker pool with
+//! and runs the tracker arithmetic to completion on its own thread, with
 //! the deployment's dispatched SIMD kernel, never on the caller's thread.
 //! The result is bitwise-identical to stepping the tracker inline: the
 //! scheduling layer moves *where and when* the arithmetic runs, not what
@@ -88,7 +88,7 @@ impl SessionDoor {
 ///
 /// Open one per sensor-telemetry feed via
 /// [`Server::open_session`](crate::Server::open_session) (scheduled: steps
-/// run through the fair scheduler on the worker pool) or directly with
+/// run through the fair scheduler on the batcher) or directly with
 /// [`TrackerSession::open`] (standalone: steps run inline); feed each
 /// interval's readings to [`TrackerSession::step`] or — for the
 /// nonblocking, event-loop shape — [`TrackerSession::submit_step`].
@@ -307,8 +307,8 @@ impl TrackerSession {
     /// Submits one interval's `M` sensor readings as a scheduled step,
     /// returning a pollable [`Ticket`] — the nonblocking door a
     /// monitor event loop uses. The step joins the session's stream lane
-    /// in the server's fairness rotation and executes on the sharded
-    /// worker pool; steps of one session always execute in submission
+    /// in the server's fairness rotation and the batcher executes it in
+    /// grant order, so steps of one session always execute in submission
     /// order. On a standalone session (no server) the step executes
     /// inline and the returned ticket is already ready.
     ///
@@ -407,7 +407,7 @@ impl TrackerSession {
     /// filtered full-map estimate — the blocking convenience over
     /// [`TrackerSession::submit_step`]. On a server-opened session this
     /// is a scheduled round trip through the fairness rotation and the
-    /// worker pool; standalone it executes inline. Both produce
+    /// batcher; standalone it executes inline. Both produce
     /// bitwise-identical maps.
     ///
     /// # Errors

@@ -6,10 +6,11 @@
 //! itself even when shards run at different speeds). Each worker owns a
 //! [`BatchScratch`] reused across every shard it ever processes, so
 //! steady-state serving does no per-batch coefficient-buffer allocation.
-//! The same pool also executes streaming-session tracker steps (the
-//! batcher hands each one over as an opaque job): a step is one more unit
-//! of work an idle worker pulls, so sessions and batches share the exact
-//! same compute capacity instead of stealing caller threads.
+//! Besides batch shards the pool runs opaque fire-and-forget jobs
+//! (`ShardedExecutor::spawn`) — the durability layer's background
+//! checkpoints — so slow disk work never blocks the batcher. Streaming
+//! session steps do not come here: at a few microseconds each, the
+//! batcher runs them to completion itself.
 //!
 //! Inside each shard, the worker runs the deployment's dispatched SIMD
 //! synthesis kernel ([`eigenmaps_core::kernel`]) on its own scratch, over
@@ -36,9 +37,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use eigenmaps_core::{
-    shard_spans, BatchScratch, CoreError, Deployment, ThermalMap, TrackingReconstructor,
-};
+use eigenmaps_core::{shard_spans, BatchScratch, CoreError, Deployment, ThermalMap};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
@@ -53,8 +52,7 @@ struct ShardTask {
 }
 
 /// What the injector queue carries: a batch shard, or an opaque job (a
-/// streaming-session step dispatched by the batcher) that receives the
-/// executing worker's index.
+/// background checkpoint) that receives the executing worker's index.
 enum Task {
     Shard(ShardTask),
     Job(Box<dyn FnOnce(usize) + Send>),
@@ -187,11 +185,9 @@ impl ShardedExecutor {
     }
 
     /// Hands an opaque job to whichever worker is idle — the
-    /// fire-and-forget lane the batcher uses to dispatch session steps
-    /// without blocking its scheduling loop (so steps of *different*
-    /// sessions run in parallel across the pool; per-session ordering is
-    /// the dispatcher's job). The job receives the executing worker's
-    /// index for shard-utilization accounting.
+    /// fire-and-forget lane the batcher throws durability checkpoints
+    /// onto, so serving never waits on fsync. The job receives the
+    /// executing worker's index.
     ///
     /// # Errors
     ///
@@ -218,24 +214,6 @@ fn rebase(error: CoreError, offset: usize) -> CoreError {
             frame: frame + offset,
         },
         other => other,
-    }
-}
-
-/// Locks a session's shared tracker and runs one step — the single place
-/// the lock-and-step (and poisoned-lock fallback) policy lives, used by
-/// both the batcher's fire-and-forget dispatch and its synchronous
-/// shutdown drain.
-pub(crate) fn step_tracker(
-    tracker: &Mutex<TrackingReconstructor>,
-    readings: &[f64],
-) -> std::result::Result<ThermalMap, CoreError> {
-    match tracker.lock() {
-        Ok(mut tracker) => tracker.step(readings),
-        // A panicked session poisoned its tracker; fail the step, not
-        // the worker.
-        Err(_) => Err(CoreError::InvalidArgument {
-            context: "session tracker poisoned",
-        }),
     }
 }
 
@@ -335,44 +313,49 @@ mod tests {
         assert_eq!(snap.shard_batches.iter().sum::<u64>(), 8 * 4);
     }
 
-    /// Runs one tracker step as a pool job (the batcher's dispatch lane)
-    /// and blocks for its outcome.
-    fn step_on_pool(
+    /// Runs `job` on the `spawn` lane and blocks for its result and the
+    /// index of the worker that ran it.
+    fn on_pool<R: Send + 'static>(
         ex: &ShardedExecutor,
-        tracker: &Arc<Mutex<TrackingReconstructor>>,
-        readings: Vec<f64>,
-    ) -> std::result::Result<ThermalMap, CoreError> {
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> (usize, R) {
         let (reply, result) = mpsc::channel();
-        let (tracker, metrics) = (Arc::clone(tracker), Arc::clone(ex.metrics()));
         ex.spawn(move |worker| {
-            let outcome = step_tracker(&tracker, &readings);
-            metrics.record_shard(worker, 1);
-            let _ = reply.send(outcome);
+            let _ = reply.send((worker, job()));
         })
         .unwrap();
         result.recv().unwrap()
     }
 
+    /// The `spawn` job lane (production runs durability checkpoints on
+    /// it; session steps run on the batcher) executes arbitrary work on a
+    /// pool worker: stateful work handed over job by job — here a tracker
+    /// stepped on the pool — is bitwise what running it inline gives.
     #[test]
     fn step_on_pool_is_bitwise_identical_to_inline_stepping() {
         let (d, frames) = deployment_and_frames(6);
         let ex = ShardedExecutor::new(2);
         let pooled = Arc::new(Mutex::new(d.tracker(0.4).unwrap()));
         let mut inline = d.tracker(0.4).unwrap();
+        let step = |readings: Vec<f64>| {
+            let tracker = Arc::clone(&pooled);
+            on_pool(&ex, move || tracker.lock().unwrap().step(&readings))
+        };
         for (t, readings) in frames.iter().enumerate() {
-            let a = step_on_pool(&ex, &pooled, readings.clone()).unwrap();
+            let (worker, a) = step(readings.clone());
+            assert!(worker < ex.shards(), "job ran on a pool worker");
             let b = inline.step(readings).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "step {t}");
+            assert_eq!(a.unwrap().as_slice(), b.as_slice(), "step {t}");
         }
-        // Steps tick the shard counters like any other unit of work.
+        // Jobs account for themselves: the lane ticks no shard counter.
         let snap = ex.metrics().snapshot();
-        assert_eq!(snap.shard_frames.iter().sum::<u64>(), 6);
-        // Malformed readings fail the step, not the pool.
+        assert_eq!(snap.shard_frames.iter().sum::<u64>(), 0);
+        // A failing job fails alone; the pool keeps serving.
         assert!(matches!(
-            step_on_pool(&ex, &pooled, vec![0.0; 2]),
+            step(vec![0.0; 2]).1,
             Err(CoreError::ShapeMismatch { .. })
         ));
-        assert!(step_on_pool(&ex, &pooled, frames[0].clone()).is_ok());
+        assert!(step(frames[0].clone()).1.is_ok());
     }
 
     #[test]

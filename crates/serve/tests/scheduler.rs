@@ -7,10 +7,10 @@
 //! interleaved submits of skewed traffic), latency-budget expiry at the
 //! exact deadline, batch-size recovery over the pre-PR FIFO coalescing
 //! baseline on the same two-tenant interleaved trace, version pinning
-//! across a mid-queue hot swap, the one-step-per-stream gate (no second
-//! grant while a step is in flight, FIFO order after `step_done`,
-//! stream/batch round-robin fairness, `drain` skipping in-flight lanes),
-//! and the QoS tiers: exact-instant deadline shedding for `Shed` tenants
+//! across a mid-queue hot swap, the stream-lane grant rule (every queued
+//! step granted in the tick that sees it, FIFO per stream across ticks,
+//! streams and batch tenants alternating round-robin, `drain` granting
+//! every queued step in order), and the QoS tiers: exact-instant deadline shedding for `Shed` tenants
 //! next to brownout-degraded serving for `Degrade` tenants, on the same
 //! clock.
 
@@ -300,8 +300,7 @@ fn stream_backlog_never_delays_batch_deadlines() {
     // A session submits one step per 10 µs grid point — a continuous
     // stream backlog — while a lone batch request waits on its 1 ms
     // latency budget. The batch must still flush exactly at its deadline,
-    // and every step must be granted in the same tick it was submitted
-    // (the driver reports each one done before the next arrives).
+    // and every step must be granted in the same tick it was submitted.
     const STEP_US: u64 = 10;
     let delay = Duration::from_millis(1);
     let mut sched: Scheduler<(char, u32)> = Scheduler::new(policy(1 << 20, 1 << 10, delay));
@@ -324,7 +323,6 @@ fn stream_backlog_never_delays_batch_deadlines() {
                 Decision::Step(s) => {
                     assert_eq!(s.job, ('s', steps_granted), "steps in order");
                     steps_granted += 1;
-                    sched.step_done(s.stream);
                 }
                 Decision::Shed(s) => panic!("no deadline policy set, yet shed {s:?}"),
             }
@@ -377,7 +375,6 @@ fn batch_backlog_never_starves_stream_steps() {
             "tick {i}: step granted at position {} behind the backlog",
             step_positions[0]
         );
-        sched.step_done(stream);
     }
 }
 
@@ -552,71 +549,83 @@ fn lanes<T>(decisions: &[Decision<T>]) -> Vec<String> {
         .collect()
 }
 
+/// Grant order of `decisions` as `(lane, job)` pairs; a batch or shed
+/// shows its first job.
+fn grants<T: Copy>(decisions: &[Decision<T>]) -> Vec<(String, T)> {
+    lanes(decisions)
+        .into_iter()
+        .zip(decisions.iter().map(|d| match d {
+            Decision::Batch(b) => b.jobs[0],
+            Decision::Step(s) => s.job,
+            Decision::Shed(s) => s.jobs[0],
+        }))
+        .collect()
+}
+
+/// `(lane, job)` pairs from string-literal lane labels.
+fn expect<T: Copy>(pairs: &[(&str, T)]) -> Vec<(String, T)> {
+    pairs
+        .iter()
+        .map(|&(lane, job)| (lane.to_string(), job))
+        .collect()
+}
+
 #[test]
-fn no_second_step_is_granted_while_one_is_in_flight() {
+fn every_queued_step_of_a_stream_is_granted_in_the_same_tick() {
+    // Nothing gates a lane: the driver executes a tick's decisions in
+    // order, so a stream's second queued step is granted right behind
+    // its first — the tick that sees a step is the tick that grants it.
     let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
     let stream = StreamId(4);
     sched.submit_stream(stream, 0);
     sched.submit_stream(stream, 1);
-    let d = sched.tick(us(0));
-    assert_eq!(d.len(), 1, "one grant per stream");
-    assert_eq!(d[0].as_step().unwrap().job, 0);
-    assert_eq!(sched.steps_in_flight(), 1);
-    assert_eq!(sched.stream_depth(stream), 1);
-    // However long the step runs and whatever else arrives, the lane
-    // stays gated: later ticks grant nothing of this stream.
-    sched.submit_stream(stream, 2);
-    for t in [1u64, 10, 1_000, 1_000_000] {
-        assert!(sched.tick(us(t)).is_empty(), "tick at {t} µs");
-    }
     assert_eq!(sched.stream_depth(stream), 2);
-    assert!(!sched.is_idle(), "queued steps are pending");
-    assert_eq!(sched.next_deadline(), None, "a gated step is no deadline");
-    // A stray step_done for an unknown stream changes nothing.
-    sched.step_done(StreamId(99));
-    assert!(sched.tick(us(2_000_000)).is_empty());
+    assert_eq!(sched.next_deadline(), None, "a queued step is no deadline");
+    assert_eq!(
+        grants(&sched.tick(us(0))),
+        expect(&[("stream#4", 0), ("stream#4", 1)])
+    );
+    assert_eq!(sched.stream_depth(stream), 0);
+    assert!(sched.is_idle(), "an emptied lane leaves the rotation");
+    // A later step is granted by the next tick, whatever the clock says.
+    sched.submit_stream(stream, 2);
+    assert_eq!(grants(&sched.tick(us(1))), expect(&[("stream#4", 2)]));
+    assert!(sched.tick(us(1_000_000)).is_empty());
+    assert_eq!(sched.pending_steps(), 0);
 }
 
 #[test]
-fn steps_resume_in_fifo_order_after_step_done() {
+fn steps_stay_fifo_per_stream_across_ticks() {
     let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
     let (a, b) = (StreamId(1), StreamId(2));
-    for i in 0..3 {
-        sched.submit_stream(a, 10 + i);
-        sched.submit_stream(b, 20 + i);
-    }
-    let mut granted = Vec::new();
-    let mut now = 0u64;
-    while !sched.is_idle() {
-        let decisions = sched.tick(us(now));
-        assert!(!decisions.is_empty(), "an idle stream is always ready");
-        for d in decisions {
-            let step = d.as_step().unwrap();
-            granted.push(step.job);
-            // Completion order differs from grant order: b finishes
-            // before a. Per-stream order must not care.
-            sched.step_done(step.stream);
-        }
-        now += 10;
-    }
-    let of = |base: u32| -> Vec<u32> {
-        granted
-            .iter()
-            .copied()
-            .filter(|j| (base..base + 10).contains(j))
-            .collect()
-    };
-    assert_eq!(of(10), vec![10, 11, 12]);
-    assert_eq!(of(20), vec![20, 21, 22]);
-    assert_eq!(sched.steps_in_flight(), 0);
+    sched.submit_stream(a, 10);
+    sched.submit_stream(a, 11);
+    sched.submit_stream(b, 20);
+    // Tick 1: the lanes alternate; b empties after one grant, so a's
+    // second step follows directly.
+    assert_eq!(
+        grants(&sched.tick(us(0))),
+        expect(&[("stream#1", 10), ("stream#2", 20), ("stream#1", 11)])
+    );
+    assert!(sched.is_idle());
+    // Tick 2: b re-enters the rotation first this time. Each stream's
+    // steps continue where its last tick left off.
+    sched.submit_stream(b, 21);
+    sched.submit_stream(a, 12);
+    sched.submit_stream(b, 22);
+    assert_eq!(
+        grants(&sched.tick(us(10))),
+        expect(&[("stream#2", 21), ("stream#1", 12), ("stream#2", 22)])
+    );
+    assert!(sched.is_idle());
 }
 
 #[test]
-fn gated_streams_and_ready_batches_share_the_rotation_fairly() {
+fn backlogged_streams_and_ready_batches_share_the_rotation_fairly() {
     // A deep batch backlog (request budget 1) next to two streams with a
-    // queued backlog each. Every tick: each idle stream is granted once,
-    // in rotation order with the batch grants, and the batch tenant is
-    // never shut out by the streams (nor they by it).
+    // queued backlog each: one tick alternates all three lanes
+    // round-robin, so no lane's next grant comes before every other
+    // ready lane got one.
     let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 1, Duration::from_secs(1)));
     let bulk = TenantKey::new("bulk", 1);
     for i in 0..3 {
@@ -626,72 +635,61 @@ fn gated_streams_and_ready_batches_share_the_rotation_fairly() {
         sched.submit_stream(StreamId(1), 100 + i);
         sched.submit_stream(StreamId(2), 200 + i);
     }
-    // Tick 1: bulk, both streams, then bulk again (the streams are now
-    // gated, so the rotation's remaining grants go to the ready tenant).
-    let first = sched.tick(us(0));
     assert_eq!(
-        lanes(&first),
-        vec!["bulk", "stream#1", "stream#2", "bulk", "bulk"]
+        grants(&sched.tick(us(0))),
+        expect(&[
+            ("bulk", 0),
+            ("stream#1", 100),
+            ("stream#2", 200),
+            ("bulk", 1),
+            ("stream#1", 101),
+            ("stream#2", 201),
+            ("bulk", 2),
+            ("stream#1", 102),
+            ("stream#2", 202),
+        ])
     );
-    assert_eq!(sched.tenant_depth(&bulk), 0);
-    // Tick 2 with more bulk work and only stream#2 done: the returning
-    // tenant queues behind the streams, so stream#2 goes first; stream#1
-    // stays gated.
-    sched.submit(us(10), bulk.clone(), 1, 3);
-    sched.step_done(StreamId(2));
-    assert_eq!(lanes(&sched.tick(us(10))), vec!["stream#2", "bulk"]);
-    // Tick 3: both done — each stream gets exactly one more grant.
-    sched.step_done(StreamId(1));
-    sched.step_done(StreamId(2));
-    assert_eq!(lanes(&sched.tick(us(20))), vec!["stream#1", "stream#2"]);
-    sched.step_done(StreamId(1));
-    sched.step_done(StreamId(2));
-    assert_eq!(lanes(&sched.tick(us(30))), vec!["stream#1"]);
-    sched.step_done(StreamId(1));
     assert!(sched.is_idle());
-    assert_eq!(sched.steps_in_flight(), 0);
+    // Lanes return to the rotation in arrival order: a step submitted
+    // before new bulk work is granted first, then the two alternate.
+    sched.submit_stream(StreamId(2), 203);
+    sched.submit_stream(StreamId(2), 204);
+    sched.submit(us(10), bulk.clone(), 1, 3);
+    sched.submit(us(10), bulk.clone(), 1, 4);
+    assert_eq!(
+        grants(&sched.tick(us(10))),
+        expect(&[
+            ("stream#2", 203),
+            ("bulk", 3),
+            ("stream#2", 204),
+            ("bulk", 4),
+        ])
+    );
+    assert!(sched.is_idle());
 }
 
 #[test]
-fn drain_skips_streams_with_a_step_in_flight() {
-    use std::sync::Arc;
-
-    // Payloads are Arc handles so dropped steps are observable: a drop
-    // releases the strong count the test holds.
-    let mut sched: Scheduler<Arc<u32>> =
-        Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
-    let busy = StreamId(1);
-    let idle = StreamId(2);
-    let steps: Vec<Arc<u32>> = (0..5).map(Arc::new).collect();
-    sched.submit_stream(busy, Arc::clone(&steps[0]));
-    sched.submit_stream(busy, Arc::clone(&steps[1]));
-    sched.submit_stream(busy, Arc::clone(&steps[2]));
-    let granted = sched.tick(us(0));
-    assert_eq!(granted.len(), 1, "busy's first step is now in flight");
-    sched.submit_stream(idle, Arc::clone(&steps[3]));
-    sched.submit_stream(idle, Arc::clone(&steps[4]));
-    sched.submit(us(0), TenantKey::new("t", 1), 1, Arc::new(9));
-
-    let drained = sched.drain();
-    // The idle stream's whole queue is granted, in order, for the
-    // driver to run inline; the busy stream's queued steps are dropped.
-    let jobs: Vec<u32> = drained
-        .iter()
-        .filter_map(|d| d.as_step())
-        .map(|s| {
-            assert_eq!(s.stream, idle, "nothing of the busy stream drains");
-            *s.job
-        })
-        .collect();
-    assert_eq!(jobs, vec![3, 4]);
-    assert_eq!(drained.iter().filter(|d| d.as_batch().is_some()).count(), 1);
-    assert_eq!(Arc::strong_count(&steps[1]), 1, "queued step dropped");
-    assert_eq!(Arc::strong_count(&steps[2]), 1, "queued step dropped");
+fn drain_grants_every_queued_step_in_order() {
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(1 << 20, 64, Duration::from_millis(1)));
+    for i in 0..3 {
+        sched.submit_stream(StreamId(1), i);
+    }
+    sched.submit_stream(StreamId(2), 3);
+    sched.submit_stream(StreamId(2), 4);
+    sched.submit(us(0), TenantKey::new("t", 1), 1, 9);
+    // Shutdown: every lane drains round-robin, each stream's steps in
+    // FIFO order — nothing queued is dropped.
+    assert_eq!(
+        grants(&sched.drain()),
+        expect(&[
+            ("stream#1", 0),
+            ("stream#2", 3),
+            ("t", 9),
+            ("stream#1", 1),
+            ("stream#2", 4),
+            ("stream#1", 2),
+        ])
+    );
     assert!(sched.is_idle());
     assert_eq!(sched.pending_steps(), 0);
-    // The in-flight step still reports back harmlessly.
-    assert_eq!(sched.steps_in_flight(), 1);
-    sched.step_done(busy);
-    assert_eq!(sched.steps_in_flight(), 0);
-    drop(granted);
 }

@@ -307,57 +307,100 @@ fn pipelined_submit_step_keeps_order_and_state() {
     assert_eq!(session.pending_steps(), 0);
 }
 
-/// Step execution must not serialize the whole serving plane: a step is
-/// dispatched fire-and-forget to a worker, so while one session's step is
-/// still executing, the batcher keeps flushing batches and granting other
-/// sessions' steps on the remaining workers. The test parks the worker
-/// completing session A's step (inside the ticket's readiness callback)
-/// and proves batch traffic and session B both complete before A is
-/// released — a regression back to blocking the batcher on step
-/// completion deadlocks here instead of passing.
+/// A scheduled step runs to completion on the batcher thread, so its
+/// ticket's readiness callback fires there, like a batch ticket's. The
+/// batcher is first parked inside a batch ticket's callback: the step
+/// submitted meanwhile is still queued when its own callback is
+/// registered, so the callback cannot run inline on the test thread.
 #[test]
-fn step_execution_does_not_serialize_across_sessions() {
+fn step_tickets_complete_on_the_batcher_thread() {
     use std::sync::mpsc;
 
-    let (deployment, frames) = fixture(4);
+    let thread_name = || std::thread::current().name().map(str::to_owned);
+    let (deployment, frames) = fixture(3);
+    let registry = Arc::new(DeploymentRegistry::new());
+    registry.publish("t1", (*deployment).clone());
+    // Two requests fill a batch; nothing flushes on the 10 s delay.
+    let policy = BatchPolicy {
+        max_batch_requests: 2,
+        max_delay: Duration::from_secs(10),
+        ..BatchPolicy::default()
+    };
+    let server = Server::with_policy(Arc::clone(&registry), 2, policy);
+    let session = server.open_session("t1", 0.5).unwrap();
+
+    let first = server
+        .submit(ServeRequest::new("t1", vec![frames[0].clone()]))
+        .unwrap();
+    let (registered_tx, registered_rx) = mpsc::channel::<()>();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let registrar = std::thread::spawn(move || {
+        first.on_ready(move || {
+            parked_tx.send(thread_name()).unwrap();
+            release_rx.recv().expect("release the parked batcher");
+        });
+        registered_tx.send(()).unwrap();
+        first
+    });
+    registered_rx.recv().unwrap();
+    // The second request fills the batch; its flush completes `first`
+    // on the batcher, which parks in the callback.
+    let second = server
+        .submit(ServeRequest::new("t1", vec![frames[1].clone()]))
+        .unwrap();
+    assert_eq!(
+        parked_rx.recv().unwrap().as_deref(),
+        Some("eigenmaps-batcher")
+    );
+
+    let step = session.submit_step(&frames[2]).unwrap();
+    let (completed_tx, completed_rx) = mpsc::channel();
+    step.on_ready(move || completed_tx.send(thread_name()).unwrap());
+    release_tx.send(()).unwrap();
+    assert_eq!(
+        completed_rx.recv().unwrap().as_deref(),
+        Some("eigenmaps-batcher")
+    );
+    let expected = deployment.tracker(0.5).unwrap().step(&frames[2]).unwrap();
+    assert_eq!(step.wait().unwrap().as_slice(), expected.as_slice());
+    registrar.join().unwrap().wait().unwrap();
+    second.wait().unwrap();
+}
+
+/// Steps pipelined right before the server drops are served, not
+/// abandoned: every ticket resolves, and each session's maps equal, in
+/// order, a standalone tracker's fed the same readings.
+#[test]
+fn pipelined_steps_complete_bitwise_when_the_server_drops() {
+    let (deployment, frames) = fixture(16);
     let registry = Arc::new(DeploymentRegistry::new());
     registry.publish("t1", (*deployment).clone());
     let server = Server::new(Arc::clone(&registry), 2);
-    let sa = server.open_session("t1", 0.5).unwrap();
-    let sb = server.open_session("t1", 0.5).unwrap();
-
-    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let (ack_tx, ack_rx) = mpsc::channel::<()>();
-    let a_ticket = sa.submit_step(&frames[0]).unwrap();
-    // Register from a helper thread: in the (vanishingly rare) case the
-    // step already completed, the callback runs inline on the helper and
-    // parks it, never the test thread.
-    let registrar = {
-        let order = Arc::clone(&order);
-        std::thread::spawn(move || {
-            a_ticket.on_ready(move || {
-                release_rx.recv().expect("release the parked worker");
-                order.lock().unwrap().push('a');
-                ack_tx.send(()).expect("acknowledge the release");
-            });
-            a_ticket
-        })
-    };
-
-    // With A's completion parked on its worker, the serving plane stays
-    // live: batch traffic flushes and session B's steps execute.
-    let maps = server.serve("t1", vec![frames[1].clone()]).unwrap();
-    assert_eq!(maps.len(), 1);
-    sb.submit_step(&frames[2]).unwrap().wait().unwrap();
-    order.lock().unwrap().push('b');
-
-    release_tx.send(()).unwrap();
-    ack_rx.recv().unwrap(); // the released callback has pushed 'a'
-    let a_ticket = registrar.join().unwrap();
-    a_ticket.wait().unwrap();
-    assert_eq!(*order.lock().unwrap(), vec!['b', 'a']);
-    assert_eq!(sa.frames() + sb.frames(), 2);
+    let gains = [0.5, 0.8];
+    let sessions: Vec<TrackerSession> = gains
+        .iter()
+        .map(|&gain| server.open_session("t1", gain).unwrap())
+        .collect();
+    // Session `s` streams frames[8s..8s+8], the two interleaved.
+    let mut tickets = vec![Vec::new(), Vec::new()];
+    for t in 0..8 {
+        for (s, session) in sessions.iter().enumerate() {
+            tickets[s].push(session.submit_step(&frames[8 * s + t]).unwrap());
+        }
+    }
+    drop(server);
+    for (s, (tickets, &gain)) in tickets.into_iter().zip(&gains).enumerate() {
+        let mut reference = deployment.tracker(gain).unwrap();
+        for (t, ticket) in tickets.into_iter().enumerate() {
+            let expected = reference.step(&frames[8 * s + t]).unwrap();
+            let got = ticket.wait().unwrap();
+            assert_eq!(got.as_slice(), expected.as_slice(), "session {s}, step {t}");
+        }
+    }
+    for session in &sessions {
+        assert_eq!(session.frames(), 8);
+    }
 }
 
 /// Session admission control: a session saturates at the tenant's

@@ -9,14 +9,16 @@
 //!   basis + greedy sensor placement + prefactored solver);
 //! * run time — replay a *different* workload, corrupt the sensor readings
 //!   with calibration noise, feed each interval through a temporally
-//!   filtered `TrackerSession` scheduled on a serving `Server` (the step
-//!   executes on the sharded worker pool, fairly interleaved with any
-//!   batch traffic), and raise DTM events when the estimated hotspot
-//!   crosses a threshold;
+//!   filtered `TrackerSession` scheduled on a serving `Server` (the
+//!   server's batcher runs each step to completion, fairly interleaved
+//!   with any batch traffic), and raise DTM events when the estimated
+//!   hotspot crosses a threshold;
 //! * restart — halfway through, the monitor "crashes": the session is
 //!   snapshotted to `EMSESS1` bytes, dropped, and resumed — continuing
-//!   the stream with its temporal-filter state intact (bitwise-identical
-//!   to a monitor that never restarted).
+//!   the stream with its temporal-filter state intact. Beside it, an
+//!   uninterrupted tracker steps the same readings in process, and the
+//!   example asserts every interval's map bitwise-identical to it,
+//!   across the restart.
 //!
 //! ```text
 //! cargo run --release --example thermal_monitor
@@ -54,13 +56,15 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
 
     // ---- serving stack ---------------------------------------------------
     // The monitor host publishes the artifact and serves the stream as a
-    // scheduled workload — the session's steps run on the shard pool.
+    // scheduled workload — the server's batcher runs the session's steps.
     let registry = Arc::new(DeploymentRegistry::new());
     registry.publish_bytes("die-0", &deployment.to_bytes())?;
     let server = Server::new(Arc::clone(&registry), 2);
     // Gain < 1: temporal filtering averages the ±0.3 °C sensor noise down
     // across intervals while tracking the slow thermal transients.
     let mut session = server.open_session("die-0", 0.7)?;
+    // The reference: a monitor that never restarts, stepped in process.
+    let mut uninterrupted = deployment.tracker(0.7)?;
 
     // ---- run time ---------------------------------------------------------
     // A migration-heavy workload the training schedule saw only briefly.
@@ -109,6 +113,11 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         // The DTM loop sees only noisy sensors (±0.3 °C calibration).
         let readings = noise.apply_sigma(&deployment.sensors().sample(&truth), 0.3);
         let estimate = session.step(&readings)?;
+        assert_eq!(
+            estimate.as_slice(),
+            uninterrupted.step(&readings)?.as_slice(),
+            "interval {step}: the scheduled stream diverged from the uninterrupted one"
+        );
         worst_estimate_err = worst_estimate_err.max(truth.max_sq_err(&estimate).sqrt());
 
         let (er, ec, ev) = estimate.hotspot();
@@ -132,7 +141,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "[runtime] {} scheduled session steps (p99 {:?}) across the restart; \
-         {} frames on the resumed stream",
+         {} frames on the resumed stream, every map bitwise-identical to the \
+         uninterrupted tracker's",
         metrics.session_steps,
         metrics.session_latency_p99,
         session.frames()

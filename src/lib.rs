@@ -23,8 +23,9 @@
 //! * [`serve`] — the serving runtime on top of `Deployment`: a versioned
 //!   [`serve::DeploymentRegistry`] with hot swap, the sharded
 //!   multi-threaded [`serve::ShardedExecutor`], the micro-batching
-//!   [`serve::Server`] front end, streaming [`serve::TrackerSession`]s and
-//!   serving metrics.
+//!   [`serve::Server`] front end, streaming [`serve::TrackerSession`]s
+//!   (each step run to completion on the server's batcher thread, not on
+//!   the worker pool) and serving metrics.
 //! * [`net`] — the network edge: the versioned `EMWIRE2` binary wire
 //!   protocol, the nonblocking TCP front door [`net::NetServer`] (plain
 //!   `std::net`, no async runtime) bridging sockets onto
