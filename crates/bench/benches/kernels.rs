@@ -1,10 +1,12 @@
 //! Criterion benchmarks for the numerical kernels underlying EigenMaps:
 //! the dense factorizations, the DCT basis build, the sparse CG solve, the
-//! thermal stepper's banded Cholesky and the PCA fit. These are the knobs
-//! that decide whether the method is usable inside a DTM loop, so we track
-//! them explicitly.
+//! thermal stepper's banded Cholesky, the PCA fit and the wire checksum.
+//! These are the knobs that decide whether the method is usable inside a
+//! DTM loop, or whether a batch reply is cheap to move, so we track them
+//! explicitly.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use eigenmaps_core::codec::crc32c;
 use eigenmaps_floorplan::Floorplan;
 use eigenmaps_linalg::prelude::*;
 use eigenmaps_thermal::{GridSpec, ThermalModel};
@@ -151,6 +153,23 @@ fn bench_transient_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `EMWIRE2` trailer checksum, dispatched as the wire runs it, on a
+/// 256-frame batch reply's 1.72 MB (three interleaved chains on SSE4.2)
+/// and a step reply's 6.7 KB (one chain). Report-only.
+fn bench_crc32c(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32c");
+    for (label, len) in [
+        ("batch_reply_1.72MB", 1_724_457),
+        ("step_reply_6.7KB", 6_749),
+    ] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + i / 7) as u8).collect();
+        group.bench_function(label, |bch| {
+            bch.iter(|| black_box(crc32c(black_box(&bytes))))
+        });
+    }
+    group.finish();
+}
+
 fn bench_pca(c: &mut Criterion) {
     let mut group = c.benchmark_group("pca_fit");
     group.sample_size(10);
@@ -181,6 +200,7 @@ criterion_group!(
     bench_dct_basis,
     bench_cg,
     bench_transient_step,
+    bench_crc32c,
     bench_pca
 );
 criterion_main!(kernels);

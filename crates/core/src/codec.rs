@@ -33,10 +33,15 @@
 //! | `EMSESS1`, `EMSTORE1` trailers; artifact digests of `EMDEPLOY` bytes | [`fnv1a64`] | on disk: files written by earlier builds must keep loading, so their bytes never change |
 //! | `EMWIRE2` trailer | [`crc32c`] | on the wire: every reply pays it twice (seal and open), so it must run at memory speed; frames are ephemeral, so switching digests only needed a version bump |
 //!
-//! CRC-32C runs on the SSE4.2 `crc32` instruction (~10× faster than
-//! byte-serial FNV-1a over a 1.7 MB batch reply) or a portable
+//! CRC-32C runs on the SSE4.2 `crc32` instruction or a portable
 //! slice-by-8 table, and detects every error of 1–3 bits at any wire
-//! frame size. `EIGMAPS1` is a regenerable cache and carries no digest.
+//! frame size. On the instruction, an input of at least 12 KiB (a batch
+//! reply) runs as three interleaved chains over three equal lanes, joined
+//! with the CRC combine `crc(A‖B) = x^(8·|B|) · crc(A) ⊕ crc(B) mod P`;
+//! a shorter input (every request and step reply) runs as one chain.
+//! Every path gives the same bits. Over a 1.7 MB batch reply that is
+//! ~0.09 ms, against ~0.25 ms for one chain and ~2.9 ms for byte-serial
+//! FNV-1a. `EIGMAPS1` is a regenerable cache and carries no digest.
 //!
 //! # Wire conventions
 //!
@@ -453,7 +458,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// detected.
 ///
 /// Runs on the SSE4.2 `crc32` instruction when the CPU has it, and on a
-/// portable slice-by-8 table otherwise; the two are bitwise equal.
+/// portable slice-by-8 table otherwise. On the instruction, an input of
+/// at least 12 KiB (a batch reply, not a step reply or a request) is
+/// split into three equal lanes whose CRCs run as three independent
+/// chains in one loop and are then joined with the CRC combine; a shorter
+/// input runs as one chain. Every path is bitwise equal.
 pub fn crc32c(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
@@ -501,6 +510,67 @@ const fn crc32c_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// `a · b mod P` over GF(2), both operands in the reflected bit order the
+/// CRC registers use (bit 31 is `x⁰`).
+const fn crc32c_mulmod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 == 1 {
+            (b >> 1) ^ CRC32C_POLY
+        } else {
+            b >> 1
+        };
+        m >>= 1;
+    }
+    product
+}
+
+/// `CRC32C_X2N[k]` is `x^(2^k) mod P`, reflected. 67 entries shift past
+/// any `u64` count of bytes, since `8 · len < 2^67`.
+static CRC32C_X2N: [u32; 67] = crc32c_x2n_table();
+
+const fn crc32c_x2n_table() -> [u32; 67] {
+    let mut table = [0u32; 67];
+    // x¹ in the reflected order.
+    let mut p = 1u32 << 30;
+    let mut k = 0;
+    while k < 67 {
+        table[k] = p;
+        p = crc32c_mulmod(p, p);
+        k += 1;
+    }
+    table
+}
+
+/// `x^(8 · len) mod P`: the operator that shifts a CRC register past
+/// `len` bytes of zeros.
+fn crc32c_shift_op(len: usize) -> u32 {
+    // 8 · len = len · 2³, so start at the x^(2^3) entry.
+    let mut op = 1u32 << 31;
+    let mut n = len as u64;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 == 1 {
+            op = crc32c_mulmod(CRC32C_X2N[k], op);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    op
+}
+
+/// The CRC-32C of `A‖B` from `crc_a = crc32c(A)`, `crc_b = crc32c(B)` and
+/// `len_b = |B|`: `mulmod(x^(8·|B|), crc_a) ⊕ crc_b` (zlib's
+/// `crc32_combine`, on the Castagnoli polynomial).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    crc32c_mulmod(crc32c_shift_op(len_b), crc_a) ^ crc_b
+}
+
 fn crc32c_portable(bytes: &[u8]) -> u32 {
     let t = &CRC32C_TABLES;
     let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
@@ -524,11 +594,49 @@ fn crc32c_portable(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Inputs at least this long run as three interleaved chains on the
+/// SSE4.2 path: `crc32` has a 3-cycle latency but issues once a cycle,
+/// so one chain leaves two thirds of the unit idle. Below it, one chain
+/// (and no combine) is cheaper.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const CRC32C_THREE_STREAM_MIN: usize = 3 * 4096;
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn crc32c_sse42(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    if bytes.len() < CRC32C_THREE_STREAM_MIN {
+        return !crc32c_sse42_chain(!0, bytes);
+    }
+    // Three equal lanes of whole words, then a tail of under 24 bytes.
+    let lane = bytes.len() / 3 / 8 * 8;
+    let (a, rest) = bytes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, tail) = rest.split_at(lane);
+    let (mut crc_a, mut crc_b, mut crc_c) = (u64::from(!0u32), u64::from(!0u32), u64::from(!0u32));
+    for ((wa, wb), wc) in a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+    {
+        crc_a = _mm_crc32_u64(crc_a, word(wa));
+        crc_b = _mm_crc32_u64(crc_b, word(wb));
+        crc_c = _mm_crc32_u64(crc_c, word(wc));
+    }
+    // Each lane's finished CRC (the 64-bit instruction zero-extends its
+    // 32-bit result), joined as crc(A‖B‖C), then the tail continues it.
+    let [crc_a, crc_b, crc_c] = [crc_a, crc_b, crc_c].map(|crc| !(crc as u32));
+    let joined = crc32c_combine(crc32c_combine(crc_a, crc_b, lane), crc_c, lane);
+    !crc32c_sse42_chain(!joined, tail)
+}
+
+/// Runs the CRC register `crc` (not inverted) over `bytes` as one chain.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42_chain(crc: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut crc = u64::from(!0u32);
+    let mut crc = u64::from(crc);
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
         crc = _mm_crc32_u64(crc, u64::from_le_bytes(word.try_into().expect("8 bytes")));
@@ -538,7 +646,7 @@ fn crc32c_sse42(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = _mm_crc32_u8(crc, b);
     }
-    !crc
+    crc
 }
 
 /// Magic + version of the streaming-session snapshot format.
@@ -1168,19 +1276,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32c_backends_agree_bitwise() {
-        // Deterministic pseudo-random bytes (an LCG), 1.72 MB: the size of
-        // a 256-frame batch reply on the benchmark's 28 × 30 grid.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let data: Vec<u8> = (0..1_720_000)
+    /// Deterministic pseudo-random bytes from an LCG seeded with `seed`.
+    fn lcg_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
             .map(|_| {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 (state >> 56) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn crc32c_backends_agree_bitwise() {
+        // 1.72 MB: the size of a 256-frame batch reply on the benchmark's
+        // 28 × 30 grid.
+        let data = lcg_bytes(0x2545_F491_4F6C_DD1D, 1_720_000);
         let backends = crc32c_backends();
         let check = |bytes: &[u8], what: &str| {
             let want = crc32c_portable(bytes);
@@ -1194,6 +1307,42 @@ mod tests {
         for offset in 0..8 {
             check(&data[offset..offset + 517], &format!("offset {offset}"));
         }
+        // Around the three-stream threshold: every residue mod 24 (three
+        // lanes of 8-byte words) on both sides of it, so each tail length
+        // and the switch between one chain and three are hit.
+        for len in CRC32C_THREE_STREAM_MIN - 24..=CRC32C_THREE_STREAM_MIN + 48 {
+            check(&data[..len], &format!("length {len}"));
+        }
+        for offset in 0..8 {
+            let len = CRC32C_THREE_STREAM_MIN + 4099;
+            check(
+                &data[offset..offset + len],
+                &format!("offset {offset}, length {len}"),
+            );
+        }
         check(&data, "1.72 MB buffer");
+    }
+
+    #[test]
+    fn crc32c_combine_joins_any_split() {
+        let data = lcg_bytes(0x9E37_79B9_7F4A_7C15, 40_000);
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut cases = vec![(0, 0), (0, 1), (1, 0), (0, 40_000), (40_000, 0)];
+        for _ in 0..64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % 40_001) as usize;
+            let split = ((state >> 32) as usize) % (len + 1);
+            cases.push((split, len - split));
+        }
+        for (len_a, len_b) in cases {
+            let (a, b) = data[..len_a + len_b].split_at(len_a);
+            assert_eq!(
+                crc32c_combine(crc32c_portable(a), crc32c_portable(b), len_b),
+                crc32c_portable(&data[..len_a + len_b]),
+                "|A| = {len_a}, |B| = {len_b}"
+            );
+        }
     }
 }

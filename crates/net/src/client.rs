@@ -20,6 +20,9 @@ use crate::protocol::{
     MAX_FRAME_BYTES,
 };
 
+/// Bytes a [`Client`] asks the socket for per `read(2)`.
+const READ_CHUNK_BYTES: usize = 256 * 1024;
+
 /// What a [`Client`] call can fail with.
 #[derive(Debug)]
 pub enum NetError {
@@ -129,6 +132,9 @@ pub struct BatchReply {
 pub struct Client {
     stream: TcpStream,
     frames: FrameBuffer,
+    /// Reused read buffer, big enough that a 1.7 MB batch reply takes
+    /// a handful of `read(2)` calls, not a hundred.
+    chunk: Vec<u8>,
     next_id: u64,
 }
 
@@ -159,6 +165,7 @@ impl Client {
         Ok(Client {
             stream,
             frames: FrameBuffer::new(max_frame),
+            chunk: vec![0; READ_CHUNK_BYTES],
             next_id: 1,
         })
     }
@@ -175,7 +182,6 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         self.stream.write_all(&request.encode(id)?)?;
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             while let Some(outcome) = self.frames.next_record() {
                 let record = outcome?;
@@ -189,9 +195,9 @@ impl Client {
                 // A stale reply from an earlier abandoned exchange on
                 // this stream — skip it and keep reading.
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => self.frames.extend(&chunk[..n]),
+                Ok(n) => self.frames.extend(&self.chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }

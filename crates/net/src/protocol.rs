@@ -1299,6 +1299,17 @@ impl Response {
 /// with [`FrameBuffer::extend`], pop complete records (or validation
 /// events) with [`FrameBuffer::next_record`].
 ///
+/// A record already whole when its length prefix is read (a request or
+/// a step reply) is copied out of the buffer into its own `Vec`. A record
+/// still incomplete then (a batch reply arriving over many reads) moves
+/// what has arrived into a record `Vec` sized from the prefix; later
+/// reads append straight to it and `next_record` hands that `Vec` out
+/// without a second copy. The
+/// record is reserved with `try_reserve_exact`, and grows as bytes arrive
+/// if the reservation fails, so a hostile prefix can neither abort the
+/// process nor make a connection hold more than the bytes it has sent
+/// (at most the frame bound): pages are only touched as bytes arrive.
+///
 /// Oversized frames are never buffered: the moment a length prefix
 /// exceeds the bound, the buffer reports [`WireError::Oversized`] once
 /// and silently discards exactly that many payload bytes as they arrive,
@@ -1310,6 +1321,10 @@ pub struct FrameBuffer {
     /// advances it and the next `extend` compacts, so draining a buffer
     /// of many small records costs linear, not quadratic, time.
     start: usize,
+    /// A record whose prefix was read while its body was incomplete, and
+    /// its full length. Until it fills, `buf` is empty; bytes past its
+    /// end queue in `buf` behind it.
+    partial: Option<(Vec<u8>, usize)>,
     /// Bytes of an oversized frame still to discard.
     discard: u64,
     max_frame: usize,
@@ -1321,33 +1336,69 @@ impl FrameBuffer {
         FrameBuffer {
             buf: Vec::new(),
             start: 0,
+            partial: None,
             discard: 0,
             max_frame,
         }
     }
 
     /// Appends freshly read bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
+    pub fn extend(&mut self, mut bytes: &[u8]) {
         self.buf.drain(..self.start);
         self.start = 0;
         if self.discard > 0 {
             let skip = (self.discard).min(bytes.len() as u64) as usize;
             self.discard -= skip as u64;
-            self.buf.extend_from_slice(&bytes[skip..]);
-        } else {
-            self.buf.extend_from_slice(bytes);
+            bytes = &bytes[skip..];
         }
+        if let Some((record, len)) = &mut self.partial {
+            let take = (*len - record.len()).min(bytes.len());
+            record.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+        }
+        self.buf.extend_from_slice(bytes);
+        self.hold_incomplete_head();
     }
 
-    /// Bytes currently buffered (excluding discarded oversized payload).
+    /// Moves an incomplete frame at the head of `buf` (its prefix read
+    /// and within the bound) into `partial`, so the rest of its body is
+    /// written straight into the record.
+    fn hold_incomplete_head(&mut self) {
+        let pending = &self.buf[self.start..];
+        if self.partial.is_some() || pending.len() < 4 {
+            return;
+        }
+        let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
+        if len > self.max_frame || pending.len() - 4 >= len {
+            return;
+        }
+        let mut record = Vec::new();
+        // On failure the record grows as bytes arrive instead.
+        let _ = record.try_reserve_exact(len);
+        record.extend_from_slice(&pending[4..]);
+        self.partial = Some((record, len));
+        self.buf.clear();
+        self.start = 0;
+    }
+
+    /// Bytes currently buffered, including the arrived part of an
+    /// incomplete record (excluding discarded oversized payload).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        let partial = self.partial.as_ref().map_or(0, |(record, _)| record.len());
+        self.buf.len() - self.start + partial
     }
 
     /// Pops the next complete record, `Some(Err(_))` for an oversized
     /// length prefix (reported once; the payload is discarded as it
     /// arrives), or `None` while the next frame is incomplete.
     pub fn next_record(&mut self) -> Option<Result<Vec<u8>, WireError>> {
+        self.hold_incomplete_head();
+        if let Some((record, len)) = &self.partial {
+            if record.len() < *len {
+                return None;
+            }
+            return self.partial.take().map(|(record, _)| Ok(record));
+        }
         let pending = &self.buf[self.start..];
         if pending.len() < 4 {
             return None;
@@ -1364,9 +1415,8 @@ impl FrameBuffer {
                 max: self.max_frame,
             }));
         }
-        if pending.len() - 4 < len {
-            return None;
-        }
+        // An incomplete frame was moved into `partial` above, so this one
+        // is whole.
         let record = pending[4..4 + len].to_vec();
         self.start += 4 + len;
         Some(Ok(record))
@@ -1614,6 +1664,118 @@ mod tests {
         }
         fb.extend(&frame[frame.len() - 1..]);
         assert!(fb.next_record().unwrap().is_ok());
+    }
+
+    /// What a [`FrameBuffer`] hands out, in order.
+    type Event = Result<Vec<u8>, WireError>;
+
+    /// Feeds `stream` to a fresh buffer in chunks of `chunk()` bytes (the
+    /// last one takes whatever is left), popping after every chunk;
+    /// returns the events and the bytes still held at the end.
+    fn reassemble(
+        stream: &[u8],
+        max_frame: usize,
+        mut chunk: impl FnMut() -> usize,
+    ) -> (Vec<Event>, usize) {
+        let mut fb = FrameBuffer::new(max_frame);
+        let mut events = Vec::new();
+        let mut rest = stream;
+        while !rest.is_empty() {
+            let (bytes, tail) = rest.split_at(chunk().min(rest.len()));
+            fb.extend(bytes);
+            rest = tail;
+            events.extend(std::iter::from_fn(|| fb.next_record()));
+        }
+        (events, fb.buffered())
+    }
+
+    #[test]
+    fn every_chunking_yields_the_same_records() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Step-sized replies around a batch-sized one, an oversized frame,
+        // more step replies, then a frame cut off 1000 bytes short.
+        let max_frame = 1_800_000;
+        let mut rng = StdRng::seed_from_u64(0x00F4_A3E5);
+        let mut stream = Vec::new();
+        let mut expected = Vec::new();
+        for len in [
+            6_749,
+            6_749,
+            24,
+            1_724_453,
+            6_749,
+            max_frame + 1,
+            6_749,
+            0,
+            6_749,
+        ] {
+            let body: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+            stream.extend_from_slice(&(len as u32).to_le_bytes());
+            stream.extend_from_slice(&body);
+            expected.push(if len > max_frame {
+                Err(WireError::Oversized {
+                    len,
+                    max: max_frame,
+                })
+            } else {
+                Ok(body)
+            });
+        }
+        let tail = 6_749 - 1_000;
+        stream.extend_from_slice(&6_749u32.to_le_bytes());
+        stream.extend((0..tail).map(|_| rng.gen::<u32>() as u8));
+
+        let check = |name: &str, (events, held): (Vec<Event>, usize)| {
+            assert!(events == expected, "{name}: records differ");
+            // The cut-off frame's body is held, its prefix consumed.
+            assert_eq!(held, tail, "{name}: bytes held at the end");
+        };
+        for (name, len) in [
+            ("whole stream", usize::MAX),
+            ("1 byte", 1),
+            ("16 KiB", 16 * 1024),
+            ("256 KiB", 256 * 1024),
+        ] {
+            check(name, reassemble(&stream, max_frame, || len));
+        }
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let chunk = || rng.gen_range(1..70_000usize);
+            check("seeded random", reassemble(&stream, max_frame, chunk));
+        }
+    }
+
+    #[test]
+    fn buffered_counts_a_partial_record() {
+        let frame = Request::Snapshot { session: 1 }.encode(9).expect("encodes");
+        let mut fb = FrameBuffer::new(MAX_FRAME_BYTES);
+        fb.extend(&frame[..3]);
+        assert_eq!(fb.buffered(), 3, "a partial length prefix");
+        fb.extend(&frame[3..10]);
+        assert_eq!(fb.next_record(), None);
+        assert_eq!(fb.buffered(), 6, "the record body so far");
+        // The rest of the frame plus the first bytes of the next one.
+        fb.extend(&frame[10..]);
+        fb.extend(&frame[..2]);
+        assert_eq!(fb.buffered(), frame.len() - 4 + 2);
+        assert!(fb.next_record().expect("complete").is_ok());
+        assert_eq!(fb.buffered(), 2);
+    }
+
+    #[test]
+    fn a_huge_prefix_then_silence_holds_only_what_arrived() {
+        for max_frame in [MAX_FRAME_BYTES, u32::MAX as usize] {
+            let mut fb = FrameBuffer::new(max_frame);
+            fb.extend(&(max_frame as u32).to_le_bytes());
+            fb.extend(&[0x5A; 100]);
+            assert_eq!(fb.next_record(), None, "the body never completes");
+            assert_eq!(fb.buffered(), 100);
+            fb.extend(&[0xA5; 28]);
+            assert_eq!(fb.next_record(), None);
+            assert_eq!(fb.buffered(), 128);
+        }
     }
 
     #[test]
