@@ -1,12 +1,12 @@
 //! Synthesis-kernel and batch-serving benchmark on the path production
-//! runs: `SynthesisKernel::synthesize_panels` over a `PackedBasis`, L2
-//! tiles outermost, exactly as `Reconstructor::reconstruct_batch` drives
-//! it. Workload: the `sharded_serving` deployment (28×30 grid,
-//! K = M = 16), 1024 frames.
+//! runs: `SynthesisKernel::synthesize_panels` over every panel of a
+//! `PackedBasis`, one call per frame block, exactly as
+//! `Reconstructor::reconstruct_batch` drives it. Workload: the
+//! `sharded_serving` deployment (28×30 grid, K = M = 16), 1024 frames.
 //!
 //! Axes of `kernel_1024_frames`, per available backend:
 //!
-//! * `synthesize` — the raw packed+tiled kernel over pre-transposed
+//! * `synthesize` — the raw packed kernel over pre-transposed
 //!   coefficient blocks, i.e. exactly the phase-2 work of
 //!   `reconstruct_batch`;
 //! * `reconstruct_batch` — end to end through a forced-backend
@@ -21,22 +21,13 @@
 //! AVX2 or AVX-512, the dispatched raw kernel is asserted to be ≥ 1.5×
 //! faster than the scalar backend; elsewhere the speedup is only
 //! reported.
-//!
-//! A second, **big-grid** axis (96×96 grid, K = 48 — a ~3.4 MB basis
-//! that no longer fits a typical L2) asks what the L2 tiling buys: the
-//! same kernel over the same panels, packed once as a single all-panels
-//! tile (so every frame block re-streams the whole basis) and once at the
-//! default L2-sized tiles. The two are asserted bitwise identical per
-//! backend before timing; the speed ratio is reported, not gated (see
-//! `bench_big_grid`).
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use eigenmaps_core::kernel::{KernelKind, PackedBasis, FRAME_BLOCK, PANEL_ROWS};
+use eigenmaps_core::kernel::{KernelKind, PackedBasis, FRAME_BLOCK};
 use eigenmaps_core::prelude::*;
 use eigenmaps_floorplan::prelude::*;
-use eigenmaps_linalg::Matrix;
 
 const FRAMES: usize = 1024;
 
@@ -93,8 +84,8 @@ fn setup() -> Workload {
     }
 }
 
-/// The production synthesis loop: tiles of `packed` outermost, frame
-/// blocks inside, writing every frame of the batch into `cells`.
+/// The production synthesis loop: one sweep over every panel of `packed`
+/// per frame block, writing every frame of the batch into `cells`.
 fn synthesize(
     packed: &PackedBasis,
     mean: &[f64],
@@ -104,19 +95,8 @@ fn synthesize(
 ) {
     let backend = kind.backend();
     let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-    for tile in packed.tile_spans() {
-        let mut start = 0;
-        for (alpha_t, bsz) in blocks {
-            backend.synthesize_panels(
-                packed,
-                tile.clone(),
-                mean,
-                alpha_t,
-                *bsz,
-                &mut outs[start..start + bsz],
-            );
-            start += bsz;
-        }
+    for ((alpha_t, bsz), outs) in blocks.iter().zip(outs.chunks_mut(FRAME_BLOCK)) {
+        backend.synthesize_panels(packed, 0..packed.panels(), mean, alpha_t, *bsz, outs);
     }
 }
 
@@ -232,105 +212,5 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-// ---------------------------------------------------------------------------
-// Big-grid axis: L2-sized tiles vs one all-panels tile.
-// ---------------------------------------------------------------------------
-
-/// 96×96 grid, K = 48: the basis is `9216 × 48 × 8 B ≈ 3.4 MB` — past any
-/// typical L2 — so a single all-panels tile re-streams it from L3/memory
-/// once per frame block while L2-sized tiles serve each 256 KiB tile from
-/// L2 across the whole batch.
-const BIG_ROWS: usize = 96;
-const BIG_COLS: usize = 96;
-const BIG_K: usize = 48;
-const BIG_FRAMES: usize = 256;
-
-struct BigGrid {
-    /// Packed at the default L2 tile size.
-    tiled: PackedBasis,
-    /// The same panels as one tile covering the whole grid.
-    whole: PackedBasis,
-    mean: Vec<f64>,
-    blocks: Blocks,
-}
-
-/// Deterministic synthetic operands: the big-grid axis measures the raw
-/// kernel, so no dataset/fit is needed (and none would change what the
-/// inner loops do).
-fn setup_big_grid() -> BigGrid {
-    let n = BIG_ROWS * BIG_COLS;
-    let basis = Matrix::from_fn(n, BIG_K, |i, j| {
-        ((i as f64 + 0.7) * 0.37 + (j as f64 + 1.3) * 1.9).sin() * 0.1
-    });
-    let mean: Vec<f64> = (0..n).map(|i| 45.0 + (i as f64 * 0.013).cos()).collect();
-    let blocks = (0..BIG_FRAMES.div_ceil(FRAME_BLOCK))
-        .map(|b| {
-            let bsz = FRAME_BLOCK.min(BIG_FRAMES - b * FRAME_BLOCK);
-            let alpha_t: Vec<f64> = (0..BIG_K * bsz)
-                .map(|x| (((b * 131 + x) as f64) * 0.17).sin() * 2.0)
-                .collect();
-            (alpha_t, bsz)
-        })
-        .collect();
-    BigGrid {
-        tiled: PackedBasis::pack(&basis),
-        whole: PackedBasis::pack_with_tile_panels(&basis, n.div_ceil(PANEL_ROWS)),
-        mean,
-        blocks,
-    }
-}
-
-fn bench_big_grid(c: &mut Criterion) {
-    let w = setup_big_grid();
-    let n = BIG_ROWS * BIG_COLS;
-    let dispatched = KernelKind::detect();
-    let run_whole =
-        |kind, cells: &mut [Vec<f64>]| synthesize(&w.whole, &w.mean, &w.blocks, kind, cells);
-    let run_tiled =
-        |kind, cells: &mut [Vec<f64>]| synthesize(&w.tiled, &w.mean, &w.blocks, kind, cells);
-
-    // Agreement gate: tiling must be bitwise invisible under every
-    // available backend, re-proven on a grid big enough to cross many
-    // tiles.
-    let mut whole = frame_cells(BIG_FRAMES, n);
-    let mut tiled = frame_cells(BIG_FRAMES, n);
-    for kind in KernelKind::available() {
-        run_whole(kind, &mut whole);
-        run_tiled(kind, &mut tiled);
-        assert_eq!(
-            whole, tiled,
-            "{kind}: L2-tiled synthesis must be bitwise identical to one tile"
-        );
-    }
-
-    let mut group = c.benchmark_group("kernel_big_grid");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::new("one_tile", dispatched.name()),
-        &dispatched,
-        |bch, &kind| bch.iter(|| run_whole(kind, black_box(&mut whole))),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("l2_tiles", dispatched.name()),
-        &dispatched,
-        |bch, &kind| bch.iter(|| run_tiled(kind, black_box(&mut tiled))),
-    );
-
-    // Wall-clock ratio, reported but not gated: on a 2-vCPU AVX-512 VM
-    // it reads 0.92–1.09× across runs, i.e. inside the host's noise, so a
-    // speed-up gate here would only measure that noise.
-    let rounds = 6u32;
-    let t_whole = wall_clock(rounds, || run_whole(dispatched, &mut whole));
-    let t_tiled = wall_clock(rounds, || run_tiled(dispatched, &mut tiled));
-    println!(
-        "kernel_big_grid/summary: {dispatched} L2 tiles {:.3} ms vs one tile {:.3} ms → \
-         {:.2}x (not gated)",
-        t_tiled * 1e3,
-        t_whole * 1e3,
-        t_whole / t_tiled.max(1e-12)
-    );
-    group.finish();
-}
-
-criterion_group!(kernel, bench_kernel, bench_big_grid);
+criterion_group!(kernel, bench_kernel);
 criterion_main!(kernel);

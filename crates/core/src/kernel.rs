@@ -31,35 +31,35 @@
 //!   output is bitwise identical to [`KernelKind::Avx2`] (and therefore
 //!   within the same `1e-10` relative envelope of the scalar oracle).
 //!
-//! # One entry point: packed+tiled
+//! # One entry point: packed panels
 //!
 //! Every backend implements exactly one method,
 //! [`SynthesisKernel::synthesize_panels`], over a [`PackedBasis`]: output
-//! rows ride the SIMD lanes, every basis access is a full-width
-//! **aligned** vector load from a cache-line-aligned panel column, and the
-//! caller loops L2-sized row tiles outermost
-//! ([`PackedBasis::tile_spans`]) so each tile's panels stay L2-resident
-//! across the entire batch. [`Reconstructor`] and (through it) the serving
-//! fleet run this path; a one-frame call is a block of `bsz = 1`.
+//! rows ride the SIMD lanes, and every basis access is a full-width
+//! **aligned** vector load from a cache-line-aligned panel column.
+//! [`Reconstructor`] makes one call per frame block over every panel, and
+//! the serving fleet runs that path through it; a one-frame call is a
+//! block of `bsz = 1`.
 //!
 //! # The position-independence contract
 //!
 //! Every backend must produce, for each frame, a rounding sequence that
 //! does not depend on the frame's position inside a block, the block
-//! size, its lane assignment, or the row tiling. Concretely: a backend
-//! fixes one per-element recurrence (multiply-then-add for
-//! `Scalar`/`Lanes`, fused multiply-add for `Avx2`/`Avx512`) and applies
-//! it in ascending-`j` order to every `(cell, frame)` output element,
-//! whether that element sits in a full SIMD group, in a remainder, in a
-//! lane-padded panel, or alone in a single-frame call. Row tiling
-//! reorders only *which element* is computed when — never an element's
-//! own chain — so it is bitwise-invisible by construction.
+//! size, its lane assignment, or the panel range of the call.
+//! Concretely: a backend fixes one per-element recurrence
+//! (multiply-then-add for `Scalar`/`Lanes`, fused multiply-add for
+//! `Avx2`/`Avx512`) and applies it in ascending-`j` order to every
+//! `(cell, frame)` output element, whether that element sits in a full
+//! SIMD group, in a remainder, in a lane-padded panel, or alone in a
+//! single-frame call. Splitting the panels over several calls reorders
+//! only *which element* is computed when — never an element's own chain
+//! — so it is bitwise-invisible by construction.
 //!
 //! This is what keeps the workspace-wide bitwise guarantees *per
 //! backend*: [`Reconstructor::reconstruct`],
 //! [`Reconstructor::reconstruct_batch`] and the sharded executor of
 //! `eigenmaps-serve` all route through the same deployment-selected
-//! backend, so batching, sharding and tiling never change an answer —
+//! backend, so batching and sharding never change an answer —
 //! only *changing the backend* does, and then only within the documented
 //! tolerance.
 //!
@@ -73,10 +73,8 @@
 //! environment read every time. The `EIGENMAPS_KERNEL` environment
 //! variable (`"scalar"`, `"lanes"`, `"avx2"`, `"avx512"`) is honored by
 //! the first detection in the process as a forced override for testing,
-//! ignoring values naming a backend the host cannot run;
-//! [`KernelKind::detect_uncached`] is the test-only escape hatch that
-//! re-reads the environment on every call. Programmatic forcing goes
-//! through [`Reconstructor::set_kernel`] /
+//! ignoring values naming a backend the host cannot run. Programmatic
+//! forcing goes through [`Reconstructor::set_kernel`] /
 //! [`crate::Deployment::set_kernel`], which *reject* unavailable backends
 //! with [`CoreError::KernelUnavailable`].
 //!
@@ -136,22 +134,19 @@ impl KernelKind {
     /// reports AVX-512F, else `Avx2` when it reports AVX2 *and* FMA,
     /// `Lanes` otherwise.
     ///
-    /// The answer (including the `EIGENMAPS_KERNEL` override, see
-    /// [`KernelKind::detect_uncached`]) is computed once per process and
-    /// cached — constructing a [`crate::Reconstructor`] is on serving
-    /// control paths and must not re-run CPU feature detection and an
-    /// environment read per construction.
+    /// The answer (including the `EIGENMAPS_KERNEL` override: `"scalar"`,
+    /// `"lanes"`, `"avx2"`, `"avx512"`; unknown or unavailable values are
+    /// ignored) is computed once per process and cached — constructing a
+    /// [`crate::Reconstructor`] is on serving control paths and must not
+    /// re-run CPU feature detection and an environment read per
+    /// construction.
     pub fn detect() -> KernelKind {
         *DETECTED.get_or_init(KernelKind::detect_uncached)
     }
 
-    /// Uncached [`KernelKind::detect`]: re-reads `EIGENMAPS_KERNEL`
-    /// (`"scalar"`, `"lanes"`, `"avx2"`, `"avx512"`; unknown or
-    /// unavailable values are ignored) and re-runs feature detection on
-    /// every call. This is the escape hatch for tests that manipulate the
-    /// environment; production code should use the cached
-    /// [`KernelKind::detect`].
-    pub fn detect_uncached() -> KernelKind {
+    /// Uncached [`KernelKind::detect`]: re-reads `EIGENMAPS_KERNEL` and
+    /// re-runs feature detection on every call.
+    fn detect_uncached() -> KernelKind {
         if let Ok(name) = std::env::var("EIGENMAPS_KERNEL") {
             if let Some(kind) = KernelKind::from_name(&name) {
                 if kind.is_available() {
@@ -282,15 +277,14 @@ fn avx512_available() -> bool {
 /// Implementations must uphold the position-independence contract of the
 /// [module docs](self): an output element's rounding sequence may depend
 /// only on the backend — never on `bsz`, the frame's index within the
-/// block, or the panel tiling.
+/// block, or the panel range of the call.
 pub trait SynthesisKernel: fmt::Debug + Send + Sync {
     /// Which [`KernelKind`] this backend implements.
     fn kind(&self) -> KernelKind;
 
     /// Synthesizes the output rows covered by `panels` (a panel range of
-    /// `packed`, see [`PackedBasis::tile_spans`]) for a block of `bsz`
-    /// frames. Rows outside the panel range
-    /// are left untouched, so a caller sweeps tiles to cover the grid.
+    /// `packed`; `0..packed.panels()` covers the grid) for a block of
+    /// `bsz` frames. Rows outside the panel range are left untouched.
     ///
     /// # Panics
     ///
@@ -714,30 +708,31 @@ mod tests {
             .collect()
     }
 
-    /// One backend over the same operands, sweeping every tile of a basis
-    /// packed at a forced tile size so tiny shapes still cross tile
-    /// boundaries.
-    fn run_tiled(
+    /// One backend over the same operands, one `synthesize_panels` call
+    /// per consecutive range of `range_panels` panels, so tiny shapes
+    /// still cross range boundaries.
+    fn run_ranges(
         kind: KernelKind,
         n: usize,
         k: usize,
         bsz: usize,
-        tile_panels: usize,
+        range_panels: usize,
     ) -> Vec<Vec<f64>> {
         let (basis, mean, alpha_t) = operands(n, k, bsz);
-        let packed = PackedBasis::pack_with_tile_panels(&basis, tile_panels);
+        let packed = PackedBasis::pack(&basis);
         let mut cells: Vec<Vec<f64>> = (0..bsz).map(|_| vec![0.0; n]).collect();
         let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
         let backend = kind.backend();
-        for tile in packed.tile_spans() {
-            backend.synthesize_panels(&packed, tile, &mean, &alpha_t, bsz, &mut outs);
+        for start in (0..packed.panels()).step_by(range_panels) {
+            let range = start..(start + range_panels).min(packed.panels());
+            backend.synthesize_panels(&packed, range, &mean, &alpha_t, bsz, &mut outs);
         }
         cells
     }
 
-    /// [`run_tiled`] at two panels (16 rows) per tile.
+    /// [`run_ranges`] at two panels (16 rows) per call.
     fn run(kind: KernelKind, n: usize, k: usize, bsz: usize) -> Vec<Vec<f64>> {
-        run_tiled(kind, n, k, bsz, 2)
+        run_ranges(kind, n, k, bsz, 2)
     }
 
     /// The documented `1e-10` relative envelope of the FMA backends.
@@ -762,8 +757,8 @@ mod tests {
 
     /// Odd shapes crossing every lane/remainder boundary: the original
     /// 4-lane sweep, the 8-lane frame boundaries of the AVX-512 paths
-    /// (`bsz ∈ {7, 8, 9, 15, 16, 17}`), and `n` at panel and test-tile
-    /// (2 panels = 16 rows) boundaries ±1.
+    /// (`bsz ∈ {7, 8, 9, 15, 16, 17}`), and `n` at panel and [`run`]'s
+    /// range (2 panels = 16 rows) boundaries ±1.
     const SHAPES: [(usize, usize, usize); 19] = [
         (1, 1, 1),
         (5, 1, 7),
@@ -788,8 +783,8 @@ mod tests {
 
     #[test]
     fn scalar_is_bitwise_identical_to_dense_reference() {
-        // Anchors the oracle itself: packing, lane padding and tiling
-        // must leave the scalar recurrence exactly the naive dense one.
+        // Anchors the oracle itself: packing, lane padding and panel
+        // ranges must leave the scalar recurrence exactly the naive dense one.
         for (n, k, bsz) in SHAPES {
             assert_eq!(
                 run(KernelKind::Scalar, n, k, bsz),
@@ -840,18 +835,18 @@ mod tests {
     }
 
     #[test]
-    fn tiling_is_bitwise_invisible_per_backend() {
-        // Tiling changes *when* elements are computed, never an element's
-        // rounding chain — so one panel per tile, two, and every panel in
-        // a single tile agree exactly, for every backend.
+    fn panel_ranges_are_bitwise_invisible_per_backend() {
+        // Splitting the panels over several calls changes *when* elements
+        // are computed, never an element's rounding chain — so ranges of
+        // one panel, two, and all panels agree exactly, for every backend.
         for kind in KernelKind::available() {
             for (n, k, bsz) in SHAPES {
-                let single_tile = run_tiled(kind, n, k, bsz, 100);
-                for tile_panels in [1, 2] {
+                let all_panels = run_ranges(kind, n, k, bsz, n.div_ceil(PANEL_ROWS));
+                for range_panels in [1, 2] {
                     assert_eq!(
-                        run_tiled(kind, n, k, bsz, tile_panels),
-                        single_tile,
-                        "kind={kind} n={n} k={k} bsz={bsz} tile_panels={tile_panels}"
+                        run_ranges(kind, n, k, bsz, range_panels),
+                        all_panels,
+                        "kind={kind} n={n} k={k} bsz={bsz} range_panels={range_panels}"
                     );
                 }
             }
@@ -862,22 +857,23 @@ mod tests {
     fn frames_are_position_independent_in_every_backend() {
         // The contract that makes batch == single == sharded bitwise per
         // backend: frame `f` of a block must equal the same coefficients
-        // synthesized alone (bsz = 1) at the default tile size.
+        // synthesized alone (bsz = 1) in one all-panels call.
         let (n, k, bsz) = (11, 5, 13);
         let (basis, mean, alpha_t) = operands(n, k, bsz);
         let packed = PackedBasis::pack(&basis);
         for kind in KernelKind::available() {
-            let blocked = run_tiled(kind, n, k, bsz, 1);
+            let blocked = run_ranges(kind, n, k, bsz, 1);
             for f in 0..bsz {
                 let alpha_f: Vec<f64> = (0..k).map(|j| alpha_t[j * bsz + f]).collect();
                 let mut single = vec![0.0; n];
-                {
-                    let mut outs = [single.as_mut_slice()];
-                    for tile in packed.tile_spans() {
-                        kind.backend()
-                            .synthesize_panels(&packed, tile, &mean, &alpha_f, 1, &mut outs);
-                    }
-                }
+                kind.backend().synthesize_panels(
+                    &packed,
+                    0..packed.panels(),
+                    &mean,
+                    &alpha_f,
+                    1,
+                    &mut [single.as_mut_slice()],
+                );
                 assert_eq!(blocked[f], single, "kind={kind} frame={f}");
             }
         }

@@ -18,7 +18,7 @@
 //! * [`kernel`] — the frame-blocked synthesis kernel behind every serving
 //!   path, with scalar / portable-4-wide / AVX2+FMA / AVX-512 backends
 //!   selected by runtime dispatch ([`KernelKind`]), running over the
-//!   cache-line-aligned, L2-tiled panel layout of [`packed`];
+//!   cache-line-aligned panel layout of [`packed`];
 //! * [`GreedyAllocator`] — the polynomial near-optimal sensor allocation of
 //!   Algorithm 1 (correlation-driven row elimination with a rank guard),
 //!   with [`Mask`] support for forbidden regions (Fig. 6);

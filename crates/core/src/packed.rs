@@ -1,5 +1,5 @@
 //! [`PackedBasis`]: the synthesis basis repacked into cache-line-aligned,
-//! lane-padded row panels, with an L2 tiling rule chosen at pack time.
+//! lane-padded row panels.
 //!
 //! The row-major `N×K` basis matrix is the wrong layout for the synthesis
 //! hot loop: vectorizing across output cells means every SIMD load would
@@ -44,19 +44,12 @@
 //!   must not *store* those lanes (see
 //!   [`PackedBasis::panel_valid_rows`]).
 //!
-//! # The tile-sizing rule
+//! # One sweep per block
 //!
-//! [`PackedBasis::tile_spans`] groups panels into **tiles** sized at pack
-//! time from `K`: the largest panel count whose footprint
-//! `tile_panels · K · 64 B` stays within [`TILE_TARGET_BYTES`] (256 KiB —
-//! comfortably L2-resident alongside the coefficient tile and the output
-//! frames on anything current). The synthesis driver loops tiles
-//! *outermost* and frame blocks inside, so one tile's panels are read
-//! from memory once and then served from L2 across every frame of every
-//! block, instead of the whole `N×K` basis being streamed through cache
-//! once per 32-frame block. Tiling reorders only the output-row loop —
-//! never a frame's ascending-`j` recurrence — so it cannot change a
-//! single output bit.
+//! The synthesis driver hands every panel to the kernel in one call per
+//! [`FRAME_BLOCK`](crate::kernel::FRAME_BLOCK)-frame block. At the served
+//! 28×30, `K = 16` shape the whole packed basis is 105 panels × 1 KiB, so
+//! it stays cache resident across blocks without any row tiling.
 
 use std::fmt;
 use std::ops::Range;
@@ -67,11 +60,6 @@ use eigenmaps_linalg::Matrix;
 /// two AVX2 vectors.
 pub const PANEL_ROWS: usize = 8;
 
-/// Target footprint of one row tile (see the [module docs](self) for the
-/// sizing rule). 256 KiB leaves most of a typical 1–2 MiB L2 for the
-/// coefficient tile, the output frames and everything else on the core.
-pub const TILE_TARGET_BYTES: usize = 256 * 1024;
-
 /// One packed panel column: the 8 values of one basis coefficient across
 /// a panel's rows, forced onto its own cache line.
 #[derive(Clone, Copy)]
@@ -79,7 +67,7 @@ pub const TILE_TARGET_BYTES: usize = 256 * 1024;
 struct PanelCol([f64; PANEL_ROWS]);
 
 /// The basis matrix repacked for the synthesis kernel: cache-line-aligned,
-/// lane-padded row panels plus the L2 tile partition. See the
+/// lane-padded row panels. See the
 /// [module docs](self) for the layout and its invariants.
 #[derive(Clone)]
 pub struct PackedBasis {
@@ -89,24 +77,13 @@ pub struct PackedBasis {
     rows: usize,
     cols: usize,
     panels: usize,
-    tile_panels: usize,
     /// `max |Ψ_ij|` over the packed matrix.
     max_abs: f64,
 }
 
 impl PackedBasis {
-    /// Packs a row-major `N×K` basis matrix, choosing the tile size from
-    /// `K` per the [module docs](self) rule.
+    /// Packs a row-major `N×K` basis matrix.
     pub fn pack(matrix: &Matrix) -> PackedBasis {
-        let per_panel_bytes = matrix.cols().max(1) * PANEL_ROWS * std::mem::size_of::<f64>();
-        let tile_panels = (TILE_TARGET_BYTES / per_panel_bytes).max(1);
-        PackedBasis::pack_with_tile_panels(matrix, tile_panels)
-    }
-
-    /// [`PackedBasis::pack`] with an explicit tile size in panels — the
-    /// testing hook that lets tile-boundary behavior be exercised on
-    /// matrices far smaller than any real L2.
-    pub fn pack_with_tile_panels(matrix: &Matrix, tile_panels: usize) -> PackedBasis {
         let rows = matrix.rows();
         let cols = matrix.cols();
         let panels = rows.div_ceil(PANEL_ROWS);
@@ -124,7 +101,6 @@ impl PackedBasis {
             rows,
             cols,
             panels,
-            tile_panels: tile_panels.max(1),
             max_abs,
         }
     }
@@ -148,11 +124,6 @@ impl PackedBasis {
     /// Number of 8-row panels (`ceil(N / 8)`).
     pub fn panels(&self) -> usize {
         self.panels
-    }
-
-    /// Panels per L2 tile (the pack-time sizing choice).
-    pub fn tile_panels(&self) -> usize {
-        self.tile_panels
     }
 
     /// First row covered by panel `p`.
@@ -181,13 +152,11 @@ impl PackedBasis {
         unsafe { std::slice::from_raw_parts(cols.as_ptr().cast::<f64>(), cols.len() * PANEL_ROWS) }
     }
 
-    /// The L2 tile partition: consecutive panel ranges of
-    /// [`PackedBasis::tile_panels`] panels (last one possibly shorter),
-    /// covering all panels in ascending row order.
-    pub fn tile_spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.panels)
-            .step_by(self.tile_panels)
-            .map(move |start| start..(start + self.tile_panels).min(self.panels))
+    /// Every panel as one range, `0..self.panels()`. Kept only for the
+    /// `perfbench` kernel probe, which still loops over it; synthesis
+    /// itself makes one sweep over all panels.
+    pub fn tile_spans(&self) -> impl Iterator<Item = Range<usize>> {
+        std::iter::once(0..self.panels)
     }
 }
 
@@ -197,7 +166,6 @@ impl fmt::Debug for PackedBasis {
             .field("rows", &self.rows)
             .field("cols", &self.cols)
             .field("panels", &self.panels)
-            .field("tile_panels", &self.tile_panels)
             .finish_non_exhaustive()
     }
 }
@@ -246,31 +214,5 @@ mod tests {
         for p in 0..packed.panels() {
             assert_eq!(packed.panel(p).as_ptr() as usize % 64, 0, "panel {p}");
         }
-    }
-
-    #[test]
-    fn tile_spans_partition_all_panels_in_order() {
-        for (n, k, tile_panels) in [(17, 3, 1), (64, 4, 2), (65, 4, 2), (40, 2, 100)] {
-            let packed = PackedBasis::pack_with_tile_panels(&sample_matrix(n, k), tile_panels);
-            let mut next = 0;
-            for span in packed.tile_spans() {
-                assert_eq!(span.start, next);
-                assert!(!span.is_empty());
-                assert!(span.len() <= tile_panels);
-                next = span.end;
-            }
-            assert_eq!(next, packed.panels());
-        }
-    }
-
-    #[test]
-    fn default_tile_sizing_respects_the_byte_target() {
-        let packed = PackedBasis::pack(&sample_matrix(200, 48));
-        let tile_bytes = packed.tile_panels() * 48 * PANEL_ROWS * std::mem::size_of::<f64>();
-        assert!(tile_bytes <= TILE_TARGET_BYTES);
-        // And the next-larger tile would overflow the target (the rule
-        // picks the largest fitting panel count).
-        let bigger = (packed.tile_panels() + 1) * 48 * PANEL_ROWS * std::mem::size_of::<f64>();
-        assert!(bigger > TILE_TARGET_BYTES);
     }
 }

@@ -425,7 +425,7 @@ pub struct Deployment {
 impl Deployment {
     /// Builds the runtime state from the persisted pieces. Everything the
     /// hot path needs beyond the artifact — the QR factorization *and*
-    /// the packed, L2-tiled basis panels ([`crate::PackedBasis`]) — is
+    /// the packed basis panels ([`crate::PackedBasis`]) — is
     /// derived here, which is why design, `load`/`from_bytes` and
     /// `truncated` all produce identically-behaving deployments while the
     /// `EMDEPLOY` wire format stores only the raw basis.

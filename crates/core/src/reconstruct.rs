@@ -50,10 +50,9 @@ pub struct BatchScratch {
     alphas: Vec<f64>,
     /// Mean-centered readings for the solve (`M`).
     centered: Vec<f64>,
-    /// Frame-transposed coefficients for *all* blocks of the batch
-    /// (`frames × K`, every block transposed up front) — the L2-tiled
-    /// synthesis sweeps each basis tile across the whole batch, so all
-    /// blocks' coefficients must be live at once.
+    /// One block's coefficients transposed frame-contiguous
+    /// (`FRAME_BLOCK × K`, `j`-major with stride `bsz`), refilled per
+    /// block.
     alpha_t: Vec<f64>,
 }
 
@@ -183,7 +182,7 @@ impl Reconstructor {
         &self.sensors
     }
 
-    /// The packed, L2-tiled panel layout of the synthesis basis that the
+    /// The packed panel layout of the synthesis basis that the
     /// serving paths run over (see [`PackedBasis`]). Derived from the
     /// basis at construction; shared (`Arc`) across clones.
     pub fn packed_basis(&self) -> &Arc<PackedBasis> {
@@ -266,7 +265,7 @@ impl Reconstructor {
     /// coefficient state).
     ///
     /// Runs the same dispatched [`crate::kernel`] backend over the same
-    /// packed+tiled panels as the batch paths (as a one-frame block),
+    /// packed panels as the batch paths (as a one-frame block),
     /// which is what keeps [`Reconstructor::reconstruct_batch`] bitwise
     /// identical to per-frame reconstruction under *every* backend —
     /// including the FMA-fused AVX2/AVX-512 ones.
@@ -286,14 +285,15 @@ impl Reconstructor {
         }
         self.check_synthesis(0, alpha)?;
         let mut cells = vec![0.0; self.rows * self.cols];
-        {
-            // A one-frame block: `alpha` transposed at bsz = 1 is itself.
-            let backend = self.kernel.backend();
-            let mut outs = [cells.as_mut_slice()];
-            for tile in self.packed.tile_spans() {
-                backend.synthesize_panels(&self.packed, tile, &self.mean, alpha, 1, &mut outs);
-            }
-        }
+        // A one-frame block: `alpha` transposed at bsz = 1 is itself.
+        self.kernel.backend().synthesize_panels(
+            &self.packed,
+            0..self.packed.panels(),
+            &self.mean,
+            alpha,
+            1,
+            &mut [cells.as_mut_slice()],
+        );
         ThermalMap::new(self.rows, self.cols, cells)
     }
 
@@ -330,15 +330,14 @@ impl Reconstructor {
     /// Compared with calling [`Reconstructor::reconstruct`] per frame this
     /// reuses the factored QR's scratch buffers across frames (no per-frame
     /// solver allocations) and synthesizes maps in
-    /// [`FRAME_BLOCK`]-frame blocks over the packed, L2-tiled basis panels
-    /// ([`PackedBasis`]) through the dispatched [`crate::kernel`] backend:
-    /// each aligned panel column is loaded once and multiplied into
-    /// several frames' coefficients at a time, independent accumulator
-    /// chains hide the floating-point latency that bounds the
-    /// one-dot-per-row single-frame path, and basis tiles loop outermost
-    /// so a tile stays L2-resident across the whole batch. Every backend
+    /// [`FRAME_BLOCK`]-frame blocks, one sweep over the packed basis panels
+    /// ([`PackedBasis`]) per block, through the dispatched
+    /// [`crate::kernel`] backend: each aligned panel column is loaded once
+    /// and multiplied into several frames' coefficients at a time, and
+    /// independent accumulator chains hide the floating-point latency
+    /// that bounds the one-dot-per-row single-frame path. Every backend
     /// applies one fixed per-frame recurrence in ascending-`k` order
-    /// regardless of block position or tiling, so the returned maps are
+    /// regardless of block position, so the returned maps are
     /// **bitwise identical** to per-frame reconstruction under the same
     /// [`Reconstructor::kernel_kind`].
     ///
@@ -403,47 +402,33 @@ impl Reconstructor {
             self.check_synthesis(f, alpha)?;
         }
 
-        // Phase 2: packed, L2-tiled synthesis Ψ_K α + mean through the
-        // dispatched kernel backend. Every block's coefficients are
-        // transposed frame-contiguous up front (block b's slice is
-        // `j`-major with stride bsz at offset b·FRAME_BLOCK·K), then the
-        // basis tiles loop OUTERMOST with the frame blocks inside: one
-        // tile's panels are read from memory once and served from L2
-        // across every block of the batch, instead of the whole N×K basis
-        // being streamed through cache once per block. Tiling reorders
-        // only the output-row loop — each frame's ascending-`j` recurrence
-        // is untouched — so the backend's position-independence contract
-        // keeps every frame's rounding identical to a single-frame
-        // synthesis.
+        // Phase 2: packed synthesis Ψ_K α + mean through the dispatched
+        // kernel backend, one block at a time: transpose the block's
+        // coefficients frame-contiguous (`j`-major with stride bsz), then
+        // sweep every panel once. The backend's position-independence
+        // contract keeps every frame's rounding identical to a
+        // single-frame synthesis.
         let backend = self.kernel.backend();
         let mut cells: Vec<Vec<f64>> = frames.iter().map(|_| vec![0.0; n]).collect();
-        scratch.alpha_t.resize(frames.len() * k, 0.0);
-        let alpha_t = &mut scratch.alpha_t;
-        for block_start in (0..frames.len()).step_by(FRAME_BLOCK) {
-            let bsz = (frames.len() - block_start).min(FRAME_BLOCK);
-            let block = &mut alpha_t[block_start * k..(block_start + bsz) * k];
+        let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
+        for (block, outs) in outs.chunks_mut(FRAME_BLOCK).enumerate() {
+            let bsz = outs.len();
+            let first = block * FRAME_BLOCK;
+            scratch.alpha_t.resize(bsz * k, 0.0);
             for f in 0..bsz {
-                for (j, &a) in alphas[(block_start + f) * k..(block_start + f + 1) * k]
-                    .iter()
-                    .enumerate()
-                {
-                    block[j * bsz + f] = a;
+                let alpha = &alphas[(first + f) * k..][..k];
+                for (j, &a) in alpha.iter().enumerate() {
+                    scratch.alpha_t[j * bsz + f] = a;
                 }
             }
-        }
-        let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        for tile in self.packed.tile_spans() {
-            for block_start in (0..frames.len()).step_by(FRAME_BLOCK) {
-                let bsz = (frames.len() - block_start).min(FRAME_BLOCK);
-                backend.synthesize_panels(
-                    &self.packed,
-                    tile.clone(),
-                    &self.mean,
-                    &alpha_t[block_start * k..(block_start + bsz) * k],
-                    bsz,
-                    &mut outs[block_start..block_start + bsz],
-                );
-            }
+            backend.synthesize_panels(
+                &self.packed,
+                0..self.packed.panels(),
+                &self.mean,
+                &scratch.alpha_t,
+                bsz,
+                outs,
+            );
         }
         cells
             .into_iter()
@@ -724,6 +709,19 @@ mod tests {
         let reused = rec.reconstruct_batch_with(&frames, &mut scratch).unwrap();
         for (a, b) in fresh.iter().zip(reused.iter()) {
             assert_eq!(a.as_slice(), b.as_slice());
+        }
+        // The reverse order: a scratch sized by the full batch then serves
+        // smaller batches, down to a single frame.
+        let mut scratch = BatchScratch::new();
+        rec.reconstruct_batch_with(&frames, &mut scratch).unwrap();
+        for len in [37, 1] {
+            let reused = rec
+                .reconstruct_batch_with(&frames[..len], &mut scratch)
+                .unwrap();
+            assert_eq!(reused.len(), len);
+            for (a, b) in fresh.iter().zip(reused.iter()) {
+                assert_eq!(a.as_slice(), b.as_slice(), "batch of {len}");
+            }
         }
     }
 

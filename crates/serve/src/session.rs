@@ -132,22 +132,6 @@ impl TrackerSession {
         Self::build(registry, name, None, gain, None, None)
     }
 
-    /// [`TrackerSession::open`] pinned to an explicit registry `version`
-    /// instead of the latest.
-    ///
-    /// # Errors
-    ///
-    /// Adds [`ServeError::UnknownVersion`]
-    /// for a retired or never-published version.
-    pub fn open_at(
-        registry: &DeploymentRegistry,
-        name: &str,
-        version: u32,
-        gain: f64,
-    ) -> Result<Self> {
-        Self::build(registry, name, Some(version), gain, None, None)
-    }
-
     /// Warm-starts a standalone session from `EMSESS1` snapshot bytes
     /// previously produced by [`TrackerSession::snapshot`]: the exact
     /// pinned `(name, version)` is re-resolved from `registry`, the shape
@@ -562,24 +546,6 @@ mod tests {
         assert!(matches!(
             TrackerSession::open(&registry, "ghost", 1.0),
             Err(ServeError::UnknownDeployment { .. })
-        ));
-    }
-
-    #[test]
-    fn open_at_pins_a_non_latest_version() {
-        let (registry, ens) = fixture();
-        let retrained = Pipeline::new(&ens)
-            .basis(BasisSpec::EigenExact { k: 3 })
-            .sensors(6)
-            .design()
-            .unwrap();
-        registry.publish("chip", retrained);
-        let session = TrackerSession::open_at(&registry, "chip", 1, 0.5).unwrap();
-        assert_eq!(session.version(), 1);
-        assert_eq!(session.deployment().m(), 4, "v1 artifact, not v2");
-        assert!(matches!(
-            TrackerSession::open_at(&registry, "chip", 9, 0.5),
-            Err(ServeError::UnknownVersion { version: 9, .. })
         ));
     }
 

@@ -14,13 +14,13 @@
 //!
 //! Inside each shard, the worker runs the deployment's dispatched SIMD
 //! synthesis kernel ([`eigenmaps_core::kernel`]) on its own scratch, over
-//! the deployment's packed, L2-tiled basis panels
+//! the deployment's packed basis panels
 //! ([`eigenmaps_core::PackedBasis`] — built once at design/load time and
-//! shared by every worker's `Reconstructor` clone through an `Arc`, so a
-//! multi-megabyte panel buffer exists once per artifact, not once per
-//! worker). The levels of parallelism compose — threads across frame
-//! shards, SIMD lanes across each panel's rows, basis tiles serving from
-//! L2 across each shard's blocks — and a forced backend
+//! shared by every worker's `Reconstructor` clone through an `Arc`, so the
+//! panel buffer exists once per artifact, not once per worker), one sweep
+//! over every panel per frame block. The levels of parallelism compose —
+//! threads across frame shards, SIMD lanes across each panel's rows — and
+//! a forced backend
 //! ([`Deployment::set_kernel`]) set before publishing is what every
 //! worker executes.
 //!
