@@ -15,6 +15,12 @@
 //!   at a time under the dispatched backend, the baseline the batch path
 //!   amortizes against.
 //!
+//! The report-only `solve_256_frames` group times the least-squares
+//! solve alone on 256 frames, at K = M = 16 (the benchmark deployment's
+//! sensing matrix) and at M = 24, K = 16 (24 rows of the same basis): a
+//! per-frame `Qr::solve_lstsq_into` loop against `Qr::solve_block_into`
+//! over 32-frame blocks, after checking that both give the same bits.
+//!
 //! Before timing, every backend's output is checked against the scalar
 //! oracle (`1e-10` relative; the lanes path bitwise), and the batch path
 //! against the per-frame path (bitwise). On hosts where dispatch selects
@@ -28,8 +34,12 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use eigenmaps_core::kernel::{KernelKind, PackedBasis, FRAME_BLOCK};
 use eigenmaps_core::prelude::*;
 use eigenmaps_floorplan::prelude::*;
+use eigenmaps_linalg::Qr;
 
 const FRAMES: usize = 1024;
+
+/// Frames in one `solve_256_frames` batch.
+const SOLVE_FRAMES: usize = 256;
 
 /// Per-block transposed coefficient tiles `(alpha_t, bsz)`, exactly what
 /// `reconstruct_batch` hands the kernel.
@@ -212,5 +222,85 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(kernel, bench_kernel);
+/// The solve alone, per frame and per block, for one sensing matrix.
+fn bench_solve_shape(c: &mut Criterion, qr: &Qr, label: &str) {
+    let (m, k) = (qr.rows(), qr.cols());
+    let readings: Vec<Vec<f64>> = (0..SOLVE_FRAMES)
+        .map(|f| {
+            (0..m)
+                .map(|i| ((f * 31 + i * 7) as f64 * 0.173).sin() * 4.0)
+                .collect()
+        })
+        .collect();
+    let per_frame = |alphas: &mut [f64]| {
+        let mut b = vec![0.0; m];
+        for (readings, x) in readings.iter().zip(alphas.chunks_exact_mut(k)) {
+            b.copy_from_slice(readings);
+            qr.solve_lstsq_into(&mut b, x).expect("solve");
+        }
+    };
+    // Coefficient-major per block: `alphas[block][j · bsz + f]`.
+    let blocked = |alphas: &mut [f64]| {
+        let mut b = vec![0.0; m * FRAME_BLOCK];
+        for (chunk, x) in readings
+            .chunks(FRAME_BLOCK)
+            .zip(alphas.chunks_mut(k * FRAME_BLOCK))
+        {
+            let bsz = chunk.len();
+            for (f, readings) in chunk.iter().enumerate() {
+                for (i, &r) in readings.iter().enumerate() {
+                    b[i * bsz + f] = r;
+                }
+            }
+            qr.solve_block_into(&mut b[..m * bsz], x, bsz)
+                .expect("solve");
+        }
+    };
+    let mut single = vec![0.0; SOLVE_FRAMES * k];
+    let mut block = vec![0.0; SOLVE_FRAMES * k];
+    per_frame(&mut single);
+    blocked(&mut block);
+    for (f, alpha) in single.chunks_exact(k).enumerate() {
+        let (blk, col) = (f / FRAME_BLOCK, f % FRAME_BLOCK);
+        for (j, a) in alpha.iter().enumerate() {
+            let got = block[blk * k * FRAME_BLOCK + j * FRAME_BLOCK + col];
+            assert_eq!(got.to_bits(), a.to_bits(), "{label}: frame {f}");
+        }
+    }
+
+    let mut group = c.benchmark_group("solve_256_frames");
+    group.sample_size(50);
+    group.bench_function(BenchmarkId::new("per_frame", label), |bch| {
+        bch.iter(|| per_frame(black_box(&mut single)))
+    });
+    group.bench_function(BenchmarkId::new("block", label), |bch| {
+        bch.iter(|| blocked(black_box(&mut block)))
+    });
+    group.finish();
+    let t_single = wall_clock(200, || per_frame(&mut single));
+    let t_block = wall_clock(200, || blocked(&mut block));
+    println!(
+        "solve_256_frames/summary: {label} per-frame {:.1} us vs block {:.1} us ({:.2}x)",
+        t_single * 1e6,
+        t_block * 1e6,
+        t_single / t_block
+    );
+}
+
+fn bench_solve(c: &mut Criterion) {
+    let w = setup();
+    let basis = w.deployment.basis().matrix();
+    let sensors = w.deployment.sensors().locations();
+    let square = basis.select_rows(sensors).expect("sensor rows");
+    // M = 24: the deployment's 16 sensors plus 8 cells spread over the
+    // grid, so the sensing matrix stays well conditioned.
+    let mut rows = sensors.to_vec();
+    let cells = basis.rows();
+    rows.extend((0..8).map(|i| (i * cells / 8 + cells / 16) % cells));
+    let tall = basis.select_rows(&rows).expect("sensor rows");
+    bench_solve_shape(c, &Qr::new(&square).expect("qr"), "M16_K16");
+    bench_solve_shape(c, &Qr::new(&tall).expect("qr"), "M24_K16");
+}
+
+criterion_group!(kernel, bench_kernel, bench_solve);
 criterion_main!(kernel);

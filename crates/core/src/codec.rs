@@ -53,6 +53,18 @@
 //! prefix**; their element counts are derived from the header dimensions,
 //! which is why headers are fully validated before any payload is read.
 //!
+//! # Map records
+//!
+//! `EMWIRE2` batch and step replies carry each thermal map as one **map
+//! record**: `rows: u64`, `cols: u64`, then `f64 × rows·cols` cells,
+//! row-major. The layout is defined here once: [`Encoder::map_record`]
+//! writes it, [`Decoder::map_record`] reads it, and
+//! [`map_record_header`] gives the two header words as `f64`s whose bit
+//! patterns are the `u64` dimensions, so a `Vec<f64>` of whole records
+//! (the serving path's map slab) has exactly the record bytes in memory
+//! on a little-endian host. [`f64_le_bytes`] views such words as bytes,
+//! and [`Crc32c`] checksums a frame whose bytes sit in several runs.
+//!
 //! # `EMDEPLOY` — deployment artifact, version 1
 //!
 //! Written by `Deployment::to_bytes`, read by `Deployment::from_bytes`.
@@ -182,6 +194,8 @@
 //! clobber) a store written by a newer binary while still treating torn
 //! bytes as skippable corruption.
 
+use std::borrow::Cow;
+
 use crate::error::CoreError;
 
 /// A malformed or truncated byte stream.
@@ -273,6 +287,11 @@ impl Encoder {
             dst.copy_from_slice(&v.to_le_bytes());
         }
         self
+    }
+
+    /// Appends one map record (see the [module docs](self)).
+    pub fn map_record(&mut self, rows: usize, cols: usize, cells: &[f64]) -> &mut Self {
+        self.put_len(rows).put_len(cols).f64_slice(cells)
     }
 
     /// The finished buffer.
@@ -418,6 +437,21 @@ impl<'a> Decoder<'a> {
             .collect())
     }
 
+    /// Reads one map record (see the [module docs](self)) as `(rows,
+    /// cols, cells)`. The cell count is validated before it is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation or if `rows · cols` overflows.
+    pub fn map_record(&mut self) -> CodecResult<(usize, usize, Vec<f64>)> {
+        let rows = self.take_len()?;
+        let cols = self.take_len()?;
+        let n = rows.checked_mul(cols).ok_or(CodecError {
+            context: "map dimensions overflow",
+        })?;
+        Ok((rows, cols, self.f64_vec(n)?))
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
@@ -435,6 +469,43 @@ impl<'a> Decoder<'a> {
             });
         }
         Ok(())
+    }
+}
+
+/// Words ahead of the cells in a map record: `rows` and `cols`.
+pub const MAP_RECORD_HEADER_WORDS: usize = 2;
+
+/// Bytes of one map record of `cells` cells.
+pub const fn map_record_len(cells: usize) -> usize {
+    8 * (MAP_RECORD_HEADER_WORDS + cells)
+}
+
+/// A map record's header as `f64` words: each carries the bit pattern of
+/// the `u64` dimension, so [`f64_le_bytes`] of the words is the record's
+/// header bytes.
+pub fn map_record_header(rows: usize, cols: usize) -> [f64; MAP_RECORD_HEADER_WORDS] {
+    [rows as u64, cols as u64].map(f64::from_bits)
+}
+
+/// The little-endian bytes of `words`, the byte form of any run of map
+/// records. On a little-endian host this is a borrowed view of the words'
+/// own memory, with no copy; on a big-endian host it is an owned,
+/// byte-swapped copy, so callers have one code path.
+pub fn f64_le_bytes(words: &[f64]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the pointer and length come from a live `&[f64]`, so
+        // the `size_of_val(words)` bytes are initialized, in bounds and
+        // borrowed for the returned lifetime; `u8` has alignment 1 and
+        // every bit pattern is a valid `u8`; `f64` has no padding. On a
+        // little-endian host those bytes are each word's `to_le_bytes`.
+        Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        Cow::Owned(words.iter().flat_map(|w| w.to_le_bytes()).collect())
     }
 }
 
@@ -471,6 +542,34 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
         return unsafe { crc32c_sse42(bytes) };
     }
     crc32c_portable(bytes)
+}
+
+/// A CRC-32C fed in runs: the checksum of bytes that sit in several
+/// buffers, without joining them. Each run is checksummed on its own
+/// (three chains on a long run, as in [`crc32c`]) and joined to the
+/// runs before it with the CRC combine, so [`Crc32c::finish`] is bitwise
+/// [`crc32c`] of the joined bytes, however they are split.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crc32c {
+    crc: u32,
+}
+
+impl Crc32c {
+    /// The checksum of no bytes.
+    pub fn new() -> Self {
+        Crc32c::default()
+    }
+
+    /// Appends one run of bytes.
+    pub fn update(&mut self, run: &[u8]) -> &mut Self {
+        self.crc = crc32c_combine(self.crc, crc32c(run), run.len());
+        self
+    }
+
+    /// The CRC-32C of every run so far, in order.
+    pub fn finish(&self) -> u32 {
+        self.crc
+    }
 }
 
 /// The reflected CRC-32C polynomial.
@@ -566,7 +665,6 @@ fn crc32c_shift_op(len: usize) -> u32 {
 /// The CRC-32C of `A‖B` from `crc_a = crc32c(A)`, `crc_b = crc32c(B)` and
 /// `len_b = |B|`: `mulmod(x^(8·|B|), crc_a) ⊕ crc_b` (zlib's
 /// `crc32_combine`, on the Castagnoli polynomial).
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     crc32c_mulmod(crc32c_shift_op(len_b), crc_a) ^ crc_b
 }
@@ -1239,13 +1337,13 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
-    type Crc32c = fn(&[u8]) -> u32;
+    type Crc32cFn = fn(&[u8]) -> u32;
 
     /// Every CRC-32C implementation this host can run: the portable table
     /// always, the SSE4.2 instruction when the CPU has it, and the
     /// dispatching entry point.
-    fn crc32c_backends() -> Vec<(&'static str, Crc32c)> {
-        let mut backends: Vec<(&'static str, Crc32c)> =
+    fn crc32c_backends() -> Vec<(&'static str, Crc32cFn)> {
+        let mut backends: Vec<(&'static str, Crc32cFn)> =
             vec![("portable", crc32c_portable), ("dispatched", crc32c)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
@@ -1344,5 +1442,63 @@ mod tests {
                 "|A| = {len_a}, |B| = {len_b}"
             );
         }
+    }
+
+    #[test]
+    fn crc32c_in_runs_equals_the_crc_of_the_joined_bytes() {
+        let data = lcg_bytes(0x0DDB_1A5E_5BAD_5EED, 60_000);
+        assert_eq!(Crc32c::new().finish(), 0);
+        assert_eq!(Crc32c::new().update(&data[..0]).finish(), 0);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for case in 0..48 {
+            // Up to six cut points, empty runs allowed, runs both under
+            // and over the three-stream threshold.
+            let mut cuts: Vec<usize> = (0..case % 7)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 60_001) as usize
+                })
+                .collect();
+            cuts.push(0);
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut crc = Crc32c::new();
+            for w in cuts.windows(2) {
+                crc.update(&data[w[0]..w[1]]);
+            }
+            assert_eq!(crc.finish(), crc32c(&data), "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn map_records_as_words_are_the_encoded_record_bytes() {
+        let cells: Vec<f64> = (0..12).map(|i| (i as f64 * 0.7).sin() * 80.0).collect();
+        let mut enc = Encoder::default();
+        enc.map_record(3, 4, &cells);
+        let bytes = enc.finish();
+        assert_eq!(bytes.len(), map_record_len(12));
+        let mut words = map_record_header(3, 4).to_vec();
+        words.extend_from_slice(&cells);
+        assert_eq!(&*f64_le_bytes(&words), bytes.as_slice());
+        assert!(f64_le_bytes(&[]).is_empty());
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.map_record().unwrap(), (3, 4, cells));
+        dec.finish().unwrap();
+        // Truncation and a dimension product that overflows both fail
+        // before anything is allocated.
+        assert!(Decoder::new(&bytes[..bytes.len() - 1])
+            .map_record()
+            .is_err());
+        let mut huge = Encoder::default();
+        huge.u64(u64::MAX).u64(2);
+        assert_eq!(
+            Decoder::new(&huge.finish())
+                .map_record()
+                .unwrap_err()
+                .context,
+            "map dimensions overflow"
+        );
     }
 }

@@ -114,7 +114,7 @@ pub use metrics::{
 pub use noise::{db_to_snr, snr_to_db, NoiseModel};
 pub use packed::PackedBasis;
 pub use pipeline::{AllocatorSpec, BasisSpec, Deployment, Pipeline};
-pub use reconstruct::{shard_spans, BatchScratch, Reconstructor};
+pub use reconstruct::{shard_spans, BatchScratch, MapRef, MapSlab, Reconstructor};
 pub use sensors::{Mask, SensorSet};
 pub use tracking::TrackingReconstructor;
 pub use tradeoff::{optimal_k, TradeoffPoint, TradeoffSweep};
@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::noise::{db_to_snr, snr_to_db, NoiseModel};
     pub use crate::packed::PackedBasis;
     pub use crate::pipeline::{AllocatorSpec, BasisSpec, Deployment, Pipeline};
-    pub use crate::reconstruct::{shard_spans, BatchScratch, Reconstructor};
+    pub use crate::reconstruct::{shard_spans, BatchScratch, MapRef, MapSlab, Reconstructor};
     pub use crate::sensors::{Mask, SensorSet};
     pub use crate::tracking::TrackingReconstructor;
     pub use crate::tradeoff::{optimal_k, TradeoffPoint, TradeoffSweep};

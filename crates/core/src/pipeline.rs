@@ -60,7 +60,7 @@ use crate::error::{CoreError, Result};
 use crate::kernel::KernelKind;
 use crate::map::{MapEnsemble, ThermalMap};
 use crate::metrics::{evaluate_reconstruction, ErrorReport, NoiseSpec};
-use crate::reconstruct::{BatchScratch, Reconstructor};
+use crate::reconstruct::Reconstructor;
 use crate::sensors::{Mask, SensorSet};
 use crate::tracking::TrackingReconstructor;
 
@@ -449,9 +449,9 @@ impl Deployment {
         self.rec.reconstruct(readings)
     }
 
-    /// Reconstructs a batch of frames, reusing the factored QR and all
-    /// solver scratch across frames — the serving hot path. Produces maps
-    /// bitwise-identical to calling [`Deployment::reconstruct`] per frame.
+    /// Reconstructs a batch of frames, solving each frame block in one
+    /// sweep of the factored QR. Produces maps bitwise-identical to
+    /// calling [`Deployment::reconstruct`] per frame.
     ///
     /// # Errors
     ///
@@ -459,22 +459,6 @@ impl Deployment {
     /// number of readings.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
         self.rec.reconstruct_batch(frames)
-    }
-
-    /// [`Deployment::reconstruct_batch`] with caller-owned scratch, for
-    /// serving loops that process many batches and want zero per-batch
-    /// coefficient-buffer allocations (see
-    /// [`Reconstructor::reconstruct_batch_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Deployment::reconstruct_batch`].
-    pub fn reconstruct_batch_with(
-        &self,
-        frames: &[Vec<f64>],
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<ThermalMap>> {
-        self.rec.reconstruct_batch_with(frames, scratch)
     }
 
     /// Estimates the subspace coefficients `α̂` for one frame.

@@ -1,5 +1,18 @@
 //! Least-squares thermal-map reconstruction from sensor readings —
 //! Theorem 1 of the paper.
+//!
+//! Per frame the math is one `K × M` least-squares solve against the QR
+//! factorization of the sensing matrix plus one `N × K` synthesis. A
+//! batch runs it in [`FRAME_BLOCK`]-frame blocks: the block's readings
+//! are centered into one sensor-major block, solved in one
+//! [`Qr::solve_block_into`] sweep that leaves the coefficients in the
+//! kernel's layout, checked for overflow in O(K) per frame, and
+//! synthesized by one kernel call written in place into the output.
+//! [`Reconstructor::reconstruct_slab`] writes into a [`MapSlab`], whose
+//! buffer holds each map as its `EMWIRE2` map record, so the serving
+//! path carries one map representation from the kernel to the socket;
+//! [`Reconstructor::reconstruct_batch`] runs the same driver into owned
+//! maps.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -7,6 +20,7 @@ use std::sync::Arc;
 use eigenmaps_linalg::{Qr, Svd};
 
 use crate::basis::Basis;
+use crate::codec::{map_record_header, MAP_RECORD_HEADER_WORDS};
 use crate::error::{CoreError, Result};
 use crate::kernel::{KernelKind, PackedBasis, FRAME_BLOCK};
 use crate::map::ThermalMap;
@@ -38,21 +52,19 @@ pub fn shard_spans(frames: usize, shards: usize) -> Vec<Range<usize>> {
     spans
 }
 
-/// Reusable scratch buffers for [`Reconstructor::reconstruct_batch_with`].
+/// Reusable scratch buffers for [`Reconstructor::reconstruct_slab`].
 ///
-/// Holds the per-batch coefficient and transpose buffers so a serving loop
-/// (or a sharded worker thread) pays the allocations once and reuses them
-/// across every batch it processes. The default value is an empty scratch
-/// that grows to fit the first batch.
+/// Holds one frame block's solve buffers, so a serving loop (or a
+/// sharded worker thread) sizes them once and reuses them across every
+/// batch it processes. The default value is an empty scratch that grows
+/// to fit the first block.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Frame-major least-squares coefficients (`frames × K`).
-    alphas: Vec<f64>,
-    /// Mean-centered readings for the solve (`M`).
+    /// One block's mean-centered readings, sensor-major (`M ×
+    /// bsz`): the right-hand sides of the block solve.
     centered: Vec<f64>,
-    /// One block's coefficients transposed frame-contiguous
-    /// (`FRAME_BLOCK × K`, `j`-major with stride `bsz`), refilled per
-    /// block.
+    /// One block's coefficients, coefficient-major (`K × bsz`): the
+    /// block solve's output and the kernel's `alpha_t` input.
     alpha_t: Vec<f64>,
 }
 
@@ -60,6 +72,141 @@ impl BatchScratch {
     /// An empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         BatchScratch::default()
+    }
+}
+
+/// A run of reconstructed maps in one contiguous buffer, each stored as
+/// its `EMWIRE2` map record: `rows` and `cols` as two `u64` words, then
+/// the cells (see [`crate::codec`], *Map records*). On a little-endian
+/// host the slab's memory is therefore the reply's map bytes, and a
+/// server writes [`MapSlab::records`] to a socket without encoding.
+///
+/// [`Reconstructor::reconstruct_slab`] refills a slab in place: a slab
+/// reused for batches no larger than the largest it has held allocates
+/// nothing.
+#[derive(Clone, Default)]
+pub struct MapSlab {
+    rows: usize,
+    cols: usize,
+    frames: usize,
+    /// `frames` records of `MAP_RECORD_HEADER_WORDS + rows · cols`
+    /// words; the tail past them is capacity kept from larger batches.
+    words: Vec<f64>,
+}
+
+impl MapSlab {
+    /// An empty slab; its buffer grows to fit the first batch.
+    pub fn new() -> Self {
+        MapSlab::default()
+    }
+
+    /// Maps held.
+    pub fn len(&self) -> usize {
+        self.frames
+    }
+
+    /// Whether the slab holds no maps.
+    pub fn is_empty(&self) -> bool {
+        self.frames == 0
+    }
+
+    fn record_words(&self) -> usize {
+        MAP_RECORD_HEADER_WORDS + self.rows * self.cols
+    }
+
+    /// Map `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn map(&self, i: usize) -> MapRef<'_> {
+        assert!(i < self.frames, "map slab index out of range");
+        let record = &self.records(i..i + 1)[MAP_RECORD_HEADER_WORDS..];
+        MapRef {
+            rows: self.rows,
+            cols: self.cols,
+            cells: record,
+        }
+    }
+
+    /// The records of maps `range`, back to back: their
+    /// [`crate::codec::f64_le_bytes`] are the maps' wire bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past [`MapSlab::len`].
+    pub fn records(&self, range: Range<usize>) -> &[f64] {
+        assert!(range.end <= self.frames, "map slab range out of range");
+        let words = self.record_words();
+        &self.words[range.start * words..range.end * words]
+    }
+
+    /// Resizes the slab to `frames` maps of `rows × cols`, writes every
+    /// record header, and hands out the cell views in frame order. Stale
+    /// cells are left for the caller to overwrite.
+    fn refill(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        frames: usize,
+    ) -> impl Iterator<Item = &mut [f64]> {
+        self.rows = rows;
+        self.cols = cols;
+        self.frames = frames;
+        let words = self.record_words();
+        if self.words.len() < frames * words {
+            self.words.resize(frames * words, 0.0);
+        }
+        let header = map_record_header(rows, cols);
+        self.words[..frames * words]
+            .chunks_exact_mut(words)
+            .map(move |record| {
+                let (head, cells) = record.split_at_mut(MAP_RECORD_HEADER_WORDS);
+                head.copy_from_slice(&header);
+                cells
+            })
+    }
+}
+
+/// Shape and count only: the cells would swamp any log line.
+impl std::fmt::Debug for MapSlab {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MapSlab")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("frames", &self.frames)
+            .finish()
+    }
+}
+
+/// A borrowed view of one map: its shape and row-major cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MapRef<'a> {
+    rows: usize,
+    cols: usize,
+    cells: &'a [f64],
+}
+
+impl<'a> MapRef<'a> {
+    /// Grid rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Grid columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row-major cells, `rows · cols` long.
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.cells
+    }
+
+    /// An owned copy.
+    pub fn to_map(&self) -> ThermalMap {
+        ThermalMap::new(self.rows, self.cols, self.cells.to_vec())
+            .expect("a slab record holds rows · cols cells")
     }
 }
 
@@ -283,7 +430,7 @@ impl Reconstructor {
                 found: alpha.len(),
             });
         }
-        self.check_synthesis(0, alpha)?;
+        self.check_synthesis(0, alpha.iter().copied())?;
         let mut cells = vec![0.0; self.rows * self.cols];
         // A one-frame block: `alpha` transposed at bsz = 1 is itself.
         self.kernel.backend().synthesize_panels(
@@ -302,8 +449,8 @@ impl Reconstructor {
     /// the bound must stay within half of `f64::MAX`, headroom for the
     /// kernels' rounding. A NaN or ±∞ coefficient fails the comparison
     /// too.
-    fn check_synthesis(&self, frame: usize, alpha: &[f64]) -> Result<()> {
-        let l1: f64 = alpha.iter().map(|a| a.abs()).sum();
+    fn check_synthesis(&self, frame: usize, alpha: impl Iterator<Item = f64>) -> Result<()> {
+        let l1: f64 = alpha.map(f64::abs).sum();
         let bound = l1 * self.packed.max_abs() + self.mean_max;
         if bound <= f64::MAX / 2.0 {
             Ok(())
@@ -325,52 +472,75 @@ impl Reconstructor {
         self.map_from_coefficients(&alpha)
     }
 
-    /// Reconstructs a batch of frames — the serving hot path.
+    /// Reconstructs a batch of frames into one owned map per frame.
     ///
-    /// Compared with calling [`Reconstructor::reconstruct`] per frame this
-    /// reuses the factored QR's scratch buffers across frames (no per-frame
-    /// solver allocations) and synthesizes maps in
-    /// [`FRAME_BLOCK`]-frame blocks, one sweep over the packed basis panels
-    /// ([`PackedBasis`]) per block, through the dispatched
-    /// [`crate::kernel`] backend: each aligned panel column is loaded once
-    /// and multiplied into several frames' coefficients at a time, and
-    /// independent accumulator chains hide the floating-point latency
-    /// that bounds the one-dot-per-row single-frame path. Every backend
-    /// applies one fixed per-frame recurrence in ascending-`k` order
-    /// regardless of block position, so the returned maps are
-    /// **bitwise identical** to per-frame reconstruction under the same
+    /// Runs the same driver as [`Reconstructor::reconstruct_slab`], with
+    /// a fresh scratch, so the returned maps are **bitwise identical** to
+    /// the slab's and to per-frame reconstruction under the same
     /// [`Reconstructor::kernel_kind`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ShapeMismatch`] if any frame's length differs
     /// from `M`, [`CoreError::NonFiniteReading`] for the first NaN or ±∞
-    /// reading, [`CoreError::ReconstructionOverflow`] for the first frame
-    /// whose map would not be finite; propagates solver failures.
+    /// reading (before any solve runs), [`CoreError::ReconstructionOverflow`]
+    /// for the first frame whose map would not be finite; propagates
+    /// solver failures.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
-        self.reconstruct_batch_with(frames, &mut BatchScratch::new())
+        let n = self.rows * self.cols;
+        let mut cells: Vec<Vec<f64>> = frames.iter().map(|_| vec![0.0; n]).collect();
+        self.reconstruct_into(
+            frames,
+            cells.iter_mut().map(Vec::as_mut_slice),
+            &mut BatchScratch::new(),
+        )?;
+        cells
+            .into_iter()
+            .map(|c| ThermalMap::new(self.rows, self.cols, c))
+            .collect()
     }
 
-    /// [`Reconstructor::reconstruct_batch`] with caller-owned scratch.
+    /// Reconstructs a batch of frames into `slab`, one map record per
+    /// frame — the serving hot path.
     ///
-    /// Long-running serving loops (and the per-shard workers of
-    /// `eigenmaps-serve`) keep one [`BatchScratch`] per thread and reuse it
-    /// across batches, eliminating the per-call coefficient-buffer
-    /// allocations. Results are bitwise-identical to
-    /// [`Reconstructor::reconstruct_batch`] regardless of the scratch's
-    /// history.
+    /// Frames run in [`FRAME_BLOCK`]-frame blocks. Each block's readings
+    /// are centered straight into one sensor-major block, solved in one
+    /// [`Qr::solve_block_into`] sweep whose output is already the
+    /// kernel's coefficient layout, checked for overflow frame by frame in
+    /// O(K), and synthesized by one dispatched [`crate::kernel`] call over
+    /// every packed panel ([`PackedBasis`]), written in place into the
+    /// slab's records. The block solve gives each frame the bits of a
+    /// one-frame solve, and every kernel backend applies one fixed
+    /// per-frame recurrence regardless of block position, so the maps
+    /// are **bitwise identical** to per-frame reconstruction under the
+    /// same [`Reconstructor::kernel_kind`], whatever the scratch's and
+    /// the slab's history. With both reused, a batch no larger than the
+    /// largest before allocates nothing.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Reconstructor::reconstruct_batch`].
-    pub fn reconstruct_batch_with(
+    /// Same contract as [`Reconstructor::reconstruct_batch`]. On error
+    /// the slab's contents are unspecified.
+    pub fn reconstruct_slab(
         &self,
         frames: &[Vec<f64>],
+        slab: &mut MapSlab,
         scratch: &mut BatchScratch,
-    ) -> Result<Vec<ThermalMap>> {
+    ) -> Result<()> {
+        let outs = slab.refill(self.rows, self.cols, frames.len());
+        self.reconstruct_into(frames, outs, scratch)
+    }
+
+    /// The batch driver: writes frame `f`'s map into the `f`-th view of
+    /// `outs` (each `rows · cols` long, at least one per frame).
+    fn reconstruct_into<'o>(
+        &self,
+        frames: &[Vec<f64>],
+        mut outs: impl Iterator<Item = &'o mut [f64]>,
+        scratch: &mut BatchScratch,
+    ) -> Result<()> {
         let m = self.sensors.len();
         let k = self.k();
-        let n = self.rows * self.cols;
         for (frame, readings) in frames.iter().enumerate() {
             if readings.len() != m {
                 return Err(CoreError::ShapeMismatch {
@@ -381,45 +551,28 @@ impl Reconstructor {
             }
             check_finite(frame, readings)?;
         }
-
-        // Phase 1: per-frame least-squares coefficients, frame-major. The
-        // solver fully overwrites each frame's coefficient slice and the
-        // centered-readings buffer, so stale scratch contents are inert.
-        scratch.alphas.resize(frames.len() * k, 0.0);
-        scratch.centered.resize(m, 0.0);
-        let alphas = &mut scratch.alphas;
-        let centered = &mut scratch.centered;
-        for (f, readings) in frames.iter().enumerate() {
-            for ((s, x), mu) in centered
-                .iter_mut()
-                .zip(readings.iter())
-                .zip(self.mean_at_sensors.iter())
-            {
-                *s = x - mu;
-            }
-            let alpha = &mut alphas[f * k..(f + 1) * k];
-            self.qr.solve_lstsq_into(centered, alpha)?;
-            self.check_synthesis(f, alpha)?;
-        }
-
-        // Phase 2: packed synthesis Ψ_K α + mean through the dispatched
-        // kernel backend, one block at a time: transpose the block's
-        // coefficients frame-contiguous (`j`-major with stride bsz), then
-        // sweep every panel once. The backend's position-independence
-        // contract keeps every frame's rounding identical to a
-        // single-frame synthesis.
         let backend = self.kernel.backend();
-        let mut cells: Vec<Vec<f64>> = frames.iter().map(|_| vec![0.0; n]).collect();
-        let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        for (block, outs) in outs.chunks_mut(FRAME_BLOCK).enumerate() {
-            let bsz = outs.len();
+        for (block, chunk) in frames.chunks(FRAME_BLOCK).enumerate() {
+            let bsz = chunk.len();
             let first = block * FRAME_BLOCK;
-            scratch.alpha_t.resize(bsz * k, 0.0);
-            for f in 0..bsz {
-                let alpha = &alphas[(first + f) * k..][..k];
-                for (j, &a) in alpha.iter().enumerate() {
-                    scratch.alpha_t[j * bsz + f] = a;
+            // Every entry of both buffers is written before it is read,
+            // so stale scratch contents are inert.
+            scratch.centered.resize(m * bsz, 0.0);
+            scratch.alpha_t.resize(k * bsz, 0.0);
+            for (f, readings) in chunk.iter().enumerate() {
+                for (s, (x, mu)) in readings.iter().zip(&self.mean_at_sensors).enumerate() {
+                    scratch.centered[s * bsz + f] = x - mu;
                 }
+            }
+            self.qr
+                .solve_block_into(&mut scratch.centered, &mut scratch.alpha_t, bsz)?;
+            for f in 0..bsz {
+                let alpha = scratch.alpha_t.iter().skip(f).step_by(bsz).copied();
+                self.check_synthesis(first + f, alpha)?;
+            }
+            let mut views: [&mut [f64]; FRAME_BLOCK] = std::array::from_fn(|_| Default::default());
+            for view in &mut views[..bsz] {
+                *view = outs.next().expect("one output view per frame");
             }
             backend.synthesize_panels(
                 &self.packed,
@@ -427,13 +580,10 @@ impl Reconstructor {
                 &self.mean,
                 &scratch.alpha_t,
                 bsz,
-                outs,
+                &mut views[..bsz],
             );
         }
-        cells
-            .into_iter()
-            .map(|c| ThermalMap::new(self.rows, self.cols, c))
-            .collect()
+        Ok(())
     }
 }
 
@@ -701,28 +851,91 @@ mod tests {
         let rec = Reconstructor::new(&basis, &sensors).unwrap();
         let frames: Vec<Vec<f64>> = (0..50).map(|t| sensors.sample(&ens.map(t))).collect();
         let fresh = rec.reconstruct_batch(&frames).unwrap();
+        fn slab_maps(slab: &MapSlab) -> Vec<MapRef<'_>> {
+            (0..slab.len()).map(|i| slab.map(i)).collect()
+        }
         let mut scratch = BatchScratch::new();
+        let mut slab = MapSlab::new();
         // Dirty the scratch with a differently-shaped batch first, then
         // shrink: outputs must not depend on the scratch's history.
-        rec.reconstruct_batch_with(&frames[..37], &mut scratch)
+        rec.reconstruct_slab(&frames[..37], &mut slab, &mut scratch)
             .unwrap();
-        let reused = rec.reconstruct_batch_with(&frames, &mut scratch).unwrap();
+        rec.reconstruct_slab(&frames, &mut slab, &mut scratch)
+            .unwrap();
+        let reused = slab_maps(&slab);
         for (a, b) in fresh.iter().zip(reused.iter()) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
         // The reverse order: a scratch sized by the full batch then serves
         // smaller batches, down to a single frame.
         let mut scratch = BatchScratch::new();
-        rec.reconstruct_batch_with(&frames, &mut scratch).unwrap();
+        let mut slab = MapSlab::new();
+        rec.reconstruct_slab(&frames, &mut slab, &mut scratch)
+            .unwrap();
         for len in [37, 1] {
-            let reused = rec
-                .reconstruct_batch_with(&frames[..len], &mut scratch)
+            rec.reconstruct_slab(&frames[..len], &mut slab, &mut scratch)
                 .unwrap();
+            let reused = slab_maps(&slab);
             assert_eq!(reused.len(), len);
             for (a, b) in fresh.iter().zip(reused.iter()) {
                 assert_eq!(a.as_slice(), b.as_slice(), "batch of {len}");
             }
         }
+    }
+
+    #[test]
+    fn slab_records_are_wire_map_records() {
+        let ens = smooth_ensemble(6, 5, 40);
+        let basis = EigenBasis::fit_exact(&ens, 3).unwrap();
+        let sensors = SensorSet::new(6, 5, vec![0, 7, 14, 21, 29]).unwrap();
+        let rec = Reconstructor::new(&basis, &sensors).unwrap();
+        let frames: Vec<Vec<f64>> = (0..40).map(|t| sensors.sample(&ens.map(t))).collect();
+        let maps = rec.reconstruct_batch(&frames).unwrap();
+        let mut slab = MapSlab::new();
+        rec.reconstruct_slab(&frames, &mut slab, &mut BatchScratch::new())
+            .unwrap();
+        assert_eq!(slab.len(), 40);
+        let mut enc = crate::codec::Encoder::default();
+        for map in &maps[3..35] {
+            enc.map_record(map.rows(), map.cols(), map.as_slice());
+        }
+        let bytes = crate::codec::f64_le_bytes(slab.records(3..35));
+        assert_eq!(&*bytes, enc.finish().as_slice());
+        let view = slab.map(7);
+        assert_eq!((view.rows(), view.cols()), (6, 5));
+        assert_eq!(view.to_map(), maps[7]);
+        assert!(slab.records(40..40).is_empty());
+    }
+
+    #[test]
+    fn overflow_in_a_later_block_names_its_batch_frame() {
+        let ens = smooth_ensemble(6, 6, 60);
+        let basis = EigenBasis::fit_exact(&ens, 2).unwrap();
+        let sensors = SensorSet::new(6, 6, vec![0, 7, 21, 35]).unwrap();
+        let rec = Reconstructor::new(&basis, &sensors).unwrap();
+        let good = sensors.sample(&ens.map(3));
+        let mut frames = vec![good.clone(); 70];
+        frames[40] = vec![1.7e308; 4];
+        assert_eq!(
+            rec.reconstruct_batch(&frames).unwrap_err(),
+            CoreError::ReconstructionOverflow { frame: 40 }
+        );
+        let mut slab = MapSlab::new();
+        assert_eq!(
+            rec.reconstruct_slab(&frames, &mut slab, &mut BatchScratch::new())
+                .unwrap_err(),
+            CoreError::ReconstructionOverflow { frame: 40 }
+        );
+        // A non-finite reading anywhere is reported before any solve, so
+        // it wins over an overflow in an earlier block.
+        frames[65][2] = f64::NAN;
+        assert_eq!(
+            rec.reconstruct_batch(&frames).unwrap_err(),
+            CoreError::NonFiniteReading {
+                frame: 65,
+                sensor: 2
+            }
+        );
     }
 
     #[test]

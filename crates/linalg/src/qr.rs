@@ -5,6 +5,14 @@
 //! the sensing matrix, which is backward-stable (the normal equations would
 //! square the condition number that the sensor-allocation algorithm works so
 //! hard to keep small).
+//!
+//! A serving batch solves many frames against one factorization, so the
+//! solve has one loop, [`Qr::solve_block_into`], over a block of
+//! right-hand sides: each reflector and each back-substitution row
+//! sweeps every frame of the block in one contiguous loop, while each
+//! frame sees exactly the one-vector sequence of operations and so gets
+//! the same bits. [`Qr::solve_lstsq_into`] is its one-column case. The
+//! rank tolerance on `R`'s diagonal is fixed at factorization.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -37,6 +45,8 @@ pub struct Qr {
     packed: Matrix,
     /// Scalar factors `tau` of the reflectors `H = I − τ v vᵀ`.
     tau: Vec<f64>,
+    /// Rank tolerance on `R`'s diagonal, fixed at factorization.
+    tol: f64,
 }
 
 impl Qr {
@@ -92,7 +102,12 @@ impl Qr {
                 }
             }
         }
-        Ok(Qr { packed: r, tau })
+        let tol = r_diag_tolerance(&r);
+        Ok(Qr {
+            packed: r,
+            tau,
+            tol,
+        })
     }
 
     /// Number of rows of the factorized matrix.
@@ -117,7 +132,7 @@ impl Qr {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != rows`.
     pub fn apply_qt(&self, b: &mut [f64]) -> Result<()> {
-        let (m, n) = self.packed.shape();
+        let m = self.rows();
         if b.len() != m {
             return Err(LinalgError::ShapeMismatch {
                 context: "qr apply_qt",
@@ -125,22 +140,43 @@ impl Qr {
                 found: (b.len(), 1),
             });
         }
+        self.apply_qt_block(b, 1, &mut [0.0]);
+        Ok(())
+    }
+
+    /// `b ← Qᵀ b` for `bsz` sensor-major right-hand sides (`b[i · bsz +
+    /// f]` is row `i` of column `f`), with `w` (`bsz` long) as scratch.
+    /// Each column runs the single-vector reflector sequence: `w = b_k +
+    /// Σ_i v_i b_i` in ascending `i`, then `w ← τ w`, `b_k −= w` and `b_i
+    /// −= w v_i`, one multiply and one add at a time.
+    #[inline(always)]
+    fn apply_qt_block(&self, b: &mut [f64], bsz: usize, w: &mut [f64]) {
+        let (m, n) = self.packed.shape();
         for k in 0..n {
             let tau_k = self.tau[k];
             if tau_k == 0.0 {
                 continue;
             }
-            let mut w = b[k];
+            w.copy_from_slice(&b[k * bsz..(k + 1) * bsz]);
             for i in (k + 1)..m {
-                w += self.packed[(i, k)] * b[i];
+                let v = self.packed[(i, k)];
+                for (wf, bf) in w.iter_mut().zip(&b[i * bsz..(i + 1) * bsz]) {
+                    *wf += v * bf;
+                }
             }
-            w *= tau_k;
-            b[k] -= w;
+            for wf in w.iter_mut() {
+                *wf *= tau_k;
+            }
+            for (bf, wf) in b[k * bsz..(k + 1) * bsz].iter_mut().zip(w.iter()) {
+                *bf -= wf;
+            }
             for i in (k + 1)..m {
-                b[i] -= w * self.packed[(i, k)];
+                let v = self.packed[(i, k)];
+                for (bf, wf) in b[i * bsz..(i + 1) * bsz].iter_mut().zip(w.iter()) {
+                    *bf -= wf * v;
+                }
             }
         }
-        Ok(())
     }
 
     /// Forms the thin orthonormal factor `Q` (`m × n`).
@@ -189,9 +225,9 @@ impl Qr {
 
     /// Allocation-free variant of [`Qr::solve_lstsq`] for hot loops that
     /// solve against many right-hand sides: `b` is consumed as scratch
-    /// (overwritten with `Qᵀb`) and the solution is written into `x`. The
-    /// arithmetic is identical to [`Qr::solve_lstsq`], so results match it
-    /// bitwise.
+    /// (overwritten with `Qᵀb`) and the solution is written into `x`. It
+    /// is [`Qr::solve_block_into`] with one column, so results match it
+    /// and [`Qr::solve_lstsq`] bitwise.
     ///
     /// # Errors
     ///
@@ -200,38 +236,79 @@ impl Qr {
     /// * [`LinalgError::Singular`] if `R` has a (numerically) zero diagonal
     ///   entry, i.e. the matrix does not have full column rank.
     pub fn solve_lstsq_into(&self, b: &mut [f64], x: &mut [f64]) -> Result<()> {
+        self.solve_block(b, x, 1)
+    }
+
+    /// Solves `min_x ‖a x − b‖₂` for `bsz` right-hand sides at once.
+    ///
+    /// `b` is sensor-major (`rows × bsz`: `b[i · bsz + f]` is row `i` of
+    /// column `f`) and is consumed as scratch (overwritten with `Qᵀb`);
+    /// the solutions land coefficient-major in `x` (`cols × bsz`:
+    /// `x[j · bsz + f]`). Every reflector and every back-substitution row
+    /// sweeps all columns in one contiguous loop, which the compiler
+    /// vectorizes, while each column still sees exactly the single-vector
+    /// sequence of multiplies and adds: column `f` of `x` is bitwise the
+    /// one-column solve of column `f` of `b`. A dirty `x` is fine.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::ShapeMismatch`] if `b.len() != rows · bsz` or
+    ///   `x.len() != cols · bsz`.
+    /// * [`LinalgError::Singular`] if `R` has a (numerically) zero diagonal
+    ///   entry, i.e. the matrix does not have full column rank.
+    pub fn solve_block_into(&self, b: &mut [f64], x: &mut [f64], bsz: usize) -> Result<()> {
+        self.solve_block(b, x, bsz)
+    }
+
+    /// The one solve loop behind [`Qr::solve_block_into`] and
+    /// [`Qr::solve_lstsq_into`]. Inlined into both, so the one-column
+    /// call compiles with `bsz = 1` folded in and pays no block overhead.
+    #[inline(always)]
+    fn solve_block(&self, b: &mut [f64], x: &mut [f64], bsz: usize) -> Result<()> {
         let (m, n) = self.packed.shape();
-        if b.len() != m {
+        if b.len() != m * bsz {
             return Err(LinalgError::ShapeMismatch {
                 context: "qr solve_lstsq",
-                expected: (m, 1),
+                expected: (m, bsz),
                 found: (b.len(), 1),
             });
         }
-        if x.len() != n {
+        if x.len() != n * bsz {
             return Err(LinalgError::ShapeMismatch {
                 context: "qr solve_lstsq solution",
-                expected: (n, 1),
+                expected: (n, bsz),
                 found: (x.len(), 1),
             });
         }
-        self.apply_qt(b)?;
-        // Back substitution on the leading n×n triangle. Entries x[j] for
-        // j > i are always written before they are read, so a dirty `x`
-        // buffer is fine.
-        let tol = self.r_diag_tolerance();
+        if n == 0 || bsz == 0 {
+            return Ok(());
+        }
+        // The first solution row is free until the back substitution
+        // writes it last, so it holds the reflectors' `w`.
+        let (w, _) = x.split_at_mut(bsz);
+        self.apply_qt_block(b, bsz, w);
+        // Back substitution on the leading n×n triangle, one row of all
+        // columns at a time: `x_i = (b_i − Σ_{j>i} R_ij x_j) / R_ii`, the
+        // sum in ascending `j`. Rows below `i` are already final.
         for i in (0..n).rev() {
-            let mut s = b[i];
-            for j in (i + 1)..n {
-                s -= self.packed[(i, j)] * x[j];
-            }
             let d = self.packed[(i, i)];
-            if d.abs() <= tol {
+            if d.abs() <= self.tol {
                 return Err(LinalgError::Singular {
                     context: "qr solve_lstsq",
                 });
             }
-            x[i] = s / d;
+            let (head, solved) = x.split_at_mut((i + 1) * bsz);
+            let xi = &mut head[i * bsz..];
+            xi.copy_from_slice(&b[i * bsz..(i + 1) * bsz]);
+            for (j, xj) in ((i + 1)..n).zip(solved.chunks_exact(bsz)) {
+                let r = self.packed[(i, j)];
+                for (s, xjf) in xi.iter_mut().zip(xj) {
+                    *s -= r * xjf;
+                }
+            }
+            for s in xi.iter_mut() {
+                *s /= d;
+            }
         }
         Ok(())
     }
@@ -239,20 +316,18 @@ impl Qr {
     /// Numerical rank of the factorized matrix estimated from the diagonal
     /// of `R` (cheap; for a rigorous rank use the SVD).
     pub fn rank_estimate(&self) -> usize {
-        let tol = self.r_diag_tolerance();
         (0..self.cols())
-            .filter(|&i| self.packed[(i, i)].abs() > tol)
+            .filter(|&i| self.packed[(i, i)].abs() > self.tol)
             .count()
     }
+}
 
-    fn r_diag_tolerance(&self) -> f64 {
-        let n = self.cols();
-        let mut max = 0.0_f64;
-        for i in 0..n {
-            max = max.max(self.packed[(i, i)].abs());
-        }
-        max * (self.rows().max(1) as f64) * f64::EPSILON
-    }
+/// The magnitude at or below which a diagonal entry of `R` counts as
+/// zero: `max |R_ii| · max(m, 1) · ε`.
+fn r_diag_tolerance(r: &Matrix) -> f64 {
+    let (m, n) = r.shape();
+    let max = (0..n).fold(0.0_f64, |max, i| max.max(r[(i, i)].abs()));
+    max * (m.max(1) as f64) * f64::EPSILON
 }
 
 /// One-shot least squares: solves `min_x ‖a x − b‖₂`.
@@ -373,6 +448,146 @@ mod tests {
         // Shape checks.
         assert!(qr.solve_lstsq_into(&mut [0.0; 2], &mut [0.0; 3]).is_err());
         assert!(qr.solve_lstsq_into(&mut b.clone(), &mut [0.0; 2]).is_err());
+    }
+
+    /// The per-frame solve before blocking, kept as the oracle: one
+    /// reflector chain over one vector, then back substitution.
+    fn oracle_solve(qr: &Qr, b: &[f64]) -> Result<Vec<f64>> {
+        let (m, n) = qr.packed.shape();
+        let mut b = b.to_vec();
+        for k in 0..n {
+            let tau_k = qr.tau[k];
+            if tau_k == 0.0 {
+                continue;
+            }
+            let mut w = b[k];
+            for i in (k + 1)..m {
+                w += qr.packed[(i, k)] * b[i];
+            }
+            w *= tau_k;
+            b[k] -= w;
+            for i in (k + 1)..m {
+                b[i] -= w * qr.packed[(i, k)];
+            }
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut s = b[i];
+            for j in (i + 1)..n {
+                s -= qr.packed[(i, j)] * x[j];
+            }
+            let d = qr.packed[(i, i)];
+            if d.abs() <= qr.tol {
+                return Err(LinalgError::Singular {
+                    context: "qr solve_lstsq",
+                });
+            }
+            x[i] = s / d;
+        }
+        Ok(x)
+    }
+
+    /// Solves `bsz` columns through [`Qr::solve_block_into`] and checks
+    /// each against the oracle bit for bit.
+    fn assert_block_matches_oracle(qr: &Qr, columns: &[Vec<f64>], what: &str) {
+        let (m, n) = (qr.rows(), qr.cols());
+        let bsz = columns.len();
+        let mut b = vec![0.0; m * bsz];
+        for (f, col) in columns.iter().enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                b[i * bsz + f] = v;
+            }
+        }
+        let mut x = vec![f64::NAN; n * bsz]; // dirty buffer must not matter
+        qr.solve_block_into(&mut b, &mut x, bsz).unwrap();
+        for (f, col) in columns.iter().enumerate() {
+            let want = oracle_solve(qr, col).unwrap();
+            for (j, w) in want.iter().enumerate() {
+                assert_eq!(
+                    x[j * bsz + f].to_bits(),
+                    w.to_bits(),
+                    "{what}: bsz {bsz}, column {f}, coefficient {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_solve_matches_the_per_frame_oracle_bitwise() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED_B10C);
+        let mut shapes = vec![(16, 16), (24, 16), (5, 3), (9, 1), (1, 1), (3, 3)];
+        for _ in 0..12 {
+            let n: usize = rng.gen_range(1..=12usize);
+            shapes.push((n + rng.gen_range(0..=8usize), n));
+        }
+        for (m, n) in shapes {
+            assert!(m >= n);
+            // Random entries are full rank with probability one; the
+            // rank guard below would say otherwise.
+            let a = Matrix::from_fn(m, n, |_, _| rng.gen_range(-10.0..10.0));
+            let qr = Qr::new(&a).unwrap();
+            assert_eq!(qr.rank_estimate(), n, "{m}×{n} is full rank");
+            for bsz in [1, 2, 7, 31, 32, 33] {
+                let columns: Vec<Vec<f64>> = (0..bsz)
+                    .map(|_| (0..m).map(|_| rng.gen_range(-50.0..50.0)).collect())
+                    .collect();
+                assert_block_matches_oracle(&qr, &columns, &format!("{m}×{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn block_solve_skips_a_reduced_column_like_the_oracle() {
+        // The first column is already `R`'s (zero below a nonnegative
+        // diagonal), so its reflector has τ = 0 and is skipped.
+        let a = Matrix::from_rows(&[
+            &[2.0, 1.0, -3.0],
+            &[0.0, 4.0, 1.0],
+            &[0.0, -1.0, 2.0],
+            &[0.0, 3.0, 0.5],
+            &[0.0, 0.5, -1.5],
+        ]);
+        let qr = Qr::new(&a).unwrap();
+        assert_eq!(qr.tau[0], 0.0);
+        assert!(qr.tau[1] != 0.0);
+        for bsz in [1, 2, 7, 31, 32, 33] {
+            let columns: Vec<Vec<f64>> = (0..bsz)
+                .map(|f| {
+                    (0..5)
+                        .map(|i| ((i * 7 + f * 3) as f64 * 0.37).sin())
+                        .collect()
+                })
+                .collect();
+            assert_block_matches_oracle(&qr, &columns, "reduced first column");
+        }
+    }
+
+    #[test]
+    fn block_solve_refuses_a_rank_deficient_r() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
+        let qr = Qr::new(&a).unwrap();
+        for bsz in [1, 2, 33] {
+            let mut b = vec![1.0; 3 * bsz];
+            let mut x = vec![0.0; 2 * bsz];
+            assert!(matches!(
+                qr.solve_block_into(&mut b, &mut x, bsz),
+                Err(LinalgError::Singular { .. })
+            ));
+        }
+        assert!(matches!(
+            oracle_solve(&qr, &[1.0, 2.0, 3.0]),
+            Err(LinalgError::Singular { .. })
+        ));
+        // Shapes are checked against the block width.
+        let qr = Qr::new(&Matrix::identity(2)).unwrap();
+        assert!(qr
+            .solve_block_into(&mut [0.0; 4], &mut [0.0; 2], 2)
+            .is_err());
+        assert!(qr
+            .solve_block_into(&mut [0.0; 2], &mut [0.0; 4], 2)
+            .is_err());
+        assert!(qr.solve_block_into(&mut [], &mut [], 0).is_ok());
     }
 
     #[test]

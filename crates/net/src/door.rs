@@ -15,6 +15,15 @@
 //! is the earliest idle-reap or drain deadline, so an idle door costs no
 //! CPU and a request is served as soon as its bytes arrive.
 //!
+//! Each connection's outbox is a queue of outgoing replies, flushed with
+//! vectored writes that resume at any byte after a partial write. A
+//! reply is either a sealed frame or a batch reply, which is never
+//! encoded into a frame: its head, the [`MapBatch`]'s map records where
+//! the shard workers wrote them (one run per shard slab) and its trailer
+//! go to `writev` as they are, with the CRC-32C computed over the runs in
+//! place. The bytes are exactly [`Response::encode`]'s for the same maps,
+//! and the slabs return to the executor's pool once the reply is written.
+//!
 //! Robustness contract (exercised by the crate's tests):
 //!
 //! * corrupt, malformed, truncated or oversized frames produce an
@@ -30,23 +39,26 @@
 //! * idle and slow-client timeouts reap connections that make no
 //!   progress; a graceful shutdown drains pending responses first.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::ffi::c_short;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use eigenmaps_core::codec::{f64_le_bytes, Crc32c};
 use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{
-    ReapReason, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar, TrackerSession,
-    WireErrorKind,
+    MapBatch, ReapReason, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar,
+    TrackerSession, WireErrorKind,
 };
 
 use crate::protocol::{
-    status_of, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireMetrics,
-    WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
+    batch_reply_head, batch_reply_trailer, status_of, EncodeError, FrameBuffer, Request, Response,
+    WireError, WireExemplar, WireMap, WireMetrics, WireStage, WireStatus, WireTenantTrace,
+    WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
 use crate::sys::{self, PollFd};
 
@@ -147,13 +159,166 @@ impl DoorHandle {
     }
 }
 
+/// Most buffers one `writev` is handed.
+const MAX_IOV: usize = 16;
+
+/// One reply waiting in a connection's outbox.
+enum Outgoing {
+    /// A sealed frame.
+    Frame(Vec<u8>),
+    /// A batch reply sent from the executor's slabs: the frame's head,
+    /// the batch's map records where they sit, then the trailer.
+    Batch {
+        head: Vec<u8>,
+        maps: MapBatch,
+        trailer: [u8; 5],
+        /// Bytes of the whole frame.
+        len: usize,
+    },
+}
+
+impl Outgoing {
+    /// A batch reply for `maps` under `id`: the CRC is computed over the
+    /// records in place, and the bytes sent are exactly
+    /// [`Response::encode`]'s for the same maps.
+    fn batch(id: u64, version: u32, maps: MapBatch, degraded: bool) -> Result<Self, EncodeError> {
+        let records_len = maps.record_runs().map(|run| 8 * run.len()).sum::<usize>();
+        let head = batch_reply_head(id, version, maps.len(), records_len)?;
+        let mut crc = Crc32c::new();
+        crc.update(&head[4..]);
+        for run in maps.record_runs() {
+            crc.update(&f64_le_bytes(run));
+        }
+        let trailer = batch_reply_trailer(crc, degraded);
+        Ok(Outgoing::Batch {
+            len: head.len() + records_len + trailer.len(),
+            head,
+            maps,
+            trailer,
+        })
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Outgoing::Frame(frame) => frame.len(),
+            Outgoing::Batch { len, .. } => *len,
+        }
+    }
+}
+
+/// A connection's unflushed replies, in order, written with vectored
+/// writes that resume at any byte after a partial write.
+#[derive(Default)]
+struct Outbox {
+    items: VecDeque<Outgoing>,
+    /// Bytes of the front item already written.
+    written: usize,
+    /// Unwritten bytes across all items.
+    backlog: usize,
+}
+
+impl Outbox {
+    fn push(&mut self, item: Outgoing) {
+        self.backlog += item.len();
+        self.items.push_back(item);
+    }
+
+    fn backlog(&self) -> usize {
+        self.backlog
+    }
+
+    /// Writes as much of the queue as `out` takes, returning the bytes
+    /// written once it would block or the queue is empty.
+    ///
+    /// # Errors
+    ///
+    /// Any write error but `WouldBlock` and `Interrupted`; a write of
+    /// zero bytes is `WriteZero`.
+    fn flush(&mut self, out: &mut impl Write) -> io::Result<usize> {
+        let mut total = 0;
+        while self.backlog > 0 {
+            let mut pieces: [Cow<'_, [u8]>; MAX_IOV] =
+                std::array::from_fn(|_| Cow::Borrowed(&[][..]));
+            let count = self.gather(&mut pieces);
+            let slices: [IoSlice<'_>; MAX_IOV] = std::array::from_fn(|i| IoSlice::new(&pieces[i]));
+            let written = match out.write_vectored(&slices[..count]) {
+                Ok(0) => return Err(io::Error::from(ErrorKind::WriteZero)),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(total),
+                Err(e) => return Err(e),
+            };
+            total += written;
+            self.advance(written);
+        }
+        Ok(total)
+    }
+
+    /// Fills `pieces` with the unwritten bytes from the front of the
+    /// queue, in order and at most [`MAX_IOV`] buffers, and returns how
+    /// many it filled.
+    fn gather<'a>(&'a self, pieces: &mut [Cow<'a, [u8]>; MAX_IOV]) -> usize {
+        let mut count = 0;
+        let mut skip = self.written;
+        let mut put = |piece: Cow<'a, [u8]>| -> bool {
+            if skip >= piece.len() {
+                skip -= piece.len();
+                return true;
+            }
+            pieces[count] = match piece {
+                Cow::Borrowed(bytes) => Cow::Borrowed(&bytes[skip..]),
+                Cow::Owned(mut bytes) => {
+                    bytes.drain(..skip);
+                    Cow::Owned(bytes)
+                }
+            };
+            skip = 0;
+            count += 1;
+            count < MAX_IOV
+        };
+        for item in &self.items {
+            let more = match item {
+                Outgoing::Frame(frame) => put(Cow::Borrowed(frame)),
+                Outgoing::Batch {
+                    head,
+                    maps,
+                    trailer,
+                    ..
+                } => std::iter::once(Cow::Borrowed(&head[..]))
+                    .chain(maps.record_runs().map(f64_le_bytes))
+                    .chain(std::iter::once(Cow::Borrowed(&trailer[..])))
+                    .all(&mut put),
+            };
+            if !more {
+                break;
+            }
+        }
+        count
+    }
+
+    /// Consumes `n` written bytes, dropping every item written whole
+    /// (which releases a batch's slabs to the executor's pool).
+    fn advance(&mut self, n: usize) {
+        self.backlog -= n;
+        let mut done = self.written + n;
+        while let Some(front) = self.items.front() {
+            let len = front.len();
+            if done < len {
+                break;
+            }
+            done -= len;
+            self.items.pop_front();
+        }
+        self.written = done;
+    }
+}
+
 /// One accepted connection and everything in flight on it.
 struct Conn {
     stream: TcpStream,
     frames: FrameBuffer,
-    /// Encoded, unflushed response bytes; `written` is the flush cursor.
-    outbox: Vec<u8>,
-    written: usize,
+    /// Replies not yet written to the socket.
+    outbox: Outbox,
     /// Batch tickets keyed by request correlation id.
     batches: HashMap<u64, Ticket>,
     /// Step tickets keyed by request correlation id, with the session id
@@ -171,8 +336,7 @@ impl Conn {
         Conn {
             stream,
             frames: FrameBuffer::new(max_frame),
-            outbox: Vec::new(),
-            written: 0,
+            outbox: Outbox::default(),
             batches: HashMap::new(),
             steps: HashMap::new(),
             sessions: HashMap::new(),
@@ -182,7 +346,7 @@ impl Conn {
     }
 
     fn backlog(&self) -> usize {
-        self.outbox.len() - self.written
+        self.outbox.backlog()
     }
 
     fn pending(&self) -> usize {
@@ -209,15 +373,13 @@ impl Conn {
     }
 
     fn enqueue(&mut self, frame: Vec<u8>, metrics: &ServeMetrics) {
+        self.push(Outgoing::Frame(frame), metrics);
+    }
+
+    fn push(&mut self, item: Outgoing, metrics: &ServeMetrics) {
         metrics.record_wire_frame_out();
-        metrics.record_wire_bytes_out(frame.len() as u64);
-        if self.written == self.outbox.len() {
-            // Nothing unflushed: adopt the sealed frame, no copy.
-            self.outbox = frame;
-            self.written = 0;
-        } else {
-            self.outbox.extend_from_slice(&frame);
-        }
+        metrics.record_wire_bytes_out(item.len() as u64);
+        self.outbox.push(item);
     }
 }
 
@@ -515,15 +677,10 @@ fn service_conn(
             .expect("ready id came from the map");
         let version = ticket.version();
         match ticket.try_wait() {
-            Some(Ok(maps)) => {
-                let maps = maps.into_iter().map(WireMap::from).collect();
-                let reply = Response::Batch {
-                    version,
-                    maps,
-                    degraded: ticket.is_degraded(),
-                };
-                conn.enqueue(seal_reply(reply, id, metrics), metrics);
-            }
+            Some(Ok(maps)) => match Outgoing::batch(id, version, maps, ticket.is_degraded()) {
+                Ok(reply) => conn.push(reply, metrics),
+                Err(e) => conn.enqueue(oversized_reply(&e, id, metrics), metrics),
+            },
             Some(Err(e)) => {
                 conn.enqueue(error_reply(&e, id, metrics), metrics);
             }
@@ -560,27 +717,10 @@ fn service_conn(
     }
 
     // Write phase: flush as much of the outbox as the socket takes.
-    while conn.written < conn.outbox.len() {
-        match conn.stream.write(&conn.outbox[conn.written..]) {
-            Ok(0) => {
-                peer_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.written += n;
-                conn.last_progress = now;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                peer_closed = true;
-                break;
-            }
-        }
-    }
-    if conn.written == conn.outbox.len() && !conn.outbox.is_empty() {
-        conn.outbox.clear();
-        conn.written = 0;
+    match conn.outbox.flush(&mut conn.stream) {
+        Ok(0) => {}
+        Ok(_) => conn.last_progress = now,
+        Err(_) => peer_closed = true,
     }
 
     if peer_closed {
@@ -873,18 +1013,20 @@ fn register_session(conn: &mut Conn, session: TrackerSession) -> Response {
 /// instead. Error replies themselves are a status byte plus a short
 /// message, far below the bound, so the fallback encode cannot fail.
 fn seal_reply(reply: Response, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
-    match reply.encode(id) {
-        Ok(frame) => frame,
-        Err(e) => {
-            metrics.record_wire_error(WireErrorKind::Rejected);
-            Response::Error {
-                status: WireStatus::BadRequest,
-                message: e.to_string(),
-            }
-            .encode(id)
-            .expect("error replies fit the frame bound")
-        }
+    reply
+        .encode(id)
+        .unwrap_or_else(|e| oversized_reply(&e, id, metrics))
+}
+
+/// The `Error` reply that replaces a reply over the frame bound.
+fn oversized_reply(e: &EncodeError, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
+    metrics.record_wire_error(WireErrorKind::Rejected);
+    Response::Error {
+        status: WireStatus::BadRequest,
+        message: e.to_string(),
     }
+    .encode(id)
+    .expect("error replies fit the frame bound")
 }
 
 fn unknown_session(session: u64, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
@@ -910,4 +1052,160 @@ fn record_wire_error(metrics: &ServeMetrics, error: &WireError) {
         WireError::UnknownKind { .. } => WireErrorKind::UnknownKind,
     };
     metrics.record_wire_error(kind);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eigenmaps_core::prelude::*;
+    use eigenmaps_serve::ShardedExecutor;
+
+    /// A socket stand-in that takes at most `max` bytes per call, across
+    /// buffers, and refuses every other call with `WouldBlock` when
+    /// `stall` is set.
+    struct Trickle {
+        bytes: Vec<u8>,
+        max: usize,
+        stall: bool,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn new(max: usize, stall: bool) -> Self {
+            Trickle {
+                bytes: Vec::new(),
+                max,
+                stall,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.stall && self.calls % 2 == 1 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let mut room = self.max;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.max - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A 2-shard batch of 21 maps of 8 × 7 cells: spans 0..11 and 11..21.
+    fn two_shard_batch() -> MapBatch {
+        let maps: Vec<ThermalMap> = (0..40)
+            .map(|t| {
+                let a = (t as f64 / 4.0).sin();
+                let b = (t as f64 / 3.3).cos();
+                ThermalMap::from_fn(8, 7, |r, c| 48.0 + a * r as f64 - b * c as f64)
+            })
+            .collect();
+        let ens = MapEnsemble::from_maps(&maps).unwrap();
+        let deployment = Pipeline::new(&ens)
+            .basis(BasisSpec::EigenExact { k: 2 })
+            .sensors(5)
+            .design()
+            .unwrap();
+        let frames: Vec<Vec<f64>> = (0..21)
+            .map(|t| deployment.sensors().sample(&ens.map(t)))
+            .collect();
+        let batch = ShardedExecutor::new(2)
+            .execute(&Arc::new(deployment), &Arc::new(frames))
+            .unwrap();
+        assert_eq!(batch.record_runs().count(), 2, "one run per shard");
+        batch
+    }
+
+    /// `Response::encode` of the same maps: the reference bytes.
+    fn encoded(id: u64, version: u32, maps: &MapBatch, degraded: bool) -> Vec<u8> {
+        Response::Batch {
+            version,
+            maps: maps.to_maps().iter().map(WireMap::from).collect(),
+            degraded,
+        }
+        .encode(id)
+        .unwrap()
+    }
+
+    /// Flushes `outbox` into `sink` until it is empty.
+    fn drain(outbox: &mut Outbox, sink: &mut Trickle) {
+        let mut passes = 0;
+        while outbox.backlog() > 0 {
+            outbox.flush(sink).unwrap();
+            passes += 1;
+            assert!(passes < 10_000_000, "flush makes progress");
+        }
+        assert!(outbox.items.is_empty());
+        assert_eq!(outbox.written, 0);
+    }
+
+    const LIMITS: [usize; 5] = [1, 7, 4096, 65_536, usize::MAX];
+
+    #[test]
+    fn batch_reply_bytes_equal_response_encode_under_any_write_size() {
+        let batch = two_shard_batch();
+        let cases = [
+            ("2-shard batch", batch.clone(), false),
+            ("range across the shard boundary", batch.slice(7..15), false),
+            ("degraded", batch.slice(11..21), true),
+            ("empty batch", MapBatch::empty(), false),
+        ];
+        for (what, maps, degraded) in cases {
+            let want = encoded(42, 3, &maps, degraded);
+            for max in LIMITS {
+                for stall in [false, true] {
+                    let mut outbox = Outbox::default();
+                    outbox.push(Outgoing::batch(42, 3, maps.clone(), degraded).unwrap());
+                    assert_eq!(outbox.backlog(), want.len(), "{what}");
+                    let mut sink = Trickle::new(max, stall);
+                    drain(&mut outbox, &mut sink);
+                    assert!(sink.bytes == want, "{what}: max {max}, stall {stall}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_queue_is_written_in_order_and_releases_slabs() {
+        let batch = two_shard_batch();
+        let step = Response::Closed.encode(5).unwrap();
+        let mut want = step.clone();
+        want.extend(encoded(6, 1, &batch.slice(3..19), false));
+        want.extend(&step);
+        want.extend(encoded(7, 1, &batch.slice(0..2), true));
+        for max in LIMITS {
+            let mut outbox = Outbox::default();
+            outbox.push(Outgoing::Frame(step.clone()));
+            outbox.push(Outgoing::batch(6, 1, batch.slice(3..19), false).unwrap());
+            outbox.push(Outgoing::Frame(step.clone()));
+            outbox.push(Outgoing::batch(7, 1, batch.slice(0..2), true).unwrap());
+            let mut sink = Trickle::new(max, true);
+            drain(&mut outbox, &mut sink);
+            assert!(sink.bytes == want, "max {max}");
+        }
+    }
+
+    #[test]
+    fn a_zero_byte_write_is_an_error() {
+        let mut outbox = Outbox::default();
+        outbox.push(Outgoing::Frame(vec![1, 2, 3]));
+        let mut sink = Trickle::new(0, false);
+        let err = outbox.flush(&mut sink).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+        assert_eq!(outbox.backlog(), 3);
+    }
 }

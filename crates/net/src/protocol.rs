@@ -102,7 +102,7 @@
 
 use std::fmt;
 
-use eigenmaps_core::codec::{crc32c, CodecError, Decoder, Encoder};
+use eigenmaps_core::codec::{crc32c, map_record_len, CodecError, Crc32c, Decoder, Encoder};
 use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{HistogramSnapshot, ServeError, WireSnapshot};
 
@@ -525,23 +525,15 @@ impl WireMap {
     }
 
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_len(self.rows).put_len(self.cols);
-        enc.f64_slice(&self.cells);
+        enc.map_record(self.rows, self.cols, &self.cells);
     }
 
     fn encoded_len(&self) -> usize {
-        16 + 8 * self.cells.len()
+        map_record_len(self.cells.len())
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let rows = dec.take_len()?;
-        let cols = dec.take_len()?;
-        let cells = rows
-            .checked_mul(cols)
-            .ok_or(WireError::Malformed {
-                context: "map dimensions overflow",
-            })
-            .and_then(|n| dec.f64_vec(n).map_err(WireError::from))?;
+        let (rows, cols, cells) = dec.map_record()?;
         Ok(WireMap { rows, cols, cells })
     }
 }
@@ -979,6 +971,56 @@ fn seal_frame(
     Ok(frame)
 }
 
+/// The bytes of a batch reply frame ahead of its map records: the length
+/// prefix, the envelope, `version` and the map `count`. `records_len` is
+/// the byte length of the map records that follow.
+///
+/// A batch reply is built in three parts so that a server can send the
+/// records from wherever they already sit: this head, the records, then
+/// [`batch_reply_trailer`]. [`Response::encode`] builds its `Batch` frame
+/// from the same two functions.
+///
+/// # Errors
+///
+/// [`EncodeError`] when the record would exceed [`MAX_FRAME_BYTES`].
+pub(crate) fn batch_reply_head(
+    id: u64,
+    version: u32,
+    count: usize,
+    records_len: usize,
+) -> Result<Vec<u8>, EncodeError> {
+    let record_len = RECORD_OVERHEAD + 4 + 8 + records_len + 1;
+    if record_len > MAX_FRAME_BYTES {
+        return Err(EncodeError {
+            len: record_len,
+            max: MAX_FRAME_BYTES,
+        });
+    }
+    let prefix = u32::try_from(record_len).expect("bound fits in u32");
+    let mut enc = Encoder::with_capacity(BATCH_REPLY_HEAD_LEN);
+    enc.u32(prefix)
+        .bytes(MAGIC)
+        .u32(VERSION)
+        .u64(id)
+        .u8(KIND_BATCH_REPLY)
+        .u32(version)
+        .put_len(count);
+    Ok(enc.finish())
+}
+
+/// Bytes of [`batch_reply_head`]: prefix, envelope, version and count.
+const BATCH_REPLY_HEAD_LEN: usize = 4 + 7 + 4 + 8 + 1 + 4 + 8;
+
+/// The bytes that close a batch reply frame: the `degraded` byte, then
+/// the CRC-32C over the frame from the magic on, that byte included.
+/// `crc` has been fed the frame from the magic up to the last map
+/// record, in any number of runs.
+pub(crate) fn batch_reply_trailer(mut crc: Crc32c, degraded: bool) -> [u8; 5] {
+    let flag = u8::from(degraded);
+    let [a, b, c, d] = crc.update(&[flag]).finish().to_le_bytes();
+    [flag, a, b, c, d]
+}
+
 /// Validates a complete record's envelope and hands back a decoder
 /// positioned at `id`. Length, magic and version are classified before
 /// the checksum is verified, so version skew reads as what it is.
@@ -1146,15 +1188,17 @@ impl Response {
                 maps,
                 degraded,
             } => {
-                let len = 4 + 8 + maps.iter().map(WireMap::encoded_len).sum::<usize>() + 1;
-                seal_frame(id, KIND_BATCH_REPLY, len, |enc| {
-                    enc.u32(*version);
-                    enc.put_len(maps.len());
-                    for map in maps {
-                        map.encode(enc);
-                    }
-                    enc.u8(*degraded as u8);
-                })
+                let records_len = maps.iter().map(WireMap::encoded_len).sum();
+                let head = batch_reply_head(id, *version, maps.len(), records_len)?;
+                let mut enc = Encoder::with_capacity(head.len() + records_len + 5);
+                enc.bytes(&head);
+                for map in maps {
+                    map.encode(&mut enc);
+                }
+                let mut frame = enc.finish();
+                let trailer = batch_reply_trailer(*Crc32c::new().update(&frame[4..]), *degraded);
+                frame.extend_from_slice(&trailer);
+                Ok(frame)
             }
             Response::SessionOpened {
                 session,

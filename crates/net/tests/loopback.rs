@@ -116,7 +116,7 @@ fn batch_over_tcp_is_bitwise_identical_to_in_process() {
                 ))
                 .unwrap();
             ticket.replace(t);
-            ticket.take().unwrap().wait().unwrap()
+            ticket.take().unwrap().wait().unwrap().to_maps()
         };
         let reply = client
             .submit_batch(fleet.names[tenant], fleet.frames[tenant].clone())
@@ -1165,6 +1165,100 @@ fn fuzzed_readings_get_bad_request_or_finite_maps() {
         client.close_session(session).unwrap();
     }
 
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// Step replies queued on one connection before and after a batch reply
+/// (which the door writes from the executor's slabs, not from a sealed
+/// frame) reach the client in the order they were queued, each intact.
+#[test]
+fn step_replies_around_a_batch_reply_arrive_in_queue_order() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 2));
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut frames = FrameBuffer::new(eigenmaps_net::MAX_FRAME_BYTES);
+    let read_reply = |raw: &mut TcpStream, frames: &mut FrameBuffer| -> (u64, Response) {
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(outcome) = frames.next_record() {
+                let record = outcome.expect("reply frames are well-formed");
+                return Response::decode(&record).expect("reply decodes");
+            }
+            let n = raw.read(&mut chunk).expect("read reply");
+            assert_ne!(n, 0, "door must not close the connection");
+            frames.extend(&chunk[..n]);
+        }
+    };
+    let open = Request::OpenSession {
+        deployment: fleet.names[0].to_string(),
+        gain: 0.5,
+    };
+    raw.write_all(&open.encode(1).unwrap()).unwrap();
+    let session = match read_reply(&mut raw, &mut frames) {
+        (1, Response::SessionOpened { session, .. }) => session,
+        other => panic!("expected the session, got {other:?}"),
+    };
+
+    // Send each request only once the previous reply is queued, without
+    // reading: the outbox holds step, batch, step, batch, step in order.
+    let frames_out = |server: &Server| server.metrics().wire.frames_out;
+    let readings = &fleet.frames[0];
+    let requests = [
+        Request::StepSession {
+            session,
+            readings: readings[0].clone(),
+        },
+        Request::SubmitBatch {
+            deployment: fleet.names[0].to_string(),
+            frames: readings.clone(),
+        },
+        Request::StepSession {
+            session,
+            readings: readings[1].clone(),
+        },
+        Request::SubmitBatch {
+            deployment: fleet.names[0].to_string(),
+            frames: readings[3..9].to_vec(),
+        },
+        Request::StepSession {
+            session,
+            readings: readings[2].clone(),
+        },
+    ];
+    for (id, request) in (10u64..).zip(&requests) {
+        let queued = frames_out(&server);
+        raw.write_all(&request.encode(id).unwrap()).unwrap();
+        wait_until(Duration::from_secs(10), "reply queued", || {
+            frames_out(&server) > queued
+        });
+    }
+
+    let mut tracker = fleet.deployments[0].tracker(0.5).unwrap();
+    let truth = fleet.deployments[0].reconstruct_batch(readings).unwrap();
+    let mut steps = 0;
+    for (id, request) in (10u64..).zip(&requests) {
+        let (got, reply) = read_reply(&mut raw, &mut frames);
+        assert_eq!(got, id, "replies arrive in queue order");
+        match (request, reply) {
+            (Request::StepSession { readings, .. }, Response::Step { map, .. }) => {
+                let want = tracker.step(readings).unwrap();
+                assert_bitwise(&map.into_map().unwrap(), &want, "step");
+                steps += 1;
+            }
+            (Request::SubmitBatch { frames: sent, .. }, Response::Batch { maps, .. }) => {
+                assert_eq!(maps.len(), sent.len());
+                let first = readings.iter().position(|r| r == &sent[0]).unwrap();
+                for (i, map) in maps.into_iter().enumerate() {
+                    assert_bitwise(&map.into_map().unwrap(), &truth[first + i], "batch");
+                }
+            }
+            (_, other) => panic!("request {id} got {other:?}"),
+        }
+    }
+    assert_eq!(steps, 3);
     handle.shutdown();
     join.join().unwrap();
 }

@@ -55,7 +55,7 @@ use crate::scheduler::{
     TenantKey,
 };
 use crate::session::{SessionDoor, TrackerSession};
-use crate::shard::ShardedExecutor;
+use crate::shard::{MapBatch, ShardedExecutor};
 use crate::store::{DurabilityHub, Hydration, HydrationReport, SnapshotStore, DEFAULT_KEEP};
 use crate::trace::{FlightRecorder, RejectReason, Stage, TraceCard, DEFAULT_RING_CAPACITY};
 
@@ -83,7 +83,7 @@ impl ServeRequest {
 
 /// Where a response of type `R` lands: shared between a ticket handle and
 /// the batcher. One machinery for both response shapes — batch requests
-/// (`R = Vec<ThermalMap>`) and session steps (`R = ThermalMap`).
+/// (`R = MapBatch`) and session steps (`R = ThermalMap`).
 pub(crate) struct ResponseSlot<R> {
     state: Mutex<SlotState<R>>,
     ready: Condvar,
@@ -252,7 +252,8 @@ impl<R> std::fmt::Debug for Responder<R> {
     }
 }
 
-/// A pending response handle: `Ticket` (a batch request's maps) from
+/// A pending response handle: `Ticket` (a batch request's maps, as a
+/// [`MapBatch`] over the executor's slabs) from
 /// [`Server::submit`] / [`Server::try_submit`], `Ticket<ThermalMap>` (one
 /// filtered map) from [`TrackerSession::submit_step`].
 ///
@@ -267,7 +268,7 @@ impl<R> std::fmt::Debug for Responder<R> {
 /// queue slot released exactly as if it had been awaited; a step in
 /// submission order, advancing the session's tracker — and the response
 /// is discarded.
-pub struct Ticket<R = Vec<ThermalMap>> {
+pub struct Ticket<R = MapBatch> {
     version: u32,
     slot: Arc<ResponseSlot<R>>,
     /// The batch request's degraded flag; `None` for session steps, which
@@ -367,7 +368,7 @@ pub(crate) struct QueuedRequest {
     /// Shared with the [`Ticket`]: raised before the response completes
     /// when the batch was reconstructed against a truncated deployment.
     degraded: Arc<AtomicBool>,
-    responder: Responder<Vec<ThermalMap>>,
+    responder: Responder<MapBatch>,
 }
 
 /// A queued session step: one interval's readings for one stream lane,
@@ -785,7 +786,7 @@ impl Server {
     /// # Errors
     ///
     /// Union of [`Server::submit`] and [`Ticket::wait`].
-    pub fn serve(&self, deployment: &str, frames: Vec<Vec<f64>>) -> Result<Vec<ThermalMap>> {
+    pub fn serve(&self, deployment: &str, frames: Vec<Vec<f64>>) -> Result<MapBatch> {
         self.submit(ServeRequest::new(deployment, frames))?.wait()
     }
 
@@ -1322,14 +1323,17 @@ fn execute_flush(
         combined.append(&mut req.frames); // moves the inner Vecs, no copy
     }
     let combined = Arc::new(combined);
-    let outcomes: Vec<Result<Vec<ThermalMap>>> = match executor.execute(&deployment, &combined) {
-        Ok(mut maps) => counts
-            .iter()
-            .map(|&count| {
-                let rest = maps.split_off(count);
-                Ok(std::mem::replace(&mut maps, rest))
-            })
-            .collect(),
+    let outcomes: Vec<Result<MapBatch>> = match executor.execute(&deployment, &combined) {
+        Ok(maps) => {
+            let mut start = 0;
+            counts
+                .iter()
+                .map(|&count| {
+                    start += count;
+                    Ok(maps.slice(start - count..start))
+                })
+                .collect()
+        }
         // Overflow is a property of one request's readings: serve each
         // request alone so only the offender fails. Bitwise the same,
         // since a batch equals its frames reconstructed one by one.
@@ -1494,7 +1498,7 @@ mod tests {
         // bitwise as a direct reconstruction.
         for (ticket, want) in [first, second].into_iter().zip(&direct) {
             let got = ticket.wait().unwrap();
-            assert_eq!(got[0].as_slice(), want.as_slice());
+            assert_eq!(got.iter().next().unwrap().as_slice(), want.as_slice());
         }
         let snap = server.metrics();
         assert_eq!((snap.requests, snap.batches, snap.errors), (2, 1, 0));

@@ -141,7 +141,7 @@ pub use scheduler::{
     StepDecision, StreamId, TenantKey,
 };
 pub use session::TrackerSession;
-pub use shard::ShardedExecutor;
+pub use shard::{MapBatch, ShardedExecutor};
 pub use store::{
     CatalogArtifact, CheckpointReport, CrashStyle, DiskIo, DurabilityHub, Hydration,
     HydrationReport, MemIo, SessionCheckpoint, SnapshotStore, StoreContents, StoreIo,
@@ -197,7 +197,7 @@ pub mod prelude {
         ShedDecision, StepDecision, StreamId, TenantKey,
     };
     pub use crate::session::TrackerSession;
-    pub use crate::shard::ShardedExecutor;
+    pub use crate::shard::{MapBatch, ShardedExecutor};
     pub use crate::store::{
         CatalogArtifact, CheckpointReport, CrashStyle, DiskIo, DurabilityHub, Hydration,
         HydrationReport, MemIo, SessionCheckpoint, SnapshotStore, StoreContents, StoreIo,
