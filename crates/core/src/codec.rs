@@ -758,7 +758,7 @@ const SESSION_VERSION: u32 = 1;
 ///
 /// See the [module docs](self) for the field-by-field wire format and
 /// validation rules. `eigenmaps-serve`'s `TrackerSession::snapshot()` /
-/// `TrackerSession::resume()` produce and consume these records.
+/// `Server::resume_session()` produce and consume these records.
 ///
 /// [`TrackingReconstructor`]: crate::TrackingReconstructor
 ///

@@ -8,12 +8,21 @@
 //! reading (unless draining or backpressured) and, while it has unflushed
 //! bytes, for writing. Batch and step submissions go through
 //! [`Server::try_submit`] / [`TrackerSession::submit_step`]; their
-//! tickets park in per-connection tables and complete on a later loop
-//! pass. Completions happen on other threads, so the poll set also holds
-//! the read end of a self-pipe: a ticket's `on_ready` callback and
-//! [`DoorHandle::shutdown`] write one byte to it. The wait's only timeout
-//! is the earliest idle-reap or drain deadline, so an idle door costs no
-//! CPU and a request is served as soon as its bytes arrive.
+//! tickets park in one per-connection table, keyed by correlation id,
+//! and each loop pass sweeps that table once, polling every ticket once
+//! with `try_wait`. Completions happen on other threads, so the poll set
+//! also holds the read end of a self-pipe: a ticket's `on_ready` callback
+//! and [`DoorHandle::shutdown`] write one byte to it. The wait's only
+//! timeout is the earliest idle-reap or drain deadline, so an idle door
+//! costs no CPU and a request is served as soon as its bytes arrive.
+//!
+//! Every request kind is handled by one `dispatch` function, which returns
+//! what to send: a reply, a refusal (the status and message of an `Error`
+//! reply) or nothing, because it parked a ticket. One reply sink seals,
+//! meters and queues each answer, from dispatch and from the completion
+//! sweep alike; every refusal of a well-formed request ticks the
+//! `Rejected` wire error exactly once there, including a reply too large
+//! for one frame, which is refused on its own correlation id.
 //!
 //! Each connection's outbox is a queue of outgoing replies, flushed with
 //! vectored writes that resume at any byte after a partial write. A
@@ -51,14 +60,14 @@ use std::time::{Duration, Instant};
 use eigenmaps_core::codec::{f64_le_bytes, Crc32c};
 use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{
-    MapBatch, ReapReason, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar,
+    MapBatch, ReapReason, ServeError, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar,
     TrackerSession, WireErrorKind,
 };
 
 use crate::protocol::{
-    batch_reply_head, batch_reply_trailer, status_of, EncodeError, FrameBuffer, Request, Response,
-    WireError, WireExemplar, WireMap, WireMetrics, WireStage, WireStatus, WireTenantTrace,
-    WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
+    batch_reply_head, batch_reply_trailer, status_of, DecodeFailure, EncodeError, FrameBuffer,
+    Request, Response, WireError, WireExemplar, WireMap, WireMetrics, WireStage, WireStatus,
+    WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
 use crate::sys::{self, PollFd};
 
@@ -223,6 +232,23 @@ impl Outbox {
         self.items.push_back(item);
     }
 
+    /// The door's one reply sink: queues the answer to request `id` and
+    /// meters the frame. A refusal is sent as an `Error` reply and ticks
+    /// the `Rejected` wire error, once per refusal.
+    fn send(&mut self, id: u64, answer: Result<Outgoing, Refusal>, metrics: &ServeMetrics) {
+        let item = answer.unwrap_or_else(|refusal| {
+            metrics.record_wire_error(WireErrorKind::Rejected);
+            // A message echoing a long client-chosen name can overflow
+            // the frame bound too; the encode error's own message cannot.
+            seal(id, refusal.reply())
+                .or_else(|overflow| seal(id, overflow.reply()))
+                .expect("an encode error's reply fits the frame bound")
+        });
+        metrics.record_wire_frame_out();
+        metrics.record_wire_bytes_out(item.len() as u64);
+        self.push(item);
+    }
+
     fn backlog(&self) -> usize {
         self.backlog
     }
@@ -313,17 +339,92 @@ impl Outbox {
     }
 }
 
+/// Why the door refuses a well-formed request: the status and message of
+/// its `Error` reply.
+#[derive(Debug)]
+struct Refusal {
+    status: WireStatus,
+    message: String,
+}
+
+impl Refusal {
+    fn reply(self) -> Response {
+        Response::Error {
+            status: self.status,
+            message: self.message,
+        }
+    }
+}
+
+impl From<ServeError> for Refusal {
+    fn from(error: ServeError) -> Self {
+        let (status, message) = status_of(&error);
+        Refusal { status, message }
+    }
+}
+
+/// A reply over the frame bound is refused on the same correlation id:
+/// the peer would discard the oversized frame unread anyway.
+impl From<EncodeError> for Refusal {
+    fn from(error: EncodeError) -> Self {
+        Refusal {
+            status: WireStatus::BadRequest,
+            message: error.to_string(),
+        }
+    }
+}
+
+fn unknown_session(session: u64) -> Refusal {
+    Refusal {
+        status: WireStatus::UnknownSession,
+        message: format!("session {session} is not open on this connection"),
+    }
+}
+
+/// Seals `reply` to request `id` into a frame.
+fn seal(id: u64, reply: Response) -> Result<Outgoing, Refusal> {
+    Ok(Outgoing::Frame(reply.encode(id)?))
+}
+
+/// A ticket parked until its response is ready.
+enum Parked {
+    Batch(Ticket),
+    Step(Ticket<ThermalMap>),
+}
+
+impl Parked {
+    /// The answer to request `id` once the response is ready, `None`
+    /// while it is pending. Polls the ticket once.
+    fn try_answer(&mut self, id: u64) -> Option<Result<Outgoing, Refusal>> {
+        // A degraded flag is raised before its response completes, so it
+        // is read after the response.
+        Some(match self {
+            Parked::Batch(ticket) => {
+                let maps = ticket.try_wait()?;
+                let (version, degraded) = (ticket.version(), ticket.is_degraded());
+                maps.map_err(Refusal::from)
+                    .and_then(|maps| Ok(Outgoing::batch(id, version, maps, degraded)?))
+            }
+            Parked::Step(ticket) => {
+                let map = ticket.try_wait()?;
+                let degraded = ticket.is_degraded();
+                map.map_err(Refusal::from).and_then(|map| {
+                    let map = WireMap::from(map);
+                    seal(id, Response::Step { map, degraded })
+                })
+            }
+        })
+    }
+}
+
 /// One accepted connection and everything in flight on it.
 struct Conn {
     stream: TcpStream,
     frames: FrameBuffer,
     /// Replies not yet written to the socket.
     outbox: Outbox,
-    /// Batch tickets keyed by request correlation id.
-    batches: HashMap<u64, Ticket>,
-    /// Step tickets keyed by request correlation id, with the session id
-    /// they belong to (for error reporting only).
-    steps: HashMap<u64, Ticket<ThermalMap>>,
+    /// Tickets in flight, keyed by request correlation id.
+    parked: HashMap<u64, Parked>,
     /// Open sessions keyed by the door-assigned session id.
     sessions: HashMap<u64, TrackerSession>,
     next_session: u64,
@@ -337,8 +438,7 @@ impl Conn {
             stream,
             frames: FrameBuffer::new(max_frame),
             outbox: Outbox::default(),
-            batches: HashMap::new(),
-            steps: HashMap::new(),
+            parked: HashMap::new(),
             sessions: HashMap::new(),
             next_session: 1,
             last_progress: now,
@@ -350,7 +450,7 @@ impl Conn {
     }
 
     fn pending(&self) -> usize {
-        self.batches.len() + self.steps.len()
+        self.parked.len()
     }
 
     /// Whether the loop reads from this connection: not while draining,
@@ -372,14 +472,25 @@ impl Conn {
         events
     }
 
-    fn enqueue(&mut self, frame: Vec<u8>, metrics: &ServeMetrics) {
-        self.push(Outgoing::Frame(frame), metrics);
+    fn session(&self, session: u64) -> Result<&TrackerSession, Refusal> {
+        self.sessions
+            .get(&session)
+            .ok_or_else(|| unknown_session(session))
     }
 
-    fn push(&mut self, item: Outgoing, metrics: &ServeMetrics) {
-        metrics.record_wire_frame_out();
-        metrics.record_wire_bytes_out(item.len() as u64);
-        self.outbox.push(item);
+    /// Registers a freshly opened, resumed or attached session under a
+    /// door-assigned id and builds its `SessionOpened` reply.
+    fn register(&mut self, session: TrackerSession) -> Response {
+        let id = self.next_session;
+        self.next_session += 1;
+        let reply = Response::SessionOpened {
+            session: id,
+            version: session.version(),
+            frames: session.frames(),
+            durable: session.durable_id(),
+        };
+        self.sessions.insert(id, session);
+        reply
     }
 }
 
@@ -631,90 +742,42 @@ fn service_conn(
     // Frame phase: pop complete records, dispatch each. Never panics on
     // hostile bytes — every failure becomes an `Error` reply.
     while let Some(outcome) = conn.frames.next_record() {
-        match outcome {
-            Ok(record) => {
+        let decoded = outcome
+            .map_err(|error| DecodeFailure { id: None, error })
+            .and_then(|record| {
                 metrics.record_wire_frame_in();
-                match Request::decode(&record) {
-                    Ok((id, request)) => {
-                        dispatch(conn, server, metrics, waker, orphans, id, request)
-                    }
-                    Err(failure) => {
-                        record_wire_error(metrics, &failure.error);
-                        // A corrupt envelope has no trustworthy id; 0
-                        // marks the reply uncorrelatable.
-                        let reply = Response::Error {
-                            status: WireStatus::BadFrame,
-                            message: failure.error.to_string(),
-                        };
-                        let reply = seal_reply(reply, failure.id.unwrap_or(0), metrics);
-                        conn.enqueue(reply, metrics);
-                    }
-                }
-            }
-            Err(err) => {
-                record_wire_error(metrics, &err);
+                Request::decode(&record)
+            });
+        let (id, answer) = match decoded {
+            Ok((id, request)) => match dispatch(conn, server, waker, orphans, id, request) {
+                Ok(None) => continue,
+                Ok(Some(reply)) => (id, seal(id, reply)),
+                Err(refusal) => (id, Err(refusal)),
+            },
+            Err(failure) => {
+                record_wire_error(metrics, &failure.error);
+                // A corrupt envelope has no trustworthy id; 0 marks the
+                // reply uncorrelatable.
+                let id = failure.id.unwrap_or(0);
                 let reply = Response::Error {
                     status: WireStatus::BadFrame,
-                    message: err.to_string(),
+                    message: failure.error.to_string(),
                 };
-                let reply = seal_reply(reply, 0, metrics);
-                conn.enqueue(reply, metrics);
+                (id, seal(id, reply))
             }
-        }
+        };
+        conn.outbox.send(id, answer, metrics);
     }
 
-    // Completion phase: sweep parked tickets for ready responses.
-    let ready: Vec<u64> = conn
-        .batches
-        .iter()
-        .filter(|(_, t)| t.is_ready())
-        .map(|(&id, _)| id)
-        .collect();
-    for id in ready {
-        let mut ticket = conn
-            .batches
-            .remove(&id)
-            .expect("ready id came from the map");
-        let version = ticket.version();
-        match ticket.try_wait() {
-            Some(Ok(maps)) => match Outgoing::batch(id, version, maps, ticket.is_degraded()) {
-                Ok(reply) => conn.push(reply, metrics),
-                Err(e) => conn.enqueue(oversized_reply(&e, id, metrics), metrics),
-            },
-            Some(Err(e)) => {
-                conn.enqueue(error_reply(&e, id, metrics), metrics);
+    // Completion phase: one sweep over the parked tickets.
+    conn.parked
+        .retain(|&id, parked| match parked.try_answer(id) {
+            Some(answer) => {
+                conn.outbox.send(id, answer, metrics);
+                false
             }
-            // A spurious readiness race: repark and retry next pass.
-            None => {
-                conn.batches.insert(id, ticket);
-            }
-        }
-    }
-    let ready: Vec<u64> = conn
-        .steps
-        .iter()
-        .filter(|(_, t)| t.is_ready())
-        .map(|(&id, _)| id)
-        .collect();
-    for id in ready {
-        let mut ticket = conn.steps.remove(&id).expect("ready id came from the map");
-        match ticket.try_wait() {
-            Some(Ok(map)) => {
-                let map = WireMap::from(map);
-                let reply = Response::Step {
-                    map,
-                    degraded: ticket.is_degraded(),
-                };
-                conn.enqueue(seal_reply(reply, id, metrics), metrics);
-            }
-            Some(Err(e)) => {
-                conn.enqueue(error_reply(&e, id, metrics), metrics);
-            }
-            None => {
-                conn.steps.insert(id, ticket);
-            }
-        }
-    }
+            None => true,
+        });
 
     // Write phase: flush as much of the outbox as the socket takes.
     match conn.outbox.flush(&mut conn.stream) {
@@ -759,125 +822,66 @@ fn peer_label(conn: &Conn) -> String {
         .map_or_else(|_| String::from("<unknown>"), |addr| addr.to_string())
 }
 
-/// Handles one decoded request, either replying immediately or parking a
-/// ticket whose readiness callback will wake the loop.
+/// Handles one decoded request: returns the reply to send, the refusal,
+/// or `None` once it parked a ticket whose readiness callback will wake
+/// the loop.
 fn dispatch(
     conn: &mut Conn,
-    server: &Arc<Server>,
-    metrics: &Arc<ServeMetrics>,
+    server: &Server,
     waker: &Waker,
     orphans: &Mutex<HashMap<u64, TrackerSession>>,
     id: u64,
     request: Request,
-) {
-    match request {
+) -> Result<Option<Response>, Refusal> {
+    let reply = match request {
         Request::SubmitBatch { deployment, frames } => {
-            match server.try_submit(ServeRequest::new(deployment, frames)) {
-                Ok(ticket) => {
-                    let waker = waker.clone();
-                    ticket.on_ready(move || waker.wake());
-                    conn.batches.insert(id, ticket);
-                }
-                Err(e) => {
-                    let reply = error_reply(&e, id, metrics);
-                    conn.enqueue(reply, metrics);
-                }
-            }
+            let ticket = server.try_submit(ServeRequest::new(deployment, frames))?;
+            let waker = waker.clone();
+            ticket.on_ready(move || waker.wake());
+            conn.parked.insert(id, Parked::Batch(ticket));
+            return Ok(None);
         }
-        Request::OpenSession { deployment, gain } => match server.open_session(&deployment, gain) {
-            Ok(session) => {
-                let reply = register_session(conn, session);
-                conn.enqueue(seal_reply(reply, id, metrics), metrics);
-            }
-            Err(e) => {
-                let reply = error_reply(&e, id, metrics);
-                conn.enqueue(reply, metrics);
-            }
-        },
-        Request::StepSession { session, readings } => match conn.sessions.get(&session) {
-            Some(open) => match open.submit_step(&readings) {
-                Ok(ticket) => {
-                    let waker = waker.clone();
-                    ticket.on_ready(move || waker.wake());
-                    conn.steps.insert(id, ticket);
-                }
-                Err(e) => {
-                    let reply = error_reply(&e, id, metrics);
-                    conn.enqueue(reply, metrics);
-                }
-            },
-            None => {
-                let reply = unknown_session(session, id, metrics);
-                conn.enqueue(reply, metrics);
-            }
-        },
+        Request::StepSession { session, readings } => {
+            let ticket = conn.session(session)?.submit_step(&readings)?;
+            let waker = waker.clone();
+            ticket.on_ready(move || waker.wake());
+            conn.parked.insert(id, Parked::Step(ticket));
+            return Ok(None);
+        }
+        Request::OpenSession { deployment, gain } => {
+            conn.register(server.open_session(&deployment, gain)?)
+        }
         Request::CloseSession { session } => {
-            if conn.sessions.remove(&session).is_some() {
-                conn.enqueue(seal_reply(Response::Closed, id, metrics), metrics);
-            } else {
-                let reply = unknown_session(session, id, metrics);
-                conn.enqueue(reply, metrics);
+            conn.sessions
+                .remove(&session)
+                .ok_or_else(|| unknown_session(session))?;
+            Response::Closed
+        }
+        Request::Snapshot { session } => {
+            let open = conn.session(session)?;
+            let pending = open.pending_steps();
+            if pending > 0 {
+                return Err(Refusal {
+                    status: WireStatus::SessionBusy,
+                    message: format!(
+                        "session {session} has {pending} step(s) in flight; retry once they land"
+                    ),
+                });
+            }
+            Response::Snapshot {
+                snapshot: open.snapshot(),
             }
         }
-        Request::Snapshot { session } => match conn.sessions.get(&session) {
-            Some(open) => {
-                if open.pending_steps() > 0 {
-                    metrics.record_wire_error(WireErrorKind::Rejected);
-                    let reply = Response::Error {
-                        status: WireStatus::SessionBusy,
-                        message: format!(
-                            "session {session} has {} step(s) in flight; retry once they land",
-                            open.pending_steps()
-                        ),
-                    };
-                    conn.enqueue(seal_reply(reply, id, metrics), metrics);
-                } else {
-                    let snapshot = open.snapshot();
-                    conn.enqueue(
-                        seal_reply(Response::Snapshot { snapshot }, id, metrics),
-                        metrics,
-                    );
-                }
-            }
-            None => {
-                let reply = unknown_session(session, id, metrics);
-                conn.enqueue(reply, metrics);
-            }
+        Request::Resume { snapshot } => conn.register(server.resume_session(&snapshot)?),
+        Request::Catalog => Response::Catalog {
+            entries: server.registry().catalog(),
         },
-        Request::Resume { snapshot } => match server.resume_session(&snapshot) {
-            Ok(session) => {
-                let reply = register_session(conn, session);
-                conn.enqueue(seal_reply(reply, id, metrics), metrics);
-            }
-            Err(e) => {
-                let reply = error_reply(&e, id, metrics);
-                conn.enqueue(reply, metrics);
-            }
+        Request::Publish { name, artifact } => Response::Published {
+            version: server.registry().publish_bytes(&name, &artifact)?,
         },
-        Request::Catalog => {
-            let entries = server.registry().catalog();
-            conn.enqueue(
-                seal_reply(Response::Catalog { entries }, id, metrics),
-                metrics,
-            );
-        }
-        Request::Publish { name, artifact } => {
-            match server.registry().publish_bytes(&name, &artifact) {
-                Ok(version) => {
-                    conn.enqueue(
-                        seal_reply(Response::Published { version }, id, metrics),
-                        metrics,
-                    );
-                }
-                Err(e) => {
-                    let reply = error_reply(&e, id, metrics);
-                    conn.enqueue(reply, metrics);
-                }
-            }
-        }
         Request::Metrics => {
             let snap = server.metrics();
-            let reply = Response::Metrics(Box::new(WireMetrics {
+            Response::Metrics(Box::new(WireMetrics {
                 requests: snap.requests,
                 frames: snap.frames,
                 batches: snap.batches,
@@ -894,36 +898,25 @@ fn dispatch(
                 wire: snap.wire,
                 latency_buckets: snap.latency_buckets,
                 session_latency_buckets: snap.session_latency_buckets,
-            }));
-            conn.enqueue(seal_reply(reply, id, metrics), metrics);
+            }))
         }
-        Request::Trace => {
-            let reply = Response::Trace(flight_snapshot(server));
-            conn.enqueue(seal_reply(reply, id, metrics), metrics);
-        }
+        Request::Trace => Response::Trace(flight_snapshot(server)),
         Request::Attach { durable } => {
             let claimed = orphans
                 .lock()
                 .expect("orphan pool poisoned")
-                .remove(&durable);
-            match claimed {
-                Some(session) => {
-                    let reply = register_session(conn, session);
-                    conn.enqueue(seal_reply(reply, id, metrics), metrics);
-                }
-                None => {
-                    let reply = unknown_session(durable, id, metrics);
-                    conn.enqueue(reply, metrics);
-                }
-            }
+                .remove(&durable)
+                .ok_or_else(|| unknown_session(durable))?;
+            conn.register(claimed)
         }
-    }
+    };
+    Ok(Some(reply))
 }
 
 /// Assembles the wire form of the flight recorder: the event ring plus
 /// per-tenant stage quantiles (from [`ServeMetrics`]) and slow-request
 /// exemplars (from the recorder's exemplar store).
-fn flight_snapshot(server: &Arc<Server>) -> WireTrace {
+fn flight_snapshot(server: &Server) -> WireTrace {
     let recorder = server.recorder();
     let ring = recorder.snapshot();
     let events = ring
@@ -990,58 +983,6 @@ fn wire_exemplar(exemplar: TraceExemplar) -> WireExemplar {
             })
             .collect(),
     }
-}
-
-/// Registers a freshly opened/resumed session under a door-assigned id
-/// and builds its `SessionOpened` reply.
-fn register_session(conn: &mut Conn, session: TrackerSession) -> Response {
-    let id = conn.next_session;
-    conn.next_session += 1;
-    let reply = Response::SessionOpened {
-        session: id,
-        version: session.version(),
-        frames: session.frames(),
-        durable: session.durable_id(),
-    };
-    conn.sessions.insert(id, session);
-    reply
-}
-
-/// Seals a reply frame. A record over the frame bound is downgraded to
-/// an `Error` reply on the same correlation id — the peer would discard
-/// the oversized frame unread anyway, so it gets a diagnosable refusal
-/// instead. Error replies themselves are a status byte plus a short
-/// message, far below the bound, so the fallback encode cannot fail.
-fn seal_reply(reply: Response, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
-    reply
-        .encode(id)
-        .unwrap_or_else(|e| oversized_reply(&e, id, metrics))
-}
-
-/// The `Error` reply that replaces a reply over the frame bound.
-fn oversized_reply(e: &EncodeError, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
-    metrics.record_wire_error(WireErrorKind::Rejected);
-    Response::Error {
-        status: WireStatus::BadRequest,
-        message: e.to_string(),
-    }
-    .encode(id)
-    .expect("error replies fit the frame bound")
-}
-
-fn unknown_session(session: u64, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
-    metrics.record_wire_error(WireErrorKind::Rejected);
-    let reply = Response::Error {
-        status: WireStatus::UnknownSession,
-        message: format!("session {session} is not open on this connection"),
-    };
-    seal_reply(reply, id, metrics)
-}
-
-fn error_reply(error: &eigenmaps_serve::ServeError, id: u64, metrics: &ServeMetrics) -> Vec<u8> {
-    metrics.record_wire_error(WireErrorKind::Rejected);
-    let (status, message) = status_of(error);
-    seal_reply(Response::Error { status, message }, id, metrics)
 }
 
 fn record_wire_error(metrics: &ServeMetrics, error: &WireError) {

@@ -185,8 +185,9 @@ fn publish_and_catalog_travel_the_wire() {
 fn session_survives_snapshot_server_restart_and_resume_over_the_wire() {
     let fleet = fleet();
     let gain = 0.8;
-    // Inline reference tracker: the bitwise ground truth for every step.
-    let mut reference = TrackerSession::open(&fleet.registry, fleet.names[0], gain).unwrap();
+    // The deployment's own tracker: the bitwise ground truth for every
+    // step.
+    let mut reference = fleet.deployments[0].tracker(gain).unwrap();
 
     let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 2));
     let (addr, handle, join) = spawn_door(server);
@@ -1259,6 +1260,99 @@ fn step_replies_around_a_batch_reply_arrive_in_queue_order() {
         }
     }
     assert_eq!(steps, 3);
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The status of a refused call, which must be `want`.
+fn refusal<T: std::fmt::Debug>(result: std::result::Result<T, NetError>, want: WireStatus) -> u64 {
+    match result {
+        Err(NetError::Server { status, .. }) if status == want => 1,
+        other => panic!("expected a {want} refusal, got {other:?}"),
+    }
+}
+
+/// The door's refusal ledger: every refusal of a well-formed request
+/// ticks `errors_rejected` exactly once, and none ticks a frame-level
+/// error counter.
+#[test]
+fn each_refusal_of_a_well_formed_request_is_metered_once_as_rejected() {
+    let fleet = fleet();
+    // A tenant whose admission bound is zero: every submit saturates.
+    fleet
+        .registry
+        .publish("full", (*fleet.deployments[0]).clone());
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
+    let full = BatchPolicy {
+        max_pending_per_tenant: 0,
+        ..BatchPolicy::default()
+    };
+    server.set_tenant_policy("full", Some(full)).unwrap();
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+    let mut client = Client::connect(addr).expect("connect");
+    let before = client.metrics().unwrap().wire;
+    let frames = &fleet.frames[0];
+    let info = client.open_session(fleet.names[0], 0.5).unwrap();
+
+    let mut refused = 0;
+    refused += refusal(
+        client.submit_batch("full", frames[..1].to_vec()),
+        WireStatus::Saturated,
+    );
+    refused += refusal(
+        client.submit_batch("nope", frames[..1].to_vec()),
+        WireStatus::UnknownDeployment,
+    );
+    refused += refusal(
+        client.submit_batch(fleet.names[0], vec![vec![1.0]]),
+        WireStatus::BadRequest,
+    );
+    refused += refusal(client.step(info.session, vec![1.0]), WireStatus::BadRequest);
+    refused += refusal(
+        client.step(99, frames[0].clone()),
+        WireStatus::UnknownSession,
+    );
+    refused += refusal(client.close_session(99), WireStatus::UnknownSession);
+    refused += refusal(client.snapshot(99), WireStatus::UnknownSession);
+    refused += refusal(client.attach(99), WireStatus::UnknownSession);
+    refused += refusal(
+        client.publish("junk", vec![0xAB; 40]),
+        WireStatus::BadRequest,
+    );
+    // A snapshot right behind a step the client did not wait for: busy
+    // while the step is in flight. The step's reply carries an id the
+    // client never issues, so it skips it as stale.
+    let mut busy = 0;
+    for attempt in 0..200u64 {
+        let step = Request::StepSession {
+            session: info.session,
+            readings: frames[0].clone(),
+        };
+        let mut raw = client.stream();
+        raw.write_all(&step.encode(u64::MAX - attempt).unwrap())
+            .unwrap();
+        match client.snapshot(info.session) {
+            Ok(_) => {}
+            Err(NetError::Server {
+                status: WireStatus::SessionBusy,
+                ..
+            }) => {
+                busy += 1;
+                break;
+            }
+            Err(other) => panic!("snapshot failed: {other}"),
+        }
+    }
+    assert_eq!(busy, 1, "no snapshot ever met a step in flight");
+    refused += busy;
+
+    let after = client.metrics().unwrap().wire;
+    assert_eq!(after.errors_rejected - before.errors_rejected, refused);
+    assert_eq!(after.errors_corrupt, before.errors_corrupt);
+    assert_eq!(after.errors_malformed, before.errors_malformed);
+    assert_eq!(after.errors_unknown_kind, before.errors_unknown_kind);
+    assert_eq!(after.errors_oversized, before.errors_oversized);
+
     handle.shutdown();
     join.join().unwrap();
 }

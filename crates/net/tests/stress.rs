@@ -109,7 +109,10 @@ fn churn_schedule(seed: u64, clients: usize, rounds: usize) {
         let names = fleet.names;
         let frames = [fleet.frames[0].clone(), fleet.frames[1].clone()];
         let truth = [Arc::clone(&truth[0]), Arc::clone(&truth[1])];
-        let registry = Arc::clone(&fleet.registry);
+        let deployments = [
+            Arc::clone(&fleet.deployments[0]),
+            Arc::clone(&fleet.deployments[1]),
+        ];
         workers.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(worker));
             for _ in 0..rounds {
@@ -137,13 +140,12 @@ fn churn_schedule(seed: u64, clients: usize, rounds: usize) {
                             );
                         }
                     }
-                    // Session traffic verified against an inline
-                    // reference; sometimes abandoned mid-stream.
+                    // Session traffic verified against the deployment's
+                    // own tracker; sometimes abandoned mid-stream.
                     2 => {
                         let mut client = Client::connect(addr).expect("connect");
                         let gain = 0.5 + 0.4 * (worker as f64 / clients.max(1) as f64);
-                        let mut reference =
-                            TrackerSession::open(&registry, names[tenant], gain).unwrap();
+                        let mut reference = deployments[tenant].tracker(gain).unwrap();
                         let info = client.open_session(names[tenant], gain).expect("open");
                         let steps = rng.gen_range(1..(frames[tenant].len() as u64 + 1)) as usize;
                         for readings in &frames[tenant][..steps] {
@@ -339,26 +341,28 @@ fn kill_restart_cycle(cycle: u64, head: usize, mid: usize) {
     assert!(head <= mid && mid < frames.len());
 
     let mut client = Client::connect(addr).expect("connect");
-    let mut reference = TrackerSession::open(&fleet.registry, name, gain).expect("reference");
+    let mut reference = fleet.deployments[tenant].tracker(gain).expect("reference");
     let info = client.open_session(name, gain).expect("open");
     assert!(info.durable > 0, "hydrated server assigns durable ids");
 
-    let verify_step =
-        |client: &mut Client, reference: &mut TrackerSession, session: u64, readings: &Vec<f64>| {
-            let want = reference.step(readings).unwrap();
-            let got = client.step(session, readings.clone()).expect("step");
-            assert_eq!(
-                got.as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                want.as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "live step diverged over TCP"
-            );
-        };
+    let verify_step = |client: &mut Client,
+                       reference: &mut TrackingReconstructor,
+                       session: u64,
+                       readings: &Vec<f64>| {
+        let want = reference.step(readings).unwrap();
+        let got = client.step(session, readings.clone()).expect("step");
+        assert_eq!(
+            got.as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            want.as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            "live step diverged over TCP"
+        );
+    };
     for readings in &frames[..head] {
         verify_step(&mut client, &mut reference, info.session, readings);
     }
@@ -409,7 +413,7 @@ fn kill_restart_cycle(cycle: u64, head: usize, mid: usize) {
     assert_eq!(resumed.version, info.version);
     let at = resumed.frames as usize;
     assert!(at <= mid, "resumed past the frames ever served");
-    let mut reference = TrackerSession::open(&fleet.registry, name, gain).expect("reference");
+    let mut reference = fleet.deployments[tenant].tracker(gain).expect("reference");
     for readings in &frames[..at] {
         reference.step(readings).expect("replay");
     }

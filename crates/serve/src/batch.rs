@@ -54,7 +54,7 @@ use crate::scheduler::{
     BrownoutPolicy, Decision, FlushDecision, Scheduler, ShedDecision, StepDecision, StreamId,
     TenantKey,
 };
-use crate::session::{SessionDoor, TrackerSession};
+use crate::session::TrackerSession;
 use crate::shard::{MapBatch, ShardedExecutor};
 use crate::store::{DurabilityHub, Hydration, HydrationReport, SnapshotStore, DEFAULT_KEEP};
 use crate::trace::{FlightRecorder, RejectReason, Stage, TraceCard, DEFAULT_RING_CAPACITY};
@@ -321,11 +321,10 @@ impl<R> Ticket<R> {
     }
 
     /// Registers `callback` to run as soon as the response is ready —
-    /// invoked on whichever thread completes it: the batcher for batch
-    /// requests and scheduled steps, the calling thread for standalone
-    /// sessions. If the response is already ready, runs it
-    /// immediately on the calling thread. A second registration replaces
-    /// the first. The callback must not block — it is the readiness hook
+    /// invoked on whichever thread completes it: the batcher, for batch
+    /// requests and session steps alike. If the response is already
+    /// ready, runs it immediately on the calling thread. A second
+    /// registration replaces the first. The callback must not block — it is the readiness hook
     /// an event loop uses to schedule a [`Ticket::try_wait`].
     pub fn on_ready(&self, callback: impl FnOnce() + Send + 'static) {
         self.slot.on_ready(callback);
@@ -409,16 +408,6 @@ pub(crate) enum BatcherMsg {
     Shutdown,
 }
 
-/// The scheduler's job payload: batch lanes carry requests, stream lanes
-/// carry steps. The invariant (upheld by `batcher_loop`'s submit calls)
-/// is that a batch decision only ever contains `Request`s and a step
-/// decision only ever a `Step`.
-#[derive(Debug)]
-enum Work {
-    Request(QueuedRequest),
-    Step(QueuedStep),
-}
-
 /// The serving front end: registry + per-tenant micro-batching scheduler +
 /// sharded execution engine + metrics, one per fleet process.
 ///
@@ -434,15 +423,15 @@ pub struct Server {
     policy: BatchPolicy,
     /// Front-door mirror of the scheduler's per-tenant overrides (the
     /// admission-control bound is enforced here, before the batcher).
-    /// Shared with every open session's door, so a policy change reaches
-    /// live streams too.
-    overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
-    queue: Sender<BatcherMsg>,
+    /// Shared with every open session, so a policy change reaches live
+    /// streams too.
+    pub(crate) overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
+    pub(crate) queue: Sender<BatcherMsg>,
     /// The flight recorder every request, step and rejection reports its
     /// lifecycle stages to (see [`crate::trace`]).
     recorder: FlightRecorder,
     /// Stream-lane id allocator for sessions opened through this server.
-    next_stream: AtomicU64,
+    pub(crate) next_stream: AtomicU64,
     /// The crash-safe snapshot service, once attached via
     /// [`Server::hydrate`] / [`Server::hydrate_with`]. Sessions opened
     /// while it is installed enroll for background checkpointing.
@@ -790,21 +779,6 @@ impl Server {
         self.submit(ServeRequest::new(deployment, frames))?.wait()
     }
 
-    /// The stream-lane door handed to sessions opened through this
-    /// server: a fresh lane id, a clone of the batcher queue and a live
-    /// view of the policy overrides, so a later
-    /// [`Server::set_tenant_policy`] re-tiers the session's admission
-    /// bound too.
-    fn session_door(&self) -> SessionDoor {
-        SessionDoor {
-            stream: StreamId(self.next_stream.fetch_add(1, Ordering::Relaxed)),
-            queue: self.queue.clone(),
-            overrides: Arc::clone(&self.overrides),
-            fallback: self.policy,
-            recorder: self.recorder.clone(),
-        }
-    }
-
     /// Opens a streaming tracker session against the named deployment's
     /// current version (pinned for the session's lifetime). The session
     /// is a **scheduled workload**: each [`TrackerSession::submit_step`]
@@ -819,13 +793,7 @@ impl Server {
     /// * [`ServeError::UnknownDeployment`] for an unresolved name.
     /// * [`ServeError::Core`] for a gain outside `(0, 1]`.
     pub fn open_session(&self, deployment: &str, gain: f64) -> Result<TrackerSession> {
-        let mut session = TrackerSession::open_scheduled(
-            &self.registry,
-            deployment,
-            gain,
-            Arc::clone(&self.metrics),
-            self.session_door(),
-        )?;
+        let mut session = TrackerSession::open_scheduled(self, deployment, None, gain)?;
         self.enroll(&mut session);
         Ok(session)
     }
@@ -845,12 +813,7 @@ impl Server {
     /// * [`ServeError::SnapshotMismatch`] if the resolved deployment's
     ///   shape disagrees with the snapshot.
     pub fn resume_session(&self, bytes: &[u8]) -> Result<TrackerSession> {
-        let mut session = TrackerSession::resume_scheduled(
-            &self.registry,
-            bytes,
-            Arc::clone(&self.metrics),
-            self.session_door(),
-        )?;
+        let mut session = TrackerSession::resume_scheduled(self, bytes)?;
         self.enroll(&mut session);
         Ok(session)
     }
@@ -949,12 +912,7 @@ impl Server {
             // resume_session would double-enroll once the hub is
             // installed, so sessions are resumed first and adopted under
             // their preserved ids by hand.
-            match TrackerSession::resume_scheduled(
-                &self.registry,
-                bytes,
-                Arc::clone(&self.metrics),
-                self.session_door(),
-            ) {
+            match TrackerSession::resume_scheduled(self, bytes) {
                 Ok(mut session) => {
                     hub.adopt(*id, &session);
                     session.set_durable(*id);
@@ -1015,7 +973,7 @@ fn batcher_loop(
     recorder: FlightRecorder,
 ) {
     let epoch = recorder.epoch();
-    let mut scheduler: Scheduler<Work> = Scheduler::new(policy);
+    let mut scheduler: Scheduler<QueuedRequest, QueuedStep> = Scheduler::new(policy);
     // The durability hub, once the server installs it. Its checkpoint
     // deadline is folded into the wait below, so the cadence needs no
     // extra thread and runs entirely on this loop's injected clock.
@@ -1101,7 +1059,7 @@ fn batcher_loop(
 /// execution path of the serving loop and the shutdown drain alike. The
 /// drain never sheds, but stays total over the decision type.
 fn execute(
-    decision: Decision<Work>,
+    decision: Decision<QueuedRequest, QueuedStep>,
     executor: &ShardedExecutor,
     metrics: &ServeMetrics,
     now: Duration,
@@ -1109,11 +1067,7 @@ fn execute(
 ) {
     match decision {
         Decision::Batch(flush) => execute_flush(flush, executor, metrics, now, truncated),
-        Decision::Step(StepDecision {
-            job: Work::Step(step),
-            ..
-        }) => execute_step(step, metrics),
-        Decision::Step(_) => unreachable!("stream lanes carry only steps"),
+        Decision::Step(StepDecision { job, .. }) => execute_step(job, metrics),
         Decision::Shed(shed) => execute_shed(shed, metrics, now),
     }
 }
@@ -1123,7 +1077,7 @@ fn execute(
 /// Returns `false` on `Shutdown`.
 fn admit(
     msg: BatcherMsg,
-    scheduler: &mut Scheduler<Work>,
+    scheduler: &mut Scheduler<QueuedRequest, QueuedStep>,
     durability: &mut Option<Arc<DurabilityHub>>,
     metrics: &ServeMetrics,
     epoch: Instant,
@@ -1141,12 +1095,12 @@ fn admit(
                 enqueued_at,
                 request.key.clone(),
                 request.frames.len(),
-                Work::Request(request),
+                request,
             );
         }
         BatcherMsg::Step(step) => {
             step.trace.record(Stage::Enqueued);
-            scheduler.submit_stream(step.stream, Work::Step(step));
+            scheduler.submit_stream(step.stream, step);
         }
         BatcherMsg::Policy { name, policy } => scheduler.set_tenant_policy(name, policy),
         BatcherMsg::Brownout(policy) => {
@@ -1211,7 +1165,7 @@ fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
 /// tickets, they never lose them — and the work is drained from the
 /// tenant's queue gauge and counted per tenant. Each trace ends with
 /// `Rejected(DeadlineShed)` at the shedding tick's instant.
-fn execute_shed(shed: ShedDecision<Work>, metrics: &ServeMetrics, now: std::time::Duration) {
+fn execute_shed(shed: ShedDecision<QueuedRequest>, metrics: &ServeMetrics, now: Duration) {
     let ShedDecision {
         tenant,
         deadline,
@@ -1222,11 +1176,7 @@ fn execute_shed(shed: ShedDecision<Work>, metrics: &ServeMetrics, now: std::time
         return;
     }
     metrics.record_shed(&tenant.name, jobs.len() as u64, frames as u64);
-    for work in jobs {
-        let req = match work {
-            Work::Request(req) => req,
-            Work::Step(_) => unreachable!("stream lanes are never shed"),
-        };
+    for req in jobs {
         req.trace
             .record_at(Stage::Rejected(RejectReason::DeadlineShed), now);
         req.responder.send(Err(ServeError::DeadlineShed {
@@ -1260,7 +1210,7 @@ fn truncated_for(
 /// scheduler's `degraded` marker is reconstructed against the cached
 /// truncated deployment instead of the pinned one.
 fn execute_flush(
-    decision: FlushDecision<Work>,
+    decision: FlushDecision<QueuedRequest>,
     executor: &ShardedExecutor,
     metrics: &ServeMetrics,
     now: std::time::Duration,
@@ -1269,20 +1219,13 @@ fn execute_flush(
     let FlushDecision {
         tenant,
         frames: total_frames,
-        jobs,
+        mut jobs,
         degraded,
         ..
     } = decision;
     if jobs.is_empty() {
         return;
     }
-    let mut jobs: Vec<QueuedRequest> = jobs
-        .into_iter()
-        .map(|work| match work {
-            Work::Request(req) => req,
-            Work::Step(_) => unreachable!("batch lanes carry only requests"),
-        })
-        .collect();
     metrics.record_batch();
     metrics.record_tenant_batch(&tenant.name, jobs.len() as u64, total_frames as u64);
     // The batch formed at the tick instant; then the shard hand-off.

@@ -25,11 +25,11 @@
 //!   the budgets by SKU ([`Server::set_tenant_policy`]);
 //! * [`TrackerSession`] — streaming per-tenant telemetry sessions with
 //!   temporal filtering, pinned to the deployment version they opened;
-//!   server-opened sessions are **scheduled workloads** (admission
-//!   control, stream lane, run to completion on the batcher, pollable
-//!   `Ticket<ThermalMap>`s) and are durable: `EMSESS1` snapshots warm-restart
-//!   a stream bitwise-identically across process restarts
-//!   ([`Server::resume_session`]);
+//!   every session comes from a [`Server`] and is a **scheduled
+//!   workload** (admission control, stream lane, run to completion on
+//!   the batcher, pollable `Ticket<ThermalMap>`s), and durable: `EMSESS1`
+//!   snapshots warm-restart a stream bitwise-identically across process
+//!   restarts ([`Server::resume_session`]);
 //! * [`ServeMetrics`] / [`MetricsSnapshot`] — request/frame counters,
 //!   fixed-bucket latency histograms per workload class (p50/p99),
 //!   shard utilization, per-tenant batch-size/queue-depth gauges
@@ -115,8 +115,9 @@
 //!
 //! The same contract covers streams: a session step scheduled through
 //! the fair front door and executed on the batcher thread produces maps
-//! bitwise-identical to stepping the tracker inline on the caller's
-//! thread, and a stream resumed from an `EMSESS1` snapshot continues
+//! bitwise-identical to stepping the deployment's
+//! [`tracker`](eigenmaps_core::Deployment::tracker) directly, and a
+//! stream resumed from an `EMSESS1` snapshot continues
 //! bitwise-identically to one that was never interrupted.
 
 pub mod batch;

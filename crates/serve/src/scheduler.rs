@@ -352,7 +352,7 @@ pub enum FlushReason {
 /// One coalesced batch the driver must now execute: a tenant's oldest
 /// pending jobs, in submission order, with the frame total precomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlushDecision<T> {
+pub struct FlushDecision<B> {
     /// Which pending queue flushed.
     pub tenant: TenantKey,
     /// Which budget triggered the flush.
@@ -361,7 +361,7 @@ pub struct FlushDecision<T> {
     pub frames: usize,
     /// The job payloads, oldest first — for the serving driver these are
     /// the queued requests; tests use plain markers.
-    pub jobs: Vec<T>,
+    pub jobs: Vec<B>,
     /// `Some(keep_k)` when this batch must be served degraded against a
     /// deployment truncated to `keep_k` modes: the tenant's
     /// [`OverrunAction::Degrade`] fired, either because the scheduler is
@@ -376,7 +376,7 @@ pub struct FlushDecision<T> {
 /// every job — with a typed retryable error, not silence (no lost
 /// tickets).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShedDecision<T> {
+pub struct ShedDecision<B> {
     /// Which pending queue the jobs were shed from.
     pub tenant: TenantKey,
     /// The deadline budget the jobs overran.
@@ -384,7 +384,7 @@ pub struct ShedDecision<T> {
     /// Total frames across `jobs`.
     pub frames: usize,
     /// The shed job payloads, oldest first.
-    pub jobs: Vec<T>,
+    pub jobs: Vec<B>,
 }
 
 /// One granted stream step: the session lane it belongs to and its job
@@ -392,28 +392,29 @@ pub struct ShedDecision<T> {
 /// that executes decisions in the order returned keeps a stateful
 /// session's temporal filter well-ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepDecision<T> {
+pub struct StepDecision<S> {
     /// Which stream lane the step came from.
     pub stream: StreamId,
     /// The step payload (for the serving driver, the queued readings).
-    pub job: T,
+    pub job: S,
 }
 
 /// One unit of work the driver must now execute, in fairness order: a
-/// coalesced tenant batch or a single session stream step.
+/// coalesced tenant batch (of batch-lane payloads `B`) or a single
+/// session stream step (a stream-lane payload `S`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decision<T> {
+pub enum Decision<B, S = B> {
     /// Flush a tenant's coalesced batch.
-    Batch(FlushDecision<T>),
+    Batch(FlushDecision<B>),
     /// Execute one stream step.
-    Step(StepDecision<T>),
+    Step(StepDecision<S>),
     /// Complete these deadline-blown jobs with a typed retryable error.
-    Shed(ShedDecision<T>),
+    Shed(ShedDecision<B>),
 }
 
-impl<T> Decision<T> {
+impl<B, S> Decision<B, S> {
     /// The batch decision, if this is one.
-    pub fn as_batch(&self) -> Option<&FlushDecision<T>> {
+    pub fn as_batch(&self) -> Option<&FlushDecision<B>> {
         match self {
             Decision::Batch(d) => Some(d),
             _ => None,
@@ -421,7 +422,7 @@ impl<T> Decision<T> {
     }
 
     /// The step decision, if this is one.
-    pub fn as_step(&self) -> Option<&StepDecision<T>> {
+    pub fn as_step(&self) -> Option<&StepDecision<S>> {
         match self {
             Decision::Step(d) => Some(d),
             _ => None,
@@ -429,7 +430,7 @@ impl<T> Decision<T> {
     }
 
     /// The shed decision, if this is one.
-    pub fn as_shed(&self) -> Option<&ShedDecision<T>> {
+    pub fn as_shed(&self) -> Option<&ShedDecision<B>> {
         match self {
             Decision::Shed(d) => Some(d),
             _ => None,
@@ -437,7 +438,7 @@ impl<T> Decision<T> {
     }
 
     /// Consumes into the batch decision, if this is one.
-    pub fn into_batch(self) -> Option<FlushDecision<T>> {
+    pub fn into_batch(self) -> Option<FlushDecision<B>> {
         match self {
             Decision::Batch(d) => Some(d),
             _ => None,
@@ -472,18 +473,22 @@ impl<T> Default for TenantQueue<T> {
 /// The pure coalesce/flush state machine. See the [module docs](self) for
 /// the design and a worked example.
 ///
+/// Batch lanes hold payloads of type `B` and stream lanes payloads of
+/// type `S` (by default the same type), so a driver gets each kind back
+/// from the lane kind it queued it in.
+///
 /// Invariant: a lane (tenant queue or stream lane) appears in the rotation
 /// iff it has a non-empty queue, and the rotation order is the fairness
 /// order (front = served next among ready lanes).
 #[derive(Debug)]
-pub struct Scheduler<T> {
+pub struct Scheduler<B, S = B> {
     policy: BatchPolicy,
     /// Per-deployment-name policy overrides (latency-tiered SKUs), keyed
     /// by name so they survive hot-swap version bumps.
     overrides: HashMap<String, BatchPolicy>,
-    tenants: HashMap<TenantKey, TenantQueue<T>>,
+    tenants: HashMap<TenantKey, TenantQueue<B>>,
     /// Stream lanes with queued steps, each in FIFO order.
-    streams: HashMap<StreamId, VecDeque<T>>,
+    streams: HashMap<StreamId, VecDeque<S>>,
     rotation: VecDeque<LaneKey>,
     /// Brownout watermarks; `None` disables brownout entirely.
     brownout: Option<BrownoutPolicy>,
@@ -492,7 +497,7 @@ pub struct Scheduler<T> {
     in_brownout: bool,
 }
 
-impl<T> Scheduler<T> {
+impl<B, S> Scheduler<B, S> {
     /// A scheduler enforcing `policy` per tenant.
     pub fn new(policy: BatchPolicy) -> Self {
         Scheduler {
@@ -559,7 +564,7 @@ impl<T> Scheduler<T> {
     /// serving driver passes the client's submit time, so waiting to be
     /// fed into the scheduler already counts against the budget); a stamp
     /// whose deadline is already past simply flushes on the next tick.
-    pub fn submit(&mut self, now: Duration, tenant: TenantKey, frames: usize, payload: T) {
+    pub fn submit(&mut self, now: Duration, tenant: TenantKey, frames: usize, payload: B) {
         if !self.tenants.contains_key(&tenant) {
             self.rotation.push_back(LaneKey::Tenant(tenant.clone()));
         }
@@ -576,7 +581,7 @@ impl<T> Scheduler<T> {
     /// carry no coalescing budgets or latency stamp: a queued step is
     /// always ready, and [`Scheduler::tick`] grants it in the rotation,
     /// interleaved fairly with batch flushes.
-    pub fn submit_stream(&mut self, stream: StreamId, payload: T) {
+    pub fn submit_stream(&mut self, stream: StreamId, payload: S) {
         let lane = self.streams.entry(stream).or_default();
         if lane.is_empty() {
             self.rotation.push_back(LaneKey::Stream(stream));
@@ -609,7 +614,7 @@ impl<T> Scheduler<T> {
     /// [`Decision::Shed`] — a blown job is never served. Shedding fires
     /// at the exact deadline instant: a job enqueued at `t` with budget
     /// `d` is shed by `tick(t + d)` and untouched by any earlier tick.
-    pub fn tick(&mut self, now: Duration) -> Vec<Decision<T>> {
+    pub fn tick(&mut self, now: Duration) -> Vec<Decision<B, S>> {
         let mut decisions = Vec::new();
         self.judge_brownout();
         self.shed_expired(now, &mut decisions);
@@ -695,7 +700,7 @@ impl<T> Scheduler<T> {
     /// one [`ShedDecision`] per tenant, in rotation order. Blown jobs
     /// are a queue prefix under a monotone submit clock, so the pop
     /// stops at the first job still within budget.
-    fn shed_expired(&mut self, now: Duration, decisions: &mut Vec<Decision<T>>) {
+    fn shed_expired(&mut self, now: Duration, decisions: &mut Vec<Decision<B, S>>) {
         let lanes: Vec<TenantKey> = self
             .rotation
             .iter()
@@ -755,7 +760,7 @@ impl<T> Scheduler<T> {
     /// clock, so it judges no deadline: a drained batch is degraded only
     /// while the scheduler is in brownout. Every queued step is granted,
     /// each stream's in FIFO order.
-    pub fn drain(&mut self) -> Vec<Decision<T>> {
+    pub fn drain(&mut self) -> Vec<Decision<B, S>> {
         let mut decisions = Vec::new();
         while let Some(lane) = self.rotation.front().cloned() {
             match lane {
@@ -861,7 +866,7 @@ impl<T> Scheduler<T> {
         key: &TenantKey,
         reason: FlushReason,
         now: Option<Duration>,
-    ) -> FlushDecision<T> {
+    ) -> FlushDecision<B> {
         let policy = *self.policy_for(key);
         // A `Degrade` tenant's batch is marked degraded while the
         // scheduler is in brownout, or when any job folded into it has
@@ -918,7 +923,7 @@ impl<T> Scheduler<T> {
     /// Pops one step off `id`'s lane (FIFO) and rotates the lane to the
     /// back (or out of the rotation, and the lane away, when its queue
     /// emptied).
-    fn take_step(&mut self, id: StreamId) -> StepDecision<T> {
+    fn take_step(&mut self, id: StreamId) -> StepDecision<S> {
         let lane = self.streams.get_mut(&id).expect("granted stream exists");
         let job = lane.pop_front().expect("granted stream is non-empty");
         let emptied = lane.is_empty();

@@ -12,7 +12,8 @@
 //!
 //! # A session step is a scheduled unit of work
 //!
-//! A session opened through [`Server::open_session`] owns a **stream
+//! Every session comes from a [`Server`] ([`Server::open_session`],
+//! [`Server::resume_session`] or [`Server::hydrate`]) and owns a **stream
 //! lane** in the server's scheduler ([`StreamId`]):
 //! [`TrackerSession::submit_step`] passes admission control (the tenant's
 //! [`max_pending_per_tenant`](crate::BatchPolicy::max_pending_per_tenant)
@@ -21,11 +22,10 @@
 //! rotation — interleaved with batch flushes, neither starving the other —
 //! and runs the tracker arithmetic to completion on its own thread, with
 //! the deployment's dispatched SIMD kernel, never on the caller's thread.
-//! The result is bitwise-identical to stepping the tracker inline: the
+//! The result is bitwise-identical to stepping the deployment's
+//! [`tracker`](eigenmaps_core::Deployment::tracker) directly: the
 //! scheduling layer moves *where and when* the arithmetic runs, not what
-//! it computes. A session opened standalone ([`TrackerSession::open`],
-//! no server) steps inline on the calling thread, which serves as the
-//! reference path for that bitwise contract.
+//! it computes.
 //!
 //! # Durability: `EMSESS1` snapshots
 //!
@@ -33,13 +33,15 @@
 //! (gain, frame count, temporal-filter coefficients) plus the identity of
 //! the pinned artifact into a checksummed
 //! [`SessionSnapshot`] record;
-//! [`TrackerSession::resume`] / [`Server::resume_session`] re-resolve the
+//! [`Server::resume_session`] re-resolves the
 //! exact pinned `(name, version)` from the registry — refusing a shape or
-//! identity mismatch with [`ServeError::SnapshotMismatch`] — and continue
+//! identity mismatch with [`ServeError::SnapshotMismatch`] — and continues
 //! the stream bitwise-identically to one that was never interrupted.
 //!
+//! [`Server`]: crate::Server
 //! [`Server::open_session`]: crate::Server::open_session
 //! [`Server::resume_session`]: crate::Server::resume_session
+//! [`Server::hydrate`]: crate::Server::hydrate
 //! [`ServeError::SnapshotMismatch`]: crate::ServeError::SnapshotMismatch
 
 use std::collections::HashMap;
@@ -51,45 +53,16 @@ use std::time::Instant;
 use eigenmaps_core::codec::{fnv1a64, SessionSnapshot};
 use eigenmaps_core::{Deployment, ThermalMap, TrackingReconstructor};
 
-use crate::batch::{BatchPolicy, BatcherMsg, QueuedStep, Responder, ResponseSlot, Ticket};
+use crate::batch::{BatchPolicy, BatcherMsg, QueuedStep, Responder, ResponseSlot, Server, Ticket};
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
-use crate::registry::DeploymentRegistry;
 use crate::scheduler::StreamId;
 use crate::trace::FlightRecorder;
-
-/// The stream-lane wiring a [`Server`](crate::Server)-opened session uses
-/// to reach the batcher: its lane id, a clone of the batcher queue and a
-/// live view of the server's per-tenant policy overrides, so a
-/// [`set_tenant_policy`](crate::Server::set_tenant_policy) call re-tiers
-/// the admission bound of already-open sessions too.
-#[derive(Debug)]
-pub(crate) struct SessionDoor {
-    pub(crate) stream: StreamId,
-    pub(crate) queue: Sender<BatcherMsg>,
-    pub(crate) overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
-    pub(crate) fallback: BatchPolicy,
-    pub(crate) recorder: FlightRecorder,
-}
-
-impl SessionDoor {
-    /// The admission bound currently in force for tenant `name`.
-    fn max_pending(&self, name: &str) -> u64 {
-        self.overrides
-            .read()
-            .expect("policy overrides lock poisoned")
-            .get(name)
-            .unwrap_or(&self.fallback)
-            .max_pending_per_tenant as u64
-    }
-}
 
 /// A stateful streaming session over one pinned deployment version.
 ///
 /// Open one per sensor-telemetry feed via
-/// [`Server::open_session`](crate::Server::open_session) (scheduled: steps
-/// run through the fair scheduler on the batcher) or directly with
-/// [`TrackerSession::open`] (standalone: steps run inline); feed each
+/// [`Server::open_session`](crate::Server::open_session); feed each
 /// interval's readings to [`TrackerSession::step`] or — for the
 /// nonblocking, event-loop shape — [`TrackerSession::submit_step`].
 #[derive(Debug)]
@@ -111,123 +84,31 @@ pub struct TrackerSession {
     /// enrolled for background checkpointing). Stable across restarts —
     /// the handle a client re-attaches by after a crash.
     durable: u64,
-    metrics: Option<Arc<ServeMetrics>>,
-    door: Option<SessionDoor>,
+    metrics: Arc<ServeMetrics>,
+    /// The session's lane in the server's scheduler.
+    stream: StreamId,
+    /// The batcher queue the session's steps travel.
+    queue: Sender<BatcherMsg>,
+    /// A live view of the server's per-tenant policy overrides, so a
+    /// [`set_tenant_policy`](crate::Server::set_tenant_policy) call
+    /// re-tiers the admission bound of already-open sessions too.
+    overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
+    /// The server's global policy, in force while no override is.
+    fallback: BatchPolicy,
+    recorder: FlightRecorder,
 }
 
 impl TrackerSession {
-    /// Opens a standalone session against the current version of `name`
-    /// in `registry`, with temporal gain `g ∈ (0, 1]` (`g = 1` is the
-    /// memoryless paper behavior). Steps execute inline on the calling
-    /// thread; sessions opened through a [`Server`](crate::Server) are
-    /// scheduled instead.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::UnknownDeployment`]
-    ///   for an unresolved name.
-    /// * [`ServeError::Core`] for a gain outside
-    ///   `(0, 1]`.
-    pub fn open(registry: &DeploymentRegistry, name: &str, gain: f64) -> Result<Self> {
-        Self::build(registry, name, None, gain, None, None)
-    }
-
-    /// Warm-starts a standalone session from `EMSESS1` snapshot bytes
-    /// previously produced by [`TrackerSession::snapshot`]: the exact
-    /// pinned `(name, version)` is re-resolved from `registry`, the shape
-    /// is verified, and the temporal-filter state and frame count are
-    /// imported — the resumed stream continues bitwise-identically to an
-    /// uninterrupted one.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] for malformed
-    ///   bytes (bad magic/version/checksum, truncation, trailing bytes).
-    /// * [`ServeError::UnknownDeployment`]
-    ///   / [`ServeError::UnknownVersion`]
-    ///   if the pinned artifact is no longer published under that name.
-    /// * [`ServeError::SnapshotMismatch`]
-    ///   if the resolved deployment's `K`/`M` shape disagrees with the
-    ///   snapshot (the registry re-used the version number for a
-    ///   different artifact — e.g. a fresh process re-published in a
-    ///   different order).
-    pub fn resume(registry: &DeploymentRegistry, bytes: &[u8]) -> Result<Self> {
-        let record = Self::decode(bytes)?;
-        Self::build_resumed(registry, record, None, None)
-    }
-
-    /// Internal constructor for [`Server`](crate::Server)-opened sessions.
-    pub(crate) fn open_scheduled(
-        registry: &DeploymentRegistry,
-        name: &str,
-        gain: f64,
-        metrics: Arc<ServeMetrics>,
-        door: SessionDoor,
-    ) -> Result<Self> {
-        Self::build(registry, name, None, gain, Some(metrics), Some(door))
-    }
-
-    /// Internal resume for [`Server::resume_session`](crate::Server::resume_session).
-    pub(crate) fn resume_scheduled(
-        registry: &DeploymentRegistry,
-        bytes: &[u8],
-        metrics: Arc<ServeMetrics>,
-        door: SessionDoor,
-    ) -> Result<Self> {
-        let record = Self::decode(bytes)?;
-        Self::build_resumed(registry, record, Some(metrics), Some(door))
-    }
-
-    fn decode(bytes: &[u8]) -> Result<SessionSnapshot> {
-        SessionSnapshot::from_bytes(bytes)
-            .map_err(|e| ServeError::Core(eigenmaps_core::CoreError::from(e)))
-    }
-
-    fn build(
-        registry: &DeploymentRegistry,
-        name: &str,
-        version: Option<u32>,
-        gain: f64,
-        metrics: Option<Arc<ServeMetrics>>,
-        door: Option<SessionDoor>,
-    ) -> Result<Self> {
-        let (version, deployment) = match version {
-            None => registry.latest_versioned(name)?,
-            Some(v) => (v, registry.version(name, v)?),
-        };
-        let tracker = deployment.tracker(gain)?;
-        let artifact_digest = fnv1a64(&deployment.to_bytes());
-        if let Some(metrics) = &metrics {
-            metrics.record_session_opened();
-        }
-        Ok(TrackerSession {
-            deployment,
-            tracker: Arc::new(Mutex::new(tracker)),
-            name: name.to_string(),
-            version,
-            gain,
-            artifact_digest,
-            frames: Arc::new(AtomicU64::new(0)),
-            pending: Arc::new(AtomicU64::new(0)),
-            durable: 0,
-            metrics,
-            door,
-        })
-    }
-
-    fn build_resumed(
-        registry: &DeploymentRegistry,
-        record: SessionSnapshot,
-        metrics: Option<Arc<ServeMetrics>>,
-        door: Option<SessionDoor>,
-    ) -> Result<Self> {
-        let session = Self::build(
-            registry,
+    /// A session on `server` warm-started from `EMSESS1` snapshot bytes;
+    /// see [`Server::resume_session`](crate::Server::resume_session).
+    pub(crate) fn resume_scheduled(server: &Server, bytes: &[u8]) -> Result<Self> {
+        let record = SessionSnapshot::from_bytes(bytes)
+            .map_err(|e| ServeError::Core(eigenmaps_core::CoreError::from(e)))?;
+        let session = Self::open_scheduled(
+            server,
             &record.deployment,
             Some(record.version),
             record.gain,
-            metrics,
-            door,
         )?;
         // The version number proves identity only within one registry
         // lifetime; across processes the same number can name a different
@@ -262,9 +143,46 @@ impl TrackerSession {
         Ok(session)
     }
 
+    /// A session on `server` against `version` of `name` (its current
+    /// version if `None`), with temporal gain `g ∈ (0, 1]`; see
+    /// [`Server::open_session`](crate::Server::open_session).
+    pub(crate) fn open_scheduled(
+        server: &Server,
+        name: &str,
+        version: Option<u32>,
+        gain: f64,
+    ) -> Result<Self> {
+        let registry = server.registry();
+        let (version, deployment) = match version {
+            None => registry.latest_versioned(name)?,
+            Some(v) => (v, registry.version(name, v)?),
+        };
+        let tracker = deployment.tracker(gain)?;
+        let artifact_digest = fnv1a64(&deployment.to_bytes());
+        let metrics = Arc::clone(server.metrics_hub());
+        metrics.record_session_opened();
+        Ok(TrackerSession {
+            deployment,
+            tracker: Arc::new(Mutex::new(tracker)),
+            name: name.to_string(),
+            version,
+            gain,
+            artifact_digest,
+            frames: Arc::new(AtomicU64::new(0)),
+            pending: Arc::new(AtomicU64::new(0)),
+            durable: 0,
+            metrics,
+            stream: StreamId(server.next_stream.fetch_add(1, Ordering::Relaxed)),
+            queue: server.queue.clone(),
+            overrides: Arc::clone(&server.overrides),
+            fallback: *server.policy(),
+            recorder: server.recorder().clone(),
+        })
+    }
+
     /// Serializes the session's durable state to `EMSESS1` bytes — the
-    /// warm-restart record [`TrackerSession::resume`] /
-    /// [`Server::resume_session`](crate::Server::resume_session) consume.
+    /// warm-restart record
+    /// [`Server::resume_session`](crate::Server::resume_session) consumes.
     /// Snapshot with no steps in flight (await outstanding
     /// [`Ticket`]s first) so the captured state is a well-defined
     /// point in the stream.
@@ -293,14 +211,13 @@ impl TrackerSession {
     /// monitor event loop uses. The step joins the session's stream lane
     /// in the server's fairness rotation and the batcher executes it in
     /// grant order, so steps of one session always execute in submission
-    /// order. On a standalone session (no server) the step executes
-    /// inline and the returned ticket is already ready.
+    /// order.
     ///
     /// # Errors
     ///
     /// * [`ServeError::Core`] for a wrong-length
     ///   readings vector (checked up front — a malformed step is refused,
-    ///   not enqueued) or, standalone, for a failed step.
+    ///   not enqueued).
     /// * [`ServeError::Saturated`] when this
     ///   session already has `max_pending_per_tenant` steps in flight.
     /// * [`ServeError::Terminated`] if the
@@ -314,22 +231,20 @@ impl TrackerSession {
                 found: readings.len(),
             }));
         }
-        let Some(door) = &self.door else {
-            // Standalone: execute inline (the bitwise reference path) and
-            // hand back an already-completed ticket.
-            let map = self.step_inline(readings)?;
-            let slot = ResponseSlot::new();
-            slot.complete(Ok(map));
-            return Ok(Ticket::new(self.version, slot, None));
-        };
         // Admission control: reserve a pending slot or refuse, exactly
         // like `try_submit` (a stream lane is its own admission domain,
         // bounded by the tenant's policy in force right now).
-        let max_pending = door.max_pending(&self.name);
+        let max_pending = self
+            .overrides
+            .read()
+            .expect("policy overrides lock poisoned")
+            .get(&self.name)
+            .unwrap_or(&self.fallback)
+            .max_pending_per_tenant as u64;
         let mut pending = self.pending.load(Ordering::Acquire);
         loop {
             if pending >= max_pending {
-                door.recorder.record_saturated(&self.name);
+                self.recorder.record_saturated(&self.name);
                 return Err(ServeError::Saturated {
                     name: self.name.clone(),
                     pending,
@@ -348,72 +263,38 @@ impl TrackerSession {
         let slot = ResponseSlot::new();
         let ticket = Ticket::new(self.version, Arc::clone(&slot), None);
         let step = QueuedStep {
-            stream: door.stream,
+            stream: self.stream,
             name: self.name.clone(),
             tracker: Arc::clone(&self.tracker),
             readings: readings.to_vec(),
             enqueued: Instant::now(),
             frames: Arc::clone(&self.frames),
-            trace: door.recorder.begin(&self.name),
+            trace: self.recorder.begin(&self.name),
             // The responder owns the reserved pending slot: completing —
             // or being dropped on a dead channel / teardown — releases it.
             responder: Responder::with_gauge(slot, Arc::clone(&self.pending)),
         };
-        self.queue_step(step)?;
-        Ok(ticket)
-    }
-
-    fn queue_step(&self, step: QueuedStep) -> Result<()> {
-        let door = self.door.as_ref().expect("scheduled session has a door");
         // On failure the message (and its responder) is dropped here: the
         // slot completes `Terminated` and the pending gauge is released.
-        door.queue
+        self.queue
             .send(BatcherMsg::Step(step))
             .map_err(|_| ServeError::Terminated {
                 context: "request queue closed",
-            })
-    }
-
-    fn step_inline(&self, readings: &[f64]) -> Result<ThermalMap> {
-        let map = self
-            .tracker
-            .lock()
-            .expect("session tracker lock poisoned")
-            .step(readings)?;
-        self.frames.fetch_add(1, Ordering::Release);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_session_step(&self.name);
-        }
-        Ok(map)
+            })?;
+        Ok(ticket)
     }
 
     /// Feeds one interval's `M` sensor readings, returning the temporally
     /// filtered full-map estimate — the blocking convenience over
-    /// [`TrackerSession::submit_step`]. On a server-opened session this
-    /// is a scheduled round trip through the fairness rotation and the
-    /// batcher; standalone it executes inline. Both produce
-    /// bitwise-identical maps.
+    /// [`TrackerSession::submit_step`]: a scheduled round trip through
+    /// the fairness rotation and the batcher.
     ///
     /// # Errors
     ///
     /// Union of [`TrackerSession::submit_step`] and
     /// [`Ticket::wait`].
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
-        if self.door.is_none() {
-            // Skip the ticket machinery on the inline path.
-            self.step_inline(readings)
-        } else {
-            self.submit_step(readings)?.wait()
-        }
-    }
-
-    /// Forgets the temporal state (e.g. after a telemetry gap), keeping
-    /// the pinned deployment. Call with no steps in flight.
-    pub fn reset(&mut self) {
-        self.tracker
-            .lock()
-            .expect("session tracker lock poisoned")
-            .reset();
+        self.submit_step(readings)?.wait()
     }
 
     /// The deployment artifact this session is pinned to.
@@ -436,7 +317,7 @@ impl TrackerSession {
         self.gain
     }
 
-    /// Frames served so far (scheduled steps count on completion).
+    /// Frames served so far (steps count on completion).
     pub fn frames(&self) -> u64 {
         self.frames.load(Ordering::Acquire)
     }
@@ -446,9 +327,9 @@ impl TrackerSession {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// The session's stream-lane id, if it is scheduled through a server.
-    pub fn stream_id(&self) -> Option<StreamId> {
-        self.door.as_ref().map(|door| door.stream)
+    /// The session's stream-lane id in its server's scheduler.
+    pub fn stream_id(&self) -> StreamId {
+        self.stream
     }
 
     /// The durable id the server's snapshot store checkpoints this
@@ -477,9 +358,7 @@ impl TrackerSession {
 
 impl Drop for TrackerSession {
     fn drop(&mut self) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_session_closed();
-        }
+        self.metrics.record_session_closed();
     }
 }
 
@@ -487,20 +366,21 @@ impl Drop for TrackerSession {
 mod tests {
     use super::*;
     use crate::error::ServeError;
+    use crate::registry::DeploymentRegistry;
     use eigenmaps_core::prelude::*;
 
-    fn fixture() -> (Arc<DeploymentRegistry>, MapEnsemble) {
+    fn fixture() -> (Server, MapEnsemble) {
         let (d, ens) = crate::testutil::two_mode_deployment(6, 6, 2, 4);
         let registry = Arc::new(DeploymentRegistry::new());
         registry.publish("chip", d);
-        (registry, ens)
+        (Server::new(registry, 1), ens)
     }
 
     #[test]
     fn unit_gain_matches_memoryless_reconstruction() {
-        let (registry, ens) = fixture();
-        let mut session = TrackerSession::open(&registry, "chip", 1.0).unwrap();
-        let deployment = registry.latest("chip").unwrap();
+        let (server, ens) = fixture();
+        let mut session = server.open_session("chip", 1.0).unwrap();
+        let deployment = server.registry().latest("chip").unwrap();
         for t in [0, 7, 21] {
             let readings = deployment.sensors().sample(&ens.map(t));
             let tracked = session.step(&readings).unwrap();
@@ -511,13 +391,14 @@ mod tests {
         assert_eq!(session.version(), 1);
         assert_eq!(session.name(), "chip");
         assert_eq!(session.gain(), 1.0);
-        assert_eq!(session.stream_id(), None, "standalone session");
+        assert_eq!(session.stream_id(), StreamId(1), "first lane of the server");
     }
 
     #[test]
     fn session_survives_hot_swap() {
-        let (registry, ens) = fixture();
-        let mut session = TrackerSession::open(&registry, "chip", 0.5).unwrap();
+        let (server, ens) = fixture();
+        let registry = server.registry();
+        let mut session = server.open_session("chip", 0.5).unwrap();
         let readings = session.deployment().sensors().sample(&ens.map(3)).to_vec();
         session.step(&readings).unwrap();
         // Swap + retire the version the session is pinned to.
@@ -532,41 +413,40 @@ mod tests {
         session.step(&readings).unwrap();
         assert_eq!(session.version(), 1);
         assert_eq!(session.frames(), 2);
-        session.reset();
-        assert_eq!(session.frames(), 2);
     }
 
     #[test]
     fn invalid_gain_rejected() {
-        let (registry, _) = fixture();
+        let (server, _) = fixture();
         assert!(matches!(
-            TrackerSession::open(&registry, "chip", 0.0),
+            server.open_session("chip", 0.0),
             Err(ServeError::Core(_))
         ));
         assert!(matches!(
-            TrackerSession::open(&registry, "ghost", 1.0),
+            server.open_session("ghost", 1.0),
             Err(ServeError::UnknownDeployment { .. })
         ));
     }
 
     #[test]
-    fn standalone_snapshot_resume_continues_bitwise() {
-        let (registry, ens) = fixture();
-        let deployment = registry.latest("chip").unwrap();
+    fn snapshot_resume_continues_bitwise() {
+        let (server, ens) = fixture();
+        let deployment = server.registry().latest("chip").unwrap();
         let readings: Vec<Vec<f64>> = (0..20)
             .map(|t| deployment.sensors().sample(&ens.map(t)))
             .collect();
-        // The uninterrupted reference stream.
-        let mut reference = TrackerSession::open(&registry, "chip", 0.3).unwrap();
+        // The uninterrupted reference stream: the tracker a session runs.
+        let mut reference = deployment.tracker(0.3).unwrap();
         // The interrupted stream: step, snapshot, "restart", resume.
-        let mut live = TrackerSession::open(&registry, "chip", 0.3).unwrap();
+        let mut live = server.open_session("chip", 0.3).unwrap();
         for r in &readings[..8] {
-            reference.step(r).unwrap();
-            live.step(r).unwrap();
+            let a = reference.step(r).unwrap();
+            let b = live.step(r).unwrap();
+            assert_eq!(a.as_slice(), b.as_slice(), "pre-snapshot step");
         }
         let bytes = live.snapshot();
         drop(live); // monitor restart
-        let mut resumed = TrackerSession::resume(&registry, bytes.as_slice()).unwrap();
+        let mut resumed = server.resume_session(bytes.as_slice()).unwrap();
         assert_eq!(resumed.frames(), 8);
         assert_eq!(resumed.version(), 1);
         assert_eq!(resumed.gain(), 0.3);
@@ -579,11 +459,18 @@ mod tests {
 
     #[test]
     fn resume_refuses_mismatched_artifacts() {
-        let (registry, ens) = fixture();
-        let mut session = TrackerSession::open(&registry, "chip", 0.5).unwrap();
+        let (server, ens) = fixture();
+        let registry = server.registry();
+        let mut session = server.open_session("chip", 0.5).unwrap();
         let readings = session.deployment().sensors().sample(&ens.map(0));
         session.step(&readings).unwrap();
         let bytes = session.snapshot();
+        // A server over its own registry: the restarted process.
+        let resume_on = |registry: DeploymentRegistry, bytes: &[u8]| {
+            Server::new(Arc::new(registry), 1)
+                .resume_session(bytes)
+                .map(|_| ())
+        };
 
         // Retiring the pinned version makes the snapshot unresumable.
         let retrained = Pipeline::new(&ens)
@@ -594,7 +481,7 @@ mod tests {
         registry.publish("chip", retrained.clone());
         registry.retire("chip", 1).unwrap();
         assert!(matches!(
-            TrackerSession::resume(&registry, &bytes),
+            server.resume_session(&bytes),
             Err(ServeError::UnknownVersion { version: 1, .. })
         ));
 
@@ -603,7 +490,7 @@ mod tests {
         let fresh = DeploymentRegistry::new();
         fresh.publish("chip", retrained); // k=3, m=6 at version 1
         assert!(matches!(
-            TrackerSession::resume(&fresh, &bytes),
+            resume_on(fresh, &bytes),
             Err(ServeError::SnapshotMismatch { .. })
         ));
 
@@ -628,7 +515,7 @@ mod tests {
         let sneaky = DeploymentRegistry::new();
         sneaky.publish("chip", same_shape);
         assert!(matches!(
-            TrackerSession::resume(&sneaky, &bytes),
+            resume_on(sneaky, &bytes),
             Err(ServeError::SnapshotMismatch {
                 context: "deployment artifact bytes changed"
             })
@@ -638,34 +525,42 @@ mod tests {
         let mut bad = bytes.clone();
         bad[10] ^= 0x01;
         assert!(matches!(
-            TrackerSession::resume(&registry, &bad),
+            server.resume_session(&bad),
             Err(ServeError::Core(_))
         ));
     }
 
     #[test]
     fn malformed_readings_rejected_up_front() {
-        let (registry, _) = fixture();
-        let session = TrackerSession::open(&registry, "chip", 0.5).unwrap();
+        let (server, _) = fixture();
+        let session = server.open_session("chip", 0.5).unwrap();
         assert!(matches!(
             session.submit_step(&[1.0, 2.0]),
             Err(ServeError::Core(CoreError::ShapeMismatch { .. }))
         ));
         assert_eq!(session.frames(), 0);
+        assert_eq!(
+            session.pending_steps(),
+            0,
+            "a refused step reserves nothing"
+        );
     }
 
     #[test]
-    fn standalone_submit_step_returns_ready_ticket() {
-        let (registry, ens) = fixture();
-        let session = TrackerSession::open(&registry, "chip", 1.0).unwrap();
+    fn submit_step_ticket_is_consumed_exactly_once() {
+        let (server, ens) = fixture();
+        let session = server.open_session("chip", 1.0).unwrap();
         let readings = session.deployment().sensors().sample(&ens.map(5));
         let mut ticket = session.submit_step(&readings).unwrap();
-        assert!(ticket.is_ready());
         assert_eq!(ticket.version(), 1);
+        while !ticket.is_ready() {
+            std::thread::yield_now();
+        }
         let map = ticket.try_wait().unwrap().unwrap();
         let memoryless = session.deployment().reconstruct(&readings).unwrap();
         assert_eq!(map.as_slice(), memoryless.as_slice());
         assert!(ticket.try_wait().is_none(), "consumed exactly once");
         assert_eq!(session.pending_steps(), 0);
+        assert_eq!(session.frames(), 1);
     }
 }

@@ -1058,6 +1058,7 @@ impl DurabilityHub {
 mod tests {
     use super::*;
     use crate::testutil::two_mode_deployment;
+    use crate::Server;
 
     fn manifest_names(io: &MemIo) -> Vec<String> {
         let mut names = io.list().expect("list");
@@ -1291,11 +1292,13 @@ mod tests {
             Duration::from_secs(3600),
         );
 
-        let mut keep = TrackerSession::open(&registry, "chip-a", 0.3).expect("open");
+        // Not hydrated, so nothing enrolls the sessions but this test.
+        let server = Server::new(Arc::clone(&registry), 1);
+        let mut keep = server.open_session("chip-a", 0.3).expect("open");
         keep.step(&[30.0; 6]).expect("step");
         let keep_id = hub.register(&keep);
         {
-            let drop_me = TrackerSession::open(&registry, "chip-a", 0.3).expect("open");
+            let drop_me = server.open_session("chip-a", 0.3).expect("open");
             let _ = hub.register(&drop_me);
             assert_eq!(hub.roster_len(), 2);
         }
@@ -1339,9 +1342,10 @@ mod tests {
             Arc::new(ServeMetrics::new(1)),
             Duration::from_secs(1),
         );
-        let session = TrackerSession::open(&registry, "chip-a", 0.3).expect("open");
+        let server = Server::new(Arc::clone(&registry), 1);
+        let session = server.open_session("chip-a", 0.3).expect("open");
         hub.adopt(17, &session);
-        let fresh = TrackerSession::open(&registry, "chip-a", 0.3).expect("open");
+        let fresh = server.open_session("chip-a", 0.3).expect("open");
         assert_eq!(hub.register(&fresh), 18);
     }
 }

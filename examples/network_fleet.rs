@@ -18,7 +18,7 @@ use std::sync::Arc;
 use eigenmaps::core::prelude::*;
 use eigenmaps::floorplan::prelude::*;
 use eigenmaps::net::{Client, NetServer};
-use eigenmaps::serve::{DeploymentRegistry, Server, Stage, TrackerSession};
+use eigenmaps::serve::{DeploymentRegistry, Server, Stage};
 
 const ROWS: usize = 14;
 const COLS: usize = 15;
@@ -137,11 +137,9 @@ fn main() -> AnyResult<()> {
     );
 
     // ---- a streaming session, snapshotted mid-stream ---------------------
-    // The inline reference tracker mirrors every step the wire session
+    // The artifact's own tracker mirrors every step the wire session
     // takes; the example keeps them in bitwise lockstep throughout.
-    let reference_registry = DeploymentRegistry::new();
-    reference_registry.publish_bytes("sku-alpha", &alpha_bytes)?;
-    let mut reference = TrackerSession::open(&reference_registry, "sku-alpha", 0.9)?;
+    let mut reference = alpha.tracker(0.9)?;
 
     let session = client.open_session("sku-alpha", 0.9)?;
     let telemetry: Vec<Vec<f64>> = (48..80)
@@ -256,7 +254,7 @@ fn main() -> AnyResult<()> {
     client.publish("sku-beta", beta_bytes.clone())?;
     assert_eq!(report.deployments, 0, "cold store had nothing to hydrate");
 
-    let mut reference = TrackerSession::open(&reference_registry, "sku-alpha", 0.9)?;
+    let mut reference = alpha.tracker(0.9)?;
     let session = client.open_session("sku-alpha", 0.9)?;
     assert!(session.durable > 0, "a durable server assigns durable ids");
     let telemetry: Vec<Vec<f64>> = (80..112)

@@ -452,13 +452,10 @@ proptest! {
         ens in ensemble_strategy(),
         gain_steps in 1u32..=10,
         cut in 1usize..=12,
-        scheduled_path in 0u8..2,
     ) {
         // Warm-restart invariant: for any ensemble, gain and interruption
         // point, snapshot → restart → resume → step produces a map stream
-        // bitwise-identical to the uninterrupted session — on both the
-        // standalone (inline) and server-scheduled paths.
-        use eigenmaps::serve::TrackerSession;
+        // bitwise-identical to the uninterrupted session.
         let gain = f64::from(gain_steps) / 10.0;
         let k = 2.min(ens.cells());
         let deployment = Pipeline::new(&ens)
@@ -477,29 +474,16 @@ proptest! {
             .collect();
         let registry = Arc::new(DeploymentRegistry::new());
         registry.publish("chip", deployment.clone());
-        let server = if scheduled_path == 1 {
-            Some(Server::new(Arc::clone(&registry), 2))
-        } else {
-            None
-        };
-        let open = |name: &str| -> TrackerSession {
-            match &server {
-                Some(server) => server.open_session(name, gain).unwrap(),
-                None => TrackerSession::open(&registry, name, gain).unwrap(),
-            }
-        };
-        let mut uninterrupted = open("chip");
-        let mut live = open("chip");
+        let server = Server::new(Arc::clone(&registry), 2);
+        let mut uninterrupted = server.open_session("chip", gain).unwrap();
+        let mut live = server.open_session("chip", gain).unwrap();
         for readings in &frames[..cut] {
             uninterrupted.step(readings).unwrap();
             live.step(readings).unwrap();
         }
         let bytes = live.snapshot();
         drop(live); // monitor restart
-        let mut resumed = match &server {
-            Some(server) => server.resume_session(&bytes).unwrap(),
-            None => TrackerSession::resume(&registry, &bytes).unwrap(),
-        };
+        let mut resumed = server.resume_session(&bytes).unwrap();
         prop_assert_eq!(resumed.frames() as usize, cut);
         for (t, readings) in frames[cut..].iter().enumerate() {
             let a = uninterrupted.step(readings).unwrap();
@@ -526,7 +510,6 @@ proptest! {
         // decode to a different valid artifact), and any strict prefix or
         // extension is rejected.
         use eigenmaps::core::codec::SessionSnapshot;
-        use eigenmaps::serve::TrackerSession;
         let k = 2.min(ens.cells());
         let deployment = Pipeline::new(&ens)
             .basis(BasisSpec::EigenExact { k })
@@ -535,21 +518,22 @@ proptest! {
             .unwrap();
         let registry = Arc::new(DeploymentRegistry::new());
         registry.publish("chip", deployment.clone());
-        let mut session = TrackerSession::open(&registry, "chip", 0.5).unwrap();
+        let server = Server::new(Arc::clone(&registry), 1);
+        let mut session = server.open_session("chip", 0.5).unwrap();
         for t in 0..steps {
             session.step(&deployment.sensors().sample(&ens.map(t))).unwrap();
         }
         let bytes = session.snapshot();
         // Sanity: the clean record parses and resumes.
         prop_assert!(SessionSnapshot::from_bytes(&bytes).is_ok());
-        prop_assert!(TrackerSession::resume(&registry, &bytes).is_ok());
+        prop_assert!(server.resume_session(&bytes).is_ok());
         // Single-byte corruption anywhere is rejected.
         let idx = ((bytes.len() - 1) as f64 * byte_frac) as usize;
         let mut corrupt = bytes.clone();
         corrupt[idx] ^= flip;
         prop_assert!(SessionSnapshot::from_bytes(&corrupt).is_err());
         prop_assert!(matches!(
-            TrackerSession::resume(&registry, &corrupt),
+            server.resume_session(&corrupt),
             Err(eigenmaps::serve::ServeError::Core(_))
         ));
         // Truncation at any strict prefix is rejected.
