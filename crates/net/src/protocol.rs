@@ -528,10 +528,6 @@ impl WireMap {
         enc.map_record(self.rows, self.cols, &self.cells);
     }
 
-    fn encoded_len(&self) -> usize {
-        map_record_len(self.cells.len())
-    }
-
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let (rows, cols, cells) = dec.map_record()?;
         Ok(WireMap { rows, cols, cells })
@@ -588,10 +584,6 @@ fn encode_histogram(enc: &mut Encoder, h: &HistogramSnapshot) {
     enc.u64(h.count).u64(h.total_ns);
 }
 
-fn histogram_len(h: &HistogramSnapshot) -> usize {
-    8 + 8 * h.buckets.len() + 16
-}
-
 fn decode_histogram(dec: &mut Decoder<'_>) -> Result<HistogramSnapshot, WireError> {
     let n = dec.take_len()?;
     let mut buckets = Vec::with_capacity(n.min(1024));
@@ -641,11 +633,6 @@ impl WireMetrics {
             .u64(self.wire.hydration_skipped);
         encode_histogram(enc, &self.latency_buckets);
         encode_histogram(enc, &self.session_latency_buckets);
-    }
-
-    fn encoded_len(&self) -> usize {
-        // 13 headline scalars and 19 wire gauges, then the histograms.
-        32 * 8 + histogram_len(&self.latency_buckets) + histogram_len(&self.session_latency_buckets)
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -794,23 +781,6 @@ impl WireTrace {
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        let events: usize = self
-            .events
-            .iter()
-            .map(|e| 8 + str_len(&e.tenant) + 17)
-            .sum();
-        let tenants: usize = self
-            .tenants
-            .iter()
-            .map(|t| {
-                let exemplars: usize = t.exemplars.iter().map(|x| 24 + 17 * x.stages.len()).sum();
-                str_len(&t.tenant) + 6 * 8 + 8 + exemplars
-            })
-            .sum();
-        16 + 8 + events + 8 + tenants
-    }
-
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let written = dec.u64()?;
         let dropped = dec.u64()?;
@@ -880,10 +850,6 @@ fn encode_str(enc: &mut Encoder, s: &str) {
     enc.bytes(s.as_bytes());
 }
 
-fn str_len(s: &str) -> usize {
-    8 + s.len()
-}
-
 fn decode_str(dec: &mut Decoder<'_>) -> Result<String, WireError> {
     let len = dec.take_len()?;
     let raw = dec.take(len)?;
@@ -917,22 +883,15 @@ fn encode_readings(enc: &mut Encoder, readings: &[f64]) {
     enc.f64_slice(readings);
 }
 
-fn readings_len(readings: &[f64]) -> usize {
-    8 + 8 * readings.len()
-}
-
 fn decode_readings(dec: &mut Decoder<'_>) -> Result<Vec<f64>, WireError> {
     let m = dec.take_len()?;
     Ok(dec.f64_vec(m)?)
 }
 
 /// Seals `kind` + `body` into a complete wire frame (length prefix
-/// included) under correlation id `id`, in one buffer and one pass.
-///
-/// `body_len` is the exact byte length `body` writes: the frame is
-/// allocated once at its final size, the length prefix starts as a
-/// placeholder, and the checksum and prefix are patched in place once the
-/// body is written — the record is never copied.
+/// included) under correlation id `id`, in one buffer: the length prefix
+/// starts as a placeholder, and the checksum and prefix are patched in
+/// once the body is written.
 ///
 /// # Errors
 ///
@@ -940,13 +899,8 @@ fn decode_readings(dec: &mut Decoder<'_>) -> Result<Vec<f64>, WireError> {
 /// encode-side mirror of the receiver's oversized check. The bound also
 /// keeps the `u32` length prefix exact: without it, `record_len as u32`
 /// would silently truncate any record over `u32::MAX` bytes.
-fn seal_frame(
-    id: u64,
-    kind: u8,
-    body_len: usize,
-    body: impl FnOnce(&mut Encoder),
-) -> Result<Vec<u8>, EncodeError> {
-    let mut enc = Encoder::with_capacity(4 + RECORD_OVERHEAD + body_len);
+fn seal_frame(id: u64, kind: u8, body: impl FnOnce(&mut Encoder)) -> Result<Vec<u8>, EncodeError> {
+    let mut enc = Encoder::with_capacity(4 + RECORD_OVERHEAD);
     enc.u32(0).bytes(MAGIC).u32(VERSION).u64(id).u8(kind);
     body(&mut enc);
     let mut frame = enc.finish();
@@ -961,11 +915,6 @@ fn seal_frame(
     }
     let checksum = crc32c(&frame[4..]);
     frame.extend_from_slice(&checksum.to_le_bytes());
-    debug_assert_eq!(
-        frame.len(),
-        4 + RECORD_OVERHEAD + body_len,
-        "body_len is exact"
-    );
     let prefix = u32::try_from(record_len).expect("bound fits in u32");
     frame[..4].copy_from_slice(&prefix.to_le_bytes());
     Ok(frame)
@@ -1057,9 +1006,7 @@ impl Request {
     pub fn encode(&self, id: u64) -> Result<Vec<u8>, EncodeError> {
         match self {
             Request::SubmitBatch { deployment, frames } => {
-                let len =
-                    str_len(deployment) + 8 + frames.iter().map(|f| readings_len(f)).sum::<usize>();
-                seal_frame(id, KIND_SUBMIT_BATCH, len, |enc| {
+                seal_frame(id, KIND_SUBMIT_BATCH, |enc| {
                     encode_str(enc, deployment);
                     enc.put_len(frames.len());
                     for frame in frames {
@@ -1067,42 +1014,33 @@ impl Request {
                     }
                 })
             }
-            Request::OpenSession { deployment, gain } => {
-                seal_frame(id, KIND_OPEN_SESSION, str_len(deployment) + 8, |enc| {
-                    encode_str(enc, deployment);
-                    enc.f64(*gain);
-                })
-            }
+            Request::OpenSession { deployment, gain } => seal_frame(id, KIND_OPEN_SESSION, |enc| {
+                encode_str(enc, deployment);
+                enc.f64(*gain);
+            }),
             Request::StepSession { session, readings } => {
-                seal_frame(id, KIND_STEP_SESSION, 8 + readings_len(readings), |enc| {
+                seal_frame(id, KIND_STEP_SESSION, |enc| {
                     enc.u64(*session);
                     encode_readings(enc, readings);
                 })
             }
-            Request::CloseSession { session } => seal_frame(id, KIND_CLOSE_SESSION, 8, |enc| {
+            Request::CloseSession { session } => seal_frame(id, KIND_CLOSE_SESSION, |enc| {
                 enc.u64(*session);
             }),
-            Request::Snapshot { session } => seal_frame(id, KIND_SNAPSHOT, 8, |enc| {
+            Request::Snapshot { session } => seal_frame(id, KIND_SNAPSHOT, |enc| {
                 enc.u64(*session);
             }),
-            Request::Resume { snapshot } => {
-                seal_frame(id, KIND_RESUME, 8 + snapshot.len(), |enc| {
-                    encode_blob(enc, snapshot);
-                })
-            }
-            Request::Catalog => seal_frame(id, KIND_CATALOG, 0, |_| {}),
-            Request::Publish { name, artifact } => seal_frame(
-                id,
-                KIND_PUBLISH,
-                str_len(name) + 8 + artifact.len(),
-                |enc| {
-                    encode_str(enc, name);
-                    encode_blob(enc, artifact);
-                },
-            ),
-            Request::Metrics => seal_frame(id, KIND_METRICS, 0, |_| {}),
-            Request::Trace => seal_frame(id, KIND_TRACE, 0, |_| {}),
-            Request::Attach { durable } => seal_frame(id, KIND_ATTACH, 8, |enc| {
+            Request::Resume { snapshot } => seal_frame(id, KIND_RESUME, |enc| {
+                encode_blob(enc, snapshot);
+            }),
+            Request::Catalog => seal_frame(id, KIND_CATALOG, |_| {}),
+            Request::Publish { name, artifact } => seal_frame(id, KIND_PUBLISH, |enc| {
+                encode_str(enc, name);
+                encode_blob(enc, artifact);
+            }),
+            Request::Metrics => seal_frame(id, KIND_METRICS, |_| {}),
+            Request::Trace => seal_frame(id, KIND_TRACE, |_| {}),
+            Request::Attach { durable } => seal_frame(id, KIND_ATTACH, |enc| {
                 enc.u64(*durable);
             }),
         }
@@ -1188,7 +1126,7 @@ impl Response {
                 maps,
                 degraded,
             } => {
-                let records_len = maps.iter().map(WireMap::encoded_len).sum();
+                let records_len = maps.iter().map(|map| map_record_len(map.cells.len())).sum();
                 let head = batch_reply_head(id, *version, maps.len(), records_len)?;
                 let mut enc = Encoder::with_capacity(head.len() + records_len + 5);
                 enc.bytes(&head);
@@ -1205,56 +1143,40 @@ impl Response {
                 version,
                 frames,
                 durable,
-            } => seal_frame(id, KIND_SESSION_OPENED, 28, |enc| {
+            } => seal_frame(id, KIND_SESSION_OPENED, |enc| {
                 enc.u64(*session).u32(*version).u64(*frames).u64(*durable);
             }),
-            Response::Step { map, degraded } => {
-                seal_frame(id, KIND_STEP_REPLY, map.encoded_len() + 1, |enc| {
-                    map.encode(enc);
-                    enc.u8(*degraded as u8);
-                })
-            }
-            Response::Closed => seal_frame(id, KIND_CLOSED, 0, |_| {}),
-            Response::Snapshot { snapshot } => {
-                seal_frame(id, KIND_SNAPSHOT_REPLY, 8 + snapshot.len(), |enc| {
-                    encode_blob(enc, snapshot);
-                })
-            }
-            Response::Catalog { entries } => {
-                let len = 8 + entries
-                    .iter()
-                    .map(|(name, versions)| str_len(name) + 8 + 4 * versions.len())
-                    .sum::<usize>();
-                seal_frame(id, KIND_CATALOG_REPLY, len, |enc| {
-                    enc.put_len(entries.len());
-                    for (name, versions) in entries {
-                        encode_str(enc, name);
-                        enc.put_len(versions.len());
-                        for &v in versions {
-                            enc.u32(v);
-                        }
+            Response::Step { map, degraded } => seal_frame(id, KIND_STEP_REPLY, |enc| {
+                map.encode(enc);
+                enc.u8(*degraded as u8);
+            }),
+            Response::Closed => seal_frame(id, KIND_CLOSED, |_| {}),
+            Response::Snapshot { snapshot } => seal_frame(id, KIND_SNAPSHOT_REPLY, |enc| {
+                encode_blob(enc, snapshot);
+            }),
+            Response::Catalog { entries } => seal_frame(id, KIND_CATALOG_REPLY, |enc| {
+                enc.put_len(entries.len());
+                for (name, versions) in entries {
+                    encode_str(enc, name);
+                    enc.put_len(versions.len());
+                    for &v in versions {
+                        enc.u32(v);
                     }
-                })
-            }
-            Response::Published { version } => seal_frame(id, KIND_PUBLISHED, 4, |enc| {
+                }
+            }),
+            Response::Published { version } => seal_frame(id, KIND_PUBLISHED, |enc| {
                 enc.u32(*version);
             }),
-            Response::Metrics(metrics) => {
-                seal_frame(id, KIND_METRICS_REPLY, metrics.encoded_len(), |enc| {
-                    metrics.encode(enc);
-                })
-            }
-            Response::Trace(trace) => {
-                seal_frame(id, KIND_TRACE_REPLY, trace.encoded_len(), |enc| {
-                    trace.encode(enc);
-                })
-            }
-            Response::Error { status, message } => {
-                seal_frame(id, KIND_ERROR, 1 + str_len(message), |enc| {
-                    enc.u8(status.to_u8());
-                    encode_str(enc, message);
-                })
-            }
+            Response::Metrics(metrics) => seal_frame(id, KIND_METRICS_REPLY, |enc| {
+                metrics.encode(enc);
+            }),
+            Response::Trace(trace) => seal_frame(id, KIND_TRACE_REPLY, |enc| {
+                trace.encode(enc);
+            }),
+            Response::Error { status, message } => seal_frame(id, KIND_ERROR, |enc| {
+                enc.u8(status.to_u8());
+                encode_str(enc, message);
+            }),
         }
     }
 
@@ -1470,6 +1392,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eigenmaps_core::codec::fnv1a64;
 
     /// Appends the `EMWIRE2` trailer to a hand-built `magic..body`,
     /// giving a record (no length prefix).
@@ -1480,175 +1403,231 @@ mod tests {
         record
     }
 
-    fn roundtrip_request(req: Request) {
-        let frame = req.encode(42).expect("encodes");
-        let mut fb = FrameBuffer::new(MAX_FRAME_BYTES);
-        fb.extend(&frame);
-        let record = fb.next_record().expect("complete").expect("valid");
-        let (id, back) = Request::decode(&record).expect("decodes");
-        assert_eq!(id, 42);
-        assert_eq!(back, req);
-        assert_eq!(fb.buffered(), 0);
+    /// One request of every kind, on fixed small inputs.
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::SubmitBatch {
+                deployment: "sku-a".into(),
+                frames: vec![vec![1.0, -2.5, f64::MIN_POSITIVE], vec![0.0]],
+            },
+            Request::OpenSession {
+                deployment: "sku-b".into(),
+                gain: 0.85,
+            },
+            Request::StepSession {
+                session: 3,
+                readings: vec![21.0, 22.5],
+            },
+            Request::CloseSession { session: 3 },
+            Request::Snapshot { session: 9 },
+            Request::Resume {
+                snapshot: vec![1, 2, 3, 255],
+            },
+            Request::Catalog,
+            Request::Publish {
+                name: "sku-c".into(),
+                artifact: vec![0; 64],
+            },
+            Request::Metrics,
+            Request::Trace,
+            Request::Attach { durable: u64::MAX },
+        ]
     }
 
-    fn roundtrip_response(resp: Response) {
-        let frame = resp.encode(7).expect("encodes");
-        let (id, back) = Response::decode(&frame[4..]).expect("decodes");
-        assert_eq!(id, 7);
-        assert_eq!(back, resp);
+    /// One response of every kind (two batches, two traces), on fixed
+    /// small inputs: non-empty histograms, events and exemplars included.
+    fn sample_responses() -> Vec<Response> {
+        vec![
+            Response::Batch {
+                version: 2,
+                maps: vec![WireMap {
+                    rows: 2,
+                    cols: 3,
+                    cells: vec![1.0; 6],
+                }],
+                degraded: false,
+            },
+            Response::Batch {
+                version: 2,
+                maps: vec![WireMap {
+                    rows: 1,
+                    cols: 1,
+                    cells: vec![0.5],
+                }],
+                degraded: true,
+            },
+            Response::SessionOpened {
+                session: 11,
+                version: 1,
+                frames: 40,
+                durable: 6,
+            },
+            Response::Step {
+                map: WireMap {
+                    rows: 1,
+                    cols: 2,
+                    cells: vec![50.0, 51.0],
+                },
+                degraded: false,
+            },
+            Response::Closed,
+            Response::Snapshot {
+                snapshot: vec![9; 33],
+            },
+            Response::Catalog {
+                entries: vec![("a".into(), vec![1, 3]), ("b".into(), vec![])],
+            },
+            Response::Published { version: 5 },
+            Response::Metrics(Box::new(WireMetrics {
+                requests: 10,
+                shed: 3,
+                degraded: 2,
+                brownout: 1,
+                brownout_entries: 4,
+                wire: WireSnapshot {
+                    frames_in: 12,
+                    reaped_idle: 2,
+                    reaped_slow_client: 1,
+                    reaped_drain: 3,
+                    checkpoints: 4,
+                    checkpoint_sessions: 8,
+                    hydrated_deployments: 2,
+                    hydrated_sessions: 5,
+                    hydration_skipped: 1,
+                    ..WireSnapshot::default()
+                },
+                latency_buckets: HistogramSnapshot {
+                    buckets: vec![0, 4, 9, 0, 1],
+                    count: 14,
+                    total_ns: 123_456,
+                },
+                session_latency_buckets: HistogramSnapshot {
+                    buckets: vec![2; 23],
+                    count: 46,
+                    total_ns: 9_000,
+                },
+                ..WireMetrics::default()
+            })),
+            Response::Trace(WireTrace {
+                written: 100,
+                dropped: 3,
+                events: vec![
+                    WireTraceEvent {
+                        trace: 7,
+                        tenant: "sku-a".into(),
+                        stage: 2,
+                        arg: 16,
+                        at_ns: 1_000,
+                    },
+                    WireTraceEvent {
+                        trace: 8,
+                        tenant: "sku-b".into(),
+                        stage: 6,
+                        arg: 1,
+                        at_ns: 2_000,
+                    },
+                ],
+                tenants: vec![WireTenantTrace {
+                    tenant: "sku-a".into(),
+                    queue_wait_p50_ns: 10,
+                    queue_wait_p99_ns: 20,
+                    execute_p50_ns: 30,
+                    execute_p99_ns: 40,
+                    respond_p50_ns: 50,
+                    respond_p99_ns: 60,
+                    exemplars: vec![WireExemplar {
+                        trace: 7,
+                        total_ns: 5_500,
+                        stages: vec![
+                            WireStage {
+                                stage: 0,
+                                arg: 0,
+                                at_ns: 100,
+                            },
+                            WireStage {
+                                stage: 5,
+                                arg: 0,
+                                at_ns: 5_600,
+                            },
+                        ],
+                    }],
+                }],
+            }),
+            Response::Trace(WireTrace::default()),
+            Response::Error {
+                status: WireStatus::Saturated,
+                message: "tenant full".into(),
+            },
+        ]
     }
 
     #[test]
     fn every_request_kind_roundtrips() {
-        roundtrip_request(Request::SubmitBatch {
-            deployment: "sku-a".into(),
-            frames: vec![vec![1.0, -2.5, f64::MIN_POSITIVE], vec![0.0]],
-        });
-        roundtrip_request(Request::OpenSession {
-            deployment: "sku-b".into(),
-            gain: 0.85,
-        });
-        roundtrip_request(Request::StepSession {
-            session: 3,
-            readings: vec![21.0, 22.5],
-        });
-        roundtrip_request(Request::CloseSession { session: 3 });
-        roundtrip_request(Request::Snapshot { session: 9 });
-        roundtrip_request(Request::Resume {
-            snapshot: vec![1, 2, 3, 255],
-        });
-        roundtrip_request(Request::Catalog);
-        roundtrip_request(Request::Publish {
-            name: "sku-c".into(),
-            artifact: vec![0; 64],
-        });
-        roundtrip_request(Request::Metrics);
-        roundtrip_request(Request::Trace);
-        roundtrip_request(Request::Attach { durable: u64::MAX });
+        for req in sample_requests() {
+            let frame = req.encode(42).expect("encodes");
+            let mut fb = FrameBuffer::new(MAX_FRAME_BYTES);
+            fb.extend(&frame);
+            let record = fb.next_record().expect("complete").expect("valid");
+            let (id, back) = Request::decode(&record).expect("decodes");
+            assert_eq!(id, 42);
+            assert_eq!(back, req);
+            assert_eq!(fb.buffered(), 0);
+        }
     }
 
     #[test]
     fn every_response_kind_roundtrips() {
-        roundtrip_response(Response::Batch {
-            version: 2,
-            maps: vec![WireMap {
-                rows: 2,
-                cols: 3,
-                cells: vec![1.0; 6],
-            }],
-            degraded: false,
-        });
-        roundtrip_response(Response::Batch {
-            version: 2,
-            maps: vec![WireMap {
-                rows: 1,
-                cols: 1,
-                cells: vec![0.5],
-            }],
-            degraded: true,
-        });
-        roundtrip_response(Response::SessionOpened {
-            session: 11,
-            version: 1,
-            frames: 40,
-            durable: 6,
-        });
-        roundtrip_response(Response::Step {
-            map: WireMap {
-                rows: 1,
-                cols: 2,
-                cells: vec![50.0, 51.0],
-            },
-            degraded: false,
-        });
-        roundtrip_response(Response::Closed);
-        roundtrip_response(Response::Snapshot {
-            snapshot: vec![9; 33],
-        });
-        roundtrip_response(Response::Catalog {
-            entries: vec![("a".into(), vec![1, 3]), ("b".into(), vec![])],
-        });
-        roundtrip_response(Response::Published { version: 5 });
-        roundtrip_response(Response::Metrics(Box::new(WireMetrics {
-            requests: 10,
-            shed: 3,
-            degraded: 2,
-            brownout: 1,
-            brownout_entries: 4,
-            wire: WireSnapshot {
-                frames_in: 12,
-                reaped_idle: 2,
-                reaped_slow_client: 1,
-                reaped_drain: 3,
-                checkpoints: 4,
-                checkpoint_sessions: 8,
-                hydrated_deployments: 2,
-                hydrated_sessions: 5,
-                hydration_skipped: 1,
-                ..WireSnapshot::default()
-            },
-            latency_buckets: HistogramSnapshot {
-                buckets: vec![0, 4, 9, 0, 1],
-                count: 14,
-                total_ns: 123_456,
-            },
-            session_latency_buckets: HistogramSnapshot {
-                buckets: vec![2; 23],
-                count: 46,
-                total_ns: 9_000,
-            },
-            ..WireMetrics::default()
-        })));
-        roundtrip_response(Response::Trace(WireTrace {
-            written: 100,
-            dropped: 3,
-            events: vec![
-                WireTraceEvent {
-                    trace: 7,
-                    tenant: "sku-a".into(),
-                    stage: 2,
-                    arg: 16,
-                    at_ns: 1_000,
-                },
-                WireTraceEvent {
-                    trace: 8,
-                    tenant: "sku-b".into(),
-                    stage: 6,
-                    arg: 1,
-                    at_ns: 2_000,
-                },
-            ],
-            tenants: vec![WireTenantTrace {
-                tenant: "sku-a".into(),
-                queue_wait_p50_ns: 10,
-                queue_wait_p99_ns: 20,
-                execute_p50_ns: 30,
-                execute_p99_ns: 40,
-                respond_p50_ns: 50,
-                respond_p99_ns: 60,
-                exemplars: vec![WireExemplar {
-                    trace: 7,
-                    total_ns: 5_500,
-                    stages: vec![
-                        WireStage {
-                            stage: 0,
-                            arg: 0,
-                            at_ns: 100,
-                        },
-                        WireStage {
-                            stage: 5,
-                            arg: 0,
-                            at_ns: 5_600,
-                        },
-                    ],
-                }],
-            }],
-        }));
-        roundtrip_response(Response::Trace(WireTrace::default()));
-        roundtrip_response(Response::Error {
-            status: WireStatus::Saturated,
-            message: "tenant full".into(),
-        });
+        for resp in sample_responses() {
+            let frame = resp.encode(7).expect("encodes");
+            let (id, back) = Response::decode(&frame[4..]).expect("decodes");
+            assert_eq!(id, 7);
+            assert_eq!(back, resp);
+        }
+    }
+
+    /// `(kind tag, fnv1a64 of the whole frame)` for every sample request
+    /// (id 42) and response (id 7), in fixture order.
+    const GOLDEN_FRAMES: [(u8, u64); 23] = [
+        (0x01, 0xA561C4B29F889751),
+        (0x02, 0xE0CECA00578B7B99),
+        (0x03, 0x7E1198448EFB1DAF),
+        (0x04, 0x03ECAD7A68D57826),
+        (0x05, 0x9F42264EA2EFF296),
+        (0x06, 0x68E8121732593367),
+        (0x07, 0x2DB07F18FE784735),
+        (0x08, 0x1D6FB2E51C885145),
+        (0x09, 0x5D3DAF7104DAAF95),
+        (0x0A, 0xCD88B3174F3AA55C),
+        (0x0B, 0xCC5F3F5FD48DF0D3),
+        (0x81, 0xF77D7BB68983AF0A),
+        (0x81, 0x8B368F757EADBA71),
+        (0x82, 0xE412FE215867D785),
+        (0x83, 0x81A513A8F01DE224),
+        (0x84, 0x52F4C45114AFA50E),
+        (0x85, 0x0DDC06FB315FF307),
+        (0x86, 0xDFB1749C110EB276),
+        (0x87, 0xF2A5676840B754BA),
+        (0x88, 0xAFD3159E619F2960),
+        (0x89, 0x2DC0276C3086F329),
+        (0x89, 0x6D3FC99C6CF1052E),
+        (0xFF, 0x2C7218B45DF4C1E8),
+    ];
+
+    /// A roundtrip cannot see an encoder and decoder that change in step;
+    /// these digests pin every kind's frame to its recorded bytes.
+    #[test]
+    fn every_kind_encodes_to_the_recorded_bytes() {
+        let tagged = |frame: Vec<u8>| (frame[4 + 7 + 4 + 8], fnv1a64(&frame));
+        let frames: Vec<(u8, u64)> = sample_requests()
+            .iter()
+            .map(|req| tagged(req.encode(42).expect("encodes")))
+            .chain(
+                sample_responses()
+                    .iter()
+                    .map(|resp| tagged(resp.encode(7).expect("encodes"))),
+            )
+            .collect();
+        assert_eq!(frames, GOLDEN_FRAMES);
     }
 
     #[test]
@@ -1937,7 +1916,7 @@ mod tests {
         let mut enc = Encoder::with_capacity(64);
         enc.bytes(b"EMWIRE1").u32(1).u64(5).u8(KIND_CATALOG);
         let mut old = enc.finish();
-        let checksum = eigenmaps_core::codec::fnv1a64(&old);
+        let checksum = fnv1a64(&old);
         old.extend_from_slice(&checksum.to_le_bytes());
         let failure = Request::decode(&old).unwrap_err();
         assert_eq!(failure.id, None);

@@ -51,8 +51,8 @@ use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
 use crate::registry::DeploymentRegistry;
 use crate::scheduler::{
-    BrownoutPolicy, Decision, FlushDecision, Scheduler, ShedDecision, StepDecision, StreamId,
-    TenantKey,
+    BrownoutPolicy, Decision, FlushDecision, PolicyTable, Scheduler, ShedDecision, StepDecision,
+    StreamId, TenantKey,
 };
 use crate::session::TrackerSession;
 use crate::shard::{MapBatch, ShardedExecutor};
@@ -371,8 +371,8 @@ pub(crate) struct QueuedRequest {
 }
 
 /// A queued session step: one interval's readings for one stream lane,
-/// sharing the session's tracker (and bookkeeping counters) with the
-/// [`TrackerSession`] handle that submitted it.
+/// sharing the session's tracker (which counts the frames it served) with
+/// the [`TrackerSession`] handle that submitted it.
 #[derive(Debug)]
 pub(crate) struct QueuedStep {
     pub(crate) stream: StreamId,
@@ -380,7 +380,6 @@ pub(crate) struct QueuedStep {
     pub(crate) tracker: Arc<Mutex<TrackingReconstructor>>,
     pub(crate) readings: Vec<f64>,
     pub(crate) enqueued: Instant,
-    pub(crate) frames: Arc<AtomicU64>,
     pub(crate) trace: TraceCard,
     pub(crate) responder: Responder<ThermalMap>,
 }
@@ -420,12 +419,11 @@ pub struct Server {
     registry: Arc<DeploymentRegistry>,
     executor: Arc<ShardedExecutor>,
     metrics: Arc<ServeMetrics>,
-    policy: BatchPolicy,
-    /// Front-door mirror of the scheduler's per-tenant overrides (the
-    /// admission-control bound is enforced here, before the batcher).
-    /// Shared with every open session, so a policy change reaches live
-    /// streams too.
-    pub(crate) overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
+    /// The front door's policy table: the admission-control bound is
+    /// enforced here, before the batcher. Shared with every open session,
+    /// so a policy change reaches live streams too; the batcher's
+    /// scheduler keeps its own table, updated in arrival order.
+    pub(crate) policies: Arc<RwLock<PolicyTable>>,
     pub(crate) queue: Sender<BatcherMsg>,
     /// The flight recorder every request, step and rejection reports its
     /// lifecycle stages to (see [`crate::trace`]).
@@ -473,8 +471,7 @@ impl Server {
             registry,
             executor,
             metrics,
-            policy,
-            overrides: Arc::new(RwLock::new(HashMap::new())),
+            policies: Arc::new(RwLock::new(PolicyTable::new(policy))),
             queue,
             recorder,
             next_stream: AtomicU64::new(1),
@@ -495,19 +492,22 @@ impl Server {
 
     /// The global (fallback) batching policy this server's scheduler
     /// enforces.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
+    pub fn policy(&self) -> BatchPolicy {
+        *self
+            .policies
+            .read()
+            .expect("policy table lock poisoned")
+            .global()
     }
 
     /// The policy in force for deployment `name`: its per-tenant override
     /// if one is installed, else the global policy.
     pub fn tenant_policy(&self, name: &str) -> BatchPolicy {
-        self.overrides
+        *self
+            .policies
             .read()
-            .expect("policy overrides lock poisoned")
+            .expect("policy table lock poisoned")
             .get(name)
-            .copied()
-            .unwrap_or(self.policy)
     }
 
     /// Installs (`Some`) or clears (`None`) a per-tenant [`BatchPolicy`]
@@ -524,20 +524,10 @@ impl Server {
     ///
     /// [`ServeError::Terminated`] if the server is shutting down.
     pub fn set_tenant_policy(&self, name: &str, policy: Option<BatchPolicy>) -> Result<()> {
-        {
-            let mut overrides = self
-                .overrides
-                .write()
-                .expect("policy overrides lock poisoned");
-            match policy {
-                Some(policy) => {
-                    overrides.insert(name.to_string(), policy);
-                }
-                None => {
-                    overrides.remove(name);
-                }
-            }
-        }
+        self.policies
+            .write()
+            .expect("policy table lock poisoned")
+            .set(name, policy);
         self.queue
             .send(BatcherMsg::Policy {
                 name: name.to_string(),
@@ -1121,15 +1111,14 @@ fn admit(
 }
 
 /// Executes one granted session step on the batcher thread and completes
-/// its ticket: per-class latency, frame and step accounting, then the
-/// response.
+/// its ticket: per-class latency and step accounting, then the response.
+/// The tracker counts the frame itself, on a successful step only.
 fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
     let QueuedStep {
         name,
         tracker,
         readings,
         enqueued,
-        frames,
         trace,
         responder,
         ..
@@ -1147,7 +1136,6 @@ fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
     metrics.record_session_latency(enqueued.elapsed());
     match outcome {
         Ok(map) => {
-            frames.fetch_add(1, Ordering::Release);
             metrics.record_session_step(&name);
             trace.record(Stage::Responded);
             responder.send(Ok(map));
@@ -1226,7 +1214,6 @@ fn execute_flush(
     if jobs.is_empty() {
         return;
     }
-    metrics.record_batch();
     metrics.record_tenant_batch(&tenant.name, jobs.len() as u64, total_frames as u64);
     // The batch formed at the tick instant; then the shard hand-off.
     let coalesced = Stage::Coalesced {

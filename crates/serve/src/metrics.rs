@@ -14,7 +14,11 @@
 //! mean coalesced batch size per tenant is derivable directly from a
 //! snapshot ([`TenantSnapshot::mean_batch_requests`]), which is what the
 //! interleaved-tenant bench asserts batch-size recovery on, and what
-//! [`Server::try_submit`] admission control reads.
+//! [`Server::try_submit`] admission control reads. The per-tenant block is
+//! also the one owner of the batch, shed, degraded and session-step
+//! counts: the global [`MetricsSnapshot`] fields of those names are sums
+//! over the tenants, folded at snapshot time, so no second counter has
+//! to be kept in step with them.
 //!
 //! [`Server::try_submit`]: crate::Server::try_submit
 //!
@@ -317,24 +321,32 @@ struct WireCounters {
     hydration_skipped: AtomicU64,
 }
 
+/// Reserve-or-refuse admission on a pending gauge: raises `gauge` by one
+/// iff it is below `bound`, returning the value it held. At or above the
+/// bound nothing changes and the observed value comes back as `Err`. One
+/// compare-exchange loop, so concurrent admitters can never overshoot
+/// `bound` — both the tenant queues of [`Server::try_submit`] and the
+/// per-session step bound of [`TrackerSession::submit_step`] admit here.
+///
+/// [`Server::try_submit`]: crate::Server::try_submit
+/// [`TrackerSession::submit_step`]: crate::TrackerSession::submit_step
+pub(crate) fn try_reserve(gauge: &AtomicU64, bound: u64) -> std::result::Result<u64, u64> {
+    gauge.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+        (n < bound).then_some(n + 1)
+    })
+}
+
 /// Counter hub shared by the front end, the execution engine and any
 /// sessions. Cheap to record into from any thread.
 #[derive(Debug)]
 pub struct ServeMetrics {
     requests: AtomicU64,
     frames: AtomicU64,
-    batches: AtomicU64,
     errors: AtomicU64,
-    /// Requests shed for blowing their deadline, across all tenants.
-    shed: AtomicU64,
-    /// Requests answered with a degraded (truncated) reconstruction,
-    /// across all tenants.
-    degraded: AtomicU64,
     /// Whether the scheduler is currently in brownout (gauge, 0 or 1).
     brownout: AtomicU64,
     /// Inactive→active brownout transitions observed.
     brownout_entries: AtomicU64,
-    session_steps: AtomicU64,
     /// Streaming sessions currently open (gauge).
     sessions_open: AtomicU64,
     /// High-water mark of `sessions_open`.
@@ -360,13 +372,9 @@ impl ServeMetrics {
         ServeMetrics {
             requests: AtomicU64::new(0),
             frames: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             brownout: AtomicU64::new(0),
             brownout_entries: AtomicU64::new(0),
-            session_steps: AtomicU64::new(0),
             sessions_open: AtomicU64::new(0),
             max_sessions_open: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
@@ -507,8 +515,7 @@ impl ServeMetrics {
     /// Atomically admits one request for tenant `name` iff its queue
     /// depth is below `bound`: on success the gauge is incremented and
     /// `Ok(())` returned; at or above the bound nothing changes and the
-    /// observed depth comes back as `Err`. The reserve-or-refuse step is
-    /// a single compare-exchange loop, so concurrent admitters can never
+    /// observed depth comes back as `Err`. Concurrent admitters can never
     /// overshoot `bound` — the hard guarantee behind
     /// [`Server::try_submit`].
     ///
@@ -519,26 +526,11 @@ impl ServeMetrics {
         bound: u64,
     ) -> std::result::Result<(), u64> {
         let tenant = self.tenant(name);
-        let mut depth = tenant.queue_depth.load(Ordering::Relaxed);
-        loop {
-            if depth >= bound {
-                return Err(depth);
-            }
-            match tenant.queue_depth.compare_exchange_weak(
-                depth,
-                depth + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    tenant
-                        .max_queue_depth
-                        .fetch_max(depth + 1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(observed) => depth = observed,
-            }
-        }
+        let depth = try_reserve(&tenant.queue_depth, bound)?;
+        tenant
+            .max_queue_depth
+            .fetch_max(depth + 1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Removes `requests` requests from tenant `name`'s queue-depth gauge
@@ -576,7 +568,6 @@ impl ServeMetrics {
     /// completes with the typed [`crate::ServeError::DeadlineShed`]), so
     /// `requests == served + errors` accounting stays exact.
     pub fn record_shed(&self, name: &str, requests: u64, frames: u64) {
-        self.shed.fetch_add(requests, Ordering::Relaxed);
         self.errors.fetch_add(requests, Ordering::Relaxed);
         let tenant = self.tenant(name);
         tenant.shed_requests.fetch_add(requests, Ordering::Relaxed);
@@ -594,7 +585,6 @@ impl ServeMetrics {
     /// still [`ServeMetrics::record_tenant_batch`]'s job; this only adds
     /// the degraded attribution on top.
     pub fn record_degraded_batch(&self, name: &str, requests: u64) {
-        self.degraded.fetch_add(requests, Ordering::Relaxed);
         let tenant = self.tenant(name);
         tenant.degraded_batches.fetch_add(1, Ordering::Relaxed);
         tenant
@@ -635,11 +625,6 @@ impl ServeMetrics {
         self.frames.fetch_add(frames as u64, Ordering::Relaxed);
     }
 
-    /// Records one flushed micro-batch.
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a request that completed with an error.
     pub fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -647,7 +632,6 @@ impl ServeMetrics {
 
     /// Records one streaming tracker-session step against tenant `name`.
     pub fn record_session_step(&self, name: &str) {
-        self.session_steps.fetch_add(1, Ordering::Relaxed);
         self.tenant(name)
             .session_steps
             .fetch_add(1, Ordering::Relaxed);
@@ -690,20 +674,49 @@ impl ServeMetrics {
         }
     }
 
-    /// Folds all counters into a plain snapshot.
+    /// Folds all counters into a plain snapshot. The global batch, shed,
+    /// degraded and session-step counts are the sums of the per-tenant
+    /// ones.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let latency = self.latency.snapshot();
         let session_latency = self.session_latency.snapshot();
+        let tenants: BTreeMap<String, TenantSnapshot> = self
+            .tenants
+            .read()
+            .expect("tenant metrics lock poisoned")
+            .iter()
+            .map(|(name, t)| {
+                (
+                    name.clone(),
+                    TenantSnapshot {
+                        batches: t.batches.load(Ordering::Relaxed),
+                        batch_requests: t.batch_requests.load(Ordering::Relaxed),
+                        batch_frames: t.batch_frames.load(Ordering::Relaxed),
+                        queue_depth: t.queue_depth.load(Ordering::Relaxed),
+                        max_queue_depth: t.max_queue_depth.load(Ordering::Relaxed),
+                        session_steps: t.session_steps.load(Ordering::Relaxed),
+                        shed_requests: t.shed_requests.load(Ordering::Relaxed),
+                        shed_frames: t.shed_frames.load(Ordering::Relaxed),
+                        degraded_batches: t.degraded_batches.load(Ordering::Relaxed),
+                        degraded_requests: t.degraded_requests.load(Ordering::Relaxed),
+                        queue_wait: t.queue_wait.snapshot(),
+                        execute: t.execute.snapshot(),
+                        respond: t.respond.snapshot(),
+                    },
+                )
+            })
+            .collect();
+        let sum = |field: fn(&TenantSnapshot) -> u64| tenants.values().map(field).sum();
         MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            batches: sum(|t| t.batches),
             errors: self.errors.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            shed: sum(|t| t.shed_requests),
+            degraded: sum(|t| t.degraded_requests),
             brownout: self.brownout.load(Ordering::Relaxed) != 0,
             brownout_entries: self.brownout_entries.load(Ordering::Relaxed),
-            session_steps: self.session_steps.load(Ordering::Relaxed),
+            session_steps: sum(|t| t.session_steps),
             sessions_open: self.sessions_open.load(Ordering::Relaxed),
             max_sessions_open: self.max_sessions_open.load(Ordering::Relaxed),
             latency_mean: latency.mean(),
@@ -723,32 +736,7 @@ impl ServeMetrics {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            tenants: self
-                .tenants
-                .read()
-                .expect("tenant metrics lock poisoned")
-                .iter()
-                .map(|(name, t)| {
-                    (
-                        name.clone(),
-                        TenantSnapshot {
-                            batches: t.batches.load(Ordering::Relaxed),
-                            batch_requests: t.batch_requests.load(Ordering::Relaxed),
-                            batch_frames: t.batch_frames.load(Ordering::Relaxed),
-                            queue_depth: t.queue_depth.load(Ordering::Relaxed),
-                            max_queue_depth: t.max_queue_depth.load(Ordering::Relaxed),
-                            session_steps: t.session_steps.load(Ordering::Relaxed),
-                            shed_requests: t.shed_requests.load(Ordering::Relaxed),
-                            shed_frames: t.shed_frames.load(Ordering::Relaxed),
-                            degraded_batches: t.degraded_batches.load(Ordering::Relaxed),
-                            degraded_requests: t.degraded_requests.load(Ordering::Relaxed),
-                            queue_wait: t.queue_wait.snapshot(),
-                            execute: t.execute.snapshot(),
-                            respond: t.respond.snapshot(),
-                        },
-                    )
-                })
-                .collect(),
+            tenants,
             wire: WireSnapshot {
                 connections_open: self.wire.connections_open.load(Ordering::Relaxed),
                 max_connections_open: self.wire.max_connections_open.load(Ordering::Relaxed),
@@ -1039,7 +1027,7 @@ mod tests {
         let m = ServeMetrics::new(2);
         m.record_request(10);
         m.record_request(6);
-        m.record_batch();
+        m.record_tenant_batch("alpha", 1, 16);
         m.record_shard(0, 12);
         m.record_shard(1, 4);
         m.record_shard(9, 1); // out of range: ignored

@@ -232,6 +232,47 @@ impl Default for BatchPolicy {
     }
 }
 
+/// The batching policy in force per tenant: a global policy plus
+/// per-deployment-name overrides, keyed by name so they follow a tenant
+/// across hot-swap version bumps. The one place the fallback rule —
+/// a tenant's override if one is set, else the global policy — lives:
+/// the [`Scheduler`] owns one table, and the [`Server`](crate::Server)
+/// shares another with its sessions for admission control.
+#[derive(Debug)]
+pub(crate) struct PolicyTable {
+    global: BatchPolicy,
+    overrides: HashMap<String, BatchPolicy>,
+}
+
+impl PolicyTable {
+    /// A table with no overrides.
+    pub(crate) fn new(global: BatchPolicy) -> Self {
+        PolicyTable {
+            global,
+            overrides: HashMap::new(),
+        }
+    }
+
+    /// The global (fallback) policy.
+    pub(crate) fn global(&self) -> &BatchPolicy {
+        &self.global
+    }
+
+    /// The policy in force for deployment `name`.
+    pub(crate) fn get(&self, name: &str) -> &BatchPolicy {
+        self.overrides.get(name).unwrap_or(&self.global)
+    }
+
+    /// Installs (`Some`) or clears (`None`) `name`'s override.
+    pub(crate) fn set(&mut self, name: impl Into<String>, policy: Option<BatchPolicy>) {
+        let name = name.into();
+        match policy {
+            Some(policy) => self.overrides.insert(name, policy),
+            None => self.overrides.remove(&name),
+        };
+    }
+}
+
 /// How a tenant's work is handled once its [`BatchPolicy::deadline`] is
 /// blown — the QoS half of the policy.
 ///
@@ -482,10 +523,9 @@ impl<T> Default for TenantQueue<T> {
 /// order (front = served next among ready lanes).
 #[derive(Debug)]
 pub struct Scheduler<B, S = B> {
-    policy: BatchPolicy,
-    /// Per-deployment-name policy overrides (latency-tiered SKUs), keyed
-    /// by name so they survive hot-swap version bumps.
-    overrides: HashMap<String, BatchPolicy>,
+    /// The global policy and the per-tenant overrides (latency-tiered
+    /// SKUs).
+    policies: PolicyTable,
     tenants: HashMap<TenantKey, TenantQueue<B>>,
     /// Stream lanes with queued steps, each in FIFO order.
     streams: HashMap<StreamId, VecDeque<S>>,
@@ -501,8 +541,7 @@ impl<B, S> Scheduler<B, S> {
     /// A scheduler enforcing `policy` per tenant.
     pub fn new(policy: BatchPolicy) -> Self {
         Scheduler {
-            policy,
-            overrides: HashMap::new(),
+            policies: PolicyTable::new(policy),
             tenants: HashMap::new(),
             streams: HashMap::new(),
             rotation: VecDeque::new(),
@@ -513,7 +552,7 @@ impl<B, S> Scheduler<B, S> {
 
     /// The global (fallback) policy this scheduler enforces.
     pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
+        self.policies.global()
     }
 
     /// Installs (`Some`) or clears (`None`) a per-tenant policy override
@@ -521,20 +560,13 @@ impl<B, S> Scheduler<B, S> {
     /// readiness inspection: already-queued requests are re-judged under
     /// the new budgets on the following [`Scheduler::tick`].
     pub fn set_tenant_policy(&mut self, name: impl Into<String>, policy: Option<BatchPolicy>) {
-        match policy {
-            Some(policy) => {
-                self.overrides.insert(name.into(), policy);
-            }
-            None => {
-                self.overrides.remove(&name.into());
-            }
-        }
+        self.policies.set(name, policy);
     }
 
     /// The policy in force for deployment `name` — its override if one is
     /// installed, else the global policy.
     pub fn tenant_policy(&self, name: &str) -> BatchPolicy {
-        *self.overrides.get(name).unwrap_or(&self.policy)
+        *self.policies.get(name)
     }
 
     /// Installs (`Some`) or disables (`None`) brownout watermarks. State
@@ -551,11 +583,6 @@ impl<B, S> Scheduler<B, S> {
     /// tick's judgment).
     pub fn in_brownout(&self) -> bool {
         self.in_brownout
-    }
-
-    /// The policy in force for one pinned tenant queue.
-    fn policy_for(&self, key: &TenantKey) -> &BatchPolicy {
-        self.overrides.get(&key.name).unwrap_or(&self.policy)
     }
 
     /// Enqueues a job of `frames` frames for `tenant`, stamped `now` for
@@ -639,7 +666,7 @@ impl<B, S> Scheduler<B, S> {
                         // `weight` budget-capped batches in this pass — each
                         // re-judged for readiness, so the extra grants stop
                         // the moment the queue drops under budget.
-                        let weight = self.policy_for(&key).weight.max(1);
+                        let weight = self.policies.get(&key.name).weight.max(1);
                         decisions.push(Decision::Batch(self.take_batch(&key, reason, Some(now))));
                         for _ in 1..weight {
                             match self.readiness(&key, now) {
@@ -706,7 +733,7 @@ impl<B, S> Scheduler<B, S> {
             .iter()
             .filter_map(|lane| match lane {
                 LaneKey::Tenant(key) => {
-                    let policy = self.policy_for(key);
+                    let policy = self.policies.get(&key.name);
                     (policy.deadline.is_some() && policy.overrun == OverrunAction::Shed)
                         .then(|| key.clone())
                 }
@@ -715,7 +742,8 @@ impl<B, S> Scheduler<B, S> {
             .collect();
         for key in lanes {
             let budget = self
-                .policy_for(&key)
+                .policies
+                .get(&key.name)
                 .deadline
                 .expect("lane filtered on deadline");
             let Some(queue) = self.tenants.get_mut(&key) else {
@@ -786,7 +814,7 @@ impl<B, S> Scheduler<B, S> {
             .iter()
             .filter_map(|(key, q)| {
                 let job = q.jobs.front()?;
-                let policy = self.policy_for(key);
+                let policy = self.policies.get(&key.name);
                 let flush = job.enqueued_at.checked_add(policy.max_delay);
                 // A `Shed` tenant's request deadline is a tick instant
                 // too: the driver must wake to shed it on time even when
@@ -842,7 +870,7 @@ impl<B, S> Scheduler<B, S> {
     /// Which budget (if any) makes `key` flushable at `now`, under the
     /// policy in force for that tenant.
     fn readiness(&self, key: &TenantKey, now: Duration) -> Option<FlushReason> {
-        let policy = self.policy_for(key);
+        let policy = self.policies.get(&key.name);
         let queue = self.tenants.get(key)?;
         if queue.frames >= policy.max_batch_frames {
             return Some(FlushReason::FrameBudget);
@@ -867,7 +895,7 @@ impl<B, S> Scheduler<B, S> {
         reason: FlushReason,
         now: Option<Duration>,
     ) -> FlushDecision<B> {
-        let policy = *self.policy_for(key);
+        let policy = *self.policies.get(&key.name);
         // A `Degrade` tenant's batch is marked degraded while the
         // scheduler is in brownout, or when any job folded into it has
         // already overrun the tenant's deadline (serve coarse on time

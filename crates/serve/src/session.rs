@@ -44,19 +44,18 @@
 //! [`Server::hydrate`]: crate::Server::hydrate
 //! [`ServeError::SnapshotMismatch`]: crate::ServeError::SnapshotMismatch
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use eigenmaps_core::codec::{fnv1a64, SessionSnapshot};
 use eigenmaps_core::{Deployment, ThermalMap, TrackingReconstructor};
 
-use crate::batch::{BatchPolicy, BatcherMsg, QueuedStep, Responder, ResponseSlot, Server, Ticket};
+use crate::batch::{BatcherMsg, QueuedStep, Responder, ResponseSlot, Server, Ticket};
 use crate::error::{Result, ServeError};
-use crate::metrics::ServeMetrics;
-use crate::scheduler::StreamId;
+use crate::metrics::{try_reserve, ServeMetrics};
+use crate::scheduler::{PolicyTable, StreamId};
 use crate::trace::FlightRecorder;
 
 /// A stateful streaming session over one pinned deployment version.
@@ -76,7 +75,6 @@ pub struct TrackerSession {
     /// once at open — stamped into every snapshot so resume can prove it
     /// reattached to the *same* artifact, not merely a same-shape one.
     artifact_digest: u64,
-    frames: Arc<AtomicU64>,
     /// Steps admitted but not yet completed (admission-control gauge,
     /// drained by each step's responder).
     pending: Arc<AtomicU64>,
@@ -89,12 +87,10 @@ pub struct TrackerSession {
     stream: StreamId,
     /// The batcher queue the session's steps travel.
     queue: Sender<BatcherMsg>,
-    /// A live view of the server's per-tenant policy overrides, so a
+    /// The server's policy table, shared, so a
     /// [`set_tenant_policy`](crate::Server::set_tenant_policy) call
     /// re-tiers the admission bound of already-open sessions too.
-    overrides: Arc<RwLock<HashMap<String, BatchPolicy>>>,
-    /// The server's global policy, in force while no override is.
-    fallback: BatchPolicy,
+    policies: Arc<RwLock<PolicyTable>>,
     recorder: FlightRecorder,
 }
 
@@ -134,12 +130,8 @@ impl TrackerSession {
         {
             let mut tracker = session.tracker.lock().expect("fresh tracker lock");
             tracker.import_state(record.state)?;
-            // Mirror the frame count into the tracker so a checkpoint
-            // capturing (state, frames) under its lock sees a consistent
-            // pair from the first post-resume step on.
             tracker.set_frames(record.frames);
         }
-        session.frames.store(record.frames, Ordering::Release);
         Ok(session)
     }
 
@@ -168,14 +160,12 @@ impl TrackerSession {
             version,
             gain,
             artifact_digest,
-            frames: Arc::new(AtomicU64::new(0)),
             pending: Arc::new(AtomicU64::new(0)),
             durable: 0,
             metrics,
             stream: StreamId(server.next_stream.fetch_add(1, Ordering::Relaxed)),
             queue: server.queue.clone(),
-            overrides: Arc::clone(&server.overrides),
-            fallback: *server.policy(),
+            policies: Arc::clone(&server.policies),
             recorder: server.recorder().clone(),
         })
     }
@@ -235,30 +225,17 @@ impl TrackerSession {
         // like `try_submit` (a stream lane is its own admission domain,
         // bounded by the tenant's policy in force right now).
         let max_pending = self
-            .overrides
+            .policies
             .read()
-            .expect("policy overrides lock poisoned")
+            .expect("policy table lock poisoned")
             .get(&self.name)
-            .unwrap_or(&self.fallback)
             .max_pending_per_tenant as u64;
-        let mut pending = self.pending.load(Ordering::Acquire);
-        loop {
-            if pending >= max_pending {
-                self.recorder.record_saturated(&self.name);
-                return Err(ServeError::Saturated {
-                    name: self.name.clone(),
-                    pending,
-                });
-            }
-            match self.pending.compare_exchange_weak(
+        if let Err(pending) = try_reserve(&self.pending, max_pending) {
+            self.recorder.record_saturated(&self.name);
+            return Err(ServeError::Saturated {
+                name: self.name.clone(),
                 pending,
-                pending + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(observed) => pending = observed,
-            }
+            });
         }
         let slot = ResponseSlot::new();
         let ticket = Ticket::new(self.version, Arc::clone(&slot), None);
@@ -268,7 +245,6 @@ impl TrackerSession {
             tracker: Arc::clone(&self.tracker),
             readings: readings.to_vec(),
             enqueued: Instant::now(),
-            frames: Arc::clone(&self.frames),
             trace: self.recorder.begin(&self.name),
             // The responder owns the reserved pending slot: completing —
             // or being dropped on a dead channel / teardown — releases it.
@@ -317,9 +293,14 @@ impl TrackerSession {
         self.gain
     }
 
-    /// Frames served so far (steps count on completion).
+    /// Frames served so far: successful steps, counted by the session's
+    /// tracker before the step's ticket completes, plus the count a resume
+    /// restored.
     pub fn frames(&self) -> u64 {
-        self.frames.load(Ordering::Acquire)
+        self.tracker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .frames()
     }
 
     /// Steps admitted but not yet completed.

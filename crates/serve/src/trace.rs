@@ -41,8 +41,7 @@
 //!
 //! # On top of the ring
 //!
-//! When constructed with [`FlightRecorder::with_metrics`], a finished
-//! trace is folded into per-tenant **stage histograms** in
+//! A finished trace is folded into per-tenant **stage histograms** in
 //! [`ServeMetrics`] (queue-wait vs execute vs respond — see
 //! [`StageLatency`]), and offered to the **slow-request exemplar
 //! store**, which keeps the [`EXEMPLARS_PER_TENANT`] worst full traces
@@ -319,7 +318,7 @@ struct Shared {
     contended: AtomicU64,
     interner: RwLock<Interner>,
     exemplars: Mutex<HashMap<u32, Vec<TraceExemplar>>>,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl Shared {
@@ -396,9 +395,10 @@ impl Shared {
             }
         });
         let terminal = stamps[SLOT_RESPONDED].or(stamps[SLOT_REJECTED]);
-        if let Some(metrics) = &self.metrics {
+        {
             // Borrow the interned name rather than cloning it: this runs
-            // once per finished request.
+            // once per finished request. The scope releases the interner
+            // before the exemplar lock below is taken.
             let interner = self.interner.read().expect("trace interner lock poisoned");
             let name = interner
                 .names
@@ -409,13 +409,16 @@ impl Shared {
                 _ => None,
             };
             if let Some(wait) = span(stamps[SLOT_ADMITTED], stamps[SLOT_DISPATCHED]) {
-                metrics.record_stage_latency(name, StageLatency::QueueWait, wait);
+                self.metrics
+                    .record_stage_latency(name, StageLatency::QueueWait, wait);
             }
             if let Some(execute) = span(stamps[SLOT_DISPATCHED], stamps[SLOT_KERNEL]) {
-                metrics.record_stage_latency(name, StageLatency::Execute, execute);
+                self.metrics
+                    .record_stage_latency(name, StageLatency::Execute, execute);
             }
             if let Some(respond) = span(stamps[SLOT_KERNEL], terminal) {
-                metrics.record_stage_latency(name, StageLatency::Respond, respond);
+                self.metrics
+                    .record_stage_latency(name, StageLatency::Respond, respond);
             }
         }
         let (Some(admitted), Some(terminal)) = (stamps[SLOT_ADMITTED], terminal) else {
@@ -550,8 +553,8 @@ impl TraceCard {
 }
 
 /// The per-server flight recorder: trace-id allocator, event ring,
-/// exemplar store, and (optionally) the [`ServeMetrics`] hub stage
-/// latencies are folded into. Clones share state; handing one to every
+/// exemplar store, and the [`ServeMetrics`] hub stage latencies are
+/// folded into. Clones share state; handing one to every
 /// layer of the stack is one `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -559,19 +562,9 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with an event ring of `capacity` (min 1) and no
-    /// metrics hub attached.
-    pub fn new(capacity: usize) -> Self {
-        Self::build(capacity, None)
-    }
-
-    /// A recorder that additionally folds finished traces into
-    /// `metrics`' per-tenant stage histograms.
+    /// A recorder with an event ring of `capacity` (min 1) that folds
+    /// finished traces into `metrics`' per-tenant stage histograms.
     pub fn with_metrics(capacity: usize, metrics: Arc<ServeMetrics>) -> Self {
-        Self::build(capacity, Some(metrics))
-    }
-
-    fn build(capacity: usize, metrics: Option<Arc<ServeMetrics>>) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             shared: Arc::new(Shared {
@@ -740,6 +733,11 @@ mod tests {
         Duration::from_micros(micros)
     }
 
+    /// A recorder over a fresh, private metrics hub.
+    fn recorder(capacity: usize) -> FlightRecorder {
+        FlightRecorder::with_metrics(capacity, Arc::new(ServeMetrics::new(1)))
+    }
+
     #[test]
     fn stage_codes_round_trip() {
         let stages = [
@@ -764,7 +762,7 @@ mod tests {
 
     #[test]
     fn degraded_stage_slots_before_the_terminal_in_exemplars() {
-        let recorder = FlightRecorder::new(64);
+        let recorder = recorder(64);
         let card = recorder.begin_at("bulk", us(0));
         card.record_at(Stage::ShardDispatched, us(10));
         card.record_at(Stage::KernelDone, us(20));
@@ -789,7 +787,7 @@ mod tests {
 
     #[test]
     fn card_lifecycle_lands_in_ring_and_exemplars() {
-        let recorder = FlightRecorder::new(64);
+        let recorder = recorder(64);
         let card = recorder.begin_at("alpha", us(10));
         card.record_at(Stage::Enqueued, us(12));
         card.record_at(Stage::Coalesced { requests: 3 }, us(40));
@@ -829,7 +827,7 @@ mod tests {
 
     #[test]
     fn exemplar_store_keeps_the_k_worst() {
-        let recorder = FlightRecorder::new(256);
+        let recorder = recorder(256);
         for i in 0..10u64 {
             let card = recorder.begin_at("alpha", us(0));
             // Totals 0, 10, 20, … — the slowest are the last begun.
@@ -843,7 +841,7 @@ mod tests {
 
     #[test]
     fn overwrite_oldest_keeps_the_newest_capacity_events() {
-        let recorder = FlightRecorder::new(4);
+        let recorder = recorder(4);
         let card = recorder.begin_at("alpha", us(0));
         for i in 1..=9u64 {
             card.record_at(Stage::Enqueued, us(i));
@@ -863,7 +861,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let recorder = FlightRecorder::new(16);
+        let recorder = recorder(16);
         recorder.set_enabled(false);
         let card = recorder.begin("alpha");
         assert_eq!(card.id(), TraceId(0));
@@ -882,7 +880,7 @@ mod tests {
 
     #[test]
     fn saturated_rejection_is_one_terminal_only_event() {
-        let recorder = FlightRecorder::new(16);
+        let recorder = recorder(16);
         let admitted = recorder.begin_at("alpha", us(0));
         recorder.record_saturated("alpha");
         let ring = recorder.snapshot();

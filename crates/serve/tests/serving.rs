@@ -303,6 +303,40 @@ fn pipelined_submit_step_keeps_order_and_state() {
     assert_eq!(session.pending_steps(), 0);
 }
 
+/// A session's frame count is its tracker's: a step the tracker refuses
+/// (a NaN reading) counts nothing and leaves the stream as it was, and
+/// the count the session reports is the one its `EMSESS1` snapshot writes.
+#[test]
+fn session_frames_count_only_served_steps_and_match_the_snapshot() {
+    let (deployment, frames) = fixture(4);
+    let registry = Arc::new(DeploymentRegistry::new());
+    registry.publish("t1", (*deployment).clone());
+    let server = Server::new(Arc::clone(&registry), 1);
+    let mut session = server.open_session("t1", 0.5).unwrap();
+    let mut reference = deployment.tracker(0.5).unwrap();
+
+    for readings in &frames[..3] {
+        session.step(readings).unwrap();
+        reference.step(readings).unwrap();
+    }
+    let mut bad = frames[3].clone();
+    bad[2] = f64::NAN;
+    assert!(matches!(
+        session.step(&bad),
+        Err(ServeError::Core(CoreError::NonFiniteReading { .. }))
+    ));
+    assert_eq!(session.frames(), 3, "a refused step is not a served frame");
+    let map = session.step(&frames[3]).unwrap();
+    let expected = reference.step(&frames[3]).unwrap();
+    assert_eq!(map.as_slice(), expected.as_slice());
+
+    assert_eq!(session.frames(), 4);
+    let record = eigenmaps_core::codec::SessionSnapshot::from_bytes(&session.snapshot()).unwrap();
+    assert_eq!(record.frames, session.frames());
+    let snap = server.metrics();
+    assert_eq!((snap.session_steps, snap.errors), (4, 1));
+}
+
 /// A scheduled step runs to completion on the batcher thread, so its
 /// ticket's readiness callback fires there, like a batch ticket's. The
 /// batcher is first parked inside a batch ticket's callback: the step

@@ -587,7 +587,7 @@ fn concurrent_ring_writers_never_tear_events_and_drops_account_exactly() {
     let writers: usize = if stress { 8 } else { 4 };
     let per_writer: usize = if stress { 20_000 } else { 2_000 };
     for capacity in [64usize, 8] {
-        let recorder = FlightRecorder::new(capacity);
+        let recorder = FlightRecorder::with_metrics(capacity, Arc::new(ServeMetrics::new(1)));
         let names: Vec<String> = (0..writers).map(|k| format!("w{k}")).collect();
         // Each card's `Admitted` event lands before any writer starts,
         // so it is the oldest history and always among the drops.
