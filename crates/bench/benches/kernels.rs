@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the numerical kernels underlying EigenMaps:
-//! the dense factorizations, the DCT basis build, the sparse CG solve, the
-//! thermal stepper's banded Cholesky, the PCA fit and the wire checksum.
+//! the dense factorizations, the DCT basis build, the thermal stepper's
+//! banded Cholesky, the PCA fit and the wire checksum.
 //! These are the knobs that decide whether the method is usable inside a
 //! DTM loop, or whether a batch reply is cheap to move, so we track them
 //! explicitly.
@@ -72,9 +72,6 @@ fn bench_sym_eig(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("jacobi", n), &sym, |bch, s| {
             bch.iter(|| black_box(sym_eig(black_box(s)).unwrap()))
         });
-        group.bench_with_input(BenchmarkId::new("ql_implicit", n), &sym, |bch, s| {
-            bch.iter(|| black_box(sym_eig_ql(black_box(s)).unwrap()))
-        });
     }
     group.finish();
 }
@@ -86,39 +83,6 @@ fn bench_dct_basis(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{h}x{w}_k{k}")),
             |bch| bch.iter(|| black_box(dct2_basis(h, w, k).unwrap())),
         );
-    }
-    group.finish();
-}
-
-fn bench_cg(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cg_poisson");
-    for &n in &[16usize, 32] {
-        // 2-D Laplacian with a Dirichlet-like shift (SPD), n×n grid.
-        let cells = n * n;
-        let mut tb = TripletBuilder::new(cells, cells);
-        for r in 0..n {
-            for cidx in 0..n {
-                let i = r * n + cidx;
-                tb.push(i, i, 4.1);
-                if r > 0 {
-                    tb.push(i, i - n, -1.0);
-                }
-                if r + 1 < n {
-                    tb.push(i, i + n, -1.0);
-                }
-                if cidx > 0 {
-                    tb.push(i, i - 1, -1.0);
-                }
-                if cidx + 1 < n {
-                    tb.push(i, i + 1, -1.0);
-                }
-            }
-        }
-        let a = tb.to_csr();
-        let b: Vec<f64> = (0..cells).map(|i| ((i % 13) as f64) - 6.0).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(cells), &a, |bch, a| {
-            bch.iter(|| black_box(cg_solve(a, &b, &CgOptions::default()).unwrap()))
-        });
     }
     group.finish();
 }
@@ -198,7 +162,6 @@ criterion_group!(
     bench_svd_cond,
     bench_sym_eig,
     bench_dct_basis,
-    bench_cg,
     bench_transient_step,
     bench_crc32c,
     bench_pca

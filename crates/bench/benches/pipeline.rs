@@ -1,12 +1,12 @@
 //! Criterion benchmarks over the full EigenMaps pipeline on a reduced
 //! UltraSPARC T1 configuration: per-snapshot reconstruction latency (the
 //! cost a DTM loop pays at run time), sensor-allocation time (design-time
-//! cost), and thermal-simulator stepping throughput.
+//! cost) and the basis fit. The thermal simulator's step is benched in
+//! `kernels.rs` (`transient_step`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eigenmaps_core::prelude::*;
 use eigenmaps_floorplan::prelude::*;
-use eigenmaps_thermal::{GridSpec, ThermalModel, TransientSim};
 
 struct Setup {
     ensemble: MapEnsemble,
@@ -100,38 +100,6 @@ fn bench_design(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thermal_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thermal_transient_step");
-    group.sample_size(20);
-    for &(rows, cols) in &[(28usize, 30usize), (56, 60)] {
-        let fp = Floorplan::ultrasparc_t1();
-        let grid = GridSpec::new(
-            rows,
-            cols,
-            fp.die_width() / cols as f64,
-            fp.die_height() / rows as f64,
-        );
-        let model = ThermalModel::with_default_stack(grid).unwrap();
-        let mut sim = TransientSim::new(model, 0.05).unwrap();
-        let rast = PowerRasterizer::new(&fp, grid).unwrap();
-        let trace = TraceGenerator::new(fp.clone(), 0.05, 1)
-            .unwrap()
-            .generate(Scenario::WebServer, 1);
-        let power = rast.rasterize(trace.step(0)).unwrap();
-        // Warm the state so the benched step is a typical mid-run step.
-        sim.run(&power, 20).unwrap();
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("{rows}x{cols}")),
-            |bch| {
-                bch.iter(|| {
-                    black_box(sim.step(black_box(&power)).unwrap());
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_basis_fit(c: &mut Criterion) {
     let s = setup();
     let mut group = c.benchmark_group("eigenbasis_fit_840cells");
@@ -148,7 +116,6 @@ criterion_group!(
     pipeline,
     bench_reconstruction_latency,
     bench_design,
-    bench_thermal_step,
     bench_basis_fit
 );
 criterion_main!(pipeline);

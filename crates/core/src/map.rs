@@ -97,11 +97,6 @@ impl ThermalMap {
         &self.data
     }
 
-    /// Consumes the map, returning the cell vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Mean squared error against another map (per-cell average, the
     /// inner sum of the paper's `MSE` figure of merit).
     ///

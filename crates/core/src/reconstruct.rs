@@ -144,7 +144,7 @@ impl MapSlab {
     /// Resizes the slab to `frames` maps of `rows × cols`, writes every
     /// record header, and hands out the cell views in frame order. Stale
     /// cells are left for the caller to overwrite.
-    fn refill(
+    pub(crate) fn refill(
         &mut self,
         rows: usize,
         cols: usize,
@@ -423,6 +423,14 @@ impl Reconstructor {
     /// * [`CoreError::ReconstructionOverflow`] (`frame` 0) if `alpha`
     ///   could synthesize a non-finite cell.
     pub fn map_from_coefficients(&self, alpha: &[f64]) -> Result<ThermalMap> {
+        let mut cells = vec![0.0; self.rows * self.cols];
+        self.synthesize_into(alpha, &mut cells)?;
+        ThermalMap::new(self.rows, self.cols, cells)
+    }
+
+    /// [`Reconstructor::map_from_coefficients`] written into `cells`
+    /// (`rows · cols` long): same checks, same one-frame kernel call.
+    pub(crate) fn synthesize_into(&self, alpha: &[f64], cells: &mut [f64]) -> Result<()> {
         if alpha.len() != self.k() {
             return Err(CoreError::ShapeMismatch {
                 context: "map_from_coefficients",
@@ -431,7 +439,6 @@ impl Reconstructor {
             });
         }
         self.check_synthesis(0, alpha.iter().copied())?;
-        let mut cells = vec![0.0; self.rows * self.cols];
         // A one-frame block: `alpha` transposed at bsz = 1 is itself.
         self.kernel.backend().synthesize_panels(
             &self.packed,
@@ -439,9 +446,9 @@ impl Reconstructor {
             &self.mean,
             alpha,
             1,
-            &mut [cells.as_mut_slice()],
+            &mut [cells],
         );
-        ThermalMap::new(self.rows, self.cols, cells)
+        Ok(())
     }
 
     /// Refuses coefficients whose map could overflow, in O(K). Every

@@ -18,7 +18,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::map::ThermalMap;
-use crate::reconstruct::Reconstructor;
+use crate::reconstruct::{MapSlab, Reconstructor};
 
 /// A fixed-gain temporal tracker over a [`Reconstructor`].
 ///
@@ -154,17 +154,34 @@ impl TrackingReconstructor {
     /// [`Reconstructor::map_from_coefficients`] failures. A refused step
     /// leaves the tracker as if it never saw the readings.
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
+        let (rows, cols) = (self.inner.sensors().rows(), self.inner.sensors().cols());
+        let mut cells = vec![0.0; rows * cols];
+        self.advance(readings, &mut cells)?;
+        ThermalMap::new(rows, cols, cells)
+    }
+
+    /// [`TrackingReconstructor::step`], with the same errors, writing the
+    /// bitwise-same map into `slab` as its one `EMWIRE2` map record: the
+    /// serving path, which allocates no map once the slab has held one.
+    pub fn step_into(&mut self, readings: &[f64], slab: &mut MapSlab) -> Result<()> {
+        let (rows, cols) = (self.inner.sensors().rows(), self.inner.sensors().cols());
+        let cells = slab.refill(rows, cols, 1).next().expect("a one-map slab");
+        self.advance(readings, cells)
+    }
+
+    /// Blends the readings' coefficients into the state and synthesizes
+    /// its map into `cells`; the state is committed only once it has one.
+    fn advance(&mut self, readings: &[f64], cells: &mut [f64]) -> Result<()> {
         let mut state = self.inner.coefficients(readings)?;
         if let Some(prev) = &self.state {
             for (a, p) in state.iter_mut().zip(prev) {
                 *a = (1.0 - self.gain) * p + self.gain * *a;
             }
         }
-        // The state is committed only once its map exists.
-        let map = self.inner.map_from_coefficients(&state)?;
+        self.inner.synthesize_into(&state, cells)?;
         self.state = Some(state);
         self.frames += 1;
-        Ok(map)
+        Ok(())
     }
 }
 
@@ -257,6 +274,28 @@ mod tests {
         }
         assert_eq!(hit.frames(), clean.frames());
         assert_eq!(hit.export_state(), clean.export_state());
+    }
+
+    #[test]
+    fn step_into_writes_steps_map_as_one_slab_record() {
+        let (basis, sensors, rec) = setup();
+        let mut owned = TrackingReconstructor::new(rec.clone(), 0.3).unwrap();
+        let mut slabbed = TrackingReconstructor::new(rec, 0.3).unwrap();
+        let mut slab = MapSlab::new();
+        for t in 0..6 {
+            let readings = sensors.sample(&truth_at(&basis, t));
+            let want = owned.step(&readings).unwrap();
+            slabbed.step_into(&readings, &mut slab).unwrap();
+            assert_eq!(slab.len(), 1);
+            let bits = |cells: &[f64]| cells.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(slab.map(0).as_slice()),
+                bits(want.as_slice()),
+                "step {t}"
+            );
+        }
+        assert_eq!(slabbed.export_state(), owned.export_state());
+        assert_eq!(slabbed.frames(), owned.frames());
     }
 
     #[test]

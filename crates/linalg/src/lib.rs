@@ -54,7 +54,6 @@ pub mod pca;
 pub mod qr;
 pub mod sparse;
 pub mod svd;
-pub mod tridiag;
 pub mod vecops;
 
 pub use chol::Cholesky;
@@ -65,7 +64,6 @@ pub use matrix::Matrix;
 pub use pca::{Pca, PcaOptions};
 pub use qr::{lstsq, orthonormalize, Qr};
 pub use svd::{cond, rank, Svd};
-pub use tridiag::sym_eig_ql;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -81,6 +79,5 @@ pub mod prelude {
         bicgstab_solve, cg_solve, BandCholesky, CgOptions, CgSolution, CsrMatrix, TripletBuilder,
     };
     pub use crate::svd::{cond, rank, Svd};
-    pub use crate::tridiag::sym_eig_ql;
     pub use crate::vecops;
 }

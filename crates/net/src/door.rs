@@ -26,10 +26,10 @@
 //!
 //! Each connection's outbox is a queue of outgoing replies, flushed with
 //! vectored writes that resume at any byte after a partial write. A
-//! reply is either a sealed frame or a batch reply, which is never
-//! encoded into a frame: its head, the [`MapBatch`]'s map records where
-//! the shard workers wrote them (one run per shard slab) and its trailer
-//! go to `writev` as they are, with the CRC-32C computed over the runs in
+//! reply is either a sealed frame or a step or batch reply, which is
+//! never encoded into a frame: its head, the [`MapBatch`]'s map records
+//! where they were synthesized (one run per slab) and its trailer go to
+//! `writev` as they are, with the CRC-32C computed over the runs in
 //! place. The bytes are exactly [`Response::encode`]'s for the same maps,
 //! and the slabs return to the executor's pool once the reply is written.
 //!
@@ -58,15 +58,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eigenmaps_core::codec::{f64_le_bytes, Crc32c};
-use eigenmaps_core::ThermalMap;
 use eigenmaps_serve::{
     MapBatch, ReapReason, ServeError, ServeMetrics, ServeRequest, Server, Ticket, TraceExemplar,
     TrackerSession, WireErrorKind,
 };
 
 use crate::protocol::{
-    batch_reply_head, batch_reply_trailer, status_of, DecodeFailure, EncodeError, FrameBuffer,
-    Request, Response, WireError, WireExemplar, WireMap, WireMetrics, WireStage, WireStatus,
+    map_reply_head, map_reply_trailer, status_of, DecodeFailure, EncodeError, FrameBuffer,
+    MapReply, Request, Response, WireError, WireExemplar, WireMetrics, WireStage, WireStatus,
     WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
 use crate::sys::{self, PollFd};
@@ -175,9 +174,9 @@ const MAX_IOV: usize = 16;
 enum Outgoing {
     /// A sealed frame.
     Frame(Vec<u8>),
-    /// A batch reply sent from the executor's slabs: the frame's head,
-    /// the batch's map records where they sit, then the trailer.
-    Batch {
+    /// A step or batch reply sent from the executor's slabs: the frame's
+    /// head, the maps' records where they sit, then the trailer.
+    Maps {
         head: Vec<u8>,
         maps: MapBatch,
         trailer: [u8; 5],
@@ -187,19 +186,19 @@ enum Outgoing {
 }
 
 impl Outgoing {
-    /// A batch reply for `maps` under `id`: the CRC is computed over the
+    /// A `reply` for `maps` under `id`: the CRC is computed over the
     /// records in place, and the bytes sent are exactly
     /// [`Response::encode`]'s for the same maps.
-    fn batch(id: u64, version: u32, maps: MapBatch, degraded: bool) -> Result<Self, EncodeError> {
+    fn maps(id: u64, reply: MapReply, maps: MapBatch, degraded: bool) -> Result<Self, EncodeError> {
         let records_len = maps.record_runs().map(|run| 8 * run.len()).sum::<usize>();
-        let head = batch_reply_head(id, version, maps.len(), records_len)?;
+        let head = map_reply_head(id, reply, maps.len(), records_len)?;
         let mut crc = Crc32c::new();
         crc.update(&head[4..]);
         for run in maps.record_runs() {
             crc.update(&f64_le_bytes(run));
         }
-        let trailer = batch_reply_trailer(crc, degraded);
-        Ok(Outgoing::Batch {
+        let trailer = map_reply_trailer(crc, degraded);
+        Ok(Outgoing::Maps {
             len: head.len() + records_len + trailer.len(),
             head,
             maps,
@@ -210,7 +209,7 @@ impl Outgoing {
     fn len(&self) -> usize {
         match self {
             Outgoing::Frame(frame) => frame.len(),
-            Outgoing::Batch { len, .. } => *len,
+            Outgoing::Maps { len, .. } => *len,
         }
     }
 }
@@ -305,7 +304,7 @@ impl Outbox {
         for item in &self.items {
             let more = match item {
                 Outgoing::Frame(frame) => put(Cow::Borrowed(frame)),
-                Outgoing::Batch {
+                Outgoing::Maps {
                     head,
                     maps,
                     trailer,
@@ -323,7 +322,7 @@ impl Outbox {
     }
 
     /// Consumes `n` written bytes, dropping every item written whole
-    /// (which releases a batch's slabs to the executor's pool).
+    /// (which releases a map reply's slabs to the executor's pool).
     fn advance(&mut self, n: usize) {
         self.backlog -= n;
         let mut done = self.written + n;
@@ -386,34 +385,23 @@ fn seal(id: u64, reply: Response) -> Result<Outgoing, Refusal> {
     Ok(Outgoing::Frame(reply.encode(id)?))
 }
 
-/// A ticket parked until its response is ready.
-enum Parked {
-    Batch(Ticket),
-    Step(Ticket<ThermalMap>),
+/// A ticket parked until its response is ready, and the reply it gets.
+struct Parked {
+    ticket: Ticket,
+    reply: MapReply,
 }
 
 impl Parked {
     /// The answer to request `id` once the response is ready, `None`
     /// while it is pending. Polls the ticket once.
     fn try_answer(&mut self, id: u64) -> Option<Result<Outgoing, Refusal>> {
-        // A degraded flag is raised before its response completes, so it
-        // is read after the response.
-        Some(match self {
-            Parked::Batch(ticket) => {
-                let maps = ticket.try_wait()?;
-                let (version, degraded) = (ticket.version(), ticket.is_degraded());
-                maps.map_err(Refusal::from)
-                    .and_then(|maps| Ok(Outgoing::batch(id, version, maps, degraded)?))
-            }
-            Parked::Step(ticket) => {
-                let map = ticket.try_wait()?;
-                let degraded = ticket.is_degraded();
-                map.map_err(Refusal::from).and_then(|map| {
-                    let map = WireMap::from(map);
-                    seal(id, Response::Step { map, degraded })
-                })
-            }
-        })
+        let Parked { ticket, reply } = self;
+        let maps = ticket.try_wait()?;
+        let degraded = ticket.is_degraded();
+        Some(
+            maps.map_err(Refusal::from)
+                .and_then(|maps| Ok(Outgoing::maps(id, *reply, maps, degraded)?)),
+        )
     }
 }
 
@@ -838,14 +826,18 @@ fn dispatch(
             let ticket = server.try_submit(ServeRequest::new(deployment, frames))?;
             let waker = waker.clone();
             ticket.on_ready(move || waker.wake());
-            conn.parked.insert(id, Parked::Batch(ticket));
+            let reply = MapReply::Batch {
+                version: ticket.version(),
+            };
+            conn.parked.insert(id, Parked { ticket, reply });
             return Ok(None);
         }
         Request::StepSession { session, readings } => {
             let ticket = conn.session(session)?.submit_step(&readings)?;
             let waker = waker.clone();
             ticket.on_ready(move || waker.wake());
-            conn.parked.insert(id, Parked::Step(ticket));
+            let reply = MapReply::Step;
+            conn.parked.insert(id, Parked { ticket, reply });
             return Ok(None);
         }
         Request::OpenSession { deployment, gain } => {
@@ -1075,7 +1067,7 @@ mod tests {
     fn encoded(id: u64, version: u32, maps: &MapBatch, degraded: bool) -> Vec<u8> {
         Response::Batch {
             version,
-            maps: maps.to_maps().iter().map(WireMap::from).collect(),
+            maps: maps.to_maps().iter().map(Into::into).collect(),
             degraded,
         }
         .encode(id)
@@ -1110,12 +1102,36 @@ mod tests {
             for max in LIMITS {
                 for stall in [false, true] {
                     let mut outbox = Outbox::default();
-                    outbox.push(Outgoing::batch(42, 3, maps.clone(), degraded).unwrap());
+                    let reply = MapReply::Batch { version: 3 };
+                    outbox.push(Outgoing::maps(42, reply, maps.clone(), degraded).unwrap());
                     assert_eq!(outbox.backlog(), want.len(), "{what}");
                     let mut sink = Trickle::new(max, stall);
                     drain(&mut outbox, &mut sink);
                     assert!(sink.bytes == want, "{what}: max {max}, stall {stall}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn step_reply_bytes_equal_response_encode_under_any_write_size() {
+        let batch = two_shard_batch();
+        for at in [0, 10, 11, 20] {
+            let map = batch.slice(at..at + 1);
+            let want = Response::Step {
+                map: (&map.to_maps()[0]).into(),
+                degraded: false,
+            }
+            .encode(9)
+            .unwrap();
+            for max in LIMITS {
+                let mut outbox = Outbox::default();
+                let reply = Outgoing::maps(9, MapReply::Step, map.clone(), false);
+                outbox.push(reply.unwrap());
+                assert_eq!(outbox.backlog(), want.len(), "map {at}");
+                let mut sink = Trickle::new(max, true);
+                drain(&mut outbox, &mut sink);
+                assert!(sink.bytes == want, "map {at}: max {max}");
             }
         }
     }
@@ -1128,12 +1144,13 @@ mod tests {
         want.extend(encoded(6, 1, &batch.slice(3..19), false));
         want.extend(&step);
         want.extend(encoded(7, 1, &batch.slice(0..2), true));
+        let reply = MapReply::Batch { version: 1 };
         for max in LIMITS {
             let mut outbox = Outbox::default();
             outbox.push(Outgoing::Frame(step.clone()));
-            outbox.push(Outgoing::batch(6, 1, batch.slice(3..19), false).unwrap());
+            outbox.push(Outgoing::maps(6, reply, batch.slice(3..19), false).unwrap());
             outbox.push(Outgoing::Frame(step.clone()));
-            outbox.push(Outgoing::batch(7, 1, batch.slice(0..2), true).unwrap());
+            outbox.push(Outgoing::maps(7, reply, batch.slice(0..2), true).unwrap());
             let mut sink = Trickle::new(max, true);
             drain(&mut outbox, &mut sink);
             assert!(sink.bytes == want, "max {max}");

@@ -500,17 +500,6 @@ impl From<&ThermalMap> for WireMap {
     }
 }
 
-/// Moves the cells out of an owned map: no copy.
-impl From<ThermalMap> for WireMap {
-    fn from(map: ThermalMap) -> Self {
-        WireMap {
-            rows: map.rows(),
-            cols: map.cols(),
-            cells: map.into_vec(),
-        }
-    }
-}
-
 impl WireMap {
     /// Rebuilds the [`ThermalMap`].
     ///
@@ -920,25 +909,44 @@ fn seal_frame(id: u64, kind: u8, body: impl FnOnce(&mut Encoder)) -> Result<Vec<
     Ok(frame)
 }
 
-/// The bytes of a batch reply frame ahead of its map records: the length
-/// prefix, the envelope, `version` and the map `count`. `records_len` is
-/// the byte length of the map records that follow.
+/// The two replies that carry maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MapReply {
+    /// A `StepSession` reply: one map record.
+    Step,
+    /// A `SubmitBatch` reply: the deployment `version`, the map count,
+    /// then the map records.
+    Batch { version: u32 },
+}
+
+/// The bytes of a map reply frame ahead of its map records: the length
+/// prefix and the envelope, then for a batch reply its version and the
+/// map `count` (a step reply holds one map and writes neither).
+/// `records_len` is the byte length of the map records that follow.
 ///
-/// A batch reply is built in three parts so that a server can send the
+/// A map reply is built in three parts so that a server can send the
 /// records from wherever they already sit: this head, the records, then
-/// [`batch_reply_trailer`]. [`Response::encode`] builds its `Batch` frame
-/// from the same two functions.
+/// [`map_reply_trailer`]. [`Response::encode`] builds its `Step` and
+/// `Batch` frames from the same two functions.
 ///
 /// # Errors
 ///
 /// [`EncodeError`] when the record would exceed [`MAX_FRAME_BYTES`].
-pub(crate) fn batch_reply_head(
+pub(crate) fn map_reply_head(
     id: u64,
-    version: u32,
+    reply: MapReply,
     count: usize,
     records_len: usize,
 ) -> Result<Vec<u8>, EncodeError> {
-    let record_len = RECORD_OVERHEAD + 4 + 8 + records_len + 1;
+    let mut enc = Encoder::with_capacity(4 + RECORD_OVERHEAD + 12);
+    enc.u32(0).bytes(MAGIC).u32(VERSION).u64(id);
+    match reply {
+        MapReply::Step => enc.u8(KIND_STEP_REPLY),
+        MapReply::Batch { version } => enc.u8(KIND_BATCH_REPLY).u32(version).put_len(count),
+    };
+    let mut head = enc.finish();
+    // Past the prefix: the head, the records, `degraded` and the checksum.
+    let record_len = head.len() + records_len + 1;
     if record_len > MAX_FRAME_BYTES {
         return Err(EncodeError {
             len: record_len,
@@ -946,28 +954,39 @@ pub(crate) fn batch_reply_head(
         });
     }
     let prefix = u32::try_from(record_len).expect("bound fits in u32");
-    let mut enc = Encoder::with_capacity(BATCH_REPLY_HEAD_LEN);
-    enc.u32(prefix)
-        .bytes(MAGIC)
-        .u32(VERSION)
-        .u64(id)
-        .u8(KIND_BATCH_REPLY)
-        .u32(version)
-        .put_len(count);
-    Ok(enc.finish())
+    head[..4].copy_from_slice(&prefix.to_le_bytes());
+    Ok(head)
 }
 
-/// Bytes of [`batch_reply_head`]: prefix, envelope, version and count.
-const BATCH_REPLY_HEAD_LEN: usize = 4 + 7 + 4 + 8 + 1 + 4 + 8;
-
-/// The bytes that close a batch reply frame: the `degraded` byte, then
+/// The bytes that close a map reply frame: the `degraded` byte, then
 /// the CRC-32C over the frame from the magic on, that byte included.
 /// `crc` has been fed the frame from the magic up to the last map
 /// record, in any number of runs.
-pub(crate) fn batch_reply_trailer(mut crc: Crc32c, degraded: bool) -> [u8; 5] {
+pub(crate) fn map_reply_trailer(mut crc: Crc32c, degraded: bool) -> [u8; 5] {
     let flag = u8::from(degraded);
     let [a, b, c, d] = crc.update(&[flag]).finish().to_le_bytes();
     [flag, a, b, c, d]
+}
+
+/// A map reply as one frame: [`map_reply_head`], the maps' records and
+/// [`map_reply_trailer`].
+fn encode_map_reply(
+    id: u64,
+    reply: MapReply,
+    maps: &[WireMap],
+    degraded: bool,
+) -> Result<Vec<u8>, EncodeError> {
+    let records_len = maps.iter().map(|map| map_record_len(map.cells.len())).sum();
+    let head = map_reply_head(id, reply, maps.len(), records_len)?;
+    let mut enc = Encoder::with_capacity(head.len() + records_len + 5);
+    enc.bytes(&head);
+    for map in maps {
+        map.encode(&mut enc);
+    }
+    let mut frame = enc.finish();
+    let trailer = map_reply_trailer(*Crc32c::new().update(&frame[4..]), degraded);
+    frame.extend_from_slice(&trailer);
+    Ok(frame)
 }
 
 /// Validates a complete record's envelope and hands back a decoder
@@ -1126,17 +1145,8 @@ impl Response {
                 maps,
                 degraded,
             } => {
-                let records_len = maps.iter().map(|map| map_record_len(map.cells.len())).sum();
-                let head = batch_reply_head(id, *version, maps.len(), records_len)?;
-                let mut enc = Encoder::with_capacity(head.len() + records_len + 5);
-                enc.bytes(&head);
-                for map in maps {
-                    map.encode(&mut enc);
-                }
-                let mut frame = enc.finish();
-                let trailer = batch_reply_trailer(*Crc32c::new().update(&frame[4..]), *degraded);
-                frame.extend_from_slice(&trailer);
-                Ok(frame)
+                let reply = MapReply::Batch { version: *version };
+                encode_map_reply(id, reply, maps, *degraded)
             }
             Response::SessionOpened {
                 session,
@@ -1146,10 +1156,9 @@ impl Response {
             } => seal_frame(id, KIND_SESSION_OPENED, |enc| {
                 enc.u64(*session).u32(*version).u64(*frames).u64(*durable);
             }),
-            Response::Step { map, degraded } => seal_frame(id, KIND_STEP_REPLY, |enc| {
-                map.encode(enc);
-                enc.u8(*degraded as u8);
-            }),
+            Response::Step { map, degraded } => {
+                encode_map_reply(id, MapReply::Step, std::slice::from_ref(map), *degraded)
+            }
             Response::Closed => seal_frame(id, KIND_CLOSED, |_| {}),
             Response::Snapshot { snapshot } => seal_frame(id, KIND_SNAPSHOT_REPLY, |enc| {
                 encode_blob(enc, snapshot);
@@ -1964,14 +1973,6 @@ mod tests {
         }
         .encode(77)
         .expect("encodes");
-        let owned = Response::Batch {
-            version: 9,
-            maps: maps.clone().into_iter().map(WireMap::from).collect(),
-            degraded: true,
-        }
-        .encode(77)
-        .expect("encodes");
-        assert_eq!(owned, borrowed, "door (by value) and by-reference paths");
 
         // An independent reference: encode the record, checksum it, then
         // prepend the length prefix.
@@ -1988,10 +1989,13 @@ mod tests {
         let record = seal_by_hand(enc);
         let mut reference = (record.len() as u32).to_le_bytes().to_vec();
         reference.extend_from_slice(&record);
-        assert_eq!(owned, reference, "single-pass seal vs encode-then-prefix");
+        assert_eq!(
+            borrowed, reference,
+            "single-pass seal vs encode-then-prefix"
+        );
 
         let step = Response::Step {
-            map: WireMap::from(maps[1].clone()),
+            map: WireMap::from(&maps[1]),
             degraded: false,
         }
         .encode(78)

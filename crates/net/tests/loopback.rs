@@ -1290,7 +1290,7 @@ fn each_refusal_of_a_well_formed_request_is_metered_once_as_rejected() {
     server.set_tenant_policy("full", Some(full)).unwrap();
     let (addr, handle, join) = spawn_door(Arc::clone(&server));
     let mut client = Client::connect(addr).expect("connect");
-    let before = client.metrics().unwrap().wire;
+    let before = client.metrics().unwrap();
     let frames = &fleet.frames[0];
     let info = client.open_session(fleet.names[0], 0.5).unwrap();
 
@@ -1308,6 +1308,16 @@ fn each_refusal_of_a_well_formed_request_is_metered_once_as_rejected() {
         WireStatus::BadRequest,
     );
     refused += refusal(client.step(info.session, vec![1.0]), WireStatus::BadRequest);
+    // A NaN reading is refused at the door for a step as for a batch:
+    // same status, one `Rejected` tick each, and neither reaches the
+    // batcher, so the serving error count stays put.
+    let mut nan = frames[0].clone();
+    nan[1] = f64::NAN;
+    refused += refusal(
+        client.submit_batch(fleet.names[0], vec![nan.clone()]),
+        WireStatus::BadRequest,
+    );
+    refused += refusal(client.step(info.session, nan), WireStatus::BadRequest);
     refused += refusal(
         client.step(99, frames[0].clone()),
         WireStatus::UnknownSession,
@@ -1346,7 +1356,12 @@ fn each_refusal_of_a_well_formed_request_is_metered_once_as_rejected() {
     assert_eq!(busy, 1, "no snapshot ever met a step in flight");
     refused += busy;
 
-    let after = client.metrics().unwrap().wire;
+    let after = client.metrics().unwrap();
+    assert_eq!(
+        after.errors, before.errors,
+        "no refusal reached the batcher"
+    );
+    let (before, after) = (before.wire, after.wire);
     assert_eq!(after.errors_rejected - before.errors_rejected, refused);
     assert_eq!(after.errors_corrupt, before.errors_corrupt);
     assert_eq!(after.errors_malformed, before.errors_malformed);

@@ -34,18 +34,19 @@
 //! fairness rotation, its `submit_step` is admission-controlled like
 //! `try_submit`, and the batcher runs each granted step to completion
 //! itself, in grant order, interleaved fairly with batch flushes — there
-//! is no unscheduled serving path left. Per-tenant [`BatchPolicy`] overrides
-//! ([`Server::set_tenant_policy`]) tier both workload classes by SKU.
+//! is no unscheduled serving path left. Both kinds answer a [`MapBatch`].
+//! Per-tenant [`BatchPolicy`] overrides ([`Server::set_tenant_policy`])
+//! tier both workload classes by SKU.
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use eigenmaps_core::{CoreError, Deployment, ThermalMap, TrackingReconstructor};
+use eigenmaps_core::{CoreError, Deployment, TrackingReconstructor};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
@@ -81,26 +82,38 @@ impl ServeRequest {
     }
 }
 
-/// Where a response of type `R` lands: shared between a ticket handle and
-/// the batcher. One machinery for both response shapes — batch requests
-/// (`R = MapBatch`) and session steps (`R = ThermalMap`).
-pub(crate) struct ResponseSlot<R> {
-    state: Mutex<SlotState<R>>,
+/// Where a response lands: shared between a ticket handle and the
+/// batcher. One machinery for batch requests and session steps alike,
+/// both answered with a [`MapBatch`].
+pub(crate) struct ResponseSlot {
+    state: Mutex<SlotState>,
     ready: Condvar,
 }
 
-enum SlotState<R> {
+enum SlotState {
     /// Response not produced yet; an optional readiness callback waits.
     Pending {
         callback: Option<Box<dyn FnOnce() + Send>>,
     },
-    /// Response produced, not yet consumed.
-    Ready(Result<R>),
-    /// Response consumed (by `wait` or `try_wait`).
-    Taken,
+    /// Response produced — `None` once consumed (by `wait` or
+    /// `try_wait`) — and whether it was served degraded.
+    Done {
+        result: Option<Result<MapBatch>>,
+        degraded: bool,
+    },
 }
 
-impl<R> ResponseSlot<R> {
+impl SlotState {
+    /// The response, once, if it is ready.
+    fn take(&mut self) -> Option<Result<MapBatch>> {
+        match self {
+            SlotState::Done { result, .. } => result.take(),
+            SlotState::Pending { .. } => None,
+        }
+    }
+}
+
+impl ResponseSlot {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(ResponseSlot {
             state: Mutex::new(SlotState::Pending { callback: None }),
@@ -108,16 +121,23 @@ impl<R> ResponseSlot<R> {
         })
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.state.lock().expect("ticket lock poisoned")
+    }
+
     /// Stores the response, fires the readiness callback (outside the
     /// lock), then wakes blocked waiters. Idempotent: only the first
     /// completion wins.
-    pub(crate) fn complete(&self, result: Result<R>) {
+    fn complete(&self, result: Result<MapBatch>, degraded: bool) {
         let callback = {
-            let mut state = self.state.lock().expect("ticket lock poisoned");
+            let mut state = self.state();
             match &mut *state {
                 SlotState::Pending { callback } => {
                     let callback = callback.take();
-                    *state = SlotState::Ready(result);
+                    *state = SlotState::Done {
+                        result: Some(result),
+                        degraded,
+                    };
                     callback
                 }
                 _ => return,
@@ -128,63 +148,6 @@ impl<R> ResponseSlot<R> {
         }
         self.ready.notify_all();
     }
-
-    /// Whether a response is ready (a `try_take` would return it).
-    pub(crate) fn is_ready(&self) -> bool {
-        matches!(
-            *self.state.lock().expect("ticket lock poisoned"),
-            SlotState::Ready(_)
-        )
-    }
-
-    /// Nonblocking poll: the response if ready (returned exactly once),
-    /// `None` while pending or after it was already consumed.
-    pub(crate) fn try_take(&self) -> Option<Result<R>> {
-        let mut state = self.state.lock().expect("ticket lock poisoned");
-        match &*state {
-            SlotState::Ready(_) => match std::mem::replace(&mut *state, SlotState::Taken) {
-                SlotState::Ready(result) => Some(result),
-                _ => unreachable!("state was Ready under the lock"),
-            },
-            _ => None,
-        }
-    }
-
-    /// Registers `callback` to run as soon as the response is ready; runs
-    /// it immediately (on the calling thread) if it already is. A second
-    /// registration replaces the first.
-    pub(crate) fn on_ready(&self, callback: impl FnOnce() + Send + 'static) {
-        {
-            let mut state = self.state.lock().expect("ticket lock poisoned");
-            if let SlotState::Pending { callback: slot } = &mut *state {
-                *slot = Some(Box::new(callback));
-                return;
-            }
-        }
-        callback();
-    }
-
-    /// Blocks until completed; [`ServeError::Terminated`] if the response
-    /// was already consumed.
-    pub(crate) fn wait(&self) -> Result<R> {
-        let mut state = self.state.lock().expect("ticket lock poisoned");
-        loop {
-            match &*state {
-                SlotState::Pending { .. } => {
-                    state = self.ready.wait(state).expect("ticket lock poisoned");
-                }
-                SlotState::Ready(_) => match std::mem::replace(&mut *state, SlotState::Taken) {
-                    SlotState::Ready(result) => return result,
-                    _ => unreachable!("state was Ready under the lock"),
-                },
-                SlotState::Taken => {
-                    return Err(ServeError::Terminated {
-                        context: "response already consumed by try_wait",
-                    })
-                }
-            }
-        }
-    }
 }
 
 /// Completes its [`ResponseSlot`] exactly once — on the happy path with
@@ -193,27 +156,19 @@ impl<R> ResponseSlot<R> {
 /// drains one slot from a pending gauge on completion (the per-session
 /// admission counter), so abandoned or terminated steps never leak
 /// admission slots.
-pub(crate) struct Responder<R> {
-    slot: Arc<ResponseSlot<R>>,
+pub(crate) struct Responder {
+    slot: Arc<ResponseSlot>,
     gauge: Option<Arc<AtomicU64>>,
     fulfilled: bool,
 }
 
-impl<R> Responder<R> {
-    pub(crate) fn new(slot: Arc<ResponseSlot<R>>) -> Self {
+impl Responder {
+    /// A responder for `slot` that also decrements `gauge`, if any,
+    /// (saturating) exactly once when it completes — fulfilled or dropped.
+    pub(crate) fn new(slot: Arc<ResponseSlot>, gauge: Option<Arc<AtomicU64>>) -> Self {
         Responder {
             slot,
-            gauge: None,
-            fulfilled: false,
-        }
-    }
-
-    /// A responder that also decrements `gauge` (saturating) exactly once
-    /// when it completes — fulfilled or dropped.
-    pub(crate) fn with_gauge(slot: Arc<ResponseSlot<R>>, gauge: Arc<AtomicU64>) -> Self {
-        Responder {
-            slot,
-            gauge: Some(gauge),
+            gauge,
             fulfilled: false,
         }
     }
@@ -226,25 +181,28 @@ impl<R> Responder<R> {
         }
     }
 
-    pub(crate) fn send(mut self, result: Result<R>) {
+    /// Completes the slot with `result`, flagged `degraded` when it was
+    /// reconstructed against a truncated deployment.
+    pub(crate) fn send(mut self, result: Result<MapBatch>, degraded: bool) {
         self.fulfilled = true;
         self.release_gauge();
-        self.slot.complete(result);
+        self.slot.complete(result, degraded);
     }
 }
 
-impl<R> Drop for Responder<R> {
+impl Drop for Responder {
     fn drop(&mut self) {
         if !self.fulfilled {
             self.release_gauge();
-            self.slot.complete(Err(ServeError::Terminated {
+            let terminated = ServeError::Terminated {
                 context: "server dropped before responding",
-            }));
+            };
+            self.slot.complete(Err(terminated), false);
         }
     }
 }
 
-impl<R> std::fmt::Debug for Responder<R> {
+impl std::fmt::Debug for Responder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Responder")
             .field("fulfilled", &self.fulfilled)
@@ -252,10 +210,10 @@ impl<R> std::fmt::Debug for Responder<R> {
     }
 }
 
-/// A pending response handle: `Ticket` (a batch request's maps, as a
-/// [`MapBatch`] over the executor's slabs) from
-/// [`Server::submit`] / [`Server::try_submit`], `Ticket<ThermalMap>` (one
-/// filtered map) from [`TrackerSession::submit_step`].
+/// A pending response handle: the maps of a batch request from
+/// [`Server::submit`] / [`Server::try_submit`], or the one filtered map
+/// of a session step from [`TrackerSession::submit_step`], as a
+/// [`MapBatch`] over the executor's pooled slabs.
 ///
 /// A ticket can be consumed exactly once, in any of three styles:
 ///
@@ -268,25 +226,14 @@ impl<R> std::fmt::Debug for Responder<R> {
 /// queue slot released exactly as if it had been awaited; a step in
 /// submission order, advancing the session's tracker — and the response
 /// is discarded.
-pub struct Ticket<R = MapBatch> {
+pub struct Ticket {
     version: u32,
-    slot: Arc<ResponseSlot<R>>,
-    /// The batch request's degraded flag; `None` for session steps, which
-    /// are never served degraded.
-    degraded: Option<Arc<AtomicBool>>,
+    slot: Arc<ResponseSlot>,
 }
 
-impl<R> Ticket<R> {
-    pub(crate) fn new(
-        version: u32,
-        slot: Arc<ResponseSlot<R>>,
-        degraded: Option<Arc<AtomicBool>>,
-    ) -> Self {
-        Ticket {
-            version,
-            slot,
-            degraded,
-        }
+impl Ticket {
+    pub(crate) fn new(version: u32, slot: Arc<ResponseSlot>) -> Self {
+        Ticket { version, slot }
     }
 
     /// The deployment version the request (or session) is pinned to.
@@ -297,27 +244,31 @@ impl<R> Ticket<R> {
     /// Whether the response was served **degraded**: the server was in
     /// brownout (or the request blew a `Degrade`-tier deadline) and the
     /// maps were reconstructed against a truncated low-K deployment
-    /// instead of the full basis. Meaningful once the response is ready;
-    /// `false` while pending and for full-fidelity responses. Always
-    /// `false` for session steps: a stream's temporal filter must stay
+    /// instead of the full basis. Set with the response, and `false`
+    /// while pending and for full-fidelity responses. Always `false` for
+    /// session steps: a stream's temporal filter must stay
     /// bitwise-continuous across brownout, so steps never substitute a
     /// truncated deployment.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Acquire))
+        match *self.slot.state() {
+            SlotState::Done { degraded, .. } => degraded,
+            SlotState::Pending { .. } => false,
+        }
     }
 
     /// Whether a response is ready — [`Ticket::try_wait`] would return it.
     pub fn is_ready(&self) -> bool {
-        self.slot.is_ready()
+        match &*self.slot.state() {
+            SlotState::Done { result, .. } => result.is_some(),
+            SlotState::Pending { .. } => false,
+        }
     }
 
     /// Nonblocking poll: the response if it is ready (returned exactly
     /// once), `None` while it is still pending or after it was already
     /// consumed.
-    pub fn try_wait(&mut self) -> Option<Result<R>> {
-        self.slot.try_take()
+    pub fn try_wait(&mut self) -> Option<Result<MapBatch>> {
+        self.slot.state().take()
     }
 
     /// Registers `callback` to run as soon as the response is ready —
@@ -327,7 +278,11 @@ impl<R> Ticket<R> {
     /// registration replaces the first. The callback must not block — it is the readiness hook
     /// an event loop uses to schedule a [`Ticket::try_wait`].
     pub fn on_ready(&self, callback: impl FnOnce() + Send + 'static) {
-        self.slot.on_ready(callback);
+        if let SlotState::Pending { callback: slot } = &mut *self.slot.state() {
+            *slot = Some(Box::new(callback));
+            return;
+        }
+        callback();
     }
 
     /// Blocks until the request (or step) is served.
@@ -341,12 +296,18 @@ impl<R> Ticket<R> {
     /// * [`ServeError::Terminated`] if the server shut down before
     ///   responding, or if the response was already consumed by
     ///   [`Ticket::try_wait`].
-    pub fn wait(self) -> Result<R> {
-        self.slot.wait()
+    pub fn wait(self) -> Result<MapBatch> {
+        let mut state = self.slot.state();
+        while let SlotState::Pending { .. } = *state {
+            state = self.slot.ready.wait(state).expect("ticket lock poisoned");
+        }
+        state.take().unwrap_or(Err(ServeError::Terminated {
+            context: "response already consumed by try_wait",
+        }))
     }
 }
 
-impl<R> std::fmt::Debug for Ticket<R> {
+impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("version", &self.version)
@@ -364,10 +325,7 @@ pub(crate) struct QueuedRequest {
     frames: Vec<Vec<f64>>,
     enqueued: Instant,
     trace: TraceCard,
-    /// Shared with the [`Ticket`]: raised before the response completes
-    /// when the batch was reconstructed against a truncated deployment.
-    degraded: Arc<AtomicBool>,
-    responder: Responder<MapBatch>,
+    responder: Responder,
 }
 
 /// A queued session step: one interval's readings for one stream lane,
@@ -381,7 +339,7 @@ pub(crate) struct QueuedStep {
     pub(crate) readings: Vec<f64>,
     pub(crate) enqueued: Instant,
     pub(crate) trace: TraceCard,
-    pub(crate) responder: Responder<ThermalMap>,
+    pub(crate) responder: Responder,
 }
 
 /// Everything the front door can feed the batcher thread. Requests and
@@ -694,23 +652,10 @@ impl Server {
 
     fn enqueue(&self, request: ServeRequest, admission_control: bool) -> Result<Ticket> {
         let (version, deployment) = self.registry.latest_versioned(&request.deployment)?;
-        let m = deployment.m();
+        // A bad frame would fail every request coalesced with this one;
+        // refuse it here, alone.
         for (frame, readings) in request.frames.iter().enumerate() {
-            if readings.len() != m {
-                return Err(ServeError::Core(CoreError::ShapeMismatch {
-                    context: "serve request readings",
-                    expected: m,
-                    found: readings.len(),
-                }));
-            }
-            // A non-finite reading would fail every request coalesced
-            // with this one; refuse it here, alone.
-            if let Some(sensor) = readings.iter().position(|x| !x.is_finite()) {
-                return Err(ServeError::Core(CoreError::NonFiniteReading {
-                    frame,
-                    sensor,
-                }));
-            }
+            check_readings(frame, readings, deployment.m(), "serve request readings")?;
         }
         // Gauge up before handing the request to the batcher: the flush
         // path decrements, and decrement-before-increment would wedge the
@@ -734,8 +679,7 @@ impl Server {
         }
         let trace = self.recorder.begin(&request.deployment);
         let slot = ResponseSlot::new();
-        let degraded = Arc::new(AtomicBool::new(false));
-        let ticket = Ticket::new(version, Arc::clone(&slot), Some(Arc::clone(&degraded)));
+        let ticket = Ticket::new(version, Arc::clone(&slot));
         let frames = request.frames.len();
         let queued = QueuedRequest {
             key: TenantKey::new(&request.deployment, version),
@@ -743,8 +687,7 @@ impl Server {
             frames: request.frames,
             enqueued: Instant::now(),
             trace,
-            degraded,
-            responder: Responder::new(slot),
+            responder: Responder::new(slot, None),
         };
         if let Err(mpsc::SendError(dead)) = self.queue.send(BatcherMsg::Request(queued)) {
             if let BatcherMsg::Request(dead) = dead {
@@ -1057,7 +1000,7 @@ fn execute(
 ) {
     match decision {
         Decision::Batch(flush) => execute_flush(flush, executor, metrics, now, truncated),
-        Decision::Step(StepDecision { job, .. }) => execute_step(job, metrics),
+        Decision::Step(StepDecision { job, .. }) => execute_step(job, executor, metrics),
         Decision::Shed(shed) => execute_shed(shed, metrics, now),
     }
 }
@@ -1110,10 +1053,11 @@ fn admit(
     true
 }
 
-/// Executes one granted session step on the batcher thread and completes
-/// its ticket: per-class latency and step accounting, then the response.
-/// The tracker counts the frame itself, on a successful step only.
-fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
+/// Executes one granted session step on the batcher thread, into a slab
+/// from the executor's pool, and completes its ticket with that one-map
+/// batch: per-class latency and step accounting, then the response. The
+/// tracker counts the frame itself, on a successful step only.
+fn execute_step(step: QueuedStep, executor: &ShardedExecutor, metrics: &ServeMetrics) {
     let QueuedStep {
         name,
         tracker,
@@ -1125,7 +1069,7 @@ fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
     } = step;
     trace.record(Stage::ShardDispatched);
     let outcome = match tracker.lock() {
-        Ok(mut tracker) => tracker.step(&readings).map_err(ServeError::Core),
+        Ok(mut tracker) => executor.fill_slab(|slab| tracker.step_into(&readings, slab)),
         // A panicked session poisoned its tracker; fail the step, not
         // the batcher.
         Err(_) => Err(ServeError::Core(CoreError::InvalidArgument {
@@ -1134,18 +1078,17 @@ fn execute_step(step: QueuedStep, metrics: &ServeMetrics) {
     };
     trace.record(Stage::KernelDone);
     metrics.record_session_latency(enqueued.elapsed());
-    match outcome {
-        Ok(map) => {
+    match &outcome {
+        Ok(_) => {
             metrics.record_session_step(&name);
             trace.record(Stage::Responded);
-            responder.send(Ok(map));
         }
-        Err(e) => {
+        Err(_) => {
             metrics.record_error();
             trace.record(Stage::Rejected(RejectReason::Failed));
-            responder.send(Err(e));
         }
     }
+    responder.send(outcome, false);
 }
 
 /// Completes one shed decision: every blown job's ticket finishes with
@@ -1167,11 +1110,12 @@ fn execute_shed(shed: ShedDecision<QueuedRequest>, metrics: &ServeMetrics, now: 
     for req in jobs {
         req.trace
             .record_at(Stage::Rejected(RejectReason::DeadlineShed), now);
-        req.responder.send(Err(ServeError::DeadlineShed {
+        let error = ServeError::DeadlineShed {
             name: tenant.name.clone(),
             deadline,
             waited: req.enqueued.elapsed(),
-        }));
+        };
+        req.responder.send(Err(error), false);
     }
 }
 
@@ -1242,7 +1186,6 @@ fn execute_flush(
             keep_k: keep as u32,
         };
         for req in &jobs {
-            req.degraded.store(true, Ordering::Release);
             req.trace.record(stage);
         }
     }
@@ -1285,17 +1228,38 @@ fn execute_flush(
     }
     for (req, outcome) in jobs.into_iter().zip(outcomes) {
         metrics.record_latency(req.enqueued.elapsed());
-        match outcome {
-            Ok(maps) => {
-                req.trace.record(Stage::Responded);
-                req.responder.send(Ok(maps));
-            }
-            Err(e) => {
+        match &outcome {
+            Ok(_) => req.trace.record(Stage::Responded),
+            Err(_) => {
                 metrics.record_error();
                 req.trace.record(Stage::Rejected(RejectReason::Failed));
-                req.responder.send(Err(e));
             }
         }
+        req.responder.send(outcome, degraded.is_some());
+    }
+}
+
+/// Refuses a frame of readings that is not `m` long or holds a NaN or ±∞:
+/// the one check batch requests and session steps pass before admission.
+pub(crate) fn check_readings(
+    frame: usize,
+    readings: &[f64],
+    m: usize,
+    context: &'static str,
+) -> Result<()> {
+    if readings.len() != m {
+        return Err(ServeError::Core(CoreError::ShapeMismatch {
+            context,
+            expected: m,
+            found: readings.len(),
+        }));
+    }
+    match readings.iter().position(|x| !x.is_finite()) {
+        Some(sensor) => Err(ServeError::Core(CoreError::NonFiniteReading {
+            frame,
+            sensor,
+        })),
+        None => Ok(()),
     }
 }
 

@@ -27,7 +27,8 @@
 //!   temporal filtering, pinned to the deployment version they opened;
 //!   every session comes from a [`Server`] and is a **scheduled
 //!   workload** (admission control, stream lane, run to completion on
-//!   the batcher, pollable `Ticket<ThermalMap>`s), and durable: `EMSESS1`
+//!   the batcher into a pooled slab, answered through the same pollable
+//!   [`Ticket`] as a batch, with a one-map [`MapBatch`]), and durable: `EMSESS1`
 //!   snapshots warm-restart a stream bitwise-identically across process
 //!   restarts ([`Server::resume_session`]);
 //! * [`ServeMetrics`] / [`MetricsSnapshot`] — request/frame counters,

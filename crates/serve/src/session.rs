@@ -52,7 +52,9 @@ use std::time::Instant;
 use eigenmaps_core::codec::{fnv1a64, SessionSnapshot};
 use eigenmaps_core::{Deployment, ThermalMap, TrackingReconstructor};
 
-use crate::batch::{BatcherMsg, QueuedStep, Responder, ResponseSlot, Server, Ticket};
+use crate::batch::{
+    check_readings, BatcherMsg, QueuedStep, Responder, ResponseSlot, Server, Ticket,
+};
 use crate::error::{Result, ServeError};
 use crate::metrics::{try_reserve, ServeMetrics};
 use crate::scheduler::{PolicyTable, StreamId};
@@ -205,22 +207,15 @@ impl TrackerSession {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Core`] for a wrong-length
-    ///   readings vector (checked up front — a malformed step is refused,
-    ///   not enqueued).
+    /// * [`ServeError::Core`] for a wrong-length readings vector or a
+    ///   NaN or ±∞ reading (checked up front, like a batch request's — a
+    ///   malformed step is refused, not enqueued).
     /// * [`ServeError::Saturated`] when this
     ///   session already has `max_pending_per_tenant` steps in flight.
     /// * [`ServeError::Terminated`] if the
     ///   server shut down.
-    pub fn submit_step(&self, readings: &[f64]) -> Result<Ticket<ThermalMap>> {
-        let m = self.deployment.m();
-        if readings.len() != m {
-            return Err(ServeError::Core(eigenmaps_core::CoreError::ShapeMismatch {
-                context: "session step readings",
-                expected: m,
-                found: readings.len(),
-            }));
-        }
+    pub fn submit_step(&self, readings: &[f64]) -> Result<Ticket> {
+        check_readings(0, readings, self.deployment.m(), "session step readings")?;
         // Admission control: reserve a pending slot or refuse, exactly
         // like `try_submit` (a stream lane is its own admission domain,
         // bounded by the tenant's policy in force right now).
@@ -238,7 +233,7 @@ impl TrackerSession {
             });
         }
         let slot = ResponseSlot::new();
-        let ticket = Ticket::new(self.version, Arc::clone(&slot), None);
+        let ticket = Ticket::new(self.version, Arc::clone(&slot));
         let step = QueuedStep {
             stream: self.stream,
             name: self.name.clone(),
@@ -248,7 +243,7 @@ impl TrackerSession {
             trace: self.recorder.begin(&self.name),
             // The responder owns the reserved pending slot: completing —
             // or being dropped on a dead channel / teardown — releases it.
-            responder: Responder::with_gauge(slot, Arc::clone(&self.pending)),
+            responder: Responder::new(slot, Some(Arc::clone(&self.pending))),
         };
         // On failure the message (and its responder) is dropped here: the
         // slot completes `Terminated` and the pending gauge is released.
@@ -270,7 +265,8 @@ impl TrackerSession {
     /// Union of [`TrackerSession::submit_step`] and
     /// [`Ticket::wait`].
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
-        self.submit_step(readings)?.wait()
+        let map = self.submit_step(readings)?.wait()?.to_maps().pop();
+        Ok(map.expect("a served step holds one map"))
     }
 
     /// The deployment artifact this session is pinned to.
@@ -537,9 +533,13 @@ mod tests {
         while !ticket.is_ready() {
             std::thread::yield_now();
         }
-        let map = ticket.try_wait().unwrap().unwrap();
+        let maps = ticket.try_wait().unwrap().unwrap();
         let memoryless = session.deployment().reconstruct(&readings).unwrap();
-        assert_eq!(map.as_slice(), memoryless.as_slice());
+        assert_eq!(maps.len(), 1);
+        assert_eq!(
+            maps.iter().next().unwrap().as_slice(),
+            memoryless.as_slice()
+        );
         assert!(ticket.try_wait().is_none(), "consumed exactly once");
         assert_eq!(session.pending_steps(), 0);
         assert_eq!(session.frames(), 1);

@@ -11,7 +11,7 @@
 //! (`ShardedExecutor::spawn`) — the durability layer's background
 //! checkpoints — so slow disk work never blocks the batcher. Streaming
 //! session steps do not come here: at a few microseconds each, the
-//! batcher runs them to completion itself.
+//! batcher runs them to completion itself, into slabs from the same pool.
 //!
 //! Inside each shard, the worker runs the deployment's batch driver
 //! ([`Reconstructor::reconstruct_slab`]): one QR sweep per frame block,
@@ -353,6 +353,23 @@ impl ShardedExecutor {
         Ok(MapBatch {
             slabs: Arc::new(done),
             range: 0..frames.len(),
+        })
+    }
+
+    /// Runs `fill` into one pooled slab on the calling thread and returns
+    /// what it wrote as a batch: how the batcher serves a session step.
+    pub(crate) fn fill_slab(
+        &self,
+        fill: impl FnOnce(&mut MapSlab) -> std::result::Result<(), CoreError>,
+    ) -> Result<MapBatch> {
+        let mut done = Slabs {
+            slabs: vec![self.slabs.take()],
+            pool: Some(Arc::clone(&self.slabs)),
+        };
+        fill(&mut done.slabs[0])?;
+        Ok(MapBatch {
+            range: 0..done.slabs[0].len(),
+            slabs: Arc::new(done),
         })
     }
 

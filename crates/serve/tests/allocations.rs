@@ -1,41 +1,53 @@
-//! Allocations per batch: after warm-up, the sharded executor's cost in
-//! heap allocations must not grow with the number of frames. Every
-//! worker reuses its solve scratch, and every shard fills a pooled map
-//! slab in place, so a 256-frame batch allocates exactly what a 64-frame
-//! batch does (channel and bookkeeping allocations only).
+//! Allocations per batch and per step: after warm-up, the sharded
+//! executor's cost in heap allocations must not grow with the number of
+//! frames, and a served session step allocates no map. Every worker
+//! reuses its solve scratch, and every shard and every step fills a
+//! pooled map slab in place, so a 256-frame batch allocates exactly what
+//! a 64-frame batch does (channel and bookkeeping allocations only).
 //!
 //! A counting `#[global_allocator]` sees every thread of this process,
-//! the pool's workers included, so this binary holds this one test.
+//! the pool's workers and the batcher included, so this binary holds
+//! this one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eigenmaps_core::prelude::*;
-use eigenmaps_serve::ShardedExecutor;
+use eigenmaps_serve::{DeploymentRegistry, Server, ShardedExecutor};
 
-/// The system allocator, counting allocations and reallocations.
+/// The system allocator, counting allocations and reallocations, and
+/// separately those of at least `LARGE_BYTES`.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if bytes >= LARGE_BYTES.load(Ordering::Relaxed) {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments, so `System`'s guarantees carry over unchanged.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded verbatim; the caller upholds the contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: forwarded verbatim; the caller upholds the contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,12 +62,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A 14 × 15 deployment with K = M = 8 and `frames` reading vectors.
-fn workload(frames: usize) -> (Arc<Deployment>, Arc<Vec<Vec<f64>>>) {
+/// A `rows × cols` deployment over `basis` with M = 8 and `frames`
+/// reading vectors.
+fn workload(
+    rows: usize,
+    cols: usize,
+    basis: BasisSpec,
+    frames: usize,
+) -> (Arc<Deployment>, Arc<Vec<Vec<f64>>>) {
     let maps: Vec<ThermalMap> = (0..80)
         .map(|t| {
             let t = t as f64;
-            ThermalMap::from_fn(14, 15, |r, c| {
+            ThermalMap::from_fn(rows, cols, |r, c| {
                 let (r, c) = (r as f64, c as f64);
                 50.0 + (t / 5.0 + r / 7.0).sin() * 3.0
                     + (t / 3.0 - c / 4.0).cos() * 2.0
@@ -65,7 +83,7 @@ fn workload(frames: usize) -> (Arc<Deployment>, Arc<Vec<Vec<f64>>>) {
         .collect();
     let ensemble = MapEnsemble::from_maps(&maps).expect("consistent shapes");
     let deployment = Pipeline::new(&ensemble)
-        .basis(BasisSpec::EigenExact { k: 8 })
+        .basis(basis)
         .sensors(8)
         .design()
         .expect("design");
@@ -95,7 +113,7 @@ fn allocations_of(
 
 #[test]
 fn sharded_execute_allocates_the_same_for_64_and_256_frames() {
-    let (deployment, large) = workload(256);
+    let (deployment, large) = workload(14, 15, BasisSpec::EigenExact { k: 8 }, 256);
     let small = Arc::new(large[..64].to_vec());
     let executor = ShardedExecutor::new(2);
     // Warm-up: the workers size their scratch and the pool's slabs grow
@@ -118,4 +136,28 @@ fn sharded_execute_allocates_the_same_for_64_and_256_frames() {
     );
     // A per-frame allocation would put 256 frames at ≥ 256.
     assert!(at_256 < 64, "{at_256} allocations per batch");
+
+    // A served step (`submit_step` → `wait` → drop) allocates nothing
+    // map-sized. On a 40 × 48 grid one map is 15 KB, three times the
+    // largest bookkeeping allocation on the step path (a block of the
+    // batcher's channel, every few dozen sends).
+    let (deployment, frames) = workload(40, 48, BasisSpec::Eigen { k: 8 }, 64);
+    let registry = Arc::new(DeploymentRegistry::new());
+    registry.publish("chip", (*deployment).clone());
+    let server = Server::new(registry, 2);
+    let session = server.open_session("chip", 0.5).expect("open session");
+    let step = |readings: &[f64]| {
+        let ticket = session.submit_step(readings).expect("submit step");
+        drop(ticket.wait().expect("step"));
+    };
+    for readings in frames.iter().take(8) {
+        step(readings);
+    }
+    LARGE_BYTES.store(40 * 48 * 8, Ordering::SeqCst);
+    for readings in frames.iter() {
+        step(readings);
+    }
+    LARGE_BYTES.store(usize::MAX, Ordering::SeqCst);
+    let large = LARGE.load(Ordering::SeqCst);
+    assert_eq!(large, 0, "64 steps made {large} map-sized allocations");
 }

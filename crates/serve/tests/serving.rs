@@ -297,15 +297,17 @@ fn pipelined_submit_step_keeps_order_and_state() {
     for (t, (ticket, readings)) in tickets.into_iter().zip(frames.iter()).enumerate() {
         let scheduled = ticket.wait().unwrap();
         let expected = reference.step(readings).unwrap();
-        assert_eq!(scheduled.as_slice(), expected.as_slice(), "frame {t}");
+        let map = scheduled.iter().next().unwrap();
+        assert_eq!(map.as_slice(), expected.as_slice(), "frame {t}");
     }
     assert_eq!(session.frames(), 16);
     assert_eq!(session.pending_steps(), 0);
 }
 
-/// A session's frame count is its tracker's: a step the tracker refuses
-/// (a NaN reading) counts nothing and leaves the stream as it was, and
-/// the count the session reports is the one its `EMSESS1` snapshot writes.
+/// A session's frame count is its tracker's: a step refused before
+/// admission (a NaN reading) counts nothing and leaves the stream as it
+/// was, and the count the session reports is the one its `EMSESS1`
+/// snapshot writes.
 #[test]
 fn session_frames_count_only_served_steps_and_match_the_snapshot() {
     let (deployment, frames) = fixture(4);
@@ -322,9 +324,14 @@ fn session_frames_count_only_served_steps_and_match_the_snapshot() {
     let mut bad = frames[3].clone();
     bad[2] = f64::NAN;
     assert!(matches!(
-        session.step(&bad),
+        session.submit_step(&bad),
         Err(ServeError::Core(CoreError::NonFiniteReading { .. }))
     ));
+    assert_eq!(
+        session.pending_steps(),
+        0,
+        "a refused step is never admitted"
+    );
     assert_eq!(session.frames(), 3, "a refused step is not a served frame");
     let map = session.step(&frames[3]).unwrap();
     let expected = reference.step(&frames[3]).unwrap();
@@ -334,7 +341,7 @@ fn session_frames_count_only_served_steps_and_match_the_snapshot() {
     let record = eigenmaps_core::codec::SessionSnapshot::from_bytes(&session.snapshot()).unwrap();
     assert_eq!(record.frames, session.frames());
     let snap = server.metrics();
-    assert_eq!((snap.session_steps, snap.errors), (4, 1));
+    assert_eq!((snap.session_steps, snap.errors), (4, 0));
 }
 
 /// A scheduled step runs to completion on the batcher thread, so its
@@ -393,7 +400,8 @@ fn step_tickets_complete_on_the_batcher_thread() {
         Some("eigenmaps-batcher")
     );
     let expected = deployment.tracker(0.5).unwrap().step(&frames[2]).unwrap();
-    assert_eq!(step.wait().unwrap().as_slice(), expected.as_slice());
+    let maps = step.wait().unwrap();
+    assert_eq!(maps.iter().next().unwrap().as_slice(), expected.as_slice());
     registrar.join().unwrap().wait().unwrap();
     second.wait().unwrap();
 }
@@ -425,7 +433,8 @@ fn pipelined_steps_complete_bitwise_when_the_server_drops() {
         for (t, ticket) in tickets.into_iter().enumerate() {
             let expected = reference.step(&frames[8 * s + t]).unwrap();
             let got = ticket.wait().unwrap();
-            assert_eq!(got.as_slice(), expected.as_slice(), "session {s}, step {t}");
+            let map = got.iter().next().unwrap();
+            assert_eq!(map.as_slice(), expected.as_slice(), "session {s}, step {t}");
         }
     }
     for session in &sessions {
