@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the numerical kernels underlying EigenMaps:
 //! the dense factorizations, the DCT basis build, the thermal stepper's
-//! banded Cholesky, the PCA fit and the wire checksum.
+//! banded Cholesky and the wire checksum. The PCA fit is benched on the
+//! T1 ensemble in `pipeline.rs` (`eigenbasis_fit_840cells`).
 //! These are the knobs that decide whether the method is usable inside a
 //! DTM loop, or whether a batch reply is cheap to move, so we track them
 //! explicitly.
@@ -134,28 +135,6 @@ fn bench_crc32c(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pca(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pca_fit");
-    group.sample_size(10);
-    // Moderate synthetic dataset: 300 samples of 840 dims (28×30 grid).
-    let data = Matrix::from_fn(300, 840, |t, j| {
-        let a = (t as f64 / 9.0).sin();
-        let b = (t as f64 / 4.0).cos();
-        a * ((j % 28) as f64 * 0.2).sin()
-            + b * ((j / 28) as f64 * 0.17).cos()
-            + 0.01 * ((t * j) as f64 * 0.001).sin()
-    });
-    group.bench_function("randomized_k16", |bch| {
-        bch.iter(|| black_box(Pca::fit(&data, 16, &PcaOptions::default()).unwrap()))
-    });
-    group.bench_function("exact_k16_n120", |bch| {
-        // Exact path only feasible on a smaller dimension.
-        let small = Matrix::from_fn(300, 120, |t, j| data[(t, j)]);
-        bch.iter(|| black_box(Pca::fit_exact(&small, 16).unwrap()))
-    });
-    group.finish();
-}
-
 criterion_group!(
     kernels,
     bench_qr_lstsq,
@@ -163,7 +142,6 @@ criterion_group!(
     bench_sym_eig,
     bench_dct_basis,
     bench_transient_step,
-    bench_crc32c,
-    bench_pca
+    bench_crc32c
 );
 criterion_main!(kernels);

@@ -1,8 +1,8 @@
 //! Criterion benchmarks over the full EigenMaps pipeline on a reduced
 //! UltraSPARC T1 configuration: per-snapshot reconstruction latency (the
-//! cost a DTM loop pays at run time), sensor-allocation time (design-time
-//! cost) and the basis fit. The thermal simulator's step is benched in
-//! `kernels.rs` (`transient_step`).
+//! cost a DTM loop pays at run time) and the design-time layers, one group
+//! each: the dataset build, the basis fit and sensor allocation. The
+//! thermal simulator's step is benched in `kernels.rs` (`transient_step`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eigenmaps_core::prelude::*;
@@ -100,6 +100,25 @@ fn bench_design(c: &mut Criterion) {
     group.finish();
 }
 
+/// The design-time dataset at the serving benchmark's shape: 28×30 grid,
+/// 300 snapshots after the default warm-up.
+fn bench_dataset_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dataset_build");
+    group.sample_size(10);
+    group.bench_function("28x30x300", |bch| {
+        bch.iter(|| {
+            black_box(
+                DatasetBuilder::ultrasparc_t1()
+                    .grid(28, 30)
+                    .snapshots(300)
+                    .build()
+                    .unwrap(),
+            )
+        })
+    });
+    group.finish();
+}
+
 fn bench_basis_fit(c: &mut Criterion) {
     let s = setup();
     let mut group = c.benchmark_group("eigenbasis_fit_840cells");
@@ -115,6 +134,7 @@ fn bench_basis_fit(c: &mut Criterion) {
 criterion_group!(
     pipeline,
     bench_reconstruction_latency,
+    bench_dataset_build,
     bench_design,
     bench_basis_fit
 );

@@ -13,7 +13,11 @@
 //! All allocators honor a placement [`Mask`] (the Fig. 6 constraint
 //! experiment) by restricting their candidate set up front.
 
-use eigenmaps_linalg::{Matrix, Svd};
+use std::ops::Range;
+use std::sync::{mpsc, Arc};
+use std::thread::Scope;
+
+use eigenmaps_linalg::{cond, singular_values, vecops, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -184,24 +188,21 @@ impl SensorAllocator for GreedyAllocator {
         let mut u = input.basis.select_rows(&candidates)?;
         for i in 0..nc {
             let row = u.row_mut(i);
-            let norm = eigenmaps_linalg::vecops::norm2(row);
+            let norm = vecops::norm2(row);
             if norm > 0.0 {
-                eigenmaps_linalg::vecops::scale(1.0 / norm, row);
+                vecops::scale(1.0 / norm, row);
             }
         }
 
         // Step 2: G = U Uᵀ − I (stored dense; N_candidates² doubles).
-        let mut g = u.matmul(&u.transpose())?;
-        for i in 0..nc {
-            g[(i, i)] = 0.0;
-        }
+        let mut g = correlations(&u)?;
 
         let mut alive: Vec<bool> = vec![true; nc];
         // Zero-norm rows are useless; mark their correlation as +inf so
         // they are evicted first.
         for (i, &cand) in candidates.iter().enumerate() {
             let _ = cand;
-            let norm = eigenmaps_linalg::vecops::norm2(u.row(i));
+            let norm = vecops::norm2(u.row(i));
             if norm == 0.0 {
                 for j in 0..nc {
                     if j != i {
@@ -237,57 +238,59 @@ impl SensorAllocator for GreedyAllocator {
             }
         }
 
-        // Phase 2: guarded endgame.
-        while remaining > m {
-            let victim = match self.endgame {
-                Endgame::MinCondition => {
-                    // Try every alive row; keep the removal leaving the
-                    // smallest condition number.
-                    let mut best: Option<(f64, usize)> = None;
-                    for v in 0..nc {
-                        if !alive[v] {
+        // Phase 2: guarded endgame. Workers exist exactly when it is the
+        // MinCondition one: its κs run on this thread and on them.
+        std::thread::scope(|scope| -> Result<()> {
+            let workers = (self.endgame == Endgame::MinCondition && remaining > m)
+                .then(|| KappaWorkers::spawn(scope, input.basis));
+            while remaining > m {
+                let victim = match &workers {
+                    Some(workers) => {
+                        // Try every alive row; keep the removal leaving the
+                        // smallest condition number (the first on a tie).
+                        let alive_rows: Vec<usize> = (0..nc).filter(|&v| alive[v]).collect();
+                        let rows = alive_rows.iter().map(|&v| candidates[v]).collect();
+                        let mut best: Option<(f64, usize)> = None;
+                        for (&v, kappa) in alive_rows.iter().zip(workers.removal_kappas(rows)) {
+                            let kappa = kappa?;
+                            if best.is_none_or(|(bk, _)| kappa < bk) {
+                                best = Some((kappa, v));
+                            }
+                        }
+                        match best {
+                            Some((kappa, v)) if kappa.is_finite() => v,
+                            // Every single removal destroys the rank: stop
+                            // above M rather than return a useless layout.
+                            _ => break,
+                        }
+                    }
+                    None => {
+                        let Some(victim) = correlation_victim(&g, &alive, &banned, &row_max) else {
+                            break; // everything removable is banned
+                        };
+                        // Rank guard (Algorithm 1, step 3d): tentatively
+                        // remove, restore + ban on rank loss.
+                        alive[victim] = false;
+                        let sensing = input_matrix(input.basis, &candidates, &alive)?;
+                        let rank = sensing_rank(&sensing, input.basis.rows());
+                        alive[victim] = true;
+                        if rank < k.min(remaining - 1) {
+                            banned[victim] = true;
                             continue;
                         }
-                        alive[v] = false;
-                        let sensing = input_matrix(input.basis, &candidates, &alive)?;
-                        let kappa = Svd::new(&sensing)?.cond();
-                        alive[v] = true;
-                        if best.is_none_or(|(bk, _)| kappa < bk) {
-                            best = Some((kappa, v));
-                        }
+                        victim
                     }
-                    match best {
-                        Some((kappa, v)) if kappa.is_finite() => v,
-                        // Every single removal destroys the rank: stop
-                        // above M rather than return a useless layout.
-                        _ => break,
+                };
+                alive[victim] = false;
+                remaining -= 1;
+                for i in 0..nc {
+                    if alive[i] && (row_max[i].1 == victim || row_max[i].0.is_infinite()) {
+                        row_max[i] = row_abs_max(&g, &alive, i);
                     }
-                }
-                Endgame::CorrelationOnly => {
-                    let Some(victim) = correlation_victim(&g, &alive, &banned, &row_max) else {
-                        break; // everything removable is banned
-                    };
-                    // Rank guard (Algorithm 1, step 3d): tentatively
-                    // remove, restore + ban on rank loss.
-                    alive[victim] = false;
-                    let sensing = input_matrix(input.basis, &candidates, &alive)?;
-                    let rank = sensing_rank(&sensing, input.basis.rows());
-                    alive[victim] = true;
-                    if rank < k.min(remaining - 1) {
-                        banned[victim] = true;
-                        continue;
-                    }
-                    victim
-                }
-            };
-            alive[victim] = false;
-            remaining -= 1;
-            for i in 0..nc {
-                if alive[i] && (row_max[i].1 == victim || row_max[i].0.is_infinite()) {
-                    row_max[i] = row_abs_max(&g, &alive, i);
                 }
             }
-        }
+            Ok(())
+        })?;
 
         let chosen: Vec<usize> = candidates
             .iter()
@@ -296,6 +299,38 @@ impl SensorAllocator for GreedyAllocator {
             .collect();
         SensorSet::new(input.rows, input.cols, chosen)
     }
+}
+
+/// `G = U Uᵀ − I` for the row-normalized `U`. Only the blocks on and above
+/// the diagonal are multiplied (with `matmul`, so each entry is the
+/// ascending-`k` sum that skips `u_ik = 0`); the rest is mirrored.
+/// `u_ik·u_jk` and `u_jk·u_ik` are the same IEEE product, and a skipped
+/// term only ever adds ±0 to a sum that cannot be −0, so for a finite `U`
+/// the mirror holds the full product's bits.
+fn correlations(u: &Matrix) -> Result<Matrix> {
+    const BLOCK: usize = 64;
+    let (nc, k) = u.shape();
+    let mut g = Matrix::zeros(nc, nc);
+    for i0 in (0..nc).step_by(BLOCK) {
+        let i1 = (i0 + BLOCK).min(nc);
+        let rows = Matrix::from_fn(i1 - i0, k, |i, c| u[(i0 + i, c)]);
+        let cols = Matrix::from_fn(k, nc - i0, |c, j| u[(i0 + j, c)]);
+        let block = rows.matmul(&cols)?;
+        for i in i0..i1 {
+            g.row_mut(i)[i..].copy_from_slice(&block.row(i - i0)[i - i0..]);
+            g[(i, i)] = 0.0;
+        }
+    }
+    for j0 in (0..nc).step_by(BLOCK) {
+        for i0 in (j0..nc).step_by(BLOCK) {
+            for i in i0..(i0 + BLOCK).min(nc) {
+                for j in j0..(j0 + BLOCK).min(i) {
+                    g[(i, j)] = g[(j, i)];
+                }
+            }
+        }
+    }
+    Ok(g)
 }
 
 /// The paper's removal rule: the row of the largest `|G[i,j]|` with the
@@ -329,9 +364,9 @@ fn correlation_victim(
 
 fn row_abs_max(g: &Matrix, alive: &[bool], i: usize) -> (f64, usize) {
     let mut best = (f64::NEG_INFINITY, i);
-    for (j, &a) in alive.iter().enumerate() {
+    for (j, (&a, &gij)) in alive.iter().zip(g.row(i)).enumerate() {
         if a && j != i {
-            let v = g[(i, j)].abs();
+            let v = gij.abs();
             if v > best.0 {
                 best = (v, j);
             }
@@ -342,9 +377,9 @@ fn row_abs_max(g: &Matrix, alive: &[bool], i: usize) -> (f64, usize) {
 
 fn total_abs(g: &Matrix, alive: &[bool], i: usize) -> f64 {
     let mut acc = 0.0;
-    for (j, &a) in alive.iter().enumerate() {
+    for (j, (&a, &gij)) in alive.iter().zip(g.row(i)).enumerate() {
         if a && j != i {
-            let v = g[(i, j)].abs();
+            let v = gij.abs();
             if v.is_finite() {
                 acc += v;
             } else {
@@ -353,6 +388,82 @@ fn total_abs(g: &Matrix, alive: &[bool], i: usize) -> f64 {
         }
     }
     acc
+}
+
+/// `κ` of `basis` restricted to `rows` without `rows[skip]`.
+fn removal_kappa(basis: &Matrix, rows: &[usize], skip: usize) -> Result<f64> {
+    let kept: Vec<usize> = (0..rows.len())
+        .filter(|&i| i != skip)
+        .map(|i| rows[i])
+        .collect();
+    Ok(cond(&basis.select_rows(&kept)?)?)
+}
+
+/// A removal-κ job: the basis rows alive, and which of them to drop in
+/// turn.
+type KappaJob = (Arc<[usize]>, Range<usize>);
+
+/// The MinCondition endgame's helpers: `available_parallelism() − 1`
+/// scoped workers, spawned once per endgame (a spawn costs more than a
+/// round's share of κs).
+struct KappaWorkers<'a> {
+    basis: &'a Matrix,
+    jobs: Vec<mpsc::Sender<KappaJob>>,
+    done: mpsc::Receiver<(usize, Vec<Result<f64>>)>,
+}
+
+impl<'a> KappaWorkers<'a> {
+    fn spawn<'scope>(scope: &'scope Scope<'scope, '_>, basis: &'a Matrix) -> Self
+    where
+        'a: 'scope,
+    {
+        let helpers = std::thread::available_parallelism().map_or(1, |t| t.get()) - 1;
+        let (done_tx, done) = mpsc::channel();
+        let jobs = (0..helpers)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<KappaJob>();
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    for (rows, skips) in rx {
+                        let first = skips.start;
+                        let kappas = skips
+                            .map(|skip| removal_kappa(basis, &rows, skip))
+                            .collect();
+                        if done_tx.send((first, kappas)).is_err() {
+                            break;
+                        }
+                    }
+                });
+                tx
+            })
+            .collect();
+        KappaWorkers { basis, jobs, done }
+    }
+
+    /// `κ` left by removing each of `rows` in turn, in order: the first
+    /// share on this thread, the others on the workers.
+    fn removal_kappas(&self, rows: Vec<usize>) -> Vec<Result<f64>> {
+        let rows: Arc<[usize]> = rows.into();
+        let per = rows.len().div_ceil(self.jobs.len() + 1);
+        let mut sent = 0;
+        for (w, tx) in self.jobs.iter().enumerate() {
+            let skips = (w + 1) * per..((w + 2) * per).min(rows.len());
+            if !skips.is_empty() {
+                tx.send((Arc::clone(&rows), skips))
+                    .expect("κ worker exited");
+                sent += 1;
+            }
+        }
+        let mut kappas: Vec<Result<f64>> = (0..per.min(rows.len()))
+            .map(|skip| removal_kappa(self.basis, &rows, skip))
+            .collect();
+        let mut shares: Vec<_> = (0..sent)
+            .map(|_| self.done.recv().expect("κ worker exited"))
+            .collect();
+        shares.sort_by_key(|&(first, _)| first);
+        kappas.extend(shares.into_iter().flat_map(|(_, share)| share));
+        kappas
+    }
 }
 
 fn input_matrix(basis: &Matrix, candidates: &[usize], alive: &[bool]) -> Result<Matrix> {
@@ -370,8 +481,8 @@ fn input_matrix(basis: &Matrix, candidates: &[usize], alive: &[bool]) -> Result<
 /// "full rank".
 fn sensing_rank(sensing: &Matrix, basis_rows: usize) -> usize {
     let tol = basis_rows.max(sensing.rows()) as f64 * f64::EPSILON;
-    match Svd::new(sensing) {
-        Ok(svd) => svd.s.iter().filter(|&&s| s > tol).count(),
+    match singular_values(sensing) {
+        Ok(s) => s.iter().filter(|&&s| s > tol).count(),
         Err(_) => 0,
     }
 }
@@ -682,7 +793,7 @@ impl SensorAllocator for ExhaustiveAllocator {
         loop {
             let rows: Vec<usize> = combo.iter().map(|&i| candidates[i]).collect();
             let sensing = input.basis.select_rows(&rows)?;
-            let cond = Svd::new(&sensing)?.cond();
+            let cond = cond(&sensing)?;
             if best.as_ref().is_none_or(|(bc, _)| cond < *bc) {
                 best = Some((cond, rows));
             }
@@ -717,6 +828,7 @@ fn next_combination(combo: &mut [usize], n: usize) -> bool {
 mod tests {
     use super::*;
     use eigenmaps_linalg::dct::dct2_basis;
+    use eigenmaps_linalg::Svd;
 
     fn test_input<'a>(
         basis: &'a Matrix,

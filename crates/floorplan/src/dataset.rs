@@ -10,7 +10,8 @@
 //! [`TransientSim`], which factors its system matrix once per build. At
 //! the paper's 56×60 grid the factor holds ~24 MB and the whole build takes
 //! ~20 s; the 28×30 grid the serving benchmark uses builds 400 steps in
-//! ~0.2 s (2 hardware threads, release build).
+//! ~0.1 s (2-thread AVX-512 host, release build: ~88 ms of steps, ~9 ms
+//! of factor, the rest traces and rasterization).
 
 use eigenmaps_core::{MapEnsemble, ThermalMap};
 use eigenmaps_thermal::{Environment, GridSpec, Layer, ThermalModel, TransientSim};

@@ -46,6 +46,7 @@
 
 pub mod chol;
 pub mod dct;
+mod dispatch;
 pub mod eig;
 pub mod error;
 pub mod lu;
@@ -63,7 +64,7 @@ pub use lu::{solve, Lu};
 pub use matrix::Matrix;
 pub use pca::{Pca, PcaOptions};
 pub use qr::{lstsq, orthonormalize, Qr};
-pub use svd::{cond, rank, Svd};
+pub use svd::{cond, rank, singular_values, Svd};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -78,6 +79,6 @@ pub mod prelude {
     pub use crate::sparse::{
         bicgstab_solve, cg_solve, BandCholesky, CgOptions, CgSolution, CsrMatrix, TripletBuilder,
     };
-    pub use crate::svd::{cond, rank, Svd};
+    pub use crate::svd::{cond, rank, singular_values, Svd};
     pub use crate::vecops;
 }

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::dispatch::dual_compile;
 use crate::error::{LinalgError, Result};
 use crate::vecops;
 
@@ -225,19 +226,15 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order: the innermost loop walks contiguous rows of both
-        // `rhs` and `out`, which is the cache-friendly order for row-major.
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for (k, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = rhs.row(k);
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                vecops::axpy(aik, brow, orow);
-            }
-        }
+        gemm(
+            &self.data,
+            self.cols,
+            1,
+            &rhs.data,
+            &mut out.data,
+            self.cols,
+            rhs.cols,
+        );
         Ok(out)
     }
 
@@ -257,17 +254,15 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for t in 0..self.rows {
-            let arow = self.row(t);
-            let brow = rhs.row(t);
-            for (i, &ati) in arow.iter().enumerate() {
-                if ati == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                vecops::axpy(ati, brow, orow);
-            }
-        }
+        gemm(
+            &self.data,
+            1,
+            self.cols,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            rhs.cols,
+        );
         Ok(out)
     }
 
@@ -488,9 +483,223 @@ impl Default for Matrix {
     }
 }
 
+/// Output rows and columns one [`gemm`] tile keeps in registers.
+const TILE_ROWS: usize = 4;
+const TILE_COLS: usize = 8;
+/// Inner indices per [`gemm`] pass: a pass's slice of `b` stays in L1
+/// while every row block of the output runs over it.
+const TILE_INNER: usize = 128;
+
+dual_compile! {
+    /// `out[i, j] += Σ_k a(i, k)·b[k, j]` over `inner` values of `k`, where
+    /// `a(i, k) = a[i·a_row + k·a_inner]` (so `matmul` and `tr_matmul`
+    /// share it) and `b`, `out` are row-major with `cols` columns. Every
+    /// element accumulates in ascending `k` and skips the terms whose
+    /// `a(i, k)` is zero, as the row-by-row `axpy` loop it replaces did. A
+    /// tile of up to `TILE_ROWS × TILE_COLS` outputs stays in registers
+    /// across a pass of `TILE_INNER` values of `k` and shares each `b` row
+    /// load; the tile's `a` values are first packed `k`-major. Between
+    /// passes a tile's sums wait in `out` unchanged.
+    fn gemm / gemm_portable / gemm_avx2 (
+        a: &[f64],
+        a_row: usize,
+        a_inner: usize,
+        b: &[f64],
+        out: &mut [f64],
+        inner: usize,
+        cols: usize,
+    ) {
+        if cols == 0 {
+            return;
+        }
+        let rows = out.len() / cols;
+        let mut panel = vec![0.0; TILE_INNER * TILE_ROWS];
+        for k0 in (0..inner).step_by(TILE_INNER) {
+            let k1 = (k0 + TILE_INNER).min(inner);
+            let b = &b[k0 * cols..k1 * cols];
+            let mut i = 0;
+            while i < rows {
+                let mr = if rows - i >= TILE_ROWS { TILE_ROWS } else { 1 };
+                for (k, p) in (k0..k1).zip(panel.chunks_exact_mut(mr)) {
+                    for (r, v) in p.iter_mut().enumerate() {
+                        *v = a[(i + r) * a_row + k * a_inner];
+                    }
+                }
+                let panel = &panel[..(k1 - k0) * mr];
+                let out = &mut out[i * cols..(i + mr) * cols];
+                let mut j = 0;
+                while j < cols {
+                    let left = cols - j;
+                    let mc = [TILE_COLS, 4, 2, 1].into_iter().find(|&c| c <= left).unwrap_or(1);
+                    match (mr, mc) {
+                        (TILE_ROWS, TILE_COLS) => gemm_tile::<TILE_ROWS, TILE_COLS>(panel, b, out, cols, j),
+                        (TILE_ROWS, 4) => gemm_tile::<TILE_ROWS, 4>(panel, b, out, cols, j),
+                        (TILE_ROWS, 2) => gemm_tile::<TILE_ROWS, 2>(panel, b, out, cols, j),
+                        (TILE_ROWS, _) => gemm_tile::<TILE_ROWS, 1>(panel, b, out, cols, j),
+                        (_, TILE_COLS) => gemm_tile::<1, TILE_COLS>(panel, b, out, cols, j),
+                        (_, 4) => gemm_tile::<1, 4>(panel, b, out, cols, j),
+                        (_, 2) => gemm_tile::<1, 2>(panel, b, out, cols, j),
+                        _ => gemm_tile::<1, 1>(panel, b, out, cols, j),
+                    }
+                    j += mc;
+                }
+                i += mr;
+            }
+        }
+    }
+}
+
+/// The `R × C` output tile of [`gemm`] at column `j` of the `R` rows in
+/// `out`, over one pass: the pass's `k`-major `panel` of `a` values and
+/// its rows of `b`.
+#[inline(always)]
+fn gemm_tile<const R: usize, const C: usize>(
+    panel: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    cols: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0; C]; R];
+    for (acc_r, out_r) in acc.iter_mut().zip(out.chunks_exact(cols)) {
+        acc_r.copy_from_slice(&out_r[j..j + C]);
+    }
+    for (ak, bk) in panel.chunks_exact(R).zip(b.chunks_exact(cols)) {
+        let bk = &bk[j..j + C];
+        // One test for the whole column of `a` values in the common case
+        // that none is zero (NaN is not), then the per-row skip.
+        let dense = ak.iter().fold(true, |all, &av| all & (av != 0.0));
+        for (acc_r, &av) in acc.iter_mut().zip(ak) {
+            if !dense && av == 0.0 {
+                continue;
+            }
+            for t in 0..C {
+                acc_r[t] += av * bk[t];
+            }
+        }
+    }
+    for (acc_r, out_r) in acc.iter().zip(out.chunks_exact_mut(cols)) {
+        out_r[j..j + C].copy_from_slice(acc_r);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The row-by-row `axpy` products the tiled [`gemm`] replaced, kept
+    /// verbatim as its bitwise oracle.
+    fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for (k, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                vecops::axpy(aik, b.row(k), orow);
+            }
+        }
+        out
+    }
+
+    fn oracle_tr_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for t in 0..a.rows {
+            for (i, &ati) in a.row(t).iter().enumerate() {
+                if ati == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                vecops::axpy(ati, b.row(t), orow);
+            }
+        }
+        out
+    }
+
+    type Gemm = fn(&[f64], usize, usize, &[f64], &mut [f64], usize, usize);
+
+    /// Every compilation of [`gemm`] this host can run, called directly.
+    fn gemm_kernels() -> Vec<(&'static str, Gemm)> {
+        let mut kernels: Vec<(&'static str, Gemm)> = vec![("portable", gemm_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reports AVX2.
+            kernels.push(("avx2", |a, r, i, b, o, n, c| unsafe {
+                gemm_avx2(a, r, i, b, o, n, c)
+            }));
+        }
+        kernels
+    }
+
+    /// Entries with exact zeros, negative zeros, values whose products
+    /// cancel, and a few that are infinite or NaN when `wild`.
+    fn awkward(rows: usize, cols: usize, seed: usize, wild: bool) -> Matrix {
+        Matrix::from_fn(rows, cols, |i, j| match (i * 7 + j * 13 + seed) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => -1.0,
+            4 if wild && (i + j) % 5 == 0 => f64::INFINITY,
+            5 if wild && (i + j) % 7 == 0 => f64::NAN,
+            _ => ((i * 31 + j * 17 + seed) as f64).sin() * 3.0,
+        })
+    }
+
+    /// The bits of every entry; any NaN matches any NaN, since Rust leaves
+    /// a NaN's sign and payload unspecified.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        slice_bits(&m.data)
+    }
+
+    fn slice_bits(x: &[f64]) -> Vec<u64> {
+        x.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn tiled_products_equal_the_axpy_oracle_bit_for_bit() {
+        let shapes = [
+            (1, 1, 1),
+            (1, 3, 1),
+            (3, 1, 2),
+            (4, 5, 8),
+            (5, 7, 9),
+            (7, 2, 13),
+            (9, 16, 26),
+            (30, 84, 26),
+            (4, 0, 3),
+        ];
+        for (seed, &(m, k, n)) in shapes.iter().enumerate() {
+            for wild in [false, true] {
+                let a = awkward(m, k, seed, wild);
+                let b = awkward(k, n, seed + 3, wild);
+                let at = a.transpose();
+                assert_eq!(bits(&a.matmul(&b).unwrap()), bits(&oracle_matmul(&a, &b)));
+                assert_eq!(
+                    bits(&at.tr_matmul(&b).unwrap()),
+                    bits(&oracle_tr_matmul(&at, &b))
+                );
+                for (name, gemm) in gemm_kernels() {
+                    let mut out = vec![0.0; m * n];
+                    gemm(&a.data, k, 1, &b.data, &mut out, k, n);
+                    assert_eq!(
+                        slice_bits(&out),
+                        bits(&oracle_matmul(&a, &b)),
+                        "{name} matmul {m}x{k}x{n} wild={wild}"
+                    );
+                    let mut out = vec![0.0; m * n];
+                    gemm(&at.data, 1, m, &b.data, &mut out, k, n);
+                    assert_eq!(
+                        slice_bits(&out),
+                        bits(&oracle_tr_matmul(&at, &b)),
+                        "{name} tr_matmul {m}x{k}x{n} wild={wild}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn construction_and_indexing() {

@@ -365,7 +365,85 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 ///
 /// Returns [`LinalgError::InvalidArgument`] if `a.rows() < a.cols()`.
 pub fn orthonormalize(a: &Matrix) -> Result<Matrix> {
-    Ok(Qr::new(a)?.thin_q())
+    let (m, n) = a.shape();
+    if m < n {
+        return Err(LinalgError::InvalidArgument {
+            context: "qr: matrix must have rows >= cols",
+        });
+    }
+    // `Qr::new(a)?.thin_q()`, operation for operation, on column-major
+    // copies: every reflection walks contiguous columns, and four columns'
+    // dot products run side by side instead of one after another.
+    let mut r = a.transpose().into_vec();
+    let mut tau = vec![0.0; n];
+    for k in 0..n {
+        let (head, rest) = r.split_at_mut((k + 1) * m);
+        let col = &mut head[k * m..];
+        let alpha = col[k];
+        let mut sigma = 0.0;
+        for &x in &col[k + 1..] {
+            sigma += x * x;
+        }
+        if sigma == 0.0 && alpha >= 0.0 {
+            continue;
+        }
+        let beta = -(alpha.signum()) * (alpha * alpha + sigma).sqrt();
+        tau[k] = (beta - alpha) / beta;
+        let scale = 1.0 / (alpha - beta);
+        for x in &mut col[k + 1..] {
+            *x *= scale;
+        }
+        col[k] = beta;
+        reflect_columns(&col[k + 1..], tau[k], k, rest, m);
+    }
+    let mut q = vec![0.0; n * m];
+    for j in 0..n {
+        q[j * m + j] = 1.0;
+    }
+    for k in (0..n).rev() {
+        if tau[k] != 0.0 {
+            reflect_columns(&r[k * m + k + 1..(k + 1) * m], tau[k], k, &mut q, m);
+        }
+    }
+    Ok(Matrix::from_vec(n, m, q)?.transpose())
+}
+
+/// Applies `H = I − τ v vᵀ` (with `v = [1, v…]` starting at row `k`) to
+/// each length-`m` column of `cols`, as [`Qr::new`] and [`Qr::thin_q`] do
+/// per column: `w = c[k] + Σ v_i c_i` in ascending `i`, `w *= τ`, then
+/// `c[k] −= w` and `c_i −= w·v_i`. Four columns run their sums together.
+fn reflect_columns(v: &[f64], tau: f64, k: usize, cols: &mut [f64], m: usize) {
+    let apply = |c: &mut [f64], w: f64| {
+        let w = w * tau;
+        c[k] -= w;
+        for (ci, &vi) in c[k + 1..].iter_mut().zip(v) {
+            *ci -= w * vi;
+        }
+    };
+    let mut groups = cols.chunks_exact_mut(4 * m);
+    for group in &mut groups {
+        let (c0, rest) = group.split_at_mut(m);
+        let (c1, rest) = rest.split_at_mut(m);
+        let (c2, c3) = rest.split_at_mut(m);
+        let mut w = [c0[k], c1[k], c2[k], c3[k]];
+        for (i, &vi) in v.iter().enumerate() {
+            let i = k + 1 + i;
+            w[0] += vi * c0[i];
+            w[1] += vi * c1[i];
+            w[2] += vi * c2[i];
+            w[3] += vi * c3[i];
+        }
+        for (c, w) in [c0, c1, c2, c3].into_iter().zip(w) {
+            apply(c, w);
+        }
+    }
+    for c in groups.into_remainder().chunks_exact_mut(m) {
+        let mut w = c[k];
+        for (&ci, &vi) in c[k + 1..].iter().zip(v) {
+            w += vi * ci;
+        }
+        apply(c, w);
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +690,41 @@ mod tests {
         assert_eq!(Qr::new(&full).unwrap().rank_estimate(), 2);
         let deficient = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
         assert_eq!(Qr::new(&deficient).unwrap().rank_estimate(), 1);
+    }
+
+    #[test]
+    fn orthonormalize_equals_qr_thin_q_bit_for_bit() {
+        let bits = |q: &Matrix| -> Vec<u64> { q.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let inputs = [
+            Matrix::from_fn(840, 26, |i, j| ((i * 26 + j) as f64 * 0.013).sin()),
+            Matrix::from_fn(9, 9, |i, j| 1.0 / (1.0 + (i + j) as f64)),
+            Matrix::from_fn(7, 5, |i, j| {
+                if j == 2 {
+                    0.0
+                } else {
+                    (i as f64 - j as f64).cos()
+                }
+            }),
+            // A column already reduced (σ = 0, α ≥ 0) and a negative one.
+            Matrix::from_fn(6, 3, |i, j| match (i, j) {
+                (0, 0) => 2.0,
+                (_, 0) => 0.0,
+                (_, 1) => -1.0,
+                _ => (i * j) as f64,
+            }),
+            Matrix::from_fn(5, 1, |i, _| i as f64 - 2.0),
+            Matrix::zeros(4, 0),
+        ];
+        for a in &inputs {
+            let want = Qr::new(a).unwrap().thin_q();
+            assert_eq!(
+                bits(&orthonormalize(a).unwrap()),
+                bits(&want),
+                "{:?}",
+                a.shape()
+            );
+        }
+        assert!(orthonormalize(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]

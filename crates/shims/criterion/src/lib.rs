@@ -4,8 +4,9 @@
 //! link against this minimal harness instead of the real `criterion`. It
 //! supports the same source-level API (`criterion_group!`/`criterion_main!`,
 //! benchmark groups, `bench_function`, `bench_with_input`, `Bencher::iter`,
-//! `black_box`) and reports mean wall-clock time per iteration. It performs
-//! no statistical analysis, outlier rejection or HTML reporting.
+//! `black_box`). It times every iteration and reports the median with the
+//! 10th and 90th percentiles and the iteration count; it performs no
+//! outlier rejection, regression analysis or HTML reporting.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -50,27 +51,32 @@ impl From<String> for BenchmarkId {
 pub struct Bencher {
     target: Duration,
     max_iters: u64,
-    /// Mean per-iteration time measured by the last `iter` call.
-    mean: Duration,
+    /// Per-iteration wall-clock times of the last `iter` call, sorted.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Calls `routine` repeatedly and records the mean wall-clock time per
-    /// call: one warm-up call, then batches until the time budget is spent.
+    /// Calls `routine` repeatedly and records each call's wall-clock time:
+    /// one warm-up call, then calls until the time budget is spent.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, also primes caches/allocators
+        self.samples.clear();
         let start = Instant::now();
-        let mut iters: u64 = 0;
-        while start.elapsed() < self.target && iters < self.max_iters {
+        while start.elapsed() < self.target && (self.samples.len() as u64) < self.max_iters {
+            let t = Instant::now();
             black_box(routine());
-            iters += 1;
+            self.samples.push(t.elapsed());
         }
-        let elapsed = start.elapsed();
-        self.mean = if iters == 0 {
-            elapsed
-        } else {
-            elapsed / iters as u32
-        };
+        self.samples.sort_unstable();
+    }
+
+    /// The `q`-quantile of the recorded times (nearest rank).
+    fn quantile(&self, q: f64) -> Duration {
+        let n = self.samples.len();
+        if n == 0 {
+            return Duration::ZERO;
+        }
+        self.samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
     }
 }
 
@@ -80,10 +86,16 @@ fn run_benchmark(full_id: &str, sample_size: usize, f: impl FnOnce(&mut Bencher)
         // the default 100-sample config gets ~1 s, `sample_size(10)` ~300 ms.
         target: Duration::from_millis(100 + 9 * sample_size.min(100) as u64),
         max_iters: 1_000_000,
-        mean: Duration::ZERO,
+        samples: Vec::new(),
     };
     f(&mut b);
-    println!("{full_id:<55} time: [{:>12.3?} per iter]", b.mean);
+    println!(
+        "{full_id:<55} time: [median {:>11.3?}  p10 {:>11.3?}  p90 {:>11.3?}  n={}]",
+        b.quantile(0.5),
+        b.quantile(0.1),
+        b.quantile(0.9),
+        b.samples.len()
+    );
 }
 
 /// A named collection of related benchmarks.
@@ -198,6 +210,20 @@ mod tests {
         });
         group.finish();
         assert!(ran);
+    }
+
+    #[test]
+    fn quantiles_come_from_the_sorted_samples() {
+        let mut b = Bencher {
+            target: Duration::ZERO,
+            max_iters: 0,
+            samples: (1..=10).map(Duration::from_millis).collect(),
+        };
+        assert_eq!(b.quantile(0.5), Duration::from_millis(5));
+        assert_eq!(b.quantile(0.1), Duration::from_millis(1));
+        assert_eq!(b.quantile(0.9), Duration::from_millis(9));
+        b.samples.clear();
+        assert_eq!(b.quantile(0.5), Duration::ZERO);
     }
 
     #[test]

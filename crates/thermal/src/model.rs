@@ -303,18 +303,36 @@ impl ThermalModel {
     /// Returns [`ThermalError::PowerShapeMismatch`] if `power.len()` is not
     /// `rows·cols`.
     pub fn rhs(&self, power: &[f64]) -> Result<Vec<f64>> {
+        let mut b = vec![0.0; self.state_len()];
+        self.rhs_into(power, &mut b)?;
+        Ok(b)
+    }
+
+    /// [`ThermalModel::rhs`] into a caller-kept buffer of length
+    /// `state_len()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::PowerShapeMismatch`] if `power.len()` is not
+    /// `rows·cols`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not `state_len()`.
+    pub fn rhs_into(&self, power: &[f64], b: &mut [f64]) -> Result<()> {
         if power.len() != self.die_cells() {
             return Err(ThermalError::PowerShapeMismatch {
                 expected: self.die_cells(),
                 found: power.len(),
             });
         }
-        let mut b = vec![0.0; self.state_len()];
+        assert_eq!(b.len(), self.state_len(), "rhs buffer length mismatch");
         b[..power.len()].copy_from_slice(power);
+        b[power.len()..].fill(0.0);
         for (bi, &g) in b.iter_mut().zip(self.ambient_coupling.iter()) {
             *bi += g * self.env.ambient;
         }
-        Ok(b)
+        Ok(())
     }
 
     /// The backward-Euler system matrix `G + C/Δt` for a time step `dt`
