@@ -13,10 +13,6 @@
 //! All allocators honor a placement [`Mask`] (the Fig. 6 constraint
 //! experiment) by restricting their candidate set up front.
 
-use std::ops::Range;
-use std::sync::{mpsc, Arc};
-use std::thread::Scope;
-
 use eigenmaps_linalg::{cond, singular_values, vecops, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -238,59 +234,57 @@ impl SensorAllocator for GreedyAllocator {
             }
         }
 
-        // Phase 2: guarded endgame. Workers exist exactly when it is the
-        // MinCondition one: its κs run on this thread and on them.
-        std::thread::scope(|scope| -> Result<()> {
-            let workers = (self.endgame == Endgame::MinCondition && remaining > m)
-                .then(|| KappaWorkers::spawn(scope, input.basis));
-            while remaining > m {
-                let victim = match &workers {
-                    Some(workers) => {
-                        // Try every alive row; keep the removal leaving the
-                        // smallest condition number (the first on a tie).
-                        let alive_rows: Vec<usize> = (0..nc).filter(|&v| alive[v]).collect();
-                        let rows = alive_rows.iter().map(|&v| candidates[v]).collect();
-                        let mut best: Option<(f64, usize)> = None;
-                        for (&v, kappa) in alive_rows.iter().zip(workers.removal_kappas(rows)) {
-                            let kappa = kappa?;
-                            if best.is_none_or(|(bk, _)| kappa < bk) {
-                                best = Some((kappa, v));
-                            }
-                        }
-                        match best {
-                            Some((kappa, v)) if kappa.is_finite() => v,
-                            // Every single removal destroys the rank: stop
-                            // above M rather than return a useless layout.
-                            _ => break,
-                        }
-                    }
-                    None => {
-                        let Some(victim) = correlation_victim(&g, &alive, &banned, &row_max) else {
-                            break; // everything removable is banned
-                        };
-                        // Rank guard (Algorithm 1, step 3d): tentatively
-                        // remove, restore + ban on rank loss.
-                        alive[victim] = false;
-                        let sensing = input_matrix(input.basis, &candidates, &alive)?;
-                        let rank = sensing_rank(&sensing, input.basis.rows());
-                        alive[victim] = true;
-                        if rank < k.min(remaining - 1) {
-                            banned[victim] = true;
+        // Phase 2: guarded endgame.
+        while remaining > m {
+            let victim = match self.endgame {
+                Endgame::MinCondition => {
+                    // Try every alive row; keep the removal leaving the
+                    // smallest condition number.
+                    let mut best: Option<(f64, usize)> = None;
+                    for v in 0..nc {
+                        if !alive[v] {
                             continue;
                         }
-                        victim
+                        alive[v] = false;
+                        let sensing = input_matrix(input.basis, &candidates, &alive)?;
+                        let kappa = cond(&sensing)?;
+                        alive[v] = true;
+                        if best.is_none_or(|(bk, _)| kappa < bk) {
+                            best = Some((kappa, v));
+                        }
                     }
-                };
-                alive[victim] = false;
-                remaining -= 1;
-                for i in 0..nc {
-                    if alive[i] && (row_max[i].1 == victim || row_max[i].0.is_infinite()) {
-                        row_max[i] = row_abs_max(&g, &alive, i);
+                    match best {
+                        Some((kappa, v)) if kappa.is_finite() => v,
+                        // Every single removal destroys the rank: stop
+                        // above M rather than return a useless layout.
+                        _ => break,
                     }
                 }
+                Endgame::CorrelationOnly => {
+                    let Some(victim) = correlation_victim(&g, &alive, &banned, &row_max) else {
+                        break; // everything removable is banned
+                    };
+                    // Rank guard (Algorithm 1, step 3d): tentatively
+                    // remove, restore + ban on rank loss.
+                    alive[victim] = false;
+                    let sensing = input_matrix(input.basis, &candidates, &alive)?;
+                    let rank = sensing_rank(&sensing, input.basis.rows());
+                    alive[victim] = true;
+                    if rank < k.min(remaining - 1) {
+                        banned[victim] = true;
+                        continue;
+                    }
+                    victim
+                }
+            };
+            alive[victim] = false;
+            remaining -= 1;
+            for i in 0..nc {
+                if alive[i] && (row_max[i].1 == victim || row_max[i].0.is_infinite()) {
+                    row_max[i] = row_abs_max(&g, &alive, i);
+                }
             }
-            Ok(())
-        })?;
+        }
 
         let chosen: Vec<usize> = candidates
             .iter()
@@ -388,82 +382,6 @@ fn total_abs(g: &Matrix, alive: &[bool], i: usize) -> f64 {
         }
     }
     acc
-}
-
-/// `κ` of `basis` restricted to `rows` without `rows[skip]`.
-fn removal_kappa(basis: &Matrix, rows: &[usize], skip: usize) -> Result<f64> {
-    let kept: Vec<usize> = (0..rows.len())
-        .filter(|&i| i != skip)
-        .map(|i| rows[i])
-        .collect();
-    Ok(cond(&basis.select_rows(&kept)?)?)
-}
-
-/// A removal-κ job: the basis rows alive, and which of them to drop in
-/// turn.
-type KappaJob = (Arc<[usize]>, Range<usize>);
-
-/// The MinCondition endgame's helpers: `available_parallelism() − 1`
-/// scoped workers, spawned once per endgame (a spawn costs more than a
-/// round's share of κs).
-struct KappaWorkers<'a> {
-    basis: &'a Matrix,
-    jobs: Vec<mpsc::Sender<KappaJob>>,
-    done: mpsc::Receiver<(usize, Vec<Result<f64>>)>,
-}
-
-impl<'a> KappaWorkers<'a> {
-    fn spawn<'scope>(scope: &'scope Scope<'scope, '_>, basis: &'a Matrix) -> Self
-    where
-        'a: 'scope,
-    {
-        let helpers = std::thread::available_parallelism().map_or(1, |t| t.get()) - 1;
-        let (done_tx, done) = mpsc::channel();
-        let jobs = (0..helpers)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<KappaJob>();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    for (rows, skips) in rx {
-                        let first = skips.start;
-                        let kappas = skips
-                            .map(|skip| removal_kappa(basis, &rows, skip))
-                            .collect();
-                        if done_tx.send((first, kappas)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                tx
-            })
-            .collect();
-        KappaWorkers { basis, jobs, done }
-    }
-
-    /// `κ` left by removing each of `rows` in turn, in order: the first
-    /// share on this thread, the others on the workers.
-    fn removal_kappas(&self, rows: Vec<usize>) -> Vec<Result<f64>> {
-        let rows: Arc<[usize]> = rows.into();
-        let per = rows.len().div_ceil(self.jobs.len() + 1);
-        let mut sent = 0;
-        for (w, tx) in self.jobs.iter().enumerate() {
-            let skips = (w + 1) * per..((w + 2) * per).min(rows.len());
-            if !skips.is_empty() {
-                tx.send((Arc::clone(&rows), skips))
-                    .expect("κ worker exited");
-                sent += 1;
-            }
-        }
-        let mut kappas: Vec<Result<f64>> = (0..per.min(rows.len()))
-            .map(|skip| removal_kappa(self.basis, &rows, skip))
-            .collect();
-        let mut shares: Vec<_> = (0..sent)
-            .map(|_| self.done.recv().expect("κ worker exited"))
-            .collect();
-        shares.sort_by_key(|&(first, _)| first);
-        kappas.extend(shares.into_iter().flat_map(|(_, share)| share));
-        kappas
-    }
 }
 
 fn input_matrix(basis: &Matrix, candidates: &[usize], alive: &[bool]) -> Result<Matrix> {
@@ -1082,6 +1000,85 @@ mod tests {
                 kappa <= kc * 1.5 + 1e-9,
                 "MinCondition κ={kappa} much worse than CorrelationOnly κ={kc}"
             );
+        }
+    }
+
+    #[test]
+    fn correlations_equal_the_full_product_bit_for_bit() {
+        // Zero rows, ±0 entries and row counts around the 64-row block.
+        let entry = |i: usize, c: usize| match (i * 7 + c * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            _ if i % 13 == 5 => -0.0,
+            _ if i % 17 == 2 => 0.0,
+            r => ((i * 5 + c) as f64 * 0.61).sin() * if r % 2 == 0 { -1.0 } else { 1.0 },
+        };
+        for (nc, k) in [(150, 7), (65, 3), (64, 5), (63, 16), (1, 4), (2, 1), (0, 3)] {
+            let u = Matrix::from_fn(nc, k, entry);
+            let mut want = u.matmul(&u.transpose()).unwrap();
+            for i in 0..nc {
+                want[(i, i)] = 0.0;
+            }
+            let got = correlations(&u).unwrap();
+            let bits =
+                |g: &Matrix| -> Vec<u64> { g.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&got), bits(&want), "{nc}x{k}");
+        }
+    }
+
+    /// The MinCondition endgame as a serial loop over the full SVD's κ:
+    /// the oracle for the allocator's endgame.
+    fn oracle_min_condition(basis: &Matrix, candidates: &[usize], m: usize) -> Vec<usize> {
+        let mut alive = vec![true; candidates.len()];
+        let mut remaining = candidates.len();
+        while remaining > m {
+            let mut best: Option<(f64, usize)> = None;
+            for v in 0..candidates.len() {
+                if !alive[v] {
+                    continue;
+                }
+                alive[v] = false;
+                let sensing = input_matrix(basis, candidates, &alive).unwrap();
+                let kappa = Svd::new(&sensing).unwrap().cond();
+                alive[v] = true;
+                if best.is_none_or(|(bk, _)| kappa < bk) {
+                    best = Some((kappa, v));
+                }
+            }
+            match best {
+                Some((kappa, v)) if kappa.is_finite() => alive[v] = false,
+                _ => break,
+            }
+            remaining -= 1;
+        }
+        candidates
+            .iter()
+            .zip(&alive)
+            .filter_map(|(&c, &a)| a.then_some(c))
+            .collect()
+    }
+
+    #[test]
+    fn min_condition_endgame_matches_the_serial_oracle() {
+        let (rows, cols) = (6, 7);
+        let (dct, energy) = smooth_setup(rows, cols, 5);
+        // Duplicate rows (tied κs: the first minimum must win) and a zero
+        // row on top of the smooth basis.
+        let tied = Matrix::from_fn(rows * cols, 5, |i, c| match i {
+            7 => 0.0,
+            _ => dct[(i % 12, c)],
+        });
+        let full = Mask::all_allowed(rows, cols);
+        let masked = Mask::all_allowed(rows, cols).forbid_rects(&[(0.0, 0.0, 0.4, 0.5)]);
+        for (basis, mask, m) in [(&dct, &full, 8), (&dct, &masked, 5), (&tied, &full, 6)] {
+            let input = test_input(basis, &energy, rows, cols, mask);
+            let got = GreedyAllocator::new()
+                .with_endgame(Endgame::MinCondition)
+                .with_endgame_threshold(usize::MAX)
+                .allocate(&input, m)
+                .unwrap();
+            let want = oracle_min_condition(basis, &mask.allowed_indices(), m);
+            assert_eq!(got.locations(), &want[..], "m = {m}");
         }
     }
 

@@ -62,46 +62,34 @@ impl Qr {
                 context: "qr: matrix must have rows >= cols",
             });
         }
-        let mut r = a.clone();
+        // Factor a column-major copy, so every reflection walks
+        // contiguous columns; `packed` gets it back in row-major order.
+        let mut r = a.transpose().into_vec();
         let mut tau = vec![0.0; n];
-
         for k in 0..n {
             // Build the Householder vector for column k from rows k..m.
-            let mut alpha = r[(k, k)];
+            let (head, rest) = r.split_at_mut((k + 1) * m);
+            let col = &mut head[k * m..];
+            let alpha = col[k];
             let mut sigma = 0.0;
-            for i in (k + 1)..m {
-                sigma += r[(i, k)] * r[(i, k)];
+            for &x in &col[k + 1..] {
+                sigma += x * x;
             }
             if sigma == 0.0 && alpha >= 0.0 {
-                tau[k] = 0.0;
                 continue;
             }
             let beta = -(alpha.signum()) * (alpha * alpha + sigma).sqrt();
-            let tau_k = (beta - alpha) / beta;
+            tau[k] = (beta - alpha) / beta;
             let scale = 1.0 / (alpha - beta);
-            // v = [1, r[k+1..m, k] * scale]
-            for i in (k + 1)..m {
-                r[(i, k)] *= scale;
+            // v = [1, col[k+1..m] * scale]
+            for x in &mut col[k + 1..] {
+                *x *= scale;
             }
-            r[(k, k)] = beta;
-            tau[k] = tau_k;
-            alpha = beta;
-            let _ = alpha;
-
+            col[k] = beta;
             // Apply H = I − τ v vᵀ to the remaining columns.
-            for j in (k + 1)..n {
-                let mut w = r[(k, j)];
-                for i in (k + 1)..m {
-                    w += r[(i, k)] * r[(i, j)];
-                }
-                w *= tau_k;
-                r[(k, j)] -= w;
-                for i in (k + 1)..m {
-                    let vik = r[(i, k)];
-                    r[(i, j)] -= w * vik;
-                }
-            }
+            reflect_columns(&col[k + 1..], tau[k], k, rest, m);
         }
+        let r = Matrix::from_vec(n, m, r)?.transpose();
         let tol = r_diag_tolerance(&r);
         Ok(Qr {
             packed: r,
@@ -182,30 +170,21 @@ impl Qr {
     /// Forms the thin orthonormal factor `Q` (`m × n`).
     pub fn thin_q(&self) -> Matrix {
         let (m, n) = self.packed.shape();
-        let mut q = Matrix::zeros(m, n);
-        // Apply the reflectors in reverse order to the first n columns of I.
+        // Apply the reflectors in reverse order to the first n columns of
+        // I, held column-major like the reflectors.
+        let v = self.packed.transpose().into_vec();
+        let mut q = vec![0.0; n * m];
         for j in 0..n {
-            q[(j, j)] = 1.0;
+            q[j * m + j] = 1.0;
         }
         for k in (0..n).rev() {
-            let tau_k = self.tau[k];
-            if tau_k == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                let mut w = q[(k, j)];
-                for i in (k + 1)..m {
-                    w += self.packed[(i, k)] * q[(i, j)];
-                }
-                w *= tau_k;
-                q[(k, j)] -= w;
-                for i in (k + 1)..m {
-                    let vik = self.packed[(i, k)];
-                    q[(i, j)] -= w * vik;
-                }
+            if self.tau[k] != 0.0 {
+                reflect_columns(&v[k * m + k + 1..(k + 1) * m], self.tau[k], k, &mut q, m);
             }
         }
-        q
+        Matrix::from_vec(n, m, q)
+            .expect("n columns of length m")
+            .transpose()
     }
 
     /// Solves the least-squares problem `min_x ‖a x − b‖₂` using the stored
@@ -365,53 +344,14 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 ///
 /// Returns [`LinalgError::InvalidArgument`] if `a.rows() < a.cols()`.
 pub fn orthonormalize(a: &Matrix) -> Result<Matrix> {
-    let (m, n) = a.shape();
-    if m < n {
-        return Err(LinalgError::InvalidArgument {
-            context: "qr: matrix must have rows >= cols",
-        });
-    }
-    // `Qr::new(a)?.thin_q()`, operation for operation, on column-major
-    // copies: every reflection walks contiguous columns, and four columns'
-    // dot products run side by side instead of one after another.
-    let mut r = a.transpose().into_vec();
-    let mut tau = vec![0.0; n];
-    for k in 0..n {
-        let (head, rest) = r.split_at_mut((k + 1) * m);
-        let col = &mut head[k * m..];
-        let alpha = col[k];
-        let mut sigma = 0.0;
-        for &x in &col[k + 1..] {
-            sigma += x * x;
-        }
-        if sigma == 0.0 && alpha >= 0.0 {
-            continue;
-        }
-        let beta = -(alpha.signum()) * (alpha * alpha + sigma).sqrt();
-        tau[k] = (beta - alpha) / beta;
-        let scale = 1.0 / (alpha - beta);
-        for x in &mut col[k + 1..] {
-            *x *= scale;
-        }
-        col[k] = beta;
-        reflect_columns(&col[k + 1..], tau[k], k, rest, m);
-    }
-    let mut q = vec![0.0; n * m];
-    for j in 0..n {
-        q[j * m + j] = 1.0;
-    }
-    for k in (0..n).rev() {
-        if tau[k] != 0.0 {
-            reflect_columns(&r[k * m + k + 1..(k + 1) * m], tau[k], k, &mut q, m);
-        }
-    }
-    Ok(Matrix::from_vec(n, m, q)?.transpose())
+    Ok(Qr::new(a)?.thin_q())
 }
 
 /// Applies `H = I − τ v vᵀ` (with `v = [1, v…]` starting at row `k`) to
-/// each length-`m` column of `cols`, as [`Qr::new`] and [`Qr::thin_q`] do
-/// per column: `w = c[k] + Σ v_i c_i` in ascending `i`, `w *= τ`, then
-/// `c[k] −= w` and `c_i −= w·v_i`. Four columns run their sums together.
+/// each length-`m` column of `cols`: `w = c[k] + Σ v_i c_i` in ascending
+/// `i`, `w *= τ`, then `c[k] −= w` and `c_i −= w·v_i`. Four columns run
+/// their sums side by side; each still gets its own one-column sequence
+/// of operations.
 fn reflect_columns(v: &[f64], tau: f64, k: usize, cols: &mut [f64], m: usize) {
     let apply = |c: &mut [f64], w: f64| {
         let w = w * tau;
@@ -692,8 +632,81 @@ mod tests {
         assert_eq!(Qr::new(&deficient).unwrap().rank_estimate(), 1);
     }
 
+    /// Householder QR in place on the row-major matrix, one column at a
+    /// time: the bitwise oracle for `packed` and `tau`.
+    fn oracle_factor(a: &Matrix) -> (Matrix, Vec<f64>) {
+        let (m, n) = a.shape();
+        let mut r = a.clone();
+        let mut tau = vec![0.0; n];
+
+        for k in 0..n {
+            // Build the Householder vector for column k from rows k..m.
+            let alpha = r[(k, k)];
+            let mut sigma = 0.0;
+            for i in (k + 1)..m {
+                sigma += r[(i, k)] * r[(i, k)];
+            }
+            if sigma == 0.0 && alpha >= 0.0 {
+                continue;
+            }
+            let beta = -(alpha.signum()) * (alpha * alpha + sigma).sqrt();
+            let tau_k = (beta - alpha) / beta;
+            let scale = 1.0 / (alpha - beta);
+            // v = [1, r[k+1..m, k] * scale]
+            for i in (k + 1)..m {
+                r[(i, k)] *= scale;
+            }
+            r[(k, k)] = beta;
+            tau[k] = tau_k;
+
+            // Apply H = I − τ v vᵀ to the remaining columns.
+            for j in (k + 1)..n {
+                let mut w = r[(k, j)];
+                for i in (k + 1)..m {
+                    w += r[(i, k)] * r[(i, j)];
+                }
+                w *= tau_k;
+                r[(k, j)] -= w;
+                for i in (k + 1)..m {
+                    let vik = r[(i, k)];
+                    r[(i, j)] -= w * vik;
+                }
+            }
+        }
+        (r, tau)
+    }
+
+    /// `Q` from `packed` and `tau`, row-major, one column at a time: the
+    /// bitwise oracle for `Qr::thin_q`.
+    fn oracle_thin_q(packed: &Matrix, tau: &[f64]) -> Matrix {
+        let (m, n) = packed.shape();
+        let mut q = Matrix::zeros(m, n);
+        for j in 0..n {
+            q[(j, j)] = 1.0;
+        }
+        for k in (0..n).rev() {
+            let tau_k = tau[k];
+            if tau_k == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                let mut w = q[(k, j)];
+                for i in (k + 1)..m {
+                    w += packed[(i, k)] * q[(i, j)];
+                }
+                w *= tau_k;
+                q[(k, j)] -= w;
+                for i in (k + 1)..m {
+                    let vik = packed[(i, k)];
+                    q[(i, j)] -= w * vik;
+                }
+            }
+        }
+        q
+    }
+
     #[test]
-    fn orthonormalize_equals_qr_thin_q_bit_for_bit() {
+    fn qr_and_thin_q_equal_the_row_major_oracle_bit_for_bit() {
         let bits = |q: &Matrix| -> Vec<u64> { q.as_slice().iter().map(|v| v.to_bits()).collect() };
         let inputs = [
             Matrix::from_fn(840, 26, |i, j| ((i * 26 + j) as f64 * 0.013).sin()),
@@ -716,10 +729,18 @@ mod tests {
             Matrix::zeros(4, 0),
         ];
         for a in &inputs {
-            let want = Qr::new(a).unwrap().thin_q();
+            let (packed, tau) = oracle_factor(a);
+            let qr = Qr::new(a).unwrap();
+            assert_eq!(bits(&qr.packed), bits(&packed), "{:?}", a.shape());
+            assert_eq!(
+                qr.tau.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                tau.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+            );
+            let q = oracle_thin_q(&packed, &tau);
+            assert_eq!(bits(&qr.thin_q()), bits(&q), "{:?}", a.shape());
             assert_eq!(
                 bits(&orthonormalize(a).unwrap()),
-                bits(&want),
+                bits(&q),
                 "{:?}",
                 a.shape()
             );

@@ -68,6 +68,224 @@ impl Svd {
     fn tall(a: &Matrix) -> Result<Self> {
         let (m, n) = a.shape();
         debug_assert!(m >= n);
+        // Work on the columns of W; accumulate the rotations in V. Both
+        // are column-major (V starts as the identity either way).
+        let mut w = a.transpose().into_vec();
+        let mut v = Matrix::identity(n).into_vec();
+        let order = jacobi_columns(&mut w, m, n, a.norm_max(), Some(&mut v))?;
+
+        let mut u = Matrix::zeros(m, n);
+        let mut vt = Matrix::zeros(n, n);
+        let mut s = Vec::with_capacity(n);
+        for (dst, &(sigma, src)) in order.iter().enumerate() {
+            s.push(sigma);
+            let w_src = &w[src * m..(src + 1) * m];
+            if sigma > 0.0 {
+                for (i, &wi) in w_src.iter().enumerate() {
+                    u[(i, dst)] = wi / sigma;
+                }
+            } else {
+                // Null direction (and the zero matrix's canonical
+                // factors): a unit column; callers treat rank via
+                // `rank()`. Still record V.
+                u[(dst.min(m - 1), dst)] = 1.0;
+            }
+            vt.row_mut(dst).copy_from_slice(&v[src * n..(src + 1) * n]);
+        }
+        Ok(Svd { u, s, vt })
+    }
+
+    /// Largest singular value (the spectral norm). Zero for empty input.
+    pub fn sigma_max(&self) -> f64 {
+        self.s.first().copied().unwrap_or(0.0)
+    }
+
+    /// Smallest singular value. Zero for empty input.
+    pub fn sigma_min(&self) -> f64 {
+        self.s.last().copied().unwrap_or(0.0)
+    }
+
+    /// 2-norm condition number `κ₂ = σ_max / σ_min`.
+    ///
+    /// Returns `f64::INFINITY` when the matrix is rank deficient
+    /// (`σ_min = 0`).
+    pub fn cond(&self) -> f64 {
+        let smin = self.sigma_min();
+        if smin == 0.0 {
+            f64::INFINITY
+        } else {
+            self.sigma_max() / smin
+        }
+    }
+
+    /// Numerical rank: number of singular values above
+    /// `σ_max · max(m, n) · ε`.
+    pub fn rank(&self) -> usize {
+        let (m, n) = self.u.shape();
+        let tol = self.sigma_max() * (m.max(n).max(1) as f64) * f64::EPSILON;
+        self.s.iter().filter(|&&x| x > tol).count()
+    }
+
+    /// Reassembles `U Σ Vᵀ` (mainly for tests and diagnostics).
+    pub fn reconstruct(&self) -> Matrix {
+        let mut us = self.u.clone();
+        for j in 0..self.s.len() {
+            for i in 0..us.rows() {
+                us[(i, j)] *= self.s[j];
+            }
+        }
+        us.matmul(&self.vt).expect("shape invariant")
+    }
+}
+
+/// The singular values of `a`, descending: bit for bit
+/// `Svd::new(a)?.s`, for a fraction of the cost.
+///
+/// It runs [`Svd::new`]'s Jacobi sweeps without accumulating `V` or
+/// forming `U`.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::NotConverged`] exactly when [`Svd::new`] does.
+pub fn singular_values(a: &Matrix) -> Result<Vec<f64>> {
+    let (m, n) = a.shape();
+    // The columns of the orientation `Svd::new` factors, one after
+    // another: `a`'s columns when `m ≥ n`, else the columns of `aᵀ`.
+    let (m, n, mut w) = if m >= n {
+        (m, n, a.transpose().into_vec())
+    } else {
+        (n, m, a.as_slice().to_vec())
+    };
+    let order = jacobi_columns(&mut w, m, n, a.norm_max(), None)?;
+    Ok(order.into_iter().map(|(sigma, _)| sigma).collect())
+}
+
+/// One-sided Jacobi sweeps over the `n` length-`m` columns of `w`
+/// (column-major, `m ≥ n`) until no pair needs a rotation, applying each
+/// rotation to the columns of `v` (`n × n`, column-major) too when
+/// given. Returns `(‖w_j‖₂, j)` sorted by descending norm.
+fn jacobi_columns(
+    w: &mut [f64],
+    m: usize,
+    n: usize,
+    scale: f64,
+    mut v: Option<&mut [f64]>,
+) -> Result<Vec<(f64, usize)>> {
+    let tol = f64::EPSILON * (m as f64).sqrt();
+    // Columns whose norm has collapsed to roundoff level are exact
+    // zeros for our purposes; rotating against them cycles forever
+    // because the correlation *ratio* of pure noise stays O(1).
+    let dead = scale * f64::EPSILON * (m.max(n) as f64);
+    let dead_sq = dead * dead;
+
+    let mut converged = false;
+    for _sweep in 0..MAX_SWEEPS {
+        let mut rotated = false;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let (wp, wq) = column_pair(w, m, p, q);
+                // Gram entries of the column pair.
+                let mut app = 0.0;
+                let mut aqq = 0.0;
+                let mut apq = 0.0;
+                for (&wip, &wiq) in wp.iter().zip(wq.iter()) {
+                    app += wip * wip;
+                    aqq += wiq * wiq;
+                    apq += wip * wiq;
+                }
+                if app <= dead_sq || aqq <= dead_sq {
+                    continue;
+                }
+                if apq.abs() <= tol * (app * aqq).sqrt() {
+                    continue;
+                }
+                rotated = true;
+                // Jacobi rotation that zeroes the (p,q) Gram entry.
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    1.0 / (theta - (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                rotate(wp, wq, c, s);
+                if let Some(v) = v.as_deref_mut() {
+                    let (vp, vq) = column_pair(v, n, p, q);
+                    rotate(vp, vq, c, s);
+                }
+            }
+        }
+        if !rotated {
+            converged = true;
+            break;
+        }
+    }
+    if !converged {
+        return Err(LinalgError::NotConverged {
+            context: "jacobi_svd",
+            iterations: MAX_SWEEPS,
+        });
+    }
+
+    // Column norms are the singular values.
+    let mut order: Vec<(f64, usize)> = (0..n)
+        .map(|j| (vecops::norm2(&w[j * m..(j + 1) * m]), j))
+        .collect();
+    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN singular value"));
+    Ok(order)
+}
+
+/// Columns `p < q` of the column-major `data` with columns of length `m`.
+fn column_pair(data: &mut [f64], m: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = data.split_at_mut(q * m);
+    (&mut head[p * m..(p + 1) * m], &mut tail[..m])
+}
+
+/// `(x_p, x_q) ← (c·x_p − s·x_q, s·x_p + c·x_q)`, element by element.
+fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
+    for (xip, xiq) in xp.iter_mut().zip(xq.iter_mut()) {
+        let (x, y) = (*xip, *xiq);
+        *xip = c * x - s * y;
+        *xiq = s * x + c * y;
+    }
+}
+
+/// Condition number `κ₂(A)` of an arbitrary dense matrix.
+///
+/// This is the figure of merit the greedy sensor-allocation algorithm
+/// minimizes (Sec. 3.3 of the paper).
+///
+/// # Errors
+///
+/// Propagates [`Svd::new`] errors.
+pub fn cond(a: &Matrix) -> Result<f64> {
+    let s = singular_values(a)?;
+    let (max, min) = (
+        s.first().copied().unwrap_or(0.0),
+        s.last().copied().unwrap_or(0.0),
+    );
+    Ok(if min == 0.0 { f64::INFINITY } else { max / min })
+}
+
+/// Numerical rank of a dense matrix via SVD.
+///
+/// # Errors
+///
+/// Propagates [`Svd::new`] errors.
+pub fn rank(a: &Matrix) -> Result<usize> {
+    Ok(Svd::new(a)?.rank())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One-sided Jacobi indexing the row-major `W` and `V` directly: the
+    /// bitwise oracle for `Svd::tall`.
+    fn oracle_tall(a: &Matrix) -> Result<Svd> {
+        let (m, n) = a.shape();
+        debug_assert!(m >= n);
         if n == 0 {
             return Ok(Svd {
                 u: Matrix::zeros(m, 0),
@@ -182,164 +400,26 @@ impl Svd {
         Ok(Svd { u, s, vt })
     }
 
-    /// Largest singular value (the spectral norm). Zero for empty input.
-    pub fn sigma_max(&self) -> f64 {
-        self.s.first().copied().unwrap_or(0.0)
-    }
-
-    /// Smallest singular value. Zero for empty input.
-    pub fn sigma_min(&self) -> f64 {
-        self.s.last().copied().unwrap_or(0.0)
-    }
-
-    /// 2-norm condition number `κ₂ = σ_max / σ_min`.
-    ///
-    /// Returns `f64::INFINITY` when the matrix is rank deficient
-    /// (`σ_min = 0`).
-    pub fn cond(&self) -> f64 {
-        let smin = self.sigma_min();
-        if smin == 0.0 {
-            f64::INFINITY
+    /// `Svd::new` over [`oracle_tall`].
+    fn oracle_svd(a: &Matrix) -> Svd {
+        if a.rows() >= a.cols() {
+            oracle_tall(a).unwrap()
         } else {
-            self.sigma_max() / smin
-        }
-    }
-
-    /// Numerical rank: number of singular values above
-    /// `σ_max · max(m, n) · ε`.
-    pub fn rank(&self) -> usize {
-        let (m, n) = self.u.shape();
-        let tol = self.sigma_max() * (m.max(n).max(1) as f64) * f64::EPSILON;
-        self.s.iter().filter(|&&x| x > tol).count()
-    }
-
-    /// Reassembles `U Σ Vᵀ` (mainly for tests and diagnostics).
-    pub fn reconstruct(&self) -> Matrix {
-        let mut us = self.u.clone();
-        for j in 0..self.s.len() {
-            for i in 0..us.rows() {
-                us[(i, j)] *= self.s[j];
+            let t = oracle_tall(&a.transpose()).unwrap();
+            Svd {
+                u: t.vt.transpose(),
+                s: t.s,
+                vt: t.u.transpose(),
             }
         }
-        us.matmul(&self.vt).expect("shape invariant")
     }
-}
 
-/// The singular values of `a`, descending: bit for bit
-/// `Svd::new(a)?.s`, for a fraction of the cost.
-///
-/// It runs the same one-sided Jacobi sweeps as [`Svd::new`], with the same
-/// rotations in the same order, on a column-major copy (so each rotation
-/// walks two contiguous columns), and accumulates neither `U` nor `V`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotConverged`] exactly when [`Svd::new`] does.
-pub fn singular_values(a: &Matrix) -> Result<Vec<f64>> {
-    let (m, n) = a.shape();
-    // Columns of the tall orientation, one after another: `a`'s columns
-    // when `m ≥ n`, else its rows (the columns of `aᵀ`).
-    let (m, n, mut w) = if m >= n {
-        (m, n, a.transpose().into_vec())
-    } else {
-        (n, m, a.as_slice().to_vec())
-    };
-    if n == 0 {
-        return Ok(Vec::new());
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
-    let scale = a.norm_max();
-    if scale == 0.0 {
-        return Ok(vec![0.0; n]);
-    }
-    let tol = f64::EPSILON * (m as f64).sqrt();
-    let dead = scale * f64::EPSILON * (m.max(n) as f64);
-    let dead_sq = dead * dead;
-
-    let mut converged = false;
-    for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = false;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let (head, tail) = w.split_at_mut(q * m);
-                let (wp, wq) = (&mut head[p * m..(p + 1) * m], &mut tail[..m]);
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = 0.0;
-                for (&wip, &wiq) in wp.iter().zip(wq.iter()) {
-                    app += wip * wip;
-                    aqq += wiq * wiq;
-                    apq += wip * wiq;
-                }
-                if app <= dead_sq || aqq <= dead_sq {
-                    continue;
-                }
-                if apq.abs() <= tol * (app * aqq).sqrt() {
-                    continue;
-                }
-                rotated = true;
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    1.0 / (theta - (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                for (wip, wiq) in wp.iter_mut().zip(wq.iter_mut()) {
-                    let (x, y) = (*wip, *wiq);
-                    *wip = c * x - s * y;
-                    *wiq = s * x + c * y;
-                }
-            }
-        }
-        if !rotated {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(LinalgError::NotConverged {
-            context: "jacobi_svd",
-            iterations: MAX_SWEEPS,
-        });
-    }
-    let mut s: Vec<f64> = w.chunks_exact(m).map(vecops::norm2).collect();
-    s.sort_by(|a, b| b.partial_cmp(a).expect("NaN singular value"));
-    Ok(s)
-}
-
-/// Condition number `κ₂(A)` of an arbitrary dense matrix.
-///
-/// This is the figure of merit the greedy sensor-allocation algorithm
-/// minimizes (Sec. 3.3 of the paper).
-///
-/// # Errors
-///
-/// Propagates [`Svd::new`] errors.
-pub fn cond(a: &Matrix) -> Result<f64> {
-    let s = singular_values(a)?;
-    let (max, min) = (
-        s.first().copied().unwrap_or(0.0),
-        s.last().copied().unwrap_or(0.0),
-    );
-    Ok(if min == 0.0 { f64::INFINITY } else { max / min })
-}
-
-/// Numerical rank of a dense matrix via SVD.
-///
-/// # Errors
-///
-/// Propagates [`Svd::new`] errors.
-pub fn rank(a: &Matrix) -> Result<usize> {
-    Ok(Svd::new(a)?.rank())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
-    fn singular_values_equal_the_full_svd_bit_for_bit() {
+    fn svd_and_singular_values_equal_the_row_major_oracle_bit_for_bit() {
         let inputs = [
             Matrix::from_fn(23, 16, |i, j| ((i * 16 + j) as f64 * 0.37).sin()),
             Matrix::from_fn(16, 23, |i, j| ((i * 23 + j) as f64 * 0.11).cos()),
@@ -349,24 +429,39 @@ mod tests {
             Matrix::from_fn(3, 8, |i, j| (j as f64) * if i == 1 { -2.0 } else { 1.0 }),
             Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]),
             Matrix::from_rows(&[&[0.0, -0.0], &[0.0, 1e-300]]),
+            Matrix::from_rows(&[&[-0.0, 0.0], &[-0.0, -0.0], &[0.0, -0.0]]),
             Matrix::zeros(3, 2),
             Matrix::zeros(2, 5),
             Matrix::zeros(4, 0),
             Matrix::zeros(0, 3),
+            Matrix::zeros(0, 0),
             Matrix::from_rows(&[&[5.0]]),
         ];
         for a in &inputs {
-            let want: Vec<u64> = Svd::new(a).unwrap().s.iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = singular_values(a)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, want, "{:?}", a.shape());
+            let want = oracle_svd(a);
+            let got = Svd::new(a).unwrap();
+            assert_eq!(bits(&got.s), bits(&want.s), "s {:?}", a.shape());
             assert_eq!(
-                cond(a).unwrap().to_bits(),
-                Svd::new(a).unwrap().cond().to_bits()
+                bits(got.u.as_slice()),
+                bits(want.u.as_slice()),
+                "u {:?}",
+                a.shape()
             );
+            assert_eq!(
+                bits(got.vt.as_slice()),
+                bits(want.vt.as_slice()),
+                "vt {:?}",
+                a.shape()
+            );
+            assert_eq!(got.u.shape(), want.u.shape());
+            assert_eq!(got.vt.shape(), want.vt.shape());
+            assert_eq!(
+                bits(&singular_values(a).unwrap()),
+                bits(&want.s),
+                "{:?}",
+                a.shape()
+            );
+            assert_eq!(cond(a).unwrap().to_bits(), want.cond().to_bits());
         }
     }
 
