@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the numerical kernels underlying EigenMaps:
-//! the dense factorizations, the DCT basis build, the thermal stepper's
-//! banded Cholesky and the wire checksum. The PCA fit is benched on the
+//! the dense factorizations, the DCT basis build, one step of the thermal
+//! stepper and the wire checksum. The PCA fit is benched on the
 //! T1 ensemble in `pipeline.rs` (`eigenbasis_fit_840cells`).
 //! These are the knobs that decide whether the method is usable inside a
 //! DTM loop, or whether a batch reply is cheap to move, so we track them
@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use eigenmaps_core::codec::crc32c;
 use eigenmaps_floorplan::Floorplan;
 use eigenmaps_linalg::prelude::*;
-use eigenmaps_thermal::{GridSpec, ThermalModel};
+use eigenmaps_thermal::{GridSpec, ThermalModel, TransientSim};
 
 fn basis_like(n: usize, k: usize) -> Matrix {
     // A deterministic dense matrix with smooth structure; the banded boost
@@ -88,12 +88,11 @@ fn bench_dct_basis(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dataset build's backward-Euler system `G + C/Δt` on the 28×30 T1
-/// grid with the 4-layer default stack (3360 unknowns, half-bandwidth
-/// 112): the one-off factorization, then one step's solve.
+/// One backward-Euler step of the dataset build on the 28×30 T1 grid with
+/// the 4-layer default stack (3360 unknowns): the die power's DCT, 840
+/// four-layer mode solves and the die map's inverse DCT.
 fn bench_transient_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("transient_step");
-    group.sample_size(10);
     let (rows, cols, dt) = (28, 30, 0.05);
     let t1 = Floorplan::ultrasparc_t1();
     let grid = GridSpec::new(
@@ -103,17 +102,13 @@ fn bench_transient_step(c: &mut Criterion) {
         t1.die_height() / rows as f64,
     );
     let model = ThermalModel::with_default_stack(grid).unwrap();
-    let system = model.step_matrix(dt);
-    let order = model.band_order();
     let shape = format!("{rows}x{cols}x{}", model.layers().len());
-    group.bench_function(BenchmarkId::new("factor", &shape), |bch| {
-        bch.iter(|| black_box(BandCholesky::factor(black_box(&system), &order).unwrap()))
-    });
-    let factor = BandCholesky::factor(&system, &order).unwrap();
-    let b = model.rhs(&vec![0.02; model.die_cells()]).unwrap();
-    let mut x = vec![0.0; model.state_len()];
-    group.bench_function(BenchmarkId::new("solve", &shape), |bch| {
-        bch.iter(|| factor.solve_into(black_box(&b), black_box(&mut x)).unwrap())
+    let power: Vec<f64> = (0..rows * cols)
+        .map(|i| 0.01 + 0.02 * ((i * 7 % 11) as f64 / 11.0))
+        .collect();
+    let mut sim = TransientSim::new(model, dt).unwrap();
+    group.bench_function(BenchmarkId::new("step", &shape), |bch| {
+        bch.iter(|| black_box(sim.step(black_box(&power)).unwrap()[0]))
     });
     group.finish();
 }

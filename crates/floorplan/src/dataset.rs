@@ -7,11 +7,12 @@
 //! defaults of [`DatasetBuilder`] regenerate exactly those dimensions.
 //!
 //! Every snapshot (and every warm-up step) is one backward-Euler step of
-//! [`TransientSim`], which factors its system matrix once per build. At
-//! the paper's 56×60 grid the factor holds ~24 MB and the whole build takes
-//! ~20 s; the 28×30 grid the serving benchmark uses builds 400 steps in
-//! ~0.1 s (2-thread AVX-512 host, release build: ~88 ms of steps, ~9 ms
-//! of factor, the rest traces and rasterization).
+//! [`TransientSim`], which solves in the 2-D DCT basis: per step, two
+//! small dense transforms and one 4-layer tridiagonal solve per mode. On a
+//! 2-thread AVX-512 host (release build), the paper's 56×60 grid builds
+//! its 2752 steps in ~0.7 s, and the 28×30 grid the serving benchmark
+//! uses builds 400 steps in ~15 ms: ~11 ms of steps, under 0.1 ms of
+//! solver set-up and under 1 ms of traces and rasterization.
 
 use eigenmaps_core::{MapEnsemble, ThermalMap};
 use eigenmaps_thermal::{Environment, GridSpec, Layer, ThermalModel, TransientSim};

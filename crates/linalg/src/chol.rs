@@ -1,9 +1,9 @@
 //! Cholesky factorization for symmetric positive-definite matrices.
 //!
 //! The Gram matrix `Ψ̃ᵀΨ̃` of a full-rank sensing matrix is SPD, and
-//! Cholesky is its natural direct solver. The thermal simulator's sparse
-//! SPD systems use the banded variant, [`crate::sparse::BandCholesky`],
-//! which this dense factor checks in tests.
+//! Cholesky is its natural direct solver. (The thermal simulator's sparse
+//! SPD systems are solved in the DCT basis instead, in
+//! `eigenmaps_thermal`.)
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

@@ -1,5 +1,5 @@
 //! Run-time choice between the portable and the AVX2 compilation of the
-//! design-time kernels (the band sweeps and the dense products).
+//! design-time kernels (the dense products).
 //!
 //! [`dual_compile!`] takes one kernel body and emits it twice: once for
 //! the crate's baseline target and once under

@@ -15,9 +15,7 @@
 //!   basis itself);
 //! * [`dct`] — orthonormal DCT-II bases with zigzag ordering (the k-LSE
 //!   baseline subspace);
-//! * [`sparse`] — CSR matrices, the banded Cholesky factor that the
-//!   thermal simulator's implicit stepper solves with, and preconditioned
-//!   CG/BiCGSTAB;
+//! * [`sparse`] — CSR matrices and preconditioned CG/BiCGSTAB;
 //! * [`Lu`], [`Cholesky`] — direct dense solvers.
 //!
 //! # Examples
@@ -77,7 +75,7 @@ pub mod prelude {
     pub use crate::pca::{Pca, PcaOptions};
     pub use crate::qr::{lstsq, orthonormalize, Qr};
     pub use crate::sparse::{
-        bicgstab_solve, cg_solve, BandCholesky, CgOptions, CgSolution, CsrMatrix, TripletBuilder,
+        bicgstab_solve, cg_solve, CgOptions, CgSolution, CsrMatrix, TripletBuilder,
     };
     pub use crate::svd::{cond, rank, singular_values, Svd};
     pub use crate::vecops;

@@ -1,15 +1,10 @@
-//! Sparse matrices in CSR form, a banded Cholesky factorization and
-//! Jacobi-preconditioned Krylov solvers.
+//! Sparse matrices in CSR form and Jacobi-preconditioned Krylov solvers.
 //!
-//! The compact thermal model solves the same sparse SPD system on every
-//! backward-Euler step (`(C/Δt + G) T⁺ = C/Δt·T + P`). Its 7-point stencil
-//! has a narrow band once the cells are numbered along the grid's shorter
-//! side, so [`BandCholesky`] factors it once and each step is two
-//! triangular sweeps. [`cg_solve`] is the iterative SPD alternative (and
-//! the factor's test oracle); [`bicgstab_solve`] handles the nonsymmetric
-//! systems that coolant advection produces.
+//! The compact thermal model assembles its conductance matrix `G` here.
+//! Its air-cooled solves run in the DCT basis (`eigenmaps_thermal`), and
+//! [`cg_solve`] is their independent test reference; [`bicgstab_solve`]
+//! handles the nonsymmetric systems that coolant advection produces.
 
-use crate::dispatch::dual_compile;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::vecops;
@@ -227,374 +222,6 @@ impl CsrMatrix {
         }
         true
     }
-}
-
-/// Cholesky factor `P A Pᵀ = L Lᵀ` of a symmetric positive-definite sparse
-/// matrix, stored as a band.
-///
-/// `P` is a symmetric ordering the caller supplies: `order[k]` is the row of
-/// `A` placed at position `k`. A good ordering keeps every non-zero of
-/// `P A Pᵀ` within `w` of the diagonal (the half-bandwidth); `L` then has
-/// the same band and no fill outside it. Row `k` of `L` is stored as its
-/// `w + 1` entries `L[k, k−w..=k]`, zero-padded for `k < w`, so both
-/// triangular sweeps run over contiguous slices: the forward sweep is one
-/// dot product per row and the backward sweep one axpy per row.
-///
-/// Factoring costs `O(n·w²)` flops, each solve `O(n·w)`, and the factor
-/// holds `n·(w + 1)` values. The result is deterministic: the same matrix
-/// and ordering give a bitwise-equal factor and bitwise-equal solutions.
-///
-/// # Examples
-///
-/// ```
-/// use eigenmaps_linalg::sparse::{BandCholesky, TripletBuilder};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // A tridiagonal SPD matrix, numbered backwards.
-/// let mut t = TripletBuilder::new(3, 3);
-/// for i in 0..3 {
-///     t.push(i, i, 4.0);
-///     if i > 0 {
-///         t.push(i, i - 1, -1.0);
-///         t.push(i - 1, i, -1.0);
-///     }
-/// }
-/// let factor = BandCholesky::factor(&t.to_csr(), &[2, 1, 0])?;
-/// assert_eq!(factor.half_bandwidth(), 1);
-/// let x = factor.solve(&[3.0, 2.0, 3.0])?;
-/// assert!(x.iter().all(|&v| (v - 1.0).abs() < 1e-12));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandCholesky {
-    order: Vec<usize>,
-    half_bandwidth: usize,
-    /// `n × (w + 1)`, row-major; the diagonal is the last entry of a row.
-    band: Vec<f64>,
-}
-
-impl BandCholesky {
-    /// Factors `a` under the symmetric ordering `order`.
-    ///
-    /// Only the lower triangle of `P A Pᵀ` is read; symmetry of `a` is the
-    /// caller's responsibility (checked in debug builds). The half-bandwidth
-    /// is the widest `|position(i) − position(j)|` over the stored entries.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::NotSquare`] for rectangular input.
-    /// * [`LinalgError::ShapeMismatch`] if `order.len()` differs from the
-    ///   dimension.
-    /// * [`LinalgError::InvalidArgument`] if `order` is not a permutation.
-    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not positive;
-    ///   `pivot` names the row of `a` (not its position in `order`).
-    pub fn factor(a: &CsrMatrix, order: &[usize]) -> Result<Self> {
-        let n = a.rows();
-        if a.cols() != n {
-            return Err(LinalgError::NotSquare {
-                shape: (a.rows(), a.cols()),
-            });
-        }
-        if order.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                context: "band cholesky ordering",
-                expected: (n, 1),
-                found: (order.len(), 1),
-            });
-        }
-        debug_assert!(
-            a.is_symmetric(1e-8 * a.values.iter().fold(1e-300_f64, |m, v| m.max(v.abs()))),
-            "BandCholesky::factor called with an asymmetric matrix"
-        );
-        let mut position = vec![usize::MAX; n];
-        for (k, &row) in order.iter().enumerate() {
-            if row >= n || position[row] != usize::MAX {
-                return Err(LinalgError::InvalidArgument {
-                    context: "band cholesky ordering is not a permutation",
-                });
-            }
-            position[row] = k;
-        }
-        let w = a
-            .entries()
-            .map(|(i, j, _)| position[i].abs_diff(position[j]))
-            .max()
-            .unwrap_or(0);
-        let width = w + 1;
-
-        // Column `c` of band row `k` lives at offset `c + w − k`.
-        let mut band = vec![0.0; n * width];
-        for (i, j, v) in a.entries() {
-            let (k, c) = (position[i], position[j]);
-            if c <= k {
-                band[k * width + c + w - k] = v;
-            }
-        }
-        if let Some(k) = factor_band(&mut band, w) {
-            return Err(LinalgError::NotPositiveDefinite { pivot: order[k] });
-        }
-        Ok(BandCholesky {
-            order: order.to_vec(),
-            half_bandwidth: w,
-            band,
-        })
-    }
-
-    /// Dimension `n` of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Half-bandwidth `w` of `P A Pᵀ` (and of `L`).
-    pub fn half_bandwidth(&self) -> usize {
-        self.half_bandwidth
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len()` differs from the
-    /// dimension.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.dim()];
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A x = b` into a caller-provided `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b` or `x` has the wrong
-    /// length.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        self.solve_into_with(b, x, &mut Vec::new())
-    }
-
-    /// [`BandCholesky::solve_into`] with caller-kept working storage, so
-    /// repeated solves allocate nothing; `work` is resized to the
-    /// dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b` or `x` has the wrong
-    /// length.
-    pub fn solve_into_with(&self, b: &[f64], x: &mut [f64], work: &mut Vec<f64>) -> Result<()> {
-        let n = self.dim();
-        for len in [b.len(), x.len()] {
-            if len != n {
-                return Err(LinalgError::ShapeMismatch {
-                    context: "band cholesky solve",
-                    expected: (n, 1),
-                    found: (len, 1),
-                });
-            }
-        }
-        let w = self.half_bandwidth;
-        work.clear();
-        work.extend(self.order.iter().map(|&row| b[row]));
-        forward_sweep(&self.band, w, work);
-        backward_sweep(&self.band, w, work);
-        for (&row, &v) in self.order.iter().zip(work.iter()) {
-            x[row] = v;
-        }
-        Ok(())
-    }
-}
-
-/// Rows (in the backward sweep) or columns (in the factor) that the band
-/// kernels advance together. Each element still runs its own chain of
-/// operations in the order of the one-at-a-time loops; blocking only lets
-/// independent chains overlap and shares loads between them.
-const BLOCK: usize = 4;
-
-dual_compile! {
-    /// Factors the band in place (row `k` holds `A[k, k−w..=k]` on entry
-    /// and `L[k, k−w..=k]` on exit); returns the position of the first
-    /// non-positive pivot.
-    ///
-    /// Entry `c` of row `k` is `(A[k,c] − L[k, lo..c]·L[c, lo..c]) / L[c,c]`.
-    /// `BLOCK` entries `c..c+BLOCK` of a row share its operand `L[k, lo..]`
-    /// and every chunk that ends before `c`, so they run those chunks
-    /// together, then finish one by one in column order.
-    fn factor_band / factor_band_portable / factor_band_avx2
-        (band: &mut [f64], w: usize) -> Option<usize>
-    {
-        let width = w + 1;
-        for k in 0..band.len() / width {
-            let lo = k.saturating_sub(w);
-            let (done, rest) = band.split_at_mut(k * width);
-            let row = &mut rest[..width];
-            let mut c = lo;
-            while c < k {
-                if c + BLOCK > k {
-                    let above = &done[c * width..(c + 1) * width];
-                    let s = row[c + w - k]
-                        - band_dot(&row[lo + w - k..c + w - k], &above[lo + w - c..w]);
-                    row[c + w - k] = s / above[w];
-                    c += 1;
-                    continue;
-                }
-                let common = (c - lo) / 4;
-                let x = &row[lo + w - k..][..4 * common];
-                let aboves: [&[f64]; BLOCK] =
-                    std::array::from_fn(|j| &done[(c + j) * width + lo + w - c - j..][..4 * common]);
-                let mut acc = [[0.0; 4]; BLOCK];
-                for m in 0..common {
-                    let x = &x[4 * m..4 * m + 4];
-                    for (a, above) in acc.iter_mut().zip(&aboves) {
-                        let above = &above[4 * m..4 * m + 4];
-                        for l in 0..4 {
-                            a[l] += x[l] * above[l];
-                        }
-                    }
-                }
-                for (j, a) in acc.into_iter().enumerate() {
-                    let cj = c + j;
-                    let above = &done[cj * width..(cj + 1) * width];
-                    let start = lo + 4 * common;
-                    let s = row[cj + w - k]
-                        - band_dot_from(a, &row[start + w - k..cj + w - k], &above[start + w - cj..w]);
-                    row[cj + w - k] = s / above[w];
-                }
-                c += BLOCK;
-            }
-            let d = row[w] - band_dot(&row[lo + w - k..w], &row[lo + w - k..w]);
-            if d.is_nan() || d <= 0.0 {
-                return Some(k);
-            }
-            row[w] = d.sqrt();
-        }
-        None
-    }
-}
-
-dual_compile! {
-    /// `L y = b` in place, one dot product per row. Row `k` needs the
-    /// `y[k−1]` it follows, and reloading it with a wide load right after
-    /// its scalar store stalls on a failed store-to-load forward; so, past
-    /// the head rows (when `w` is a multiple of 4), the last chunk
-    /// `y[k−4..k]` comes from a window of the four newest values kept in
-    /// registers. Every product and sum is unchanged.
-    fn forward_sweep / forward_sweep_portable / forward_sweep_avx2
-        (band: &[f64], w: usize, y: &mut [f64])
-    {
-        let (n, width) = (y.len(), w + 1);
-        let start = if w >= 4 && w.is_multiple_of(4) { w.min(n) } else { n };
-        for k in 0..start {
-            let row = &band[k * width..(k + 1) * width];
-            let lo = k.saturating_sub(w);
-            y[k] = (y[k] - band_dot(&row[lo + w - k..w], &y[lo..k])) / row[w];
-        }
-        if start == n {
-            return;
-        }
-        let mut window = [y[start - 4], y[start - 3], y[start - 2], y[start - 1]];
-        for k in start..n {
-            let row = &band[k * width..(k + 1) * width];
-            let mut acc = [0.0; 4];
-            for (l, v) in row[..w - 4].chunks_exact(4).zip(y[k - w..k - 4].chunks_exact(4)) {
-                for t in 0..4 {
-                    acc[t] += l[t] * v[t];
-                }
-            }
-            let yk = (y[k] - band_dot_from(acc, &row[w - 4..w], &window)) / row[w];
-            y[k] = yk;
-            window = [window[1], window[2], window[3], yk];
-        }
-    }
-}
-
-dual_compile! {
-    /// `Lᵀ z = y` in place from the bottom up: once `z_k` is known, row `k`
-    /// of `L` carries `−z_k·L[k, i]` to every unknown `i` above it. A block
-    /// of `BLOCK` rows first solves its own triangle row by row, then
-    /// applies all its rows' updates in one pass over `y`; each element
-    /// still receives them in row order `k, k − 1, …`.
-    fn backward_sweep / backward_sweep_portable / backward_sweep_avx2
-        (band: &[f64], w: usize, y: &mut [f64])
-    {
-        let width = w + 1;
-        let mut k = y.len();
-        while k > 0 {
-            if w < BLOCK || k < w + BLOCK {
-                let r = k - 1;
-                let row = &band[r * width..(r + 1) * width];
-                let lo = r.saturating_sub(w);
-                let zr = y[r] / row[w];
-                y[r] = zr;
-                let a = -zr;
-                for (yi, &l) in y[lo..r].iter_mut().zip(&row[lo + w - r..w]) {
-                    *yi += a * l;
-                }
-                k -= 1;
-                continue;
-            }
-            // Rows `bottom` down to `top`; `neg_z[j]` belongs to row
-            // `bottom − j`.
-            let (top, bottom) = (k - BLOCK, k - 1);
-            let mut neg_z = [0.0; BLOCK];
-            for j in 0..BLOCK {
-                let r = bottom - j;
-                let row = &band[r * width..(r + 1) * width];
-                let zr = y[r] / row[w];
-                y[r] = zr;
-                neg_z[j] = -zr;
-                for (yi, &l) in y[top..r].iter_mut().zip(&row[top + w - r..w]) {
-                    *yi += neg_z[j] * l;
-                }
-            }
-            // Unknowns `bottom − w..top` sit in every row's band.
-            let rows: [&[f64]; BLOCK] =
-                std::array::from_fn(|j| &band[(bottom - j) * width + j..][..w + 1 - BLOCK]);
-            for (i, yi) in y[bottom - w..top].iter_mut().enumerate() {
-                let mut acc = *yi;
-                for (row, &a) in rows.iter().zip(&neg_z) {
-                    acc += a * row[i];
-                }
-                *yi = acc;
-            }
-            // Unknowns `top − w..bottom − w` sit only in the bands of rows
-            // `top..=i + w`.
-            for r in (top..bottom).rev() {
-                let row = &band[r * width..(r + 1) * width];
-                for (yi, &l) in y[r - w..bottom - w].iter_mut().zip(row) {
-                    *yi += neg_z[bottom - r] * l;
-                }
-            }
-            k -= BLOCK;
-        }
-    }
-}
-
-/// Dot product with four independent partial sums, so the band sweeps are
-/// not serialized on one floating-point add chain. The summation order is
-/// fixed, which keeps factor and solve deterministic.
-#[inline(always)]
-fn band_dot(x: &[f64], y: &[f64]) -> f64 {
-    band_dot_from([0.0; 4], x, y)
-}
-
-/// [`band_dot`] resumed from partial sums `acc` already holding the
-/// chunks before `x` and `y`.
-#[inline(always)]
-fn band_dot_from(mut acc: [f64; 4], x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
-    let tail: f64 = xc
-        .remainder()
-        .iter()
-        .zip(yc.remainder())
-        .map(|(a, b)| a * b)
-        .sum();
-    for (a, b) in xc.zip(yc) {
-        for l in 0..4 {
-            acc[l] += a[l] * b[l];
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 /// Outcome of a conjugate-gradient solve.
@@ -943,215 +570,6 @@ pub fn bicgstab_solve(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<CgSo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// The one-row-at-a-time band kernels the blocked ones replaced, kept
-    /// verbatim as their bitwise oracle.
-    mod oracle {
-        use crate::vecops;
-
-        fn band_dot(x: &[f64], y: &[f64]) -> f64 {
-            let mut acc = [0.0; 4];
-            let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
-            let tail: f64 = xc
-                .remainder()
-                .iter()
-                .zip(yc.remainder())
-                .map(|(a, b)| a * b)
-                .sum();
-            for (a, b) in xc.zip(yc) {
-                for l in 0..4 {
-                    acc[l] += a[l] * b[l];
-                }
-            }
-            (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-        }
-
-        pub fn factor(band: &mut [f64], w: usize) -> Option<usize> {
-            let width = w + 1;
-            for k in 0..band.len() / width {
-                let lo = k.saturating_sub(w);
-                let (done, rest) = band.split_at_mut(k * width);
-                let row = &mut rest[..width];
-                for c in lo..k {
-                    let above = &done[c * width..(c + 1) * width];
-                    let s = row[c + w - k]
-                        - band_dot(&row[lo + w - k..c + w - k], &above[lo + w - c..w]);
-                    row[c + w - k] = s / above[w];
-                }
-                let d = row[w] - band_dot(&row[lo + w - k..w], &row[lo + w - k..w]);
-                if d.is_nan() || d <= 0.0 {
-                    return Some(k);
-                }
-                row[w] = d.sqrt();
-            }
-            None
-        }
-
-        pub fn forward(band: &[f64], w: usize, y: &mut [f64]) {
-            for (k, row) in band.chunks_exact(w + 1).enumerate() {
-                let lo = k.saturating_sub(w);
-                y[k] = (y[k] - band_dot(&row[lo + w - k..w], &y[lo..k])) / row[w];
-            }
-        }
-
-        pub fn backward(band: &[f64], w: usize, y: &mut [f64]) {
-            for (k, row) in band.chunks_exact(w + 1).enumerate().rev() {
-                let lo = k.saturating_sub(w);
-                let zk = y[k] / row[w];
-                y[k] = zk;
-                vecops::axpy(-zk, &row[lo + w - k..w], &mut y[lo..k]);
-            }
-        }
-    }
-
-    type Factor = fn(&mut [f64], usize) -> Option<usize>;
-    type Sweep = fn(&[f64], usize, &mut [f64]);
-
-    /// Every compilation of the band kernels this host can run, called
-    /// directly rather than through the dispatcher.
-    fn band_kernels() -> Vec<(&'static str, Factor, Sweep, Sweep)> {
-        let mut kernels: Vec<(&'static str, Factor, Sweep, Sweep)> = vec![(
-            "portable",
-            factor_band_portable,
-            forward_sweep_portable,
-            backward_sweep_portable,
-        )];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY (each wrapper): the CPU reports AVX2.
-            kernels.push((
-                "avx2",
-                |band, w| unsafe { factor_band_avx2(band, w) },
-                |band, w, y| unsafe { forward_sweep_avx2(band, w, y) },
-                |band, w, y| unsafe { backward_sweep_avx2(band, w, y) },
-            ));
-        }
-        kernels
-    }
-
-    /// A random lower band of an SPD matrix (diagonally dominant), with
-    /// exact zeros and negative zeros sprinkled in.
-    fn random_band(n: usize, w: usize, rng: &mut StdRng) -> Vec<f64> {
-        let width = w + 1;
-        let mut band = vec![0.0; n * width];
-        let mut row_sums = vec![0.0_f64; n];
-        for k in 0..n {
-            for c in k.saturating_sub(w)..k {
-                let v = match rng.gen_range(0..8_u32) {
-                    0 => 0.0,
-                    1 => -0.0,
-                    _ => rng.gen_range(-1.0..1.0),
-                };
-                band[k * width + c + w - k] = v;
-                row_sums[k] += v.abs();
-                row_sums[c] += v.abs();
-            }
-        }
-        for k in 0..n {
-            band[k * width + w] = row_sums[k] + rng.gen_range(0.5..2.0);
-        }
-        band
-    }
-
-    fn random_rhs(n: usize, rng: &mut StdRng) -> Vec<f64> {
-        (0..n)
-            .map(|_| match rng.gen_range(0..8_u32) {
-                0 => 0.0,
-                1 => -0.0,
-                _ => rng.gen_range(-10.0..10.0),
-            })
-            .collect()
-    }
-
-    fn bits(x: &[f64]) -> Vec<u64> {
-        x.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn band_kernels_equal_the_row_by_row_oracle_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(29);
-        for w in [0, 1, 3, 4, 5, 8, 112] {
-            for n in [1, 3, 4, 5, w + 3, 3360] {
-                let a = random_band(n, w, &mut rng);
-                let b = random_rhs(n, &mut rng);
-                let mut want = a.clone();
-                assert_eq!(oracle::factor(&mut want, w), None, "w={w} n={n}");
-                let mut want_y = b.clone();
-                oracle::forward(&want, w, &mut want_y);
-                let forward_bits = bits(&want_y);
-                oracle::backward(&want, w, &mut want_y);
-                for (name, factor, forward, backward) in band_kernels() {
-                    let mut got = a.clone();
-                    assert_eq!(factor(&mut got, w), None, "{name} w={w} n={n}");
-                    assert_eq!(bits(&got), bits(&want), "{name} factor w={w} n={n}");
-                    let mut y = b.clone();
-                    forward(&got, w, &mut y);
-                    assert_eq!(bits(&y), forward_bits, "{name} forward w={w} n={n}");
-                    backward(&got, w, &mut y);
-                    assert_eq!(bits(&y), bits(&want_y), "{name} backward w={w} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_factor_fails_at_the_oracles_pivot() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (w, n, bad) in [(4, 40, 0), (4, 40, 2), (5, 40, 21), (112, 300, 250)] {
-            let mut a = random_band(n, w, &mut rng);
-            a[bad * (w + 1) + w] = -1.0;
-            let want = oracle::factor(&mut a.clone(), w);
-            assert_eq!(want, Some(bad));
-            for (name, factor, _, _) in band_kernels() {
-                assert_eq!(factor(&mut a.clone(), w), want, "{name} w={w} bad={bad}");
-            }
-        }
-    }
-
-    #[test]
-    fn factored_solve_equals_the_oracle_through_the_ordering() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 200;
-        let mut t = TripletBuilder::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 8.0 + rng.gen_range(0.0..1.0));
-            for d in [1, 7] {
-                if i + d < n {
-                    let v = rng.gen_range(-1.0..1.0);
-                    t.push(i, i + d, v);
-                    t.push(i + d, i, v);
-                }
-            }
-        }
-        let a = t.to_csr();
-        let order: Vec<usize> = (0..n).rev().collect();
-        let f = BandCholesky::factor(&a, &order).unwrap();
-        let b = random_rhs(n, &mut rng);
-        let mut want = vec![0.0; n];
-        let mut y: Vec<f64> = order.iter().map(|&r| b[r]).collect();
-        let w = f.half_bandwidth();
-        let mut band = f.band.clone();
-        // Refactor from the assembled band with the oracle: the same L.
-        for k in 0..n {
-            for c in k.saturating_sub(w)..=k {
-                band[k * (w + 1) + c + w - k] = a.get(order[k], order[c]);
-            }
-        }
-        assert_eq!(oracle::factor(&mut band, w), None);
-        assert_eq!(bits(&band), bits(&f.band));
-        oracle::forward(&band, w, &mut y);
-        oracle::backward(&band, w, &mut y);
-        for (&r, &v) in order.iter().zip(&y) {
-            want[r] = v;
-        }
-        let mut work = Vec::new();
-        let mut got = vec![0.0; n];
-        f.solve_into_with(&b, &mut got, &mut work).unwrap();
-        assert_eq!(bits(&got), bits(&want));
-        assert_eq!(bits(&f.solve(&b).unwrap()), bits(&want));
-    }
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         // Tridiagonal [−1, 2, −1] plus a Dirichlet-ish shift to make it SPD.
@@ -1225,124 +643,6 @@ mod tests {
         b.push(0, 0, 1.0);
         b.push(1, 1, 1.0);
         assert!(!b.to_csr().is_symmetric(1e-12));
-    }
-
-    fn residual_ratio(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x).unwrap();
-        vecops::norm2(&vecops::sub(b, &ax)) / vecops::norm2(b)
-    }
-
-    #[test]
-    fn band_cholesky_solves_a_tridiagonal_system() {
-        let a = laplacian_1d(30);
-        let order: Vec<usize> = (0..30).collect();
-        let f = BandCholesky::factor(&a, &order).unwrap();
-        assert_eq!((f.dim(), f.half_bandwidth()), (30, 1));
-        let b: Vec<f64> = (0..30).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let x = f.solve(&b).unwrap();
-        assert!(residual_ratio(&a, &x, &b) < 1e-14);
-        let dense = crate::chol::Cholesky::new(&a.to_dense()).unwrap();
-        for (s, d) in x.iter().zip(dense.solve(&b).unwrap().iter()) {
-            assert!((s - d).abs() < 1e-12, "band {s} vs dense {d}");
-        }
-    }
-
-    #[test]
-    fn band_cholesky_ordering_sets_the_band_not_the_answer() {
-        // Interleaving the two halves of a path doubles the bandwidth; the
-        // solution (in the caller's numbering) is the same.
-        let a = laplacian_1d(12);
-        let natural: Vec<usize> = (0..12).collect();
-        let interleaved: Vec<usize> = (0..6).flat_map(|i| [i, 11 - i]).collect();
-        let b: Vec<f64> = (0..12).map(|i| (i as f64).cos()).collect();
-        let f1 = BandCholesky::factor(&a, &natural).unwrap();
-        let f2 = BandCholesky::factor(&a, &interleaved).unwrap();
-        assert_eq!((f1.half_bandwidth(), f2.half_bandwidth()), (1, 2));
-        let (x1, x2) = (f1.solve(&b).unwrap(), f2.solve(&b).unwrap());
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn band_cholesky_diagonal_and_scalar_edge_cases() {
-        let mut t = TripletBuilder::new(4, 4);
-        for i in 0..4 {
-            t.push(i, i, ((i + 1) * (i + 1)) as f64);
-        }
-        let f = BandCholesky::factor(&t.to_csr(), &[3, 0, 2, 1]).unwrap();
-        assert_eq!(f.half_bandwidth(), 0);
-        assert_eq!(
-            f.solve(&[1.0, 8.0, 27.0, 64.0]).unwrap(),
-            vec![1.0, 2.0, 3.0, 4.0]
-        );
-
-        let mut t = TripletBuilder::new(1, 1);
-        t.push(0, 0, 4.0);
-        let f = BandCholesky::factor(&t.to_csr(), &[0]).unwrap();
-        assert_eq!((f.dim(), f.half_bandwidth()), (1, 0));
-        assert_eq!(f.solve(&[2.0]).unwrap(), vec![0.5]);
-    }
-
-    #[test]
-    fn band_cholesky_names_the_failing_pivot_in_the_callers_numbering() {
-        // Eigenvalues 3 and −1: the first pivot is fine, the second fails.
-        let mut t = TripletBuilder::new(3, 3);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, 1.0);
-        t.push(1, 2, 2.0);
-        t.push(2, 1, 2.0);
-        t.push(2, 2, 1.0);
-        let a = t.to_csr();
-        assert_eq!(
-            BandCholesky::factor(&a, &[0, 1, 2]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 2 })
-        );
-        assert_eq!(
-            BandCholesky::factor(&a, &[2, 0, 1]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
-        );
-        let mut t = TripletBuilder::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, -1.0);
-        assert_eq!(
-            BandCholesky::factor(&t.to_csr(), &[0, 1]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
-        );
-    }
-
-    #[test]
-    fn band_cholesky_rejects_bad_shapes_and_orderings() {
-        let a = laplacian_1d(3);
-        assert!(matches!(
-            BandCholesky::factor(&a, &[0, 1]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        for bad in [[0, 1, 1], [0, 1, 3]] {
-            assert!(matches!(
-                BandCholesky::factor(&a, &bad),
-                Err(LinalgError::InvalidArgument { .. })
-            ));
-        }
-        assert!(matches!(
-            BandCholesky::factor(&TripletBuilder::new(2, 3).to_csr(), &[0, 1]),
-            Err(LinalgError::NotSquare { .. })
-        ));
-        let f = BandCholesky::factor(&a, &[0, 1, 2]).unwrap();
-        assert!(f.solve(&[1.0]).is_err());
-        assert!(f.solve_into(&[1.0; 3], &mut [0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn band_cholesky_is_deterministic() {
-        let a = laplacian_1d(40);
-        let order: Vec<usize> = (0..40).rev().collect();
-        let f1 = BandCholesky::factor(&a, &order).unwrap();
-        let f2 = BandCholesky::factor(&a, &order).unwrap();
-        assert_eq!(f1, f2);
-        let b: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
-        let (x1, x2) = (f1.solve(&b).unwrap(), f2.solve(&b).unwrap());
-        assert!(x1.iter().zip(&x2).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
 
     #[test]

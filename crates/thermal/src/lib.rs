@@ -9,13 +9,16 @@
 //! * a 3-D finite-volume RC network over a layered stack
 //!   ([`ThermalModel`]): silicon die, TIM, copper spreader, heat-sink base,
 //!   with adiabatic side walls and a convective top boundary;
-//! * steady-state solves (`G·T = P`) with a banded Cholesky factor;
-//! * unconditionally-stable backward-Euler transient stepping
-//!   ([`TransientSim`]), which is what generates the thermal-map snapshots
-//!   consumed by the PCA stage. The step matrix `G + C/Δt` is factored
-//!   once ([`eigenmaps_linalg::sparse::BandCholesky`], under the ordering
-//!   of [`ThermalModel::band_order`]), so each step is one forward and one
-//!   backward triangular sweep;
+//! * steady-state solves (`G·T = P`) and unconditionally-stable
+//!   backward-Euler transient stepping ([`TransientSim`]), which is what
+//!   generates the thermal-map snapshots consumed by the PCA stage. Both
+//!   solve in the 2-D DCT basis. Each layer is one material, the side
+//!   walls are adiabatic and the vertical and sink conductances are the
+//!   same for every cell, so the orthonormal DCT-II of the grid
+//!   diagonalizes every layer's lateral conduction, and a solve splits
+//!   into one tridiagonal system per mode across the layers. Per-cell
+//!   materials or lateral convection would couple the modes and break
+//!   that split;
 //! * a liquid-cooled variant ([`LiquidCooledStack`]) whose coolant
 //!   advection makes the system nonsymmetric; it is solved with BiCGSTAB.
 //!
@@ -49,6 +52,7 @@ pub mod error;
 pub mod liquid;
 pub mod material;
 pub mod model;
+mod spectral;
 pub mod transient;
 
 pub use error::{Result, ThermalError};

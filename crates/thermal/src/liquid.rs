@@ -7,9 +7,9 @@
 //! a cavity layer is etched with parallel microchannels running along the
 //! column (x) axis. Each channel cell exchanges heat convectively with the
 //! solid walls above and below, and *advects* energy downstream with the
-//! coolant flow. Advection makes the system matrix nonsymmetric, so the
-//! banded Cholesky of the air-cooled model does not apply and the solver
-//! is BiCGSTAB.
+//! coolant flow. Advection makes the system matrix nonsymmetric and
+//! couples cells along the flow, so the air-cooled model's spectral solve
+//! does not apply and the solver is BiCGSTAB.
 
 use eigenmaps_linalg::sparse::{bicgstab_solve, CgOptions, CsrMatrix, TripletBuilder};
 

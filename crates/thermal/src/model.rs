@@ -7,11 +7,22 @@
 //! power injected into the die layer. The EigenMaps paper uses 3D-ICE as a
 //! black box to produce its design-time dataset; this module is our
 //! re-implementation of that black box (see DESIGN.md, substitutions).
+//!
+//! Each layer is one material, the side walls are adiabatic, and the
+//! vertical and sink conductances are the same for every cell, so all five
+//! per-layer coefficients (`gx`, `gy`, `gz`, `C`, `g_amb`) are uniform over
+//! a layer. They are computed in one place, `layer_coefficients`. The CSR
+//! `G` is assembled from them (it backs [`ThermalModel::conductance`] and
+//! the energy checks), and so is the spectral solve that the steady state
+//! and [`crate::TransientSim`] run: the uniformity makes the network
+//! separable in the 2-D DCT basis. Per-cell materials or lateral
+//! convection would break that separability.
 
-use eigenmaps_linalg::sparse::{BandCholesky, CsrMatrix, TripletBuilder};
+use eigenmaps_linalg::sparse::{CsrMatrix, TripletBuilder};
 
 use crate::error::{Result, ThermalError};
 use crate::material::Layer;
+use crate::spectral::SpectralSolver;
 
 /// In-plane discretization of the die: `rows × cols` cells of size
 /// `cell_width × cell_height` meters.
@@ -102,6 +113,63 @@ impl Default for Environment {
     }
 }
 
+/// The coefficients of one layer of the network, per cell. Each is the
+/// same for every cell of the layer, which is what makes the network
+/// separable in the DCT basis (see the `spectral` module).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LayerCoefficients {
+    /// Conductance between column neighbours (W/K).
+    pub(crate) gx: f64,
+    /// Conductance between row neighbours (W/K).
+    pub(crate) gy: f64,
+    /// Conductance to the same cell of the next layer up (W/K); 0 on the
+    /// last layer.
+    pub(crate) gz: f64,
+    /// Thermal capacitance (J/K).
+    pub(crate) capacitance: f64,
+    /// Conductance to ambient (W/K); non-zero only on the last layer.
+    pub(crate) g_amb: f64,
+}
+
+/// The one place the network's conductances and capacitances are
+/// computed: [`ThermalModel::new`] assembles `G` from them, and the
+/// spectral solve factors its per-mode systems from them.
+fn layer_coefficients(
+    grid: GridSpec,
+    layers: &[Layer],
+    env: Environment,
+) -> Vec<LayerCoefficients> {
+    let (dx, dy) = (grid.cell_width, grid.cell_height);
+    let area = dx * dy;
+    // Conduction from a cell's centre to its top or bottom face.
+    let half = |layer: &Layer| (layer.thickness / 2.0) / (layer.material.conductivity * area);
+    layers
+        .iter()
+        .enumerate()
+        .map(|(l, layer)| {
+            let k = layer.material.conductivity;
+            let t = layer.thickness;
+            LayerCoefficients {
+                gx: k * t * dy / dx,
+                gy: k * t * dx / dy,
+                // Two half-thickness resistances in series through the
+                // cell area.
+                gz: layers
+                    .get(l + 1)
+                    .map_or(0.0, |up| 1.0 / (half(layer) + half(up))),
+                capacitance: layer.material.volumetric_capacity * area * t,
+                // Convective boundary on top of the last layer:
+                // half-thickness conduction in series with the film.
+                g_amb: if l + 1 == layers.len() {
+                    1.0 / (half(layer) + 1.0 / (env.heat_transfer_coefficient * area))
+                } else {
+                    0.0
+                },
+            }
+        })
+        .collect()
+}
+
 /// An assembled compact thermal model.
 ///
 /// Owns the conductance matrix `G` (SPD, CSR), the capacitance diagonal
@@ -132,6 +200,7 @@ pub struct ThermalModel {
     grid: GridSpec,
     layers: Vec<Layer>,
     env: Environment,
+    coefficients: Vec<LayerCoefficients>,
     conductance: CsrMatrix,
     capacitance: Vec<f64>,
     ambient_coupling: Vec<f64>,
@@ -162,77 +231,37 @@ impl ThermalModel {
             });
         }
 
+        let coefficients = layer_coefficients(grid, &layers, env);
         let per_layer = grid.cells();
         let n = per_layer * layers.len();
-        let dx = grid.cell_width;
-        let dy = grid.cell_height;
-        let area = dx * dy;
-
         let mut g = TripletBuilder::new(n, n);
         let mut capacitance = vec![0.0; n];
         let mut ambient_coupling = vec![0.0; n];
-
         let idx = |l: usize, r: usize, c: usize| l * per_layer + grid.index(r, c);
-
-        for (l, layer) in layers.iter().enumerate() {
-            let k = layer.material.conductivity;
-            let t = layer.thickness;
-            // Lateral conductances (adiabatic side walls: nothing beyond
-            // the last cell).
-            let gx = k * t * dy / dx; // between column neighbours
-            let gy = k * t * dx / dy; // between row neighbours
-            for r in 0..grid.rows {
-                for c in 0..grid.cols {
+        for (l, co) in coefficients.iter().enumerate() {
+            for c in 0..grid.cols {
+                for r in 0..grid.rows {
                     let i = idx(l, r, c);
-                    capacitance[i] = layer.material.volumetric_capacity * area * t;
+                    capacitance[i] = co.capacitance;
+                    ambient_coupling[i] = co.g_amb;
+                    g.push(i, i, co.g_amb);
+                    let mut link = |j: usize, conductance: f64| {
+                        g.push(i, i, conductance);
+                        g.push(j, j, conductance);
+                        g.push(i, j, -conductance);
+                        g.push(j, i, -conductance);
+                    };
+                    // Adiabatic side walls: no link beyond the last cell.
                     if c + 1 < grid.cols {
-                        let j = idx(l, r, c + 1);
-                        g.push(i, i, gx);
-                        g.push(j, j, gx);
-                        g.push(i, j, -gx);
-                        g.push(j, i, -gx);
+                        link(idx(l, r, c + 1), co.gx);
                     }
                     if r + 1 < grid.rows {
-                        let j = idx(l, r + 1, c);
-                        g.push(i, i, gy);
-                        g.push(j, j, gy);
-                        g.push(i, j, -gy);
-                        g.push(j, i, -gy);
+                        link(idx(l, r + 1, c), co.gy);
+                    }
+                    if l + 1 < layers.len() {
+                        link(idx(l + 1, r, c), co.gz);
                     }
                 }
-            }
-            // Vertical conductance to the next layer: two half-thickness
-            // resistances in series through the cell area.
-            if l + 1 < layers.len() {
-                let up = &layers[l + 1];
-                let r_series = (t / 2.0) / (k * area)
-                    + (up.thickness / 2.0) / (up.material.conductivity * area);
-                let gz = 1.0 / r_series;
-                for r in 0..grid.rows {
-                    for c in 0..grid.cols {
-                        let i = idx(l, r, c);
-                        let j = idx(l + 1, r, c);
-                        g.push(i, i, gz);
-                        g.push(j, j, gz);
-                        g.push(i, j, -gz);
-                        g.push(j, i, -gz);
-                    }
-                }
-            }
-        }
-
-        // Convective boundary on top of the last layer: half-thickness
-        // conduction in series with the film coefficient.
-        let last = layers.len() - 1;
-        let top = &layers[last];
-        let r_half = (top.thickness / 2.0) / (top.material.conductivity * area);
-        let r_film = 1.0 / (env.heat_transfer_coefficient * area);
-        let g_amb = 1.0 / (r_half + r_film);
-        for r in 0..grid.rows {
-            for c in 0..grid.cols {
-                let i = idx(last, r, c);
-                g.push(i, i, g_amb);
-                ambient_coupling[i] = g_amb;
             }
         }
 
@@ -240,6 +269,7 @@ impl ThermalModel {
             grid,
             layers,
             env,
+            coefficients,
             conductance: g.to_csr(),
             capacitance,
             ambient_coupling,
@@ -280,6 +310,12 @@ impl ThermalModel {
         self.grid.cells()
     }
 
+    /// The per-layer coefficients both `G` and the spectral solve are
+    /// built from.
+    pub(crate) fn coefficients(&self) -> &[LayerCoefficients] {
+        &self.coefficients
+    }
+
     /// The assembled conductance matrix `G` (SPD).
     pub fn conductance(&self) -> &CsrMatrix {
         &self.conductance
@@ -303,34 +339,25 @@ impl ThermalModel {
     /// Returns [`ThermalError::PowerShapeMismatch`] if `power.len()` is not
     /// `rows·cols`.
     pub fn rhs(&self, power: &[f64]) -> Result<Vec<f64>> {
-        let mut b = vec![0.0; self.state_len()];
-        self.rhs_into(power, &mut b)?;
+        self.check_power(power)?;
+        let mut b: Vec<f64> = self
+            .ambient_coupling
+            .iter()
+            .map(|&g| g * self.env.ambient)
+            .collect();
+        for (bi, &p) in b.iter_mut().zip(power) {
+            *bi += p;
+        }
         Ok(b)
     }
 
-    /// [`ThermalModel::rhs`] into a caller-kept buffer of length
-    /// `state_len()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::PowerShapeMismatch`] if `power.len()` is not
-    /// `rows·cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` is not `state_len()`.
-    pub fn rhs_into(&self, power: &[f64], b: &mut [f64]) -> Result<()> {
+    /// Checks that `power` holds one value per die cell.
+    pub(crate) fn check_power(&self, power: &[f64]) -> Result<()> {
         if power.len() != self.die_cells() {
             return Err(ThermalError::PowerShapeMismatch {
                 expected: self.die_cells(),
                 found: power.len(),
             });
-        }
-        assert_eq!(b.len(), self.state_len(), "rhs buffer length mismatch");
-        b[..power.len()].copy_from_slice(power);
-        b[power.len()..].fill(0.0);
-        for (bi, &g) in b.iter_mut().zip(self.ambient_coupling.iter()) {
-            *bi += g * self.env.ambient;
         }
         Ok(())
     }
@@ -349,53 +376,31 @@ impl ThermalModel {
         tb.to_csr()
     }
 
-    /// The symmetric ordering the direct solves factor under
-    /// (`order[k]` is the state index placed at position `k`): cell-major,
-    /// with a cell's layers adjacent and the grid's shorter side running
-    /// fastest. Layer neighbours then sit 1 apart, neighbours along the
-    /// short side `layers` apart and neighbours along the long side
-    /// `min(rows, cols) · layers` apart, which is the half-bandwidth of
-    /// every matrix assembled on this stencil (when the long side has more
-    /// than one cell).
-    pub fn band_order(&self) -> Vec<usize> {
-        let GridSpec { rows, cols, .. } = self.grid;
-        let per_layer = self.grid.cells();
-        let layers = self.layers.len();
-        let (fast, slow) = (rows.min(cols), rows.max(cols));
-        let mut order = Vec::with_capacity(self.state_len());
-        for s in 0..slow {
-            for f in 0..fast {
-                let cell = if rows <= cols {
-                    self.grid.index(f, s)
-                } else {
-                    self.grid.index(s, f)
-                };
-                order.extend((0..layers).map(|l| l * per_layer + cell));
-            }
-        }
-        order
-    }
-
-    /// Factors `matrix` (assembled on this model's stencil) under
-    /// [`ThermalModel::band_order`].
-    pub(crate) fn band_factor(&self, matrix: &CsrMatrix) -> Result<BandCholesky> {
-        Ok(BandCholesky::factor(matrix, &self.band_order())?)
-    }
-
     /// Solves the steady-state system `G T = P + G_amb·T_amb` and returns
     /// the full temperature state (°C).
     ///
-    /// Each call factors `G` with a banded Cholesky, under the same
-    /// ordering [`crate::TransientSim`] uses, and solves directly.
+    /// The solve runs in the 2-D DCT basis, which diagonalizes every
+    /// layer's lateral conduction: one tridiagonal system per mode across
+    /// the layers (see the `spectral` module), factored afresh per call.
     ///
     /// # Errors
     ///
-    /// * [`ThermalError::PowerShapeMismatch`] for a wrong-length power map.
-    /// * [`ThermalError::Solver`] if the factorization fails (cannot happen
-    ///   for the SPD matrices assembled here).
+    /// Returns [`ThermalError::PowerShapeMismatch`] for a wrong-length
+    /// power map.
     pub fn steady_state(&self, power: &[f64]) -> Result<Vec<f64>> {
-        let b = self.rhs(power)?;
-        Ok(self.band_factor(&self.conductance)?.solve(&b)?)
+        self.check_power(power)?;
+        let solver = SpectralSolver::new(self, None);
+        let n = self.die_cells();
+        let mut work = vec![0.0; n];
+        let mut source = vec![0.0; n];
+        solver.forward(power, &mut source, &mut work);
+        let mut spectral = vec![0.0; self.state_len()];
+        solver.advance(&mut spectral, &source, 0.0);
+        let mut state = vec![0.0; self.state_len()];
+        for (layer, out) in spectral.chunks_exact(n).zip(state.chunks_exact_mut(n)) {
+            solver.inverse(layer, self.env.ambient, out, &mut work);
+        }
+        Ok(state)
     }
 
     /// Borrows the die-layer temperatures from a full state.

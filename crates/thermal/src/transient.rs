@@ -3,31 +3,37 @@
 //! The design-time dataset of the paper is a sequence of *transient*
 //! snapshots (T = 2652 of them) produced while replaying power traces; this
 //! module provides the stepper that turns per-interval power maps into that
-//! sequence. Every step solves the same SPD system, so the stepper factors
-//! it once with a banded Cholesky and each step is a direct solve.
+//! sequence. Every step solves the same SPD system `G + C/Δt`. The network
+//! is separable (one material per layer, adiabatic side walls, uniform
+//! vertical and sink conductances), so the 2-D DCT diagonalizes each
+//! layer's lateral conduction and the solve splits into one tridiagonal
+//! system per mode across the layers, factored once (see the `spectral`
+//! module). Per-cell materials or lateral convection would break that
+//! split.
 //!
-//! A step allocates nothing: the right-hand side and the solve's scratch
-//! are reused, and `C/Δt` is computed once. At the 28×30 benchmark grid
-//! (`n = 3360`, half-bandwidth 112, a 3 MB factor) a step takes ~0.22 ms
-//! on a 2-thread AVX-512 host, ~0.12 ms per sweep: each sweep streams the
-//! factor from L3 at ~22–27 GB/s, close to what one core reads there.
-
-use eigenmaps_linalg::sparse::BandCholesky;
+//! The state stays in the DCT basis between steps. A step transforms the
+//! die power, runs the per-mode solves and transforms the die layer back
+//! for the map; the other layers are materialized only by
+//! [`TransientSim::state`]. A step allocates nothing. At the 28×30
+//! benchmark grid with the 4-layer stack, a step is ~4·(28²·30 + 28·30²)
+//! ≈ 0.2 M flops of transforms plus 840 four-layer solves.
 
 use crate::error::{Result, ThermalError};
 use crate::model::ThermalModel;
+use crate::spectral::SpectralSolver;
 
 /// A transient simulation over a [`ThermalModel`], advanced with the
 /// unconditionally-stable backward Euler scheme:
 ///
 /// `(C/Δt + G) T⁺ = (C/Δt) T + P + G_amb·T_amb`
 ///
-/// The system matrix `G + C/Δt` is assembled and factored once, in
-/// [`TransientSim::new`], as `L Lᵀ` under the model's band ordering
-/// (cell-major, a cell's layers adjacent, the grid's shorter side running
-/// fastest; half-bandwidth `min(rows, cols) · layers`). Each step is then
-/// one forward and one backward triangular sweep, `O(n · w)` flops, with
-/// no tolerance or iteration count involved.
+/// The system is factored once, in [`TransientSim::new`], per mode of the
+/// 2-D DCT of the grid: each mode couples only across the layers, so its
+/// factor is an `L × L` tridiagonal elimination. The state is kept as the
+/// DCT coefficients of `T − T_ref`, where the reference `T_ref` is the
+/// temperature of the last reset (the ambient at first); the ambient term
+/// then lands on mode `(0, 0)` of the top layer only. No tolerance or
+/// iteration count is involved.
 ///
 /// # Examples
 ///
@@ -49,13 +55,16 @@ use crate::model::ThermalModel;
 pub struct TransientSim {
     model: ThermalModel,
     dt: f64,
-    factor: BandCholesky,
-    /// `C/Δt`, per state entry.
-    c_over_dt: Vec<f64>,
-    state: Vec<f64>,
+    solver: SpectralSolver,
+    /// DCT coefficients of `T − reference`, layer-major.
+    spectral: Vec<f64>,
+    reference: f64,
+    /// The die layer in cells, materialized by every step.
+    die: Vec<f64>,
     time: f64,
-    /// Reused by every step: the right-hand side and the solve's scratch.
-    rhs: Vec<f64>,
+    /// Reused by every step: the die power's DCT and the transforms'
+    /// intermediate.
+    source: Vec<f64>,
     work: Vec<f64>,
 }
 
@@ -65,29 +74,27 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// * [`ThermalError::InvalidConfig`] if `dt` is not strictly positive
-    ///   and finite.
-    /// * [`ThermalError::Solver`] if the factorization fails (cannot happen
-    ///   for the SPD matrices the model assembles).
+    /// Returns [`ThermalError::InvalidConfig`] if `dt` is not strictly
+    /// positive and finite.
     pub fn new(model: ThermalModel, dt: f64) -> Result<Self> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(ThermalError::InvalidConfig {
                 context: "time step must be positive and finite",
             });
         }
-        let factor = model.band_factor(&model.step_matrix(dt))?;
-        let n = model.state_len();
-        let c_over_dt = model.capacitance().iter().map(|&c| c / dt).collect();
-        let state = vec![model.environment().ambient; n];
+        let solver = SpectralSolver::new(&model, Some(dt));
+        let n = model.die_cells();
+        let ambient = model.environment().ambient;
         Ok(TransientSim {
+            spectral: vec![0.0; model.state_len()],
+            reference: ambient,
+            die: vec![ambient; n],
+            source: vec![0.0; n],
+            work: vec![0.0; n],
             model,
             dt,
-            factor,
-            c_over_dt,
-            state,
+            solver,
             time: 0.0,
-            rhs: vec![0.0; n],
-            work: Vec::with_capacity(n),
         })
     }
 
@@ -106,20 +113,29 @@ impl TransientSim {
         self.time
     }
 
-    /// Full temperature state (all layers), °C.
-    pub fn state(&self) -> &[f64] {
-        &self.state
+    /// Full temperature state (all layers, layer-major), °C, materialized
+    /// from the DCT coefficients on each call.
+    pub fn state(&self) -> Vec<f64> {
+        let n = self.die.len();
+        let mut state = vec![0.0; self.spectral.len()];
+        let mut work = vec![0.0; n];
+        for (layer, out) in self.spectral.chunks_exact(n).zip(state.chunks_exact_mut(n)) {
+            self.solver.inverse(layer, self.reference, out, &mut work);
+        }
+        state
     }
 
     /// Die-layer temperatures (°C) — the vectorized thermal map of the
     /// paper.
     pub fn die_temperatures(&self) -> &[f64] {
-        self.model.die_temperatures(&self.state)
+        &self.die
     }
 
     /// Resets the whole stack to a uniform temperature and rewinds time.
     pub fn reset(&mut self, temperature: f64) {
-        self.state.fill(temperature);
+        self.spectral.fill(0.0);
+        self.reference = temperature;
+        self.die.fill(temperature);
         self.time = 0.0;
     }
 
@@ -131,15 +147,16 @@ impl TransientSim {
     /// Returns [`ThermalError::PowerShapeMismatch`] for a wrong-length
     /// power map.
     pub fn step(&mut self, power: &[f64]) -> Result<&[f64]> {
-        // RHS = C/Δt·T + P + G_amb·T_amb.
-        self.model.rhs_into(power, &mut self.rhs)?;
-        for ((bi, &c), &t) in self.rhs.iter_mut().zip(&self.c_over_dt).zip(&self.state) {
-            *bi += c * t;
-        }
-        self.factor
-            .solve_into_with(&self.rhs, &mut self.state, &mut self.work)?;
+        self.model.check_power(power)?;
+        let ambient_rise = self.model.environment().ambient - self.reference;
+        self.solver.forward(power, &mut self.source, &mut self.work);
+        self.solver
+            .advance(&mut self.spectral, &self.source, ambient_rise);
+        let die = &self.spectral[..self.die.len()];
+        self.solver
+            .inverse(die, self.reference, &mut self.die, &mut self.work);
         self.time += self.dt;
-        Ok(self.die_temperatures())
+        Ok(&self.die)
     }
 
     /// Advances `steps` steps under a constant power map, returning the die
@@ -164,10 +181,11 @@ impl TransientSim {
     /// Propagates shape errors from [`ThermalModel::rhs`].
     pub fn energy_residual(&self, prev_state: &[f64], power: &[f64]) -> Result<f64> {
         let b = self.model.rhs(power)?;
-        let gt = self.model.conductance().matvec(&self.state)?;
+        let state = self.state();
+        let gt = self.model.conductance().matvec(&state)?;
         let mut worst = 0.0_f64;
-        for i in 0..self.state.len() {
-            let lhs = self.model.capacitance()[i] * (self.state[i] - prev_state[i]) / self.dt;
+        for i in 0..state.len() {
+            let lhs = self.model.capacitance()[i] * (state[i] - prev_state[i]) / self.dt;
             let rhs = -gt[i] + b[i];
             worst = worst.max((lhs - rhs).abs());
         }
@@ -181,127 +199,6 @@ mod tests {
     use crate::material::Layer;
     use crate::model::{Environment, GridSpec};
 
-    /// The stepper as it was before its buffers and blocked sweeps: a
-    /// fresh right-hand side with `c / dt * t` per step, and the
-    /// row-by-row band factor and sweeps, kept verbatim as the bitwise
-    /// oracle of [`TransientSim::step`].
-    struct OracleStepper {
-        model: ThermalModel,
-        dt: f64,
-        order: Vec<usize>,
-        w: usize,
-        band: Vec<f64>,
-        state: Vec<f64>,
-    }
-
-    impl OracleStepper {
-        fn new(model: ThermalModel, dt: f64) -> Self {
-            let a = model.step_matrix(dt);
-            let order = model.band_order();
-            let n = order.len();
-            let mut position = vec![0; n];
-            for (k, &row) in order.iter().enumerate() {
-                position[row] = k;
-            }
-            let w = a
-                .entries()
-                .map(|(i, j, _)| position[i].abs_diff(position[j]))
-                .max()
-                .unwrap_or(0);
-            let width = w + 1;
-            let mut band = vec![0.0; n * width];
-            for (i, j, v) in a.entries() {
-                let (k, c) = (position[i], position[j]);
-                if c <= k {
-                    band[k * width + c + w - k] = v;
-                }
-            }
-            for k in 0..n {
-                let lo = k.saturating_sub(w);
-                let (done, rest) = band.split_at_mut(k * width);
-                let row = &mut rest[..width];
-                for c in lo..k {
-                    let above = &done[c * width..(c + 1) * width];
-                    let s = row[c + w - k]
-                        - band_dot(&row[lo + w - k..c + w - k], &above[lo + w - c..w]);
-                    row[c + w - k] = s / above[w];
-                }
-                let d = row[w] - band_dot(&row[lo + w - k..w], &row[lo + w - k..w]);
-                assert!(d > 0.0);
-                row[w] = d.sqrt();
-            }
-            let state = vec![model.environment().ambient; n];
-            OracleStepper {
-                model,
-                dt,
-                order,
-                w,
-                band,
-                state,
-            }
-        }
-
-        fn step(&mut self, power: &[f64]) {
-            let mut b = self.model.rhs(power).unwrap();
-            for ((bi, &c), &t) in b.iter_mut().zip(self.model.capacitance()).zip(&self.state) {
-                *bi += c / self.dt * t;
-            }
-            let w = self.w;
-            let mut y: Vec<f64> = self.order.iter().map(|&row| b[row]).collect();
-            for (k, row) in self.band.chunks_exact(w + 1).enumerate() {
-                let lo = k.saturating_sub(w);
-                y[k] = (y[k] - band_dot(&row[lo + w - k..w], &y[lo..k])) / row[w];
-            }
-            for (k, row) in self.band.chunks_exact(w + 1).enumerate().rev() {
-                let lo = k.saturating_sub(w);
-                let zk = y[k] / row[w];
-                y[k] = zk;
-                eigenmaps_linalg::vecops::axpy(-zk, &row[lo + w - k..w], &mut y[lo..k]);
-            }
-            for (&row, &v) in self.order.iter().zip(&y) {
-                self.state[row] = v;
-            }
-        }
-    }
-
-    fn band_dot(x: &[f64], y: &[f64]) -> f64 {
-        let mut acc = [0.0; 4];
-        let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
-        let tail: f64 = xc
-            .remainder()
-            .iter()
-            .zip(yc.remainder())
-            .map(|(a, b)| a * b)
-            .sum();
-        for (a, b) in xc.zip(yc) {
-            for l in 0..4 {
-                acc[l] += a[l] * b[l];
-            }
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    }
-
-    #[test]
-    fn steps_equal_the_row_by_row_oracle_stepper_bit_for_bit() {
-        for (rows, cols) in [(14, 15), (28, 30)] {
-            let model = ThermalModel::with_default_stack(GridSpec::new(
-                rows,
-                cols,
-                1.2e-2 / cols as f64,
-                1.1e-2 / rows as f64,
-            ))
-            .unwrap();
-            let mut oracle = OracleStepper::new(model.clone(), 0.05);
-            let mut sim = TransientSim::new(model, 0.05).unwrap();
-            for power in walking_hot_spot(rows * cols, 50) {
-                oracle.step(&power);
-                sim.step(&power).unwrap();
-                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(sim.state()), bits(&oracle.state), "{rows}x{cols}");
-            }
-        }
-    }
-
     fn sim(rows: usize, cols: usize, dt: f64) -> TransientSim {
         let model =
             ThermalModel::with_default_stack(GridSpec::new(rows, cols, 1e-3, 1e-3)).unwrap();
@@ -309,25 +206,40 @@ mod tests {
     }
 
     /// The same backward-Euler trajectory, stepped with warm-started CG
-    /// at a tight tolerance: the oracle for the factored stepper.
+    /// at a tight tolerance: the independent reference for the spectral
+    /// stepper.
     fn cg_reference(model: &ThermalModel, dt: f64, powers: &[Vec<f64>]) -> Vec<f64> {
+        let ambient = model.environment().ambient;
+        cg_trajectory(model, dt, ambient, powers).pop().unwrap()
+    }
+
+    /// The state after each step of [`cg_reference`]'s run, started from
+    /// a uniform `start` temperature.
+    fn cg_trajectory(
+        model: &ThermalModel,
+        dt: f64,
+        start: f64,
+        powers: &[Vec<f64>],
+    ) -> Vec<Vec<f64>> {
         use eigenmaps_linalg::sparse::{cg_solve, CgOptions};
         let n = model.state_len();
         let system = model.step_matrix(dt);
-        let mut state = vec![model.environment().ambient; n];
+        let mut state = vec![start; n];
+        let mut trajectory = Vec::with_capacity(powers.len());
         for power in powers {
             let mut b = model.rhs(power).unwrap();
             for ((bi, &c), &t) in b.iter_mut().zip(model.capacitance()).zip(&state) {
                 *bi += c / dt * t;
             }
             let opts = CgOptions {
-                tolerance: 1e-12,
+                tolerance: 1e-14,
                 max_iterations: 40 * n,
                 initial_guess: Some(state),
             };
             state = cg_solve(&system, &b, &opts).unwrap().x;
+            trajectory.push(state.clone());
         }
-        state
+        trajectory
     }
 
     /// A hot spot that walks across the die, over a warm background.
@@ -359,26 +271,105 @@ mod tests {
         }
     }
 
+    /// A model of `layers` layers of the default stack on a
+    /// `rows × cols` grid of non-square cells.
+    fn stack_model(rows: usize, cols: usize, layers: usize) -> ThermalModel {
+        ThermalModel::new(
+            GridSpec::new(rows, cols, 1.3e-3, 0.7e-3),
+            Layer::default_stack()[..layers].to_vec(),
+            Environment::default(),
+        )
+        .unwrap()
+    }
+
+    /// Largest `|a − b|`.
+    fn max_gap(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
+    }
+
     #[test]
-    fn band_order_half_bandwidth_is_short_side_times_layers() {
-        for (rows, cols, layers) in [(7, 5, 4), (5, 7, 4), (6, 6, 4), (1, 9, 4), (9, 3, 1)] {
-            let stack = Layer::default_stack()[..layers].to_vec();
-            let model = ThermalModel::new(
-                GridSpec::new(rows, cols, 1e-3, 1e-3),
-                stack,
-                Environment::default(),
-            )
-            .unwrap();
-            let mut order = model.band_order();
-            let s = TransientSim::new(model, 1e-3).unwrap();
-            assert_eq!(
-                s.factor.half_bandwidth(),
-                rows.min(cols) * layers,
-                "{rows}x{cols}x{layers}"
-            );
-            order.sort_unstable();
-            assert!(order.iter().copied().eq(0..rows * cols * layers));
+    fn steps_and_state_match_a_tight_cg_solve_on_every_shape() {
+        for (rows, cols) in [(1, 1), (1, 7), (7, 1), (5, 3), (28, 30)] {
+            for layers in [1, 2, 4] {
+                let model = stack_model(rows, cols, layers);
+                let steps = if rows * cols > 100 { 12 } else { 40 };
+                let powers = walking_hot_spot(rows * cols, steps);
+                let mut s = TransientSim::new(model.clone(), 2e-3).unwrap();
+                let trajectory = cg_trajectory(&model, 2e-3, 45.0, &powers);
+                for (t, (p, reference)) in powers.iter().zip(&trajectory).enumerate() {
+                    let die = s.step(p).unwrap().to_vec();
+                    let state = s.state();
+                    let shape = format!("{rows}x{cols}x{layers}, step {t}");
+                    assert!(max_gap(&state, reference) < 1e-10, "{shape}: state");
+                    assert!(max_gap(&die, &reference[..rows * cols]) < 1e-10, "{shape}");
+                    assert_eq!(&state[..rows * cols], &die[..], "{shape}: die slice");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn energy_residual_stays_at_rounding_level_after_every_step() {
+        for (rows, cols, layers) in [(1, 7, 2), (5, 3, 4), (28, 30, 4)] {
+            let model = stack_model(rows, cols, layers);
+            let dt = 0.05;
+            // The residual's scale: the largest |(G + C/Δt)_ij|·|T_j| row
+            // sum any state near 100 °C can reach.
+            let mut row_sums = vec![0.0_f64; model.state_len()];
+            for (i, _, v) in model.step_matrix(dt).entries() {
+                row_sums[i] += v.abs();
+            }
+            let scale = row_sums.iter().fold(0.0_f64, |m, &v| m.max(v)) * 100.0;
+            let mut s = TransientSim::new(model, dt).unwrap();
+            for p in walking_hot_spot(rows * cols, 30) {
+                let prev = s.state();
+                s.step(&p).unwrap();
+                let residual = s.energy_residual(&prev, &p).unwrap();
+                assert!(
+                    residual < 1e-14 * scale,
+                    "{rows}x{cols}x{layers}: residual {residual:e} W at scale {scale:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn steps_from_a_reset_off_ambient_match_a_tight_cg_solve() {
+        // Off ambient, the sink's pull is a source on mode (0, 0).
+        for (rows, cols, layers) in [(1, 1, 1), (5, 3, 4)] {
+            let model = stack_model(rows, cols, layers);
+            let powers = walking_hot_spot(rows * cols, 30);
+            let mut s = TransientSim::new(model.clone(), 2e-3).unwrap();
+            s.run(&vec![0.3; rows * cols], 5).unwrap();
+            s.reset(70.0);
+            let trajectory = cg_trajectory(&model, 2e-3, 70.0, &powers);
+            for (p, reference) in powers.iter().zip(&trajectory) {
+                s.step(p).unwrap();
+                assert!(
+                    max_gap(&s.state(), reference) < 1e-10,
+                    "{rows}x{cols}x{layers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_then_steps_equal_a_fresh_sim() {
+        let model = stack_model(6, 5, 4);
+        let powers = walking_hot_spot(30, 25);
+        let mut used = TransientSim::new(model.clone(), 1e-2).unwrap();
+        used.run(&[0.2; 30], 40).unwrap();
+        used.reset(model.environment().ambient);
+        let mut fresh = TransientSim::new(model, 1e-2).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in &powers {
+            assert_eq!(bits(used.step(p).unwrap()), bits(fresh.step(p).unwrap()));
+        }
+        assert_eq!(bits(&used.state()), bits(&fresh.state()));
+        assert_eq!(used.time().to_bits(), fresh.time().to_bits());
     }
 
     #[test]
@@ -401,7 +392,7 @@ mod tests {
     fn zero_power_stays_at_ambient() {
         let mut s = sim(3, 4, 1e-3);
         s.run(&[0.0; 12], 20).unwrap();
-        for &t in s.state() {
+        for &t in &s.state() {
             assert!((t - 45.0).abs() < 1e-8);
         }
     }

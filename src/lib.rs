@@ -8,8 +8,7 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`linalg`] — dense and sparse linear algebra kernels (QR, SVD,
-//!   symmetric eigensolvers, randomized PCA, DCT bases, banded Cholesky,
-//!   CG).
+//!   symmetric eigensolvers, randomized PCA, DCT bases, CG/BiCGSTAB).
 //! * [`thermal`] — a 3D-ICE-style compact transient thermal simulator.
 //! * [`floorplan`] — the UltraSPARC T1 floorplan model and workload/power
 //!   trace generators used to produce the design-time thermal dataset.
