@@ -396,11 +396,7 @@ impl ThermalModel {
         solver.forward(power, &mut source, &mut work);
         let mut spectral = vec![0.0; self.state_len()];
         solver.advance(&mut spectral, &source, 0.0);
-        let mut state = vec![0.0; self.state_len()];
-        for (layer, out) in spectral.chunks_exact(n).zip(state.chunks_exact_mut(n)) {
-            solver.inverse(layer, self.env.ambient, out, &mut work);
-        }
-        Ok(state)
+        Ok(solver.materialize(&spectral, self.env.ambient))
     }
 
     /// Borrows the die-layer temperatures from a full state.

@@ -159,6 +159,18 @@ impl SpectralSolver {
         }
     }
 
+    /// Every layer's field from its DCT coefficients (layer-major), offset
+    /// by `base`.
+    pub(crate) fn materialize(&self, spectral: &[f64], base: f64) -> Vec<f64> {
+        let n = self.rows * self.cols;
+        let mut fields = vec![0.0; spectral.len()];
+        let mut work = vec![0.0; n];
+        for (x, out) in spectral.chunks_exact(n).zip(fields.chunks_exact_mut(n)) {
+            self.inverse(x, base, out, &mut work);
+        }
+        fields
+    }
+
     /// Solves `(G + C/Δt) x⁺ = (C/Δt) x + b` in place, mode by mode, where
     /// `x` holds every layer's DCT coefficients and `b` is `source` on the
     /// die layer plus the sink's pull towards an ambient `ambient_rise`

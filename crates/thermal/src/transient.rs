@@ -116,13 +116,7 @@ impl TransientSim {
     /// Full temperature state (all layers, layer-major), °C, materialized
     /// from the DCT coefficients on each call.
     pub fn state(&self) -> Vec<f64> {
-        let n = self.die.len();
-        let mut state = vec![0.0; self.spectral.len()];
-        let mut work = vec![0.0; n];
-        for (layer, out) in self.spectral.chunks_exact(n).zip(state.chunks_exact_mut(n)) {
-            self.solver.inverse(layer, self.reference, out, &mut work);
-        }
-        state
+        self.solver.materialize(&self.spectral, self.reference)
     }
 
     /// Die-layer temperatures (°C) — the vectorized thermal map of the
