@@ -16,7 +16,7 @@
 //! for the map; the other layers are materialized only by
 //! [`TransientSim::state`]. A step allocates nothing. At the 28×30
 //! benchmark grid with the 4-layer stack, a step is ~4·(28²·30 + 28·30²)
-//! ≈ 0.2 M flops of transforms plus 840 four-layer solves.
+//! ≈ 0.2 M multiply-adds of transforms plus 840 four-layer solves.
 
 use crate::error::{Result, ThermalError};
 use crate::model::ThermalModel;
@@ -31,9 +31,10 @@ use crate::spectral::SpectralSolver;
 /// 2-D DCT of the grid: each mode couples only across the layers, so its
 /// factor is an `L × L` tridiagonal elimination. The state is kept as the
 /// DCT coefficients of `T − T_ref`, where the reference `T_ref` is the
-/// temperature of the last reset (the ambient at first); the ambient term
-/// then lands on mode `(0, 0)` of the top layer only. No tolerance or
-/// iteration count is involved.
+/// temperature of the last reset (the ambient at first), so a stack just
+/// reset reads that temperature exactly. The ambient term then lands on
+/// mode `(0, 0)` of the top layer only. No tolerance or iteration count
+/// is involved.
 ///
 /// # Examples
 ///
