@@ -9,8 +9,10 @@
 //!
 //! The locations must match exactly; κ within 1e-9 relative, so that a
 //! simulator change at rounding level (a different but exact solve) still
-//! passes while a different design does not.
+//! passes while a different design does not. One design at each shape is
+//! also pinned bit for bit: the FNV-1a digest of its `EMDEPLOY` bytes.
 
+use eigenmaps::core::codec::fnv1a64;
 use eigenmaps::core::prelude::*;
 use eigenmaps::floorplan::DatasetBuilder;
 use eigenmaps::linalg::PcaOptions;
@@ -22,6 +24,22 @@ fn assert_design(label: &str, d: &Deployment, sensors: &[usize], kappa: f64) {
         rel < 1e-9,
         "{label}: κ {} vs golden {kappa} (relative {rel:e})",
         d.condition_number()
+    );
+}
+
+/// Asserts that `d`'s artifact bytes hash to `digest`. The design-time
+/// kernels are bit for bit equal on every backend and run on one thread,
+/// so the digest should not depend on the host; a failure names the
+/// host's kernel and thread count in case it does.
+fn assert_digest(label: &str, d: &Deployment, digest: u64) {
+    let got = fnv1a64(&d.to_bytes());
+    assert_eq!(
+        got,
+        digest,
+        "{label}: EMDEPLOY digest {got:016x} vs golden {digest:016x} \
+         (kernel {}, {} threads)",
+        KernelKind::detect(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 }
 
@@ -45,6 +63,7 @@ fn perfbench_deployment_keeps_its_sensors() {
         ],
         2.139_036_190_563_266_4,
     );
+    assert_digest("28x30x300, K = M = 16", &d, 0x9c0a_3edf_4e57_7d44);
 }
 
 #[test]
@@ -76,6 +95,10 @@ fn quick_harness_designs_keep_their_sensors() {
             .sensors(m)
             .design()
             .unwrap();
-        assert_design(&format!("28x30x400, M = {m}"), &d, sensors, kappa);
+        let label = format!("28x30x400, M = {m}");
+        assert_design(&label, &d, sensors, kappa);
+        if m == 16 {
+            assert_digest(&label, &d, 0xbc4e_9908_b661_ca16);
+        }
     }
 }
