@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use eigenmaps_core::prelude::*;
 use eigenmaps_floorplan::prelude::*;
-use eigenmaps_linalg::{Pca, PcaOptions};
+use eigenmaps_linalg::Pca;
 
 use crate::experiments::ExpResult;
 use crate::{write_csv, Harness};
@@ -199,7 +199,7 @@ pub fn pca_paths(_h: &Harness) -> ExpResult {
     let exact = Pca::fit_exact(data, k)?;
     let t_exact = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let randomized = Pca::fit(data, k, &PcaOptions::default())?;
+    let randomized = Pca::fit(data, k)?;
     let t_rand = t0.elapsed().as_secs_f64();
 
     let mut rows_out = Vec::new();

@@ -3,9 +3,10 @@
 //!
 //! Every figure of the paper maps to one binary in `src/bin/` (see
 //! DESIGN.md §4); they all consume the [`Harness`] built here, which
-//! regenerates (or loads from cache) the paper-scale design-time dataset —
-//! `T = 2652` snapshots of a `56 × 60` UltraSPARC T1 thermal map — and the
-//! EigenMaps basis fitted on it.
+//! simulates the paper-scale design-time dataset — `T = 2652` snapshots
+//! of a `56 × 60` UltraSPARC T1 thermal map, ~1 s — and fits the
+//! EigenMaps basis on it. `results/` only receives the experiments'
+//! output.
 //!
 //! Set `EIGENMAPS_QUICK=1` to run every experiment on a reduced
 //! configuration (coarser grid, fewer snapshots) that finishes in seconds.
@@ -15,7 +16,6 @@ use std::time::Instant;
 
 use eigenmaps_core::prelude::*;
 use eigenmaps_floorplan::prelude::*;
-use eigenmaps_linalg::PcaOptions;
 
 pub mod ablations;
 pub mod experiments;
@@ -91,13 +91,6 @@ impl RunScale {
     pub fn snr_sweep(self) -> Vec<f64> {
         vec![10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
     }
-
-    fn cache_name(self) -> &'static str {
-        match self {
-            RunScale::Paper => "t1_dataset_paper.bin",
-            RunScale::Quick => "t1_dataset_quick.bin",
-        }
-    }
 }
 
 /// Workspace-relative results directory (`<repo>/results`).
@@ -109,66 +102,47 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// Everything the experiments need: the dataset, the fitted EigenMaps
-/// basis, the activity map and the floorplan.
+/// Everything the experiments need: the dataset (maps and floorplan),
+/// the fitted EigenMaps basis and the activity map.
 #[derive(Debug)]
 pub struct Harness {
     scale: RunScale,
-    ensemble: MapEnsemble,
+    dataset: ThermalDataset,
     basis: EigenBasis,
     energy: Vec<f64>,
-    floorplan: Floorplan,
 }
 
 impl Harness {
-    /// Builds the harness at the given scale, loading the dataset from the
-    /// results cache when available and regenerating (and caching) it
-    /// otherwise.
+    /// Builds the harness at the given scale: simulates the dataset and
+    /// fits the basis.
     ///
     /// # Errors
     ///
-    /// Returns a boxed error on simulation, I/O or fitting failures.
+    /// Returns a boxed error on simulation or fitting failures.
     pub fn new(scale: RunScale) -> std::result::Result<Self, Box<dyn std::error::Error>> {
-        let floorplan = Floorplan::ultrasparc_t1();
-        let cache_path = results_dir().join(scale.cache_name());
-        let ensemble = match load_ensemble(&cache_path) {
-            Ok(e)
-                if e.rows() == scale.rows()
-                    && e.cols() == scale.cols()
-                    && e.len() == scale.snapshots() =>
-            {
-                eprintln!("[harness] loaded cached dataset {}", cache_path.display());
-                e
-            }
-            _ => {
-                eprintln!(
-                    "[harness] generating dataset ({}x{} grid, {} snapshots)…",
-                    scale.rows(),
-                    scale.cols(),
-                    scale.snapshots()
-                );
-                let t0 = Instant::now();
-                let dataset = DatasetBuilder::ultrasparc_t1()
-                    .grid(scale.rows(), scale.cols())
-                    .snapshots(scale.snapshots())
-                    .build()?;
-                eprintln!("[harness] simulated in {:.1?}", t0.elapsed());
-                save_ensemble(dataset.ensemble(), &cache_path)?;
-                dataset.ensemble().clone()
-            }
-        };
+        eprintln!(
+            "[harness] generating dataset ({}x{} grid, {} snapshots)…",
+            scale.rows(),
+            scale.cols(),
+            scale.snapshots()
+        );
+        let t0 = Instant::now();
+        let dataset = DatasetBuilder::ultrasparc_t1()
+            .grid(scale.rows(), scale.cols())
+            .snapshots(scale.snapshots())
+            .build()?;
+        eprintln!("[harness] simulated in {:.1?}", t0.elapsed());
 
         eprintln!("[harness] fitting EigenMaps basis (K = {})…", scale.k_max());
         let t0 = Instant::now();
-        let basis = EigenBasis::fit_with(&ensemble, scale.k_max(), &PcaOptions::default())?;
+        let basis = EigenBasis::fit(dataset.ensemble(), scale.k_max())?;
         eprintln!("[harness] PCA done in {:.1?}", t0.elapsed());
-        let energy = ensemble.cell_variance();
+        let energy = dataset.ensemble().cell_variance();
         Ok(Harness {
             scale,
-            ensemble,
+            dataset,
             basis,
             energy,
-            floorplan,
         })
     }
 
@@ -179,7 +153,7 @@ impl Harness {
 
     /// The design-time ensemble.
     pub fn ensemble(&self) -> &MapEnsemble {
-        &self.ensemble
+        self.dataset.ensemble()
     }
 
     /// The EigenMaps basis fitted at `k_max`.
@@ -194,17 +168,17 @@ impl Harness {
 
     /// The T1 floorplan.
     pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
+        self.dataset.floorplan()
     }
 
     /// Grid rows.
     pub fn rows(&self) -> usize {
-        self.ensemble.rows()
+        self.ensemble().rows()
     }
 
     /// Grid cols.
     pub fn cols(&self) -> usize {
-        self.ensemble.cols()
+        self.ensemble().cols()
     }
 
     /// An unconstrained mask for this grid.
@@ -216,7 +190,7 @@ impl Harness {
     /// (regular structures, per Mukherjee & Memik).
     pub fn cache_mask(&self) -> Mask {
         Mask::all_allowed(self.rows(), self.cols())
-            .forbid_rects(&self.floorplan.rects_of_kind(BlockKind::L2Cache))
+            .forbid_rects(&self.floorplan().rects_of_kind(BlockKind::L2Cache))
     }
 
     /// Designs a deployment adopting the harness's prefitted EigenMaps
@@ -234,7 +208,7 @@ impl Harness {
         allocator: AllocatorSpec,
     ) -> eigenmaps_core::Result<Deployment> {
         let basis = self.basis.truncated(k.min(self.basis.k()))?;
-        Pipeline::new(&self.ensemble)
+        Pipeline::new(self.ensemble())
             .fitted_basis(basis)
             .allocator(allocator)
             .mask(mask.clone())

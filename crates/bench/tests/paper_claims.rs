@@ -1,11 +1,12 @@
-//! The paper's relative claims, gated at the quick scale (28 × 30 grid,
-//! 400 snapshots): EigenMaps with the greedy allocator (Alg. 1) against
-//! k-LSE with the energy-center allocator, built and evaluated exactly as
-//! the `fig3b` and `fig3c` binaries do.
+//! The paper's relative claims: EigenMaps with the greedy allocator
+//! (Alg. 1) against k-LSE with the energy-center allocator, built and
+//! evaluated exactly as the `fig3b` and `fig3c` binaries do, on a freshly
+//! simulated dataset at both scales: the quick one (28 × 30 grid, 400
+//! snapshots) and the paper's (56 × 60 grid, 2652 snapshots).
 //!
-//! Two of the paper's absolute claims miss at this scale (a worst cell
-//! under 1 °C needs M = 10, not 4–5; M = 16 at 15 dB SNR leaves a 2.14 °C
-//! worst cell, not ~1 °C), so they are not asserted here.
+//! Two of the paper's absolute claims miss at the quick scale (a worst
+//! cell under 1 °C needs M = 10, not 4–5; M = 16 at 15 dB SNR leaves a
+//! 2.14 °C worst cell, not ~1 °C), so they are not asserted here.
 
 use std::sync::OnceLock;
 
@@ -13,17 +14,22 @@ use eigenmaps_bench::experiments::{eigenmaps_stack, klse_stack};
 use eigenmaps_bench::{Harness, RunScale};
 use eigenmaps_core::prelude::*;
 
-/// One quick-scale harness for every claim: the dataset and the basis
-/// are built once.
-fn harness() -> &'static Harness {
-    static HARNESS: OnceLock<Harness> = OnceLock::new();
-    HARNESS.get_or_init(|| Harness::new(RunScale::Quick).expect("quick harness"))
+/// One harness per scale for every claim: each dataset and basis is
+/// built once.
+fn harness(scale: RunScale) -> &'static Harness {
+    static QUICK: OnceLock<Harness> = OnceLock::new();
+    static PAPER: OnceLock<Harness> = OnceLock::new();
+    let cell = match scale {
+        RunScale::Quick => &QUICK,
+        RunScale::Paper => &PAPER,
+    };
+    cell.get_or_init(|| Harness::new(scale).expect("harness"))
 }
 
 /// `(EigenMaps MSE, k-LSE MSE)` at `m` sensors under `noise`, each
 /// evaluated on the ensemble with noise seed `seed`.
-fn mse_pair(m: usize, noise: NoiseSpec, seed: u64) -> (f64, f64) {
-    let h = harness();
+fn mse_pair(scale: RunScale, m: usize, noise: NoiseSpec, seed: u64) -> (f64, f64) {
+    let h = harness(scale);
     let mask = h.free_mask();
     let greedy = AllocatorSpec::Greedy(GreedyAllocator::new());
     let eigen = eigenmaps_stack(h, greedy, m, &mask, noise).expect("EigenMaps design");
@@ -40,44 +46,62 @@ fn mse_pair(m: usize, noise: NoiseSpec, seed: u64) -> (f64, f64) {
 /// Fig. 3(b), noiseless: (a) EigenMaps beats k-LSE at every M of the
 /// sweep, (c) its MSE strictly falls as M grows, and (d) it is under
 /// 1 °C² by M = 5.
-#[test]
-fn eigenmaps_beats_klse_at_every_m_and_improves_with_m() {
-    let sweep: Vec<(usize, f64, f64)> = RunScale::Quick
+fn assert_m_sweep(scale: RunScale) {
+    let sweep: Vec<(usize, f64, f64)> = scale
         .m_sweep()
         .into_iter()
         .map(|m| {
-            let (eigen, klse) = mse_pair(m, NoiseSpec::None, 1);
+            let (eigen, klse) = mse_pair(scale, m, NoiseSpec::None, 1);
             (m, eigen, klse)
         })
         .collect();
     for &(m, eigen, klse) in &sweep {
         assert!(
             eigen < klse,
-            "M = {m}: EigenMaps {eigen:e} vs k-LSE {klse:e}"
+            "{scale:?}, M = {m}: EigenMaps {eigen:e} vs k-LSE {klse:e}"
         );
     }
     for pair in sweep.windows(2) {
         let ((m0, e0, _), (m1, e1, _)) = (pair[0], pair[1]);
         assert!(
             e1 < e0,
-            "EigenMaps MSE rose from M = {m0} ({e0:e}) to M = {m1} ({e1:e})"
+            "{scale:?}: EigenMaps MSE rose from M = {m0} ({e0:e}) to M = {m1} ({e1:e})"
         );
     }
     assert!(
         sweep.iter().any(|&(m, eigen, _)| m <= 5 && eigen < 1.0),
-        "MSE < 1 °C² not reached by M = 5: {sweep:?}"
+        "{scale:?}: MSE < 1 °C² not reached by M = 5: {sweep:?}"
     );
 }
 
 /// Fig. 3(c), M = 16: (b) EigenMaps beats k-LSE at every SNR of the
 /// sweep.
-#[test]
-fn eigenmaps_beats_klse_at_every_snr() {
-    for snr_db in RunScale::Quick.snr_sweep() {
-        let (eigen, klse) = mse_pair(16, NoiseSpec::SnrDb(snr_db), 3);
+fn assert_snr_sweep(scale: RunScale) {
+    for snr_db in scale.snr_sweep() {
+        let (eigen, klse) = mse_pair(scale, 16, NoiseSpec::SnrDb(snr_db), 3);
         assert!(
             eigen < klse,
-            "{snr_db} dB: EigenMaps {eigen:e} vs k-LSE {klse:e}"
+            "{scale:?}, {snr_db} dB: EigenMaps {eigen:e} vs k-LSE {klse:e}"
         );
     }
+}
+
+#[test]
+fn eigenmaps_beats_klse_at_every_m_and_improves_with_m() {
+    assert_m_sweep(RunScale::Quick);
+}
+
+#[test]
+fn eigenmaps_beats_klse_at_every_snr() {
+    assert_snr_sweep(RunScale::Quick);
+}
+
+#[test]
+fn paper_scale_eigenmaps_beats_klse_at_every_m_and_improves_with_m() {
+    assert_m_sweep(RunScale::Paper);
+}
+
+#[test]
+fn paper_scale_eigenmaps_beats_klse_at_every_snr() {
+    assert_snr_sweep(RunScale::Paper);
 }

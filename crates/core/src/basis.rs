@@ -2,7 +2,7 @@
 //! the paper and the DCT low-pass basis of the k-LSE baseline.
 
 use eigenmaps_linalg::dct::dct2_basis;
-use eigenmaps_linalg::{Matrix, Pca, PcaOptions};
+use eigenmaps_linalg::{Matrix, Pca};
 
 use crate::error::{CoreError, Result};
 use crate::map::{MapEnsemble, ThermalMap};
@@ -134,8 +134,7 @@ pub struct EigenBasis {
 }
 
 impl EigenBasis {
-    /// Fits the top-`k` EigenMaps with the randomized PCA path and default
-    /// options.
+    /// Fits the top-`k` EigenMaps with the randomized PCA path.
     ///
     /// # Errors
     ///
@@ -143,16 +142,7 @@ impl EigenBasis {
     ///   2 maps.
     /// * Propagated linear-algebra failures.
     pub fn fit(ensemble: &MapEnsemble, k: usize) -> Result<Self> {
-        Self::fit_with(ensemble, k, &PcaOptions::default())
-    }
-
-    /// Fits with explicit randomized-PCA options.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`EigenBasis::fit`].
-    pub fn fit_with(ensemble: &MapEnsemble, k: usize, opts: &PcaOptions) -> Result<Self> {
-        let pca = Pca::fit(ensemble.data(), k, opts)?;
+        let pca = Pca::fit(ensemble.data(), k)?;
         Ok(EigenBasis {
             pca,
             rows: ensemble.rows(),

@@ -1,22 +1,20 @@
 //! Shared little-endian byte codec for the hand-rolled binary artifact
 //! formats, and the specification of those formats.
 //!
-//! Four on-disk formats live in this workspace — the `EMDEPLOY`
-//! deployment artifact ([`crate::pipeline`]), the `EIGMAPS1` ensemble
-//! cache (`eigenmaps-floorplan`), the `EMSESS1` streaming-session
-//! snapshot ([`SessionSnapshot`], consumed by `eigenmaps-serve` for warm
-//! restarts) and the `EMSTORE1` durability manifest ([`StoreManifest`],
-//! the root record of `eigenmaps-serve`'s snapshot store). All are
-//! deliberately tiny little-endian layouts (magic,
-//! dims, raw scalars) rather than an extra serialization dependency, and
-//! all need the same defensive plumbing: bounds-checked reads,
-//! magic/version validation, overflow-safe lengths and a trailing-bytes
-//! check. This module is that plumbing, written once.
+//! Three on-disk formats live in this workspace — the `EMDEPLOY`
+//! deployment artifact ([`crate::pipeline`]), the `EMSESS1`
+//! streaming-session snapshot ([`SessionSnapshot`], consumed by
+//! `eigenmaps-serve` for warm restarts) and the `EMSTORE1` durability
+//! manifest ([`StoreManifest`], the root record of `eigenmaps-serve`'s
+//! snapshot store). All are deliberately tiny little-endian layouts
+//! (magic, dims, raw scalars) rather than an extra serialization
+//! dependency, and all need the same defensive plumbing: bounds-checked
+//! reads, magic/version validation, overflow-safe lengths and a
+//! trailing-bytes check. This module is that plumbing, written once.
 //!
 //! [`Encoder`] builds a byte buffer; [`Decoder`] walks one. Decoder
 //! methods fail with a [`CodecError`] carrying a static description, which
-//! each consumer maps onto its own error type (`CoreError::Persist` here,
-//! `FloorplanError::CorruptCache` in the floorplan crate).
+//! each consumer maps onto its own error type (`CoreError::Persist` here).
 //!
 //! A fourth format rides on the same codec but frames *conversations*
 //! rather than files: `EMWIRE2`, the length-prefixed, checksummed network
@@ -41,7 +39,7 @@
 //! a shorter input (every request and step reply) runs as one chain.
 //! Every path gives the same bits. Over a 1.7 MB batch reply that is
 //! ~0.09 ms, against ~0.25 ms for one chain and ~2.9 ms for byte-serial
-//! FNV-1a. `EIGMAPS1` is a regenerable cache and carries no digest.
+//! FNV-1a.
 //!
 //! # Wire conventions
 //!
@@ -96,25 +94,6 @@
 //! synthesis-kernel choice are **not** stored: both are recomputed on
 //! load, which keeps the artifact portable across hosts with different
 //! CPU features.
-//!
-//! # `EIGMAPS1` — floorplan ensemble cache
-//!
-//! Written by `eigenmaps_floorplan::cache::save_ensemble`. A 32-byte
-//! header followed by a raw payload:
-//!
-//! | # | field   | type / size         | meaning                          |
-//! |---|---------|---------------------|----------------------------------|
-//! | 0 | magic   | 8 bytes             | ASCII `EIGMAPS1` (version is the magic's trailing digit) |
-//! | 1 | t       | `u64`               | number of snapshots              |
-//! | 2 | rows    | `u64`               | grid height                      |
-//! | 3 | cols    | `u64`               | grid width                       |
-//! | 4 | payload | `f64 × (t·rows·cols)` | snapshot-major: snapshot `s` occupies entries `[s·rows·cols, (s+1)·rows·cols)`, cells row-major |
-//!
-//! Validation on read: magic must match; `t · rows · cols` must not
-//! overflow and is capped at `2^27` elements (1 GiB of `f64`s) so a
-//! corrupt header can never trigger an absurd allocation; the payload is
-//! streamed through a fixed buffer; and the file must end exactly at the
-//! payload's last byte.
 //!
 //! # `EMSESS1` — streaming-session snapshot, version 1
 //!

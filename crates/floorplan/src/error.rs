@@ -27,13 +27,8 @@ pub enum FloorplanError {
     Thermal(ThermalError),
     /// A core-algorithm type failed (e.g. building the map ensemble).
     Core(CoreError),
-    /// Reading or writing a cached dataset failed.
+    /// Reading or writing a power-trace file failed.
     Io(std::io::Error),
-    /// A cached dataset file was malformed.
-    CorruptCache {
-        /// What was wrong with the file.
-        context: &'static str,
-    },
 }
 
 impl fmt::Display for FloorplanError {
@@ -50,10 +45,7 @@ impl fmt::Display for FloorplanError {
             }
             FloorplanError::Thermal(e) => write!(f, "thermal simulation failed: {e}"),
             FloorplanError::Core(e) => write!(f, "map ensemble construction failed: {e}"),
-            FloorplanError::Io(e) => write!(f, "dataset cache I/O failed: {e}"),
-            FloorplanError::CorruptCache { context } => {
-                write!(f, "corrupt dataset cache: {context}")
-            }
+            FloorplanError::Io(e) => write!(f, "power-trace file I/O failed: {e}"),
         }
     }
 }
@@ -84,12 +76,6 @@ impl From<CoreError> for FloorplanError {
 impl From<std::io::Error> for FloorplanError {
     fn from(e: std::io::Error) -> Self {
         FloorplanError::Io(e)
-    }
-}
-
-impl From<eigenmaps_core::CodecError> for FloorplanError {
-    fn from(e: eigenmaps_core::CodecError) -> Self {
-        FloorplanError::CorruptCache { context: e.context }
     }
 }
 

@@ -15,10 +15,6 @@
 //!   through the compact transient thermal simulator of
 //!   [`eigenmaps_thermal`].
 //!
-//! Datasets can be cached to disk ([`cache::save_ensemble`] /
-//! [`cache::load_ensemble`]) so the figure binaries pay the simulation
-//! cost once.
-//!
 //! # Examples
 //!
 //! ```
@@ -42,7 +38,6 @@
 //! ```
 
 pub mod block;
-pub mod cache;
 pub mod dataset;
 pub mod error;
 pub mod power;
@@ -59,7 +54,6 @@ pub use workload::{PowerTrace, Scenario, TraceGenerator};
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::block::{Block, BlockKind, Floorplan};
-    pub use crate::cache::{load_ensemble, save_ensemble};
     pub use crate::dataset::{DatasetBuilder, ThermalDataset};
     pub use crate::error::{FloorplanError, Result};
     pub use crate::power::PowerRasterizer;

@@ -166,27 +166,6 @@ pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
     Ok(SymEig { values, vectors })
 }
 
-/// Computes only the `k` leading (largest-eigenvalue) eigenpairs of a
-/// symmetric matrix, by full Jacobi decomposition followed by truncation.
-///
-/// # Errors
-///
-/// Same as [`sym_eig`], plus [`LinalgError::InvalidArgument`] if
-/// `k > a.rows()`.
-pub fn sym_eig_topk(a: &Matrix, k: usize) -> Result<SymEig> {
-    if k > a.rows() {
-        return Err(LinalgError::InvalidArgument {
-            context: "sym_eig_topk: k exceeds dimension",
-        });
-    }
-    let full = sym_eig(a)?;
-    let vectors = full.vectors.leading_cols(k)?;
-    Ok(SymEig {
-        values: full.values[..k].to_vec(),
-        vectors,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,14 +256,5 @@ mod tests {
     fn empty_matrix() {
         let e = sym_eig(&Matrix::zeros(0, 0)).unwrap();
         assert!(e.values.is_empty());
-    }
-
-    #[test]
-    fn topk_truncates() {
-        let a = Matrix::diag(&[4.0, 1.0, 9.0]);
-        let e = sym_eig_topk(&a, 2).unwrap();
-        assert_eq!(e.values, vec![9.0, 4.0]);
-        assert_eq!(e.vectors.shape(), (3, 2));
-        assert!(sym_eig_topk(&a, 4).is_err());
     }
 }

@@ -30,7 +30,8 @@ pub enum LinalgError {
         /// Operation that detected singularity (e.g. `"lu_solve"`).
         context: &'static str,
     },
-    /// A symmetric positive-definite matrix was required (Cholesky, CG).
+    /// A symmetric positive-definite matrix was required (CG), or a
+    /// sparse solver's Jacobi preconditioner met an unusable diagonal.
     NotPositiveDefinite {
         /// Pivot index where positive-definiteness failed.
         pivot: usize,

@@ -16,7 +16,8 @@
 //! * [`dct`] — orthonormal DCT-II bases with zigzag ordering (the k-LSE
 //!   baseline subspace);
 //! * [`sparse`] — CSR matrices and preconditioned CG/BiCGSTAB;
-//! * [`Lu`], [`Cholesky`] — direct dense solvers.
+//! * [`Lu`] — the direct dense solver, the reference the iterative and
+//!   factored solvers are tested against.
 //!
 //! # Examples
 //!
@@ -42,7 +43,6 @@
 // obscure the textbook algorithms they implement.
 #![allow(clippy::needless_range_loop)]
 
-pub mod chol;
 pub mod dct;
 mod dispatch;
 pub mod eig;
@@ -55,24 +55,22 @@ pub mod sparse;
 pub mod svd;
 pub mod vecops;
 
-pub use chol::Cholesky;
-pub use eig::{sym_eig, sym_eig_topk, SymEig};
+pub use eig::{sym_eig, SymEig};
 pub use error::{LinalgError, Result};
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
-pub use pca::{Pca, PcaOptions};
+pub use pca::Pca;
 pub use qr::{lstsq, orthonormalize, Qr};
 pub use svd::{cond, rank, singular_values, Svd};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::chol::Cholesky;
     pub use crate::dct::{dct2_basis, dct2_lowpass, dct_matrix, zigzag_order};
-    pub use crate::eig::{sym_eig, sym_eig_topk, SymEig};
+    pub use crate::eig::{sym_eig, SymEig};
     pub use crate::error::{LinalgError, Result};
     pub use crate::lu::{solve, Lu};
     pub use crate::matrix::Matrix;
-    pub use crate::pca::{Pca, PcaOptions};
+    pub use crate::pca::Pca;
     pub use crate::qr::{lstsq, orthonormalize, Qr};
     pub use crate::sparse::{
         bicgstab_solve, cg_solve, CgOptions, CgSolution, CsrMatrix, TripletBuilder,

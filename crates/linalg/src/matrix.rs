@@ -95,15 +95,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Creates a column vector (an `n × 1` matrix) from a slice.
-    pub fn column_from(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Creates a diagonal matrix from the given diagonal entries.
     pub fn diag(d: &[f64]) -> Self {
         let mut m = Matrix::zeros(d.len(), d.len());

@@ -291,14 +291,6 @@ impl Qr {
         }
         Ok(())
     }
-
-    /// Numerical rank of the factorized matrix estimated from the diagonal
-    /// of `R` (cheap; for a rigorous rank use the SVD).
-    pub fn rank_estimate(&self) -> usize {
-        (0..self.cols())
-            .filter(|&i| self.packed[(i, i)].abs() > self.tol)
-            .count()
-    }
 }
 
 /// The magnitude at or below which a diagonal entry of `R` counts as
@@ -545,7 +537,10 @@ mod tests {
             // rank guard below would say otherwise.
             let a = Matrix::from_fn(m, n, |_, _| rng.gen_range(-10.0..10.0));
             let qr = Qr::new(&a).unwrap();
-            assert_eq!(qr.rank_estimate(), n, "{m}×{n} is full rank");
+            assert!(
+                qr.solve_lstsq(&vec![0.0; m]).is_ok(),
+                "{m}×{n} is full rank"
+            );
             for bsz in [1, 2, 7, 31, 32, 33] {
                 let columns: Vec<Vec<f64>> = (0..bsz)
                     .map(|_| (0..m).map(|_| rng.gen_range(-50.0..50.0)).collect())
@@ -622,14 +617,6 @@ mod tests {
     fn wide_matrix_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(Qr::new(&a).is_err());
-    }
-
-    #[test]
-    fn rank_estimate() {
-        let full = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        assert_eq!(Qr::new(&full).unwrap().rank_estimate(), 2);
-        let deficient = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
-        assert_eq!(Qr::new(&deficient).unwrap().rank_estimate(), 1);
     }
 
     /// Householder QR in place on the row-major matrix, one column at a
@@ -761,6 +748,9 @@ mod tests {
         // First column zero: tau[0] = 0 path.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 2.0], &[0.0, 0.0]]);
         let qr = Qr::new(&a).unwrap();
-        assert_eq!(qr.rank_estimate(), 1);
+        assert!(matches!(
+            qr.solve_lstsq(&[1.0, 2.0, 0.0]),
+            Err(LinalgError::Singular { .. })
+        ));
     }
 }

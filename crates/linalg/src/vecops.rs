@@ -89,18 +89,6 @@ pub fn add(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y.iter()).map(|(a, b)| a + b).collect()
 }
 
-/// Normalizes `x` to unit Euclidean norm in place and returns the original
-/// norm. If the norm is zero the vector is left untouched and `0.0` is
-/// returned.
-#[inline]
-pub fn normalize(x: &mut [f64]) -> f64 {
-    let n = norm2(x);
-    if n > 0.0 {
-        scale(1.0 / n, x);
-    }
-    n
-}
-
 /// Arithmetic mean of the entries; `0.0` for an empty slice.
 #[inline]
 pub fn mean(x: &[f64]) -> f64 {
@@ -109,25 +97,6 @@ pub fn mean(x: &[f64]) -> f64 {
     } else {
         x.iter().sum::<f64>() / x.len() as f64
     }
-}
-
-/// Root-mean-square difference between two vectors.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` have different lengths.
-#[inline]
-pub fn rms_diff(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "rms_diff: length mismatch");
-    if x.is_empty() {
-        return 0.0;
-    }
-    let mut acc = 0.0;
-    for (a, b) in x.iter().zip(y.iter()) {
-        let d = a - b;
-        acc += d * d;
-    }
-    (acc / x.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -165,25 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn normalize_unit() {
-        let mut x = [3.0, 4.0];
-        let n = normalize(&mut x);
-        assert_eq!(n, 5.0);
-        assert!((norm2(&x) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut x = [0.0, 0.0];
-        assert_eq!(normalize(&mut x), 0.0);
-        assert_eq!(x, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_and_rms() {
+    fn mean_of_entries() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((rms_diff(&[1.0, 1.0], &[0.0, 0.0]) - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! ([`eigenmaps_core::codec`]), covering the full serving surface.
 //!
 //! `EMWIRE2` is the fourth binary format in the workspace, next to
-//! `EMDEPLOY` (deployment artifacts), `EIGMAPS1` (ensemble caches) and
-//! `EMSESS1` (session snapshots) — those three are specified in
+//! `EMDEPLOY` (deployment artifacts), `EMSESS1` (session snapshots) and
+//! `EMSTORE1` (store manifests) — those three are specified in
 //! [`eigenmaps_core::codec`]'s module docs; this one lives here because it
 //! frames *conversations*, not files.
 //!

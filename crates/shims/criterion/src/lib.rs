@@ -47,6 +47,10 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Fewest timed iterations per benchmark, whatever the time budget: with
+/// fewer, a slow routine's p10 and p90 collapse onto its median.
+const MIN_ITERS: usize = 10;
+
 /// Timing loop handle passed to benchmark closures.
 pub struct Bencher {
     target: Duration,
@@ -57,12 +61,15 @@ pub struct Bencher {
 
 impl Bencher {
     /// Calls `routine` repeatedly and records each call's wall-clock time:
-    /// one warm-up call, then calls until the time budget is spent.
+    /// one warm-up call, then calls until the time budget is spent and at
+    /// least ten calls are timed.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, also primes caches/allocators
         self.samples.clear();
         let start = Instant::now();
-        while start.elapsed() < self.target && (self.samples.len() as u64) < self.max_iters {
+        while (start.elapsed() < self.target || self.samples.len() < MIN_ITERS)
+            && (self.samples.len() as u64) < self.max_iters
+        {
             let t = Instant::now();
             black_box(routine());
             self.samples.push(t.elapsed());
@@ -224,6 +231,17 @@ mod tests {
         assert_eq!(b.quantile(0.9), Duration::from_millis(9));
         b.samples.clear();
         assert_eq!(b.quantile(0.5), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_spent_budget_still_times_the_minimum_iterations() {
+        let mut b = Bencher {
+            target: Duration::ZERO,
+            max_iters: 1_000_000,
+            samples: Vec::new(),
+        };
+        b.iter(|| black_box(1 + 1));
+        assert_eq!(b.samples.len(), MIN_ITERS);
     }
 
     #[test]

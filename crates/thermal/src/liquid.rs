@@ -265,16 +265,6 @@ impl LiquidCooledStack {
         self.coolant
     }
 
-    /// Solid layers below the cavity (die first).
-    pub fn below_layers(&self) -> &[Layer] {
-        &self.below
-    }
-
-    /// Solid layers above the cavity.
-    pub fn above_layers(&self) -> &[Layer] {
-        &self.above
-    }
-
     /// Solves the steady-state field for a die power map (W per cell);
     /// returns the full state (below stack, then channel, then above
     /// stack — the die slice is `[..die_cells()]`).

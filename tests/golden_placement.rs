@@ -15,7 +15,6 @@
 use eigenmaps::core::codec::fnv1a64;
 use eigenmaps::core::prelude::*;
 use eigenmaps::floorplan::DatasetBuilder;
-use eigenmaps::linalg::PcaOptions;
 
 fn assert_design(label: &str, d: &Deployment, sensors: &[usize], kappa: f64) {
     assert_eq!(d.sensors().locations(), sensors, "{label}: sensors moved");
@@ -74,7 +73,7 @@ fn quick_harness_designs_keep_their_sensors() {
         .build()
         .unwrap();
     let ensemble = dataset.ensemble();
-    let basis = EigenBasis::fit_with(ensemble, 32, &PcaOptions::default()).unwrap();
+    let basis = EigenBasis::fit(ensemble, 32).unwrap();
     let mask = Mask::all_allowed(28, 30);
     let golden: [(usize, &[usize], f64); 3] = [
         (4, &[51, 112, 812, 839], 2.183_874_667_857_175_7),

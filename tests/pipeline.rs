@@ -254,25 +254,6 @@ fn pipeline_rejects_invalid_specs_with_typed_errors() {
 }
 
 #[test]
-fn dataset_cache_roundtrip_through_disk() {
-    let ens = dataset().ensemble();
-    let path = std::env::temp_dir().join(format!(
-        "eigenmaps-integration-cache-{}.bin",
-        std::process::id()
-    ));
-    save_ensemble(ens, &path).unwrap();
-    let back = load_ensemble(&path).unwrap();
-    assert_eq!(back.len(), ens.len());
-    assert_eq!(back.map_slice(10), ens.map_slice(10));
-    std::fs::remove_file(&path).ok();
-
-    // A basis fitted on the reloaded data must match exactly.
-    let a = EigenBasis::fit(ens, 4).unwrap();
-    let b = EigenBasis::fit(&back, 4).unwrap();
-    assert_eq!(a.eigenvalues(), b.eigenvalues());
-}
-
-#[test]
 fn tradeoff_search_runs_on_simulated_data() {
     let ens = dataset().ensemble();
     let mask = Mask::all_allowed(ens.rows(), ens.cols());
